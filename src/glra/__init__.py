@@ -24,6 +24,7 @@ from .linalg import (
     proj_range,
     psd_sqrt,
     range_basis,
+    rank_factors,
     rowspace_basis,
     svd,
     trace,

@@ -144,7 +144,7 @@ def check_glra(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]
     for k in range(trials):
         p = random_problem(rng, deficient=(k % 3 == 0))
         sol = solver.solve(p, tol)
-        g, tsvd = solver.projected_truncation(p, tol)
+        g, _ = solver.projected_truncation(p, tol)
         const = hs_norm(p.m) ** 2 - hs_norm(g) ** 2
         u = rng.standard_normal((p.x_shape[0], p.r))
         v = rng.standard_normal((p.x_shape[1], p.r))
@@ -157,7 +157,9 @@ def check_glra(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]
             ),
             max(tol.check_abs, 1e-12 * hs_norm(p.m) ** 2),
         )
-        charact.record(hs_norm(p.b @ sol.x_hat @ p.c - tsvd.matrix()), tol.check_abs)
+        charact.record(
+            hs_norm(p.b @ sol.x_hat @ p.c - sol.truncation.matrix()), tol.check_abs
+        )
         oracle = solver.als_oracle(p, restarts=6, iters=80, seed=seed + k)
         optimal.record(sol.objective - oracle, ORACLE_SLACK)
         t = rng.standard_normal(p.x_shape)
@@ -195,7 +197,7 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
     spec = sequences.SequenceSpec(gamma_exponent=2.0, alpha_exponent=1.0)
     for k in range(trials):
         n = int(rng.integers(8, 20))
-        inst = sequences.build_instance(replace(spec, n=n), tol)
+        inst = sequences.build_instance(replace(spec, n=n))
         sweep = sequences.unboundedness_sweep(
             replace(spec, n=n), [n], [2, max(2, n // 2)], tol
         )
@@ -225,8 +227,7 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
             ),
             tol.check_abs,
         )
-        _, tsvd = solver.projected_truncation(inst.problem, tol)
-        g_r = tsvd.matrix()
+        g_r = bounded.solution.truncation.matrix()
         for st in bounded.steps:
             q_n = st.x_basis @ st.x_basis.T
             bxc_ident.record(

@@ -26,7 +26,6 @@ from .linalg import (
     NumericalError,
     Tolerances,
     hs_norm,
-    pinv,
 )
 from .matio import read_matrix, write_matrix
 
@@ -98,7 +97,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     problem = _load_problem(args)
     sol = (solver.solve_adjoint if args.adjoint else solver.solve)(problem, tol)
-    err = solver.optimal_error(problem, tol)
     write_matrix(args.out, sol.x_hat)
     report = {
         "schema": "glra/1",
@@ -113,8 +111,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "outputs": {
             "x_hat": args.out,
             "objective": sol.objective,
-            "delta": err.delta,
-            "delta_variants": list(err.delta_variants),
+            "delta": sol.delta,
         },
         "diagnostics": {
             "uniqueness": sol.uniqueness.value,
@@ -226,34 +223,26 @@ def cmd_outer_approx(args: argparse.Namespace) -> int:
     problem = _load_problem(args)
     chain = _build_chain(args.chain, problem.c, args.seed, tol)
     result = sequences.bounded_approximation_sequence(problem, chain, tol)
-    outer = sequences.outer_inverse_chain(problem.c, chain, tol)
-    _, tsvd = solver.projected_truncation(problem, tol)
-    g_r = tsvd.matrix()
     rows = []
     alt_tails = []
-    if args.alternative:
-        # rejected construction: approximate C^+ by C^+ P_n; its tail has no
-        # monotone-convergence guarantee and is shown only for contrast
-        c_pinv = pinv(problem.c, tol)
-        b_pinv = pinv(problem.b, tol)
-        for step in outer:
-            p_n = step.y_basis @ step.y_basis.T
-            x_alt = b_pinv @ g_r @ c_pinv @ p_n
-            alt_tails.append(
-                hs_norm(result.solution.y - problem.b @ x_alt @ problem.c) ** 2
-            )
-    for i, (step, inv_step) in enumerate(zip(result.steps, outer)):
-        identity_residual = hs_norm(
-            inv_step.c_sharp @ problem.c @ inv_step.c_sharp - inv_step.c_sharp
-        )
+    for i, step in enumerate(result.steps):
+        c_sharp = step.outer.c_sharp
         row = [
             float(i + 1),
             float(step.x_basis.shape[1]),
             step.tail_error,
-            identity_residual,
+            hs_norm(c_sharp @ problem.c @ c_sharp - c_sharp),
         ]
         if args.alternative:
-            row.append(alt_tails[i])
+            # rejected construction: approximate C^+ by C^+ P_n, i.e. x_hat P_n;
+            # its tail has no monotone-convergence guarantee and is shown only
+            # for contrast
+            y_n = step.outer.y_basis
+            x_alt = result.solution.x_hat @ y_n @ y_n.T
+            alt_tails.append(
+                hs_norm(result.solution.y - problem.b @ x_alt @ problem.c) ** 2
+            )
+            row.append(alt_tails[-1])
         rows.append(row)
     write_matrix(args.out, np.array(rows))
     tails = [step.tail_error for step in result.steps]

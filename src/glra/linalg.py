@@ -2,15 +2,16 @@
 
 Everything downstream (the solver, the truncation experiments, the
 regression front end) is built on the primitives here: a deterministic
-SVD, the Moore-Penrose inverse, orthogonal projectors, rank-r truncation
-with tie detection, the PSD square root and the Hilbert-Schmidt norm and
-inner product.  All matrices are plain 2-D float64 ``numpy`` arrays and
+SVD and its cut at the numerical rank, the Moore-Penrose inverse,
+orthogonal projectors, rank-r truncation with tie detection, the PSD
+square root and the Hilbert-Schmidt norm and inner product.  All matrices are plain 2-D float64 ``numpy`` arrays and
 all functions are pure.
 """
 
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "proj_range",
     "psd_sqrt",
     "range_basis",
+    "rank_factors",
     "rowspace_basis",
     "svd",
     "trace",
@@ -131,6 +133,14 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _check_rank_bound(r) -> None:
+    """Reject a rank bound that is not an integer >= 1 (numpy integers pass)."""
+    if not isinstance(r, numbers.Integral):
+        raise InputError(f"rank bound must be an integer, got {r!r}")
+    if r < 1:
+        raise InputError(f"rank bound must be >= 1, got {r}")
+
+
 def svd(a) -> SvdFactors:
     """Economy SVD with a deterministic sign convention.
 
@@ -138,7 +148,11 @@ def svd(a) -> SvdFactors:
     nonnegative (the matching right vector is flipped along with it), so
     repeated calls on identical input are byte-stable.
     """
-    arr = as_matrix(a)
+    return _svd(as_matrix(a))
+
+
+def _svd(arr: np.ndarray) -> SvdFactors:
+    # unchecked form of svd(), which also accepts an empty (k x 0 or 0 x k) core
     u, s, vh = np.linalg.svd(arr, full_matrices=False)
     v = vh.T
     for j in range(u.shape[1]):
@@ -154,46 +168,53 @@ def _rank_cutoff(sigma: np.ndarray, shape: tuple[int, int], tol: Tolerances) -> 
     return tol.rank_rel * top * max(shape)
 
 
+def _rank(sigma: np.ndarray, shape: tuple[int, int], tol: Tolerances) -> int:
+    return int(np.count_nonzero(sigma > _rank_cutoff(sigma, shape, tol)))
+
+
 def numerical_rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
     """Number of singular values above the scaled rank cutoff."""
     arr = as_matrix(a)
-    s = np.linalg.svd(arr, compute_uv=False)
-    return int(np.count_nonzero(s > _rank_cutoff(s, arr.shape, tol)))
+    return _rank(np.linalg.svd(arr, compute_uv=False), arr.shape, tol)
+
+
+def rank_factors(a, tol: Tolerances = DEFAULT_TOL) -> SvdFactors:
+    """The deterministic SVD cut at the numerical rank: A = U diag(sigma) V^T.
+
+    U is an orthonormal basis of ran(A), V one of ker(A)-perp and every
+    kept singular value lies above the rank cutoff.  The zero matrix has
+    rank 0 and yields factors with no columns.
+    """
+    arr = as_matrix(a)
+    f = _svd(arr)
+    k = _rank(f.sigma, arr.shape, tol)
+    return SvdFactors(u=f.u[:, :k], sigma=f.sigma[:k], v=f.v[:, :k])
 
 
 def pinv(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse via SVD with the package's rank cutoff.
+    """Moore-Penrose inverse V diag(1/sigma) U^T of the rank-cut SVD.
 
     The zero matrix maps to the zero matrix of transposed shape.
     """
-    arr = as_matrix(a)
-    f = svd(arr)
-    keep = f.sigma > _rank_cutoff(f.sigma, arr.shape, tol)
-    if not np.any(keep):
-        return np.zeros((arr.shape[1], arr.shape[0]))
-    return (f.v[:, keep] / f.sigma[keep]) @ f.u[:, keep].T
+    f = rank_factors(a, tol)
+    return (f.v / f.sigma) @ f.u.T
 
 
 def range_basis(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of ran(A), as columns (shape m x rank)."""
-    arr = as_matrix(a)
-    f = svd(arr)
-    keep = f.sigma > _rank_cutoff(f.sigma, arr.shape, tol)
-    return f.u[:, keep]
+    return rank_factors(a, tol).u
 
 
 def rowspace_basis(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of ker(A)-perp = ran(A^T), as columns (n x rank)."""
-    return range_basis(as_matrix(a).T, tol)
+    return rank_factors(a, tol).v
 
 
 def nullspace(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of ker(A), as columns (n x dim; n x 0 if trivial)."""
     arr = as_matrix(a)
     _, s, vh = np.linalg.svd(arr, full_matrices=True)
-    cutoff = _rank_cutoff(s, arr.shape, tol)
-    rank = int(np.count_nonzero(s > cutoff))
-    return vh[rank:].T
+    return vh[_rank(s, arr.shape, tol):].T
 
 
 def proj_range(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -214,14 +235,23 @@ def truncated_svd(a, r: int, tol: Tolerances = DEFAULT_TOL) -> TruncatedSvd:
     When the optimal truncation is ambiguous the canonical one (ties broken
     by the SVD's ordering) is still returned, flagged ``NON_UNIQUE``.
     """
-    if r < 1:
-        raise InputError(f"rank bound must be >= 1, got {r}")
+    _check_rank_bound(r)
     arr = as_matrix(a)
-    f = svd(arr)
+    return _truncate(_svd(arr), r, arr.shape, tol)
+
+
+def _truncate(
+    f: SvdFactors, r: int, shape: tuple[int, int], tol: Tolerances
+) -> TruncatedSvd:
+    """Rank-r truncation of the factors of a matrix of the given shape.
+
+    The shape sets the rank cutoff, so a reduced core that carries the
+    nonzero singular values of a larger matrix is cut as that matrix.
+    """
     k = min(r, f.sigma.size)
     head = SvdFactors(u=f.u[:, :k], sigma=f.sigma[:k], v=f.v[:, :k])
     discarded = float(f.sigma[r]) if r < f.sigma.size else 0.0
-    rank = int(np.count_nonzero(f.sigma > _rank_cutoff(f.sigma, arr.shape, tol)))
+    rank = _rank(f.sigma, shape, tol)
     if rank <= r:
         flag = Uniqueness.UNIQUE_BY_RANK
     elif f.sigma[r - 1] - f.sigma[r] > tol.tie_rel * f.sigma[0]:

@@ -22,15 +22,15 @@ from .linalg import (
     InputError,
     Tolerances,
     Uniqueness,
+    _check_rank_bound,
     as_matrix,
     hs_norm,
     nullspace,
     pinv,
-    proj_kernel_perp,
-    proj_range,
     psd_sqrt,
+    range_basis,
 )
-from .solver import GlraProblem, projected_truncation, solve
+from .solver import GlraProblem, solve
 
 __all__ = [
     "CovarianceBundle",
@@ -169,22 +169,19 @@ def fit(
     With identity weights this reduces to
     A_hat = ((C_y^(1/2))^+ (P_ran(C_y^(1/2)) (C_y^(1/2))^+ C_yx)_r)^T.
     """
-    if r < 1:
-        raise InputError(f"rank bound must be >= 1, got {r}")
+    _check_rank_bound(r)
     w_x, w_a, w_y = _weight_triplet(cov, weights)
     prob = _transposed_problem(cov, r, w_x, w_a, w_y, tol)
     sol = solve(prob, tol)
     a_hat = sol.x_hat.T
-    defect = hs_norm(
-        a_hat - proj_kernel_perp(w_a, tol) @ a_hat @ proj_kernel_perp(prob.b, tol)
-    )
-    _, tsvd = projected_truncation(prob, tol)
-    u_r = tsvd.factors.u[:, : tsvd.effective_count]
-    containment = hs_norm(u_r - proj_range(prob.b, tol) @ u_r) if u_r.size else 0.0
+    u_r = sol.truncation.factors.u[:, : sol.truncation.effective_count]
+    ran_b = range_basis(prob.b, tol)
+    containment = hs_norm(u_r - ran_b @ (ran_b.T @ u_r)) if u_r.size else 0.0
     report = FitReport(
         objective_mse=_mse_from_traces(a_hat, cov, w_x, w_a, w_y),
-        minimality_defect=defect,
-        uniqueness=tsvd.uniqueness,
+        # the defect of A_hat^T for the transposed problem is A_hat's own
+        minimality_defect=sol.minimality_defect,
+        uniqueness=sol.uniqueness,
         containment_residual=containment,
     )
     return RrrModel(a_hat=a_hat, r=r, weights=weights, fit_report=report)

@@ -21,6 +21,7 @@ from .linalg import (
     InputError,
     NumericalError,
     Tolerances,
+    _check_rank_bound,
     as_matrix,
     hs_norm,
     pinv,
@@ -83,8 +84,7 @@ class SequenceSpec:
             raise InputError(
                 "need gamma_exponent - alpha_exponent > 1/2 for square-summable weights"
             )
-        if self.r < 1:
-            raise InputError("rank bound must be >= 1")
+        _check_rank_bound(self.r)
         if self.n < max(3, self.r + 2):
             raise InputError(f"dimension n must be >= max(3, r+2), got {self.n}")
         mu = self.mu_values(self.n)
@@ -115,32 +115,20 @@ class SequenceInstance:
     mu: np.ndarray
 
 
-def _complete_basis(cols: list[np.ndarray], n: int, tol: Tolerances) -> np.ndarray:
-    """Extend the given orthonormal columns to a full basis of R^n.
+def _complete_basis(cols: list[np.ndarray], n: int) -> np.ndarray:
+    """Extend the given orthonormal columns to a full orthonormal basis of R^n.
 
-    Candidates are the canonical basis vectors in order, reorthogonalised
-    twice; candidates whose residual falls below rank_rel are skipped, so
-    the completion is deterministic.
+    One complete Householder QR of the given columns: its leading columns
+    span them and the rest is a deterministic orthonormal complement.  The
+    given columns are written back exactly, so their signs and bits survive.
     """
-    basis = [c.copy() for c in cols]
-    for j in range(n):
-        if len(basis) == n:
-            break
-        cand = np.zeros(n)
-        cand[j] = 1.0
-        for _ in range(2):
-            for b in basis:
-                cand -= (b @ cand) * b
-        norm = np.linalg.norm(cand)
-        if norm <= tol.rank_rel:
-            continue
-        basis.append(cand / norm)
-    if len(basis) != n:
-        raise NumericalError("basis completion failed to reach full dimension")
-    return np.column_stack(basis)
+    given = np.column_stack(cols)
+    q, _ = np.linalg.qr(given, mode="complete")
+    q[:, : given.shape[1]] = given
+    return q
 
 
-def build_instance(spec: SequenceSpec, tol: Tolerances = DEFAULT_TOL) -> SequenceInstance:
+def build_instance(spec: SequenceSpec) -> SequenceInstance:
     """Materialise the construction at dimension spec.n.
 
     w carries alpha_k * gamma_k for k >= 2 (zero in the first slot); the
@@ -157,7 +145,7 @@ def build_instance(spec: SequenceSpec, tol: Tolerances = DEFAULT_TOL) -> Sequenc
     f1 = w / np.linalg.norm(w)
     f2 = np.zeros(n)
     f2[0] = 1.0
-    f = _complete_basis([f1, f2], n, tol)
+    f = _complete_basis([f1, f2], n)
     m = (f * mu) @ f.T
     m = (m + m.T) / 2.0
     problem = GlraProblem(m=m, b=np.eye(n), c=np.diag(gamma), r=spec.r)
@@ -220,7 +208,7 @@ def unboundedness_sweep(
     w_norms: dict[int, float] = {}
     lower_bounds: dict[int, float] = {}
     for n in n_values:
-        inst = build_instance(replace(spec, n=n), tol)
+        inst = build_instance(replace(spec, n=n))
         # probes beyond this truncation appear once the sweep reaches them
         live_probes = [m for m in probes if m <= n]
         w_norm = float(np.linalg.norm(inst.w))
@@ -359,7 +347,7 @@ class SubspaceChain:
 
 
 def _validate_chain(chain: SubspaceChain, c: np.ndarray, tol: Tolerances) -> None:
-    p_ran = proj_range(c, tol)
+    ran_c = range_basis(c, tol)
     prev: np.ndarray | None = None
     for i, y in enumerate(chain.bases):
         ya = as_matrix(y, f"chain step {i + 1}")
@@ -370,7 +358,7 @@ def _validate_chain(chain: SubspaceChain, c: np.ndarray, tol: Tolerances) -> Non
         gram = ya.T @ ya
         if np.max(np.abs(gram - np.eye(ya.shape[1]))) > 1e-8:
             raise InputError(f"chain step {i + 1} columns are not orthonormal")
-        if np.max(np.abs(ya - p_ran @ ya)) > tol.check_abs:
+        if np.max(np.abs(ya - ran_c @ (ran_c.T @ ya))) > tol.check_abs:
             raise InputError(f"chain step {i + 1} escapes ran(C)")
         if prev is not None:
             if np.max(np.abs(prev - ya @ (ya.T @ prev))) > 1e-8:
@@ -445,9 +433,15 @@ def outer_inverse_chain(
 
 @dataclass(frozen=True)
 class BoundedApproxStep:
+    """One bounded minimiser X_n and the outer inverse C_n# it is built from."""
+
     x: np.ndarray
     tail_error: float
-    x_basis: np.ndarray
+    outer: OuterInverseStep
+
+    @property
+    def x_basis(self) -> np.ndarray:
+        return self.outer.x_basis
 
 
 @dataclass(frozen=True)
@@ -467,15 +461,13 @@ def bounded_approximation_sequence(
     ker(C)-perp not yet covered; it reaches zero for exhaustive chains.
     """
     sol = solve(p, tol)
-    _, tsvd = projected_truncation(p, tol)
-    g_r = tsvd.matrix()
-    b_pinv = pinv(p.b, tol)
-    prefix = b_pinv @ g_r
+    # B^+ (G)_r = x_hat C, because the rows of (G)_r lie in ker(C)-perp
+    prefix = sol.x_hat @ p.c
     steps: list[BoundedApproxStep] = []
     for outer in outer_inverse_chain(p.c, chain, tol):
         x_n = prefix @ outer.c_sharp
         tail = hs_norm(sol.y - p.b @ x_n @ p.c) ** 2
-        steps.append(BoundedApproxStep(x=x_n, tail_error=tail, x_basis=outer.x_basis))
+        steps.append(BoundedApproxStep(x=x_n, tail_error=tail, outer=outer))
     return BoundedApproxResult(solution=sol, steps=steps)
 
 

@@ -1,7 +1,12 @@
 """Rank-constrained approximation of M by B X C in Hilbert-Schmidt norm.
 
 Solves ``min ||M - B X C||_HS`` over matrices X with rank(X) <= r.  The
-closed-form solution is ``X = B^+ (P_ran(B) M P_ker(C)-perp)_r C^+``; it
+closed-form solution is ``X = B^+ (G)_r C^+`` with the projected matrix
+``G = P_ran(B) M P_ker(C)-perp``.  B and C are factorised once each and
+cut at their numerical ranks, ``B = U_B S_B V_B^T`` and
+``C = U_C S_C V_C^T``; then ``G = U_B K V_C^T`` with the rank(B) x
+rank(C) core ``K = U_B^T M V_C``, so only K is truncated and
+``X = V_B S_B^-1 (K)_r S_C^-1 U_C^T``, with no projector formed.  X
 satisfies the minimality property ``X = P_ker(B)-perp X P_ran(C)`` (all
 blocks of X outside the ran(C) -> ker(B)-perp corner vanish), which is
 what survives of the often-quoted but generally false minimal-Frobenius-
@@ -12,22 +17,24 @@ here as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
     InputError,
+    SvdFactors,
     Tolerances,
     TruncatedSvd,
     Uniqueness,
+    _check_rank_bound,
+    _svd,
+    _truncate,
     as_matrix,
     hs_norm,
     pinv,
-    proj_kernel_perp,
-    proj_range,
-    truncated_svd,
+    rank_factors,
 )
 
 __all__ = [
@@ -73,8 +80,7 @@ class GlraProblem:
             raise InputError(
                 f"C has {self.c.shape[1]} columns but M has {self.m.shape[1]}"
             )
-        if self.r < 1:
-            raise InputError(f"rank bound must be >= 1, got {self.r}")
+        _check_rank_bound(self.r)
 
     @property
     def x_shape(self) -> tuple[int, int]:
@@ -85,8 +91,9 @@ class GlraProblem:
 class GlraSolution:
     """A solved problem: the minimiser, its image, and diagnostics.
 
-    ``y = B x_hat C`` equals the chosen rank-r truncation of the projected
-    matrix; ``objective**2 + delta`` recovers ``||M||_HS**2``.
+    ``truncation`` is the chosen rank-r truncation of the projected matrix
+    G in full coordinates, and ``y = B x_hat C`` equals its matrix;
+    ``objective**2 + delta`` recovers ``||M||_HS**2``.
     """
 
     x_hat: np.ndarray
@@ -95,14 +102,41 @@ class GlraSolution:
     delta: float
     uniqueness: Uniqueness
     minimality_defect: float
+    truncation: TruncatedSvd
+
+
+def _reduce(
+    p: GlraProblem, tol: Tolerances
+) -> tuple[SvdFactors, SvdFactors, np.ndarray, TruncatedSvd]:
+    """Factor B and C once and truncate the core K = U_B^T M V_C.
+
+    Returns the rank-cut factors of B and C, K, and the rank-r truncation
+    of K in core coordinates.  K has the nonzero singular values of G,
+    whose shape is M's, so the rank is decided with G's cutoff.
+    """
+    fb = rank_factors(p.b, tol)
+    fc = rank_factors(p.c, tol)
+    core = fb.u.T @ p.m @ fc.v
+    return fb, fc, core, _truncate(_svd(core), p.r, p.m.shape, tol)
+
+
+def _lift(fb: SvdFactors, fc: SvdFactors, t: TruncatedSvd) -> TruncatedSvd:
+    """A core truncation as the truncation of G: left vectors U_B u, right V_C v."""
+    f = t.factors
+    return replace(t, factors=SvdFactors(u=fb.u @ f.u, sigma=f.sigma, v=fc.v @ f.v))
+
+
+def _minimal_part(x: np.ndarray, vb: np.ndarray, uc: np.ndarray) -> np.ndarray:
+    """P_ker(B)-perp X P_ran(C) from the thin bases V_B and U_C."""
+    return vb @ (vb.T @ x @ uc) @ uc.T
 
 
 def projected_truncation(
     p: GlraProblem, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[np.ndarray, TruncatedSvd]:
     """The projected matrix G = P_ran(B) M P_ker(C)-perp and its rank-r truncation."""
-    g = proj_range(p.b, tol) @ p.m @ proj_kernel_perp(p.c, tol)
-    return g, truncated_svd(g, p.r, tol)
+    fb, fc, core, t = _reduce(p, tol)
+    return fb.u @ core @ fc.v.T, _lift(fb, fc, t)
 
 
 def solve(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> GlraSolution:
@@ -111,17 +145,18 @@ def solve(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> GlraSolution:
     When the truncation is not unique the deterministic canonical one is
     used and the solution is flagged ``NON_UNIQUE``.
     """
-    _, tsvd = projected_truncation(p, tol)
-    y_target = tsvd.matrix()
-    x_hat = pinv(p.b, tol) @ y_target @ pinv(p.c, tol)
+    fb, fc, _, t = _reduce(p, tol)
+    f = t.factors
+    x_hat = (((fb.v / fb.sigma) @ f.u) * f.sigma) @ ((fc.u / fc.sigma) @ f.v).T
     y = p.b @ x_hat @ p.c
     return GlraSolution(
         x_hat=x_hat,
         y=y,
         objective=hs_norm(p.m - y),
-        delta=float(np.sum(tsvd.factors.sigma**2)),
-        uniqueness=tsvd.uniqueness,
-        minimality_defect=minimality_defect(x_hat, p.b, p.c, tol),
+        delta=float(np.sum(f.sigma**2)),
+        uniqueness=t.uniqueness,
+        minimality_defect=hs_norm(x_hat - _minimal_part(x_hat, fb.v, fc.u)),
+        truncation=_lift(fb, fc, t),
     )
 
 
@@ -136,7 +171,7 @@ def objective(p: GlraProblem, x) -> float:
 def minimality_defect(x, b, c, tol: Tolerances = DEFAULT_TOL) -> float:
     """Distance of X from P_ker(B)-perp X P_ran(C); zero iff X is minimal."""
     xa = as_matrix(x, "X")
-    return hs_norm(xa - proj_kernel_perp(b, tol) @ xa @ proj_range(c, tol))
+    return hs_norm(xa - canonicalize(xa, b, c, tol))
 
 
 def canonicalize(x, b, c, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -144,7 +179,7 @@ def canonicalize(x, b, c, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     Idempotent, and leaves the product B X C unchanged.
     """
-    return proj_kernel_perp(b, tol) @ as_matrix(x, "X") @ proj_range(c, tol)
+    return _minimal_part(as_matrix(x, "X"), rank_factors(b, tol).v, rank_factors(c, tol).u)
 
 
 def solution_set_sample(sol: GlraSolution, p: GlraProblem, t, s) -> np.ndarray:
@@ -157,10 +192,9 @@ def solution_set_sample(sol: GlraSolution, p: GlraProblem, t, s) -> np.ndarray:
     sa = as_matrix(s, "S")
     if ta.shape != p.x_shape or sa.shape != p.x_shape:
         raise InputError(f"T and S must have shape {p.x_shape}")
-    pp, qq = p.x_shape
-    ker_b = np.eye(pp) - proj_kernel_perp(p.b)
-    ran_c_perp = np.eye(qq) - proj_range(p.c)
-    return sol.x_hat + ker_b @ ta + sa @ ran_c_perp
+    vb = rank_factors(p.b).v
+    uc = rank_factors(p.c).u
+    return sol.x_hat + (ta - vb @ (vb.T @ ta)) + (sa - (sa @ uc) @ uc.T)
 
 
 @dataclass(frozen=True)
@@ -187,17 +221,18 @@ def _top_singvals_sum(sym: np.ndarray, r: int) -> float:
 def optimal_error(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> OptimalError:
     """Optimal error and delta = sum of the r largest sigma_i(G)^2.
 
-    The three variants recompute delta from G G^T, from G^T G expressed
-    through C^+ C, and from the eigenvalues of B^+ M C^+ C M^T B; all four
-    agree to rounding and ``error = sqrt(||M||^2 - delta)``.
+    delta comes from the truncated core K = U_B^T M V_C.  The three
+    variants recompute it from G G^T and from G^T G, both in the bases of
+    ran(B) and ker(C)-perp (K K^T and K^T K), and from the eigenvalues of
+    B^+ M C^+ C M^T B restricted to ker(B)-perp (S_B^-1 K K^T S_B); all
+    four agree to rounding and ``error = sqrt(||M||^2 - delta)``.
     """
-    g, tsvd = projected_truncation(p, tol)
-    delta = float(np.sum(tsvd.factors.sigma**2))
-    proj_b = proj_range(p.b, tol)
-    pk_c = proj_kernel_perp(p.c, tol)
-    v1 = _top_singvals_sum(proj_b @ p.m @ pk_c @ p.m.T @ proj_b, p.r)
-    v2 = _top_singvals_sum(pk_c @ p.m.T @ proj_b @ p.m @ pk_c, p.r)
-    v3 = _top_eigvals_sum(pinv(p.b, tol) @ p.m @ pk_c @ p.m.T @ p.b, p.r)
+    fb, _, core, t = _reduce(p, tol)
+    delta = float(np.sum(t.factors.sigma**2))
+    gram = core @ core.T
+    v1 = _top_singvals_sum(gram, p.r)
+    v2 = _top_singvals_sum(core.T @ core, p.r)
+    v3 = _top_eigvals_sum(gram / fb.sigma[:, None] * fb.sigma, p.r)
     gap = hs_norm(p.m) ** 2 - delta
     return OptimalError(
         error=float(np.sqrt(max(gap, 0.0))), delta=delta, delta_variants=(v1, v2, v3)
@@ -220,7 +255,7 @@ def solve_adjoint(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> GlraSolution
 
 def classify_uniqueness(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> Uniqueness:
     """Uniqueness flag of the rank-r truncation behind solve()."""
-    return projected_truncation(p, tol)[1].uniqueness
+    return _reduce(p, tol)[3].uniqueness
 
 
 def als_oracle(

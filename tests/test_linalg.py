@@ -18,6 +18,7 @@ from glra.linalg import (
     proj_kernel_perp,
     proj_range,
     psd_sqrt,
+    rank_factors,
     svd,
     trace,
     truncated_svd,
@@ -60,6 +61,20 @@ class TestSvd:
     def test_rejects_non_finite(self):
         with pytest.raises(InputError):
             svd(np.array([[1.0, np.nan]]))
+
+
+class TestRankFactors:
+    def test_cut_at_numerical_rank(self):
+        g = rng(4)
+        a = g.standard_normal((6, 2)) @ g.standard_normal((2, 5))
+        f = rank_factors(a)
+        assert f.u.shape == (6, 2) and f.sigma.shape == (2,) and f.v.shape == (5, 2)
+        assert hs_norm(f.reconstruct() - a) < ATOL
+        np.testing.assert_array_equal(f.u, svd(a).u[:, :2])
+
+    def test_zero_matrix_has_no_columns(self):
+        f = rank_factors(np.zeros((3, 4)))
+        assert f.u.shape == (3, 0) and f.sigma.shape == (0,) and f.v.shape == (4, 0)
 
 
 class TestPinv:

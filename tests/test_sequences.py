@@ -39,6 +39,14 @@ class TestSpec:
         with pytest.raises(InputError):
             diag_spec(n=2)
 
+    @pytest.mark.parametrize("r", [1.5, 1.0, "1"])
+    def test_non_integer_rank_rejected(self, r):
+        with pytest.raises(InputError):
+            diag_spec(r=r)
+
+    def test_numpy_integer_rank_accepted(self):
+        assert diag_spec(r=np.int64(2)).r == 2
+
     def test_mu_tail_extends_nonincreasingly(self):
         mu = diag_spec(mu_head=(2.0, 1.0), mu_tail_exponent=1.0).mu_values(6)
         np.testing.assert_allclose(mu, [2.0, 1.0, 2 / 3, 0.5, 0.4, 1 / 3])

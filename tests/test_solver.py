@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import branch_member
-from glra.linalg import DEFAULT_TOL, InputError, Uniqueness, hs_norm, truncated_svd
+from glra.linalg import (
+    DEFAULT_TOL,
+    InputError,
+    Uniqueness,
+    hs_norm,
+    pinv,
+    proj_kernel_perp,
+    proj_range,
+    truncated_svd,
+)
 from glra.solver import (
     GlraProblem,
     als_oracle,
@@ -245,3 +254,124 @@ class TestProjectedProblemIdentity:
         lhs = objective(p, x) ** 2
         rhs = hs_norm(g_mat - p.b @ x @ p.c) ** 2 + const
         assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+def deficient_problem(seed, r):
+    """M 7 x 8 with B 7 x 5 of rank 3 and C 6 x 8 of rank 2."""
+    g = rng(seed)
+
+    def low_rank(rows, cols, k):
+        return g.standard_normal((rows, k)) @ g.standard_normal((k, cols))
+
+    return GlraProblem(m=g.standard_normal((7, 8)), b=low_rank(7, 5, 3), c=low_rank(6, 8, 2), r=r)
+
+
+def zero_factor_problem(which):
+    g = rng(30)
+    b = np.zeros((5, 3)) if which == "B" else g.standard_normal((5, 3))
+    c = np.zeros((4, 6)) if which == "C" else g.standard_normal((4, 6))
+    return GlraProblem(m=g.standard_normal((5, 6)), b=b, c=c, r=2)
+
+
+CLOSED_FORM_CASES = {
+    **{f"full-rank-{s}": (lambda s=s: random_problem(s, dims=(6, 7, 4, 5), r=2)) for s in range(4)},
+    **{f"deficient-r{r}": (lambda r=r: deficient_problem(10 + r, r)) for r in (1, 2, 3)},
+    "zero-B": lambda: zero_factor_problem("B"),
+    "zero-C": lambda: zero_factor_problem("C"),
+}
+
+
+class TestClosedForm:
+    """solve() against the dense closed form B^+ (P_ran(B) M P_ker(C)-perp)_r C^+."""
+
+    @staticmethod
+    def reference(p):
+        g = proj_range(p.b) @ p.m @ proj_kernel_perp(p.c)
+        tsvd = truncated_svd(g, p.r)
+        return pinv(p.b) @ tsvd.matrix() @ pinv(p.c), tsvd
+
+    def check(self, p):
+        x_ref, tsvd = self.reference(p)
+        sol = solve(p)
+        eps = np.finfo(float).eps
+        dim = max(p.m.shape + p.b.shape + p.c.shape)
+        m_norm = hs_norm(p.m)
+        x_scale = hs_norm(pinv(p.b)) * m_norm * hs_norm(pinv(p.c))
+        assert hs_norm(sol.x_hat - x_ref) <= 10 * eps * dim * x_scale
+        assert abs(sol.objective - hs_norm(p.m - p.b @ x_ref @ p.c)) <= 10 * eps * dim * m_norm
+        assert abs(sol.delta - np.sum(tsvd.factors.sigma**2)) <= 10 * eps * dim * m_norm**2
+        assert sol.uniqueness is tsvd.uniqueness
+        assert hs_norm(sol.truncation.matrix() - tsvd.matrix()) <= 10 * eps * dim * m_norm
+        return sol
+
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+    def test_matches_dense_closed_form(self, case):
+        self.check(CLOSED_FORM_CASES[case]())
+
+    def test_tied_fixture(self, tied_problem):
+        assert self.check(tied_problem).uniqueness is Uniqueness.NON_UNIQUE
+
+    @pytest.mark.parametrize("which", ["B", "C"])
+    def test_zero_factor(self, which):
+        p = zero_factor_problem(which)
+        sol = self.check(p)
+        assert not np.any(sol.x_hat)
+        assert sol.objective == hs_norm(p.m)
+        assert sol.delta == 0.0
+        assert sol.uniqueness is Uniqueness.UNIQUE_BY_RANK
+
+
+class TestFactorOnce:
+    """Each operand is factorised once: B, C and the reduced core."""
+
+    @staticmethod
+    def count_lapack(monkeypatch):
+        calls = {"svd": 0, "eig": 0}
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls["svd"] += 1
+            return svd(*args, **kwargs)
+
+        def make_counting_eig(fn):
+            def counting(*args, **kwargs):
+                calls["eig"] += 1
+                return fn(*args, **kwargs)
+
+            return counting
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, make_counting_eig(getattr(np.linalg, name)))
+        return calls
+
+    def test_solve_makes_three_svds(self, monkeypatch):
+        p = deficient_problem(3, 2)
+        calls = self.count_lapack(monkeypatch)
+        solve(p)
+        assert calls == {"svd": 3, "eig": 0}
+
+    def test_cli_solve_makes_three_svds(self, monkeypatch, tmp_path, capsys):
+        from glra.cli import main
+        from glra.matio import write_matrix
+
+        p = random_problem(5, dims=(6, 7, 4, 5), r=2)
+        for name, a in (("M", p.m), ("B", p.b), ("C", p.c)):
+            write_matrix(str(tmp_path / f"{name}.csv"), a)
+        argv = ["solve", "--rank", "2", "--out", str(tmp_path / "x.csv"), "--no-timestamp"]
+        for name in ("M", "B", "C"):
+            argv += [f"--{name}", str(tmp_path / f"{name}.csv")]
+        calls = self.count_lapack(monkeypatch)
+        assert main(argv) == 0
+        assert calls == {"svd": 3, "eig": 0}
+
+
+class TestRankBound:
+    @pytest.mark.parametrize("r", [1.5, 2.0, "2", None])
+    def test_non_integer_rejected(self, r):
+        with pytest.raises(InputError):
+            GlraProblem(m=np.eye(3), b=np.eye(3), c=np.eye(3), r=r)
+
+    @pytest.mark.parametrize("r", [2, np.int64(2), np.int32(2)])
+    def test_integers_accepted(self, r):
+        assert GlraProblem(m=np.eye(3), b=np.eye(3), c=np.eye(3), r=r).r == 2
