@@ -72,6 +72,16 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
     )
 
 
+def _report(command: str, inputs: dict, outputs: dict, diagnostics: dict) -> dict:
+    return {
+        "schema": "glra/1",
+        "command": command,
+        "inputs": inputs,
+        "outputs": outputs,
+        "diagnostics": diagnostics,
+    }
+
+
 def _emit(report: dict, args: argparse.Namespace, started: float) -> None:
     if not args.no_timestamp:
         report["timing"] = time.perf_counter() - started
@@ -98,26 +108,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     problem = _load_problem(args)
     sol = (solver.solve_adjoint if args.adjoint else solver.solve)(problem, tol)
     write_matrix(args.out, sol.x_hat)
-    report = {
-        "schema": "glra/1",
-        "command": "solve",
-        "inputs": {
-            "M": args.M,
-            "B": args.B,
-            "C": args.C,
-            "rank": args.rank,
-            "adjoint": bool(args.adjoint),
-        },
-        "outputs": {
-            "x_hat": args.out,
-            "objective": sol.objective,
-            "delta": sol.delta,
-        },
-        "diagnostics": {
-            "uniqueness": sol.uniqueness.value,
-            "minimality_defect": sol.minimality_defect,
-        },
-    }
+    report = _report(
+        "solve",
+        {"M": args.M, "B": args.B, "C": args.C, "rank": args.rank, "adjoint": bool(args.adjoint)},
+        {"x_hat": args.out, "objective": sol.objective, "delta": sol.delta},
+        {"uniqueness": sol.uniqueness.value, "minimality_defect": sol.minimality_defect},
+    )
     _emit(report, args, started)
     return EXIT_OK
 
@@ -129,17 +125,12 @@ def cmd_error(args: argparse.Namespace) -> int:
     err = solver.optimal_error(problem, tol)
     variants = (err.delta,) + err.delta_variants
     spread = max(abs(a - b) for a in variants for b in variants)
-    report = {
-        "schema": "glra/1",
-        "command": "error",
-        "inputs": {"M": args.M, "B": args.B, "C": args.C, "rank": args.rank},
-        "outputs": {
-            "error": err.error,
-            "delta": err.delta,
-            "delta_variants": list(err.delta_variants),
-        },
-        "diagnostics": {"max_delta_discrepancy": spread},
-    }
+    report = _report(
+        "error",
+        {"M": args.M, "B": args.B, "C": args.C, "rank": args.rank},
+        {"error": err.error, "delta": err.delta, "delta_variants": list(err.delta_variants)},
+        {"max_delta_discrepancy": spread},
+    )
     _emit(report, args, started)
     return EXIT_OK
 
@@ -173,10 +164,9 @@ def cmd_demo_unbounded(args: argparse.Namespace) -> int:
         )
         files["bounded_branch"] = bounded_path
     mismatch = max(abs(row.norm - row.predicted_norm) for row in sweep.rows)
-    report = {
-        "schema": "glra/1",
-        "command": "demo-unbounded",
-        "inputs": {
+    report = _report(
+        "demo-unbounded",
+        {
             "N": n_values,
             "gamma_exp": args.gamma_exp,
             "alpha_exp": args.alpha_exp,
@@ -186,16 +176,13 @@ def cmd_demo_unbounded(args: argparse.Namespace) -> int:
             "probes": probes,
             "seed": args.seed,
         },
-        "outputs": {
+        {
             "files": files,
             "w_norms": {str(n): v for n, v in sweep.w_norms.items()},
             "lower_bound_constants": {str(n): v for n, v in sweep.lower_bounds.items()},
         },
-        "diagnostics": {
-            "tie": sweep.tie,
-            "max_abs_norm_mismatch": mismatch,
-        },
-    }
+        {"tie": sweep.tie, "max_abs_norm_mismatch": mismatch},
+    )
     _emit(report, args, started)
     return EXIT_OK
 
@@ -210,11 +197,11 @@ def _build_chain(spec: str, c: np.ndarray, seed: int, tol: Tolerances) -> sequen
             raise InputError(f"bad chain spec {spec!r}; expected auto:<steps>") from exc
         return sequences.nested_chain(c, steps, seed=seed, tol=tol)
     generators = read_matrix(spec)
-    bases = []
-    for k in range(1, generators.shape[1] + 1):
-        q, _ = np.linalg.qr(generators[:, :k])
-        bases.append(q)
-    return sequences.SubspaceChain(bases=tuple(bases))
+    # the leading k columns of one QR span the first k generators
+    q, _ = np.linalg.qr(generators)
+    return sequences.SubspaceChain(
+        bases=tuple(q[:, :k] for k in range(1, generators.shape[1] + 1))
+    )
 
 
 def cmd_outer_approx(args: argparse.Namespace) -> int:
@@ -246,10 +233,22 @@ def cmd_outer_approx(args: argparse.Namespace) -> int:
         rows.append(row)
     write_matrix(args.out, np.array(rows))
     tails = [step.tail_error for step in result.steps]
-    report = {
-        "schema": "glra/1",
-        "command": "outer-approx",
-        "inputs": {
+    diagnostics = {
+        "tail_nonincreasing": bool(
+            all(tails[i + 1] <= tails[i] + tol.check_abs for i in range(len(tails) - 1))
+        ),
+        "max_outer_identity_residual": max(row[3] for row in rows),
+    }
+    if args.alternative:
+        diagnostics["alternative_tail_nonincreasing"] = bool(
+            all(
+                alt_tails[i + 1] <= alt_tails[i] + tol.check_abs
+                for i in range(len(alt_tails) - 1)
+            )
+        )
+    report = _report(
+        "outer-approx",
+        {
             "M": args.M,
             "B": args.B,
             "C": args.C,
@@ -258,25 +257,13 @@ def cmd_outer_approx(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "alternative": bool(args.alternative),
         },
-        "outputs": {
+        {
             "steps": args.out,
             "final_tail_error": tails[-1],
             "objective": result.solution.objective,
         },
-        "diagnostics": {
-            "tail_nonincreasing": bool(
-                all(tails[i + 1] <= tails[i] + tol.check_abs for i in range(len(tails) - 1))
-            ),
-            "max_outer_identity_residual": max(row[3] for row in rows),
-        },
-    }
-    if args.alternative:
-        report["diagnostics"]["alternative_tail_nonincreasing"] = bool(
-            all(
-                alt_tails[i + 1] <= alt_tails[i] + tol.check_abs
-                for i in range(len(alt_tails) - 1)
-            )
-        )
+        diagnostics,
+    )
     _emit(report, args, started)
     return EXIT_OK
 
@@ -319,10 +306,9 @@ def cmd_regress(args: argparse.Namespace) -> int:
             "annihilation_residual": kernel.annihilation_residual,
             "max_mse_deviation": kernel.max_mse_deviation,
         }
-    report = {
-        "schema": "glra/1",
-        "command": "regress",
-        "inputs": {
+    report = _report(
+        "regress",
+        {
             "x": args.x,
             "y": args.y,
             "rank": args.rank,
@@ -332,11 +318,20 @@ def cmd_regress(args: argparse.Namespace) -> int:
             else None,
             "seed": args.seed,
         },
-        "outputs": outputs,
-        "diagnostics": diagnostics,
-    }
+        outputs,
+        diagnostics,
+    )
     _emit(report, args, started)
     return EXIT_OK
+
+
+def _invariant_doc(res: checks.InvariantResult) -> dict:
+    return {
+        "invariant": res.name,
+        "trials": res.trials,
+        "failures": res.failures,
+        "max_residual": res.max_residual,
+    }
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -345,15 +340,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     names = list(checks.SUITE_NAMES) if args.suite == "all" else [args.suite]
     report = checks.run_suites(names, trials=args.trials, seed=args.seed, tol=tol)
     suites_doc = {
-        name: [
-            {
-                "invariant": res.name,
-                "trials": res.trials,
-                "failures": res.failures,
-                "max_residual": res.max_residual,
-            }
-            for res in results
-        ]
+        name: [_invariant_doc(res) for res in results]
         for name, results in report.suites.items()
     }
     passed = report.passed
@@ -361,22 +348,14 @@ def cmd_check(args: argparse.Namespace) -> int:
         a = read_matrix(os.path.join(args.fixture, "a.csv"))
         a_pinv = read_matrix(os.path.join(args.fixture, "a_pinv.csv"))
         fixture_result = checks.check_fixture_pair(a, a_pinv, tol)
-        suites_doc["fixture"] = [
-            {
-                "invariant": fixture_result.name,
-                "trials": fixture_result.trials,
-                "failures": fixture_result.failures,
-                "max_residual": fixture_result.max_residual,
-            }
-        ]
+        suites_doc["fixture"] = [_invariant_doc(fixture_result)]
         passed = passed and fixture_result.failures == 0
-    doc = {
-        "schema": "glra/1",
-        "command": "check",
-        "inputs": {"suite": args.suite, "trials": args.trials, "seed": args.seed},
-        "outputs": {"suites": suites_doc},
-        "diagnostics": {"passed": passed},
-    }
+    doc = _report(
+        "check",
+        {"suite": args.suite, "trials": args.trials, "seed": args.seed},
+        {"suites": suites_doc},
+        {"passed": passed},
+    )
     _emit(doc, args, started)
     return EXIT_OK if passed else EXIT_NUMERICAL
 

@@ -196,7 +196,11 @@ def pinv(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     The zero matrix maps to the zero matrix of transposed shape.
     """
-    f = rank_factors(a, tol)
+    return _pinv(rank_factors(a, tol))
+
+
+def _pinv(f: SvdFactors) -> np.ndarray:
+    # V diag(1/sigma) U^T of factors already cut at the numerical rank
     return (f.v / f.sigma) @ f.u.T
 
 
@@ -213,7 +217,9 @@ def rowspace_basis(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def nullspace(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of ker(A), as columns (n x dim; n x 0 if trivial)."""
     arr = as_matrix(a)
-    _, s, vh = np.linalg.svd(arr, full_matrices=True)
+    # only a wide matrix needs the full V to reach its kernel; a tall one
+    # would also get an m x m U that is thrown away
+    _, s, vh = np.linalg.svd(arr, full_matrices=arr.shape[0] < arr.shape[1])
     return vh[_rank(s, arr.shape, tol):].T
 
 

@@ -280,14 +280,13 @@ def maximal_kernel_check(
     k_dim = kernel.shape[1]
     annihilation = hs_norm(model.a_hat @ kernel) if k_dim else 0.0
     base = mse_trace(model, cov)
-    p_ker = kernel @ kernel.T
     rng = np.random.default_rng(seed)
     max_dev = 0.0
     min_shrink = np.inf
     ok = annihilation <= tol.check_abs
     for _ in range(trials):
         t_mat = rng.standard_normal((cov.c_y.shape[0], cov.c_x.shape[0]))
-        pert = t_mat.T @ p_ker
+        pert = (t_mat.T @ kernel) @ kernel.T
         perturbed = RrrModel(
             a_hat=model.a_hat + pert,
             r=model.r,

@@ -22,15 +22,15 @@ from .linalg import (
     NumericalError,
     Tolerances,
     _check_rank_bound,
+    _pinv,
     as_matrix,
     hs_norm,
     pinv,
-    proj_range,
     range_basis,
     nullspace,
     rowspace_basis,
 )
-from .solver import GlraProblem, GlraSolution, projected_truncation, solve
+from .solver import GlraProblem, GlraSolution, _lift, _reduce, solve
 
 __all__ = [
     "ApproxStep",
@@ -215,7 +215,7 @@ def unboundedness_sweep(
         w_norms[n] = w_norm
         f1 = inst.f_basis[:, 0]
         c_pinv = pinv(inst.problem.c, tol)
-        x_a = inst.mu[0] * np.outer(f1, f1) @ c_pinv
+        x_a = inst.mu[0] * np.outer(f1, f1 @ c_pinv)
         if not tie:
             sol = solve(inst.problem, tol)
             residual = hs_norm(sol.x_hat - x_a)
@@ -235,7 +235,8 @@ def unboundedness_sweep(
                 )
             )
         if tie:
-            x_b = inst.mu[1] * np.outer(inst.f_basis[:, 1], inst.f_basis[:, 1]) @ c_pinv
+            f2 = inst.f_basis[:, 1]
+            x_b = inst.mu[1] * np.outer(f2, f2 @ c_pinv)
             for m in live_probes:
                 predicted = inst.mu[1] / inst.gamma[0] if m == 1 else 0.0
                 bounded_rows.append(
@@ -246,7 +247,8 @@ def unboundedness_sweep(
                         predicted_norm=float(predicted),
                     )
                 )
-        z = inst.mu[0] * np.outer(f1, f1)
+        # the truncation mu_1 f1 f1^T has the kernel of its row factor mu_1 f1^T
+        z = inst.mu[0] * f1[None, :]
         lower_bounds[n] = lower_bound_constant(inst.problem.c, z, tol).constant
     return UnboundednessSweep(
         rows=rows,
@@ -288,20 +290,19 @@ def approximate_minimizers(
     ||Y - Y_eps||_HS^2 = sum_i lambda_i^2 eps^2 <= r lambda_1^2 eps^2 and
     every step retains the minimality property exactly.
     """
-    _, tsvd = projected_truncation(p, tol)
+    fb, fc, _, t = _reduce(p, tol)
+    tsvd = _lift(fb, fc, t)
     k = tsvd.effective_count
     lambdas = tsvd.factors.sigma[:k].copy()
     f_vecs = tsvd.factors.u[:, :k]
     e_vecs = tsvd.factors.v[:, :k]
-    proj_b = proj_range(p.b, tol)
     if directions is None:
         rng = np.random.default_rng(seed)
         cols = []
         for _ in range(k):
-            d = proj_b @ rng.standard_normal(p.m.shape[0])
-            norm = np.linalg.norm(d)
+            norm = 0.0
             while norm <= tol.rank_rel:
-                d = proj_b @ rng.standard_normal(p.m.shape[0])
+                d = fb.u @ (fb.u.T @ rng.standard_normal(p.m.shape[0]))
                 norm = np.linalg.norm(d)
             cols.append(d / norm)
         directions = np.column_stack(cols) if cols else np.zeros((p.m.shape[0], 0))
@@ -312,12 +313,12 @@ def approximate_minimizers(
                 f"directions must have shape {(p.m.shape[0], k)}, got {directions.shape}"
             )
     target_y = tsvd.matrix()
-    b_pinv = pinv(p.b, tol)
-    c_pinv = pinv(p.c, tol)
+    b_pinv = _pinv(fb)
+    c_pinv = _pinv(fc)
     steps: list[ApproxStep] = []
     for eps in epsilons:
         f_pert = f_vecs + eps * directions
-        drift = hs_norm(f_pert - proj_b @ f_pert)
+        drift = hs_norm(f_pert - fb.u @ (fb.u.T @ f_pert))
         if drift > tol.check_abs:
             raise InputError(
                 f"perturbed directions leave ran(B) by {drift:.3e}"
@@ -486,19 +487,26 @@ class LowerBoundResult:
 
 
 def lower_bound_constant(c, z, tol: Tolerances = DEFAULT_TOL) -> LowerBoundResult:
+    """Smallest singular value of C on ker(Z) int ker(C)-perp (see LowerBoundResult).
+
+    With orthonormal bases K of ker(Z) and R of ker(C)-perp, the
+    intersection is K y over the null vectors y of K - R R^T K, whose
+    singular values are the sines of the principal angles between the two
+    subspaces (Bjorck & Golub, Math. Comp. 1973).  A sine counts as zero
+    below rank_rel * max(shape): the scale is 1 because K and R are
+    orthonormal.
+    """
     ca = as_matrix(c, "C")
     za = as_matrix(z, "Z")
     if za.shape[1] != ca.shape[1]:
         raise InputError(
             f"Z must act on C's domain: expected {ca.shape[1]} columns, got {za.shape[1]}"
         )
-    n = ca.shape[1]
     ker_z = nullspace(za, tol)
     row_c = rowspace_basis(ca, tol)
-    stacked = np.vstack(
-        [np.eye(n) - ker_z @ ker_z.T, np.eye(n) - row_c @ row_c.T]
-    )
-    w = nullspace(stacked, tol)
+    sines = ker_z - row_c @ (row_c.T @ ker_z)
+    _, s, vh = np.linalg.svd(sines, full_matrices=False)
+    w = ker_z @ vh[np.count_nonzero(s > tol.rank_rel * max(sines.shape)):].T
     if w.shape[1] == 0:
         return LowerBoundResult(constant=0.0, subspace_dim=0)
     s = np.linalg.svd(ca @ w, compute_uv=False)

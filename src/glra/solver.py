@@ -225,17 +225,19 @@ def optimal_error(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> OptimalError
     variants recompute it from G G^T and from G^T G, both in the bases of
     ran(B) and ker(C)-perp (K K^T and K^T K), and from the eigenvalues of
     B^+ M C^+ C M^T B restricted to ker(B)-perp (S_B^-1 K K^T S_B); all
-    four agree to rounding and ``error = sqrt(||M||^2 - delta)``.
+    four agree to rounding.  ``error = ||M - (G)_r||_HS`` is the residual
+    of the lifted truncation, which equals sqrt(||M||^2 - delta) in exact
+    arithmetic but, unlike that difference, does not cancel when the fit
+    is nearly exact.
     """
-    fb, _, core, t = _reduce(p, tol)
+    fb, fc, core, t = _reduce(p, tol)
     delta = float(np.sum(t.factors.sigma**2))
     gram = core @ core.T
     v1 = _top_singvals_sum(gram, p.r)
     v2 = _top_singvals_sum(core.T @ core, p.r)
     v3 = _top_eigvals_sum(gram / fb.sigma[:, None] * fb.sigma, p.r)
-    gap = hs_norm(p.m) ** 2 - delta
     return OptimalError(
-        error=float(np.sqrt(max(gap, 0.0))), delta=delta, delta_variants=(v1, v2, v3)
+        error=hs_norm(p.m - _lift(fb, fc, t).matrix()), delta=delta, delta_variants=(v1, v2, v3)
     )
 
 

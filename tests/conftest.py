@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import glra
 from glra.solver import GlraProblem
 
 
@@ -34,3 +35,30 @@ def branch_member(x_canonical, alpha):
     x = x_canonical.copy()
     x[0, 2], x[1, 2], x[2, 0], x[2, 1], x[2, 2] = alpha
     return x
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Record (shape, full_matrices, compute_uv) of every numpy.linalg.svd call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def recording(a, full_matrices=True, compute_uv=True, **kwargs):
+        calls.append((np.shape(a), full_matrices, compute_uv))
+        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return calls
+
+
+@pytest.fixture
+def no_projectors(monkeypatch):
+    """Make every glra module's dense projectors raise when called."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense projector built")
+
+    for module in (glra, glra.linalg, glra.solver, glra.sequences, glra.regression):
+        for name in ("proj_range", "proj_kernel_perp"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from glra import cli
-from glra.linalg import pinv, truncated_svd
+from glra.linalg import DEFAULT_TOL, pinv, truncated_svd
 from glra.matio import read_matrix, write_matrix
 from glra.regression import load_model
 
@@ -306,6 +306,38 @@ class TestOuterApprox:
         assert np.max(table[:, 3]) < 1e-10  # outer-inverse identity residual
         assert doc["outputs"]["final_tail_error"] < 1e-10
         assert doc["diagnostics"]["max_outer_identity_residual"] < 1e-10
+
+
+    def test_csv_chain_of_generators_in_range(self, capsys, tmp_path):
+        g = np.random.default_rng(10)
+        left = g.standard_normal((5, 3))
+        # C has rank 3 and the three generator columns span its range
+        for name, mat in (
+            ("M", g.standard_normal((4, 6))),
+            ("B", g.standard_normal((4, 3))),
+            ("C", left @ g.standard_normal((3, 6))),
+            ("gens", left @ g.standard_normal((3, 3))),
+        ):
+            write_matrix(str(tmp_path / f"{name}.csv"), mat)
+        out = tmp_path / "outer.csv"
+        code, doc = run(
+            capsys,
+            [
+                "outer-approx",
+                "--M", str(tmp_path / "M.csv"),
+                "--B", str(tmp_path / "B.csv"),
+                "--C", str(tmp_path / "C.csv"),
+                "--rank", "2",
+                "--chain", str(tmp_path / "gens.csv"),
+                "--out", str(out),
+                "--no-timestamp",
+            ],
+        )
+        assert code == 0
+        table = read_matrix(str(out))
+        np.testing.assert_array_equal(table[:, 1], [1.0, 2.0, 3.0])
+        assert doc["outputs"]["final_tail_error"] <= DEFAULT_TOL.check_abs
+        assert doc["diagnostics"]["tail_nonincreasing"] is True
 
 
 class TestRegressCommand:

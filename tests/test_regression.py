@@ -267,6 +267,14 @@ class TestMaximalKernel:
             maximal_kernel_check(model, cov)
 
 
+    def test_runs_without_dense_projectors(self, no_projectors):
+        samples = gaussian_samples(12, deficient_y=True)
+        cov = empirical_covariances(samples)
+        model = fit(cov, 2)
+        report = maximal_kernel_check(model, cov, trials=5, seed=2)
+        assert report.passed and report.kernel_dim == 2
+
+
 class TestCovarianceFactorisation:
     @pytest.mark.parametrize("deficient", [False, True])
     def test_contraction_and_sandwich(self, deficient):

@@ -284,6 +284,19 @@ class TestLowerBoundConstant:
             gamma_n = float(n) ** -2.0
             assert res.constant == pytest.approx(gamma_n, rel=0.1)
 
+    @pytest.mark.parametrize("case", ["gaussian", "rotated_diagonal"])
+    def test_zero_z_full_column_rank_c(self, case):
+        # ker(Z) is everything, so the constant is sigma_min(C) on all of R^4
+        if case == "gaussian":
+            c = np.random.default_rng(0).standard_normal((6, 4))
+        else:
+            q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((4, 4)))
+            c = q @ np.diag([1.0, 0.5, 0.25, 0.125]) @ q.T
+        res = lower_bound_constant(c, np.zeros((4, 4)))
+        sigma_min = np.linalg.svd(c, compute_uv=False)[-1]
+        assert res.constant == pytest.approx(sigma_min, rel=1e-12)
+        assert res.subspace_dim == 4
+
     def test_empty_intersection(self):
         res = lower_bound_constant(np.eye(2), np.eye(2))
         assert res.constant == 0.0
@@ -292,3 +305,43 @@ class TestLowerBoundConstant:
     def test_shape_mismatch(self):
         with pytest.raises(InputError):
             lower_bound_constant(np.eye(3), np.eye(2))
+
+
+class TestThinBases:
+    """Factor counts and the absence of dense projectors."""
+
+    @staticmethod
+    def problem():
+        g = np.random.default_rng(8)
+        return GlraProblem(
+            m=g.standard_normal((6, 7)),
+            b=g.standard_normal((6, 4)),
+            c=g.standard_normal((5, 7)),
+            r=2,
+        )
+
+    @pytest.mark.parametrize("count", [1, 4, 20])
+    def test_approximate_minimizers_makes_three_svds(self, svd_calls, count):
+        approximate_minimizers(self.problem(), [1.0 / (j + 1) for j in range(count)], seed=1)
+        assert len(svd_calls) == 3
+
+    def test_lower_bound_constant_has_no_full_tall_svd(self, svd_calls):
+        inst = build_instance(diag_spec(n=40))
+        z = inst.mu[0] * np.outer(inst.f_basis[:, 0], inst.f_basis[:, 0])
+        lower_bound_constant(inst.problem.c, z)
+        g = np.random.default_rng(9)
+        lower_bound_constant(g.standard_normal((6, 4)), np.zeros((7, 4)))
+        lower_bound_constant(g.standard_normal((6, 4)), g.standard_normal((2, 4)))
+        full_tall = [
+            shape
+            for shape, full, uv in svd_calls
+            if full and uv and shape[0] > shape[1]
+        ]
+        assert svd_calls and not full_tall
+
+    def test_no_dense_projectors(self, no_projectors):
+        p = self.problem()
+        unboundedness_sweep(diag_spec(n=20), [10, 20], [5])
+        unboundedness_sweep(diag_spec(mu_head=(1.0, 1.0), n=20), [20], [1, 5])
+        approximate_minimizers(p, [0.5, 0.1], seed=3)
+        lower_bound_constant(p.c, p.m[:3])

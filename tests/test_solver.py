@@ -179,6 +179,18 @@ class TestOptimalError:
             assert variant == pytest.approx(res.delta, abs=ATOL)
         assert res.error == pytest.approx(solve(p).objective, abs=ATOL)
 
+    def test_error_is_the_residual_on_exact_fits(self):
+        # sqrt(||M||^2 - delta) cancels on nearly exact fits: draws 47, 54
+        # and 59 read 4e-8 to 7e-8 that way, where the residual is 2e-15
+        from glra.checks import random_problem as draw
+
+        g = rng(7)
+        eps = np.finfo(float).eps
+        for i in range(60):
+            p = draw(g, deficient=(i % 3 == 0))
+            bound = 10 * eps * max(p.m.shape) * hs_norm(p.m)
+            assert abs(optimal_error(p).error - solve(p).objective) <= bound, i
+
 
 class TestAdjoint:
     def test_identity_factors_transpose(self):
