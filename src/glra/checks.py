@@ -15,13 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg, regression, sequences, solver
-from .linalg import DEFAULT_TOL, Tolerances, hs_norm
+from .linalg import DEFAULT_TOL, Tolerances, check_bound, hs_norm
 
 __all__ = ["CheckReport", "InvariantResult", "SUITE_NAMES", "check_fixture_pair", "run_suites"]
 
 SUITE_NAMES = ("mp", "svd", "glra", "seq", "rrr")
-
-ORACLE_SLACK = 1e-6
 
 
 @dataclass
@@ -32,9 +30,13 @@ class InvariantResult:
     max_residual: float = 0.0
 
     def record(self, residual: float, bound: float) -> None:
+        self.record_all([(residual, bound)])
+
+    def record_all(self, pairs: list[tuple[float, float]]) -> None:
+        """One trial of several residuals, each checked against its own bound."""
         self.trials += 1
-        self.max_residual = max(self.max_residual, residual)
-        if not residual <= bound:
+        self.max_residual = max(self.max_residual, *(res for res, _ in pairs))
+        if not all(res <= bound for res, bound in pairs):
             self.failures += 1
 
 
@@ -78,6 +80,19 @@ def random_problem(
     )
 
 
+def _moore_penrose_checks(a: np.ndarray, a_pinv: np.ndarray) -> list[tuple[float, float]]:
+    """The four Moore-Penrose residuals of (A, A^+), each with its bound."""
+    dim = max(a.shape)
+    a_norm = hs_norm(a)
+    pinv_norm = hs_norm(a_pinv)
+    return [
+        (hs_norm(a @ a_pinv @ a - a), check_bound(dim, a_norm)),
+        (hs_norm(a_pinv @ a @ a_pinv - a_pinv), check_bound(dim, pinv_norm)),
+        (hs_norm((a @ a_pinv) - (a @ a_pinv).T), check_bound(dim, a_norm * pinv_norm)),
+        (hs_norm((a_pinv @ a) - (a_pinv @ a).T), check_bound(dim, a_norm * pinv_norm)),
+    ]
+
+
 def check_mp(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
     rng = np.random.default_rng(seed)
     eq = [InvariantResult(f"moore_penrose_eq{i}") for i in range(1, 5)]
@@ -86,16 +101,15 @@ def check_mp(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
     for k in range(trials):
         a = random_matrix(rng, deficient=(k % 3 == 0))
         a_pinv = linalg.pinv(a, tol)
-        eq[0].record(hs_norm(a @ a_pinv @ a - a), tol.check_abs)
-        eq[1].record(hs_norm(a_pinv @ a @ a_pinv - a_pinv), tol.check_abs)
-        eq[2].record(hs_norm((a @ a_pinv) - (a @ a_pinv).T), tol.check_abs)
-        eq[3].record(hs_norm((a_pinv @ a) - (a_pinv @ a).T), tol.check_abs)
+        mp_checks = _moore_penrose_checks(a, a_pinv)
+        for eq_k, pair in zip(eq, mp_checks):
+            eq_k.record(*pair)
+        # the bounds of eq1 (degree 1, ||A||) and eq3 (projector, ||A|| ||A^+||)
+        a_bound, proj_bound = mp_checks[0][1], mp_checks[2][1]
         pk = linalg.proj_kernel_perp(a, tol)
         pr = linalg.proj_range(a, tol)
-        proj.record(
-            max(hs_norm(pk - a_pinv @ a), hs_norm(pr @ a - a)), tol.check_abs
-        )
-        dual.record(hs_norm(linalg.proj_range(a.T, tol) - pk), tol.check_abs)
+        proj.record_all([(hs_norm(pk - a_pinv @ a), proj_bound), (hs_norm(pr @ a - a), a_bound)])
+        dual.record(hs_norm(linalg.proj_range(a.T, tol) - pk), proj_bound)
     return eq + [proj, dual]
 
 
@@ -108,27 +122,29 @@ def check_svd(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
     sqrt_check = InvariantResult("psd_sqrt_squares_back")
     for k in range(trials):
         a = random_matrix(rng, max_dim=8, deficient=(k % 4 == 0))
+        dim = max(a.shape)
+        a_norm = hs_norm(a)
         f = linalg.svd(a)
-        recon.record(hs_norm(f.reconstruct() - a), tol.check_abs)
+        recon.record(hs_norm(f.reconstruct() - a), check_bound(dim, a_norm))
         r = int(rng.integers(1, 4))
         tsvd = linalg.truncated_svd(a, r, tol)
         sigma = np.linalg.svd(a, compute_uv=False)
         residual.record(
             abs(hs_norm(a - tsvd.matrix()) ** 2 - float(np.sum(sigma[r:] ** 2))),
-            tol.check_abs,
+            check_bound(dim, a_norm**2),
         )
         prob = solver.GlraProblem(
             m=a, b=np.eye(a.shape[0]), c=np.eye(a.shape[1]), r=r
         )
         oracle = solver.als_oracle(prob, restarts=4, iters=60, seed=seed + k)
-        eckart.record(hs_norm(a - tsvd.matrix()) - oracle, ORACLE_SLACK)
+        eckart.record(hs_norm(a - tsvd.matrix()) - oracle, check_bound(dim, a_norm))
         t = rng.standard_normal((int(rng.integers(1, 7)), a.shape[0]))
         rank_comp.record(
             float(linalg.numerical_rank(t @ a, tol) - linalg.numerical_rank(a, tol)), 0.0
         )
         gram = a.T @ a
         s = linalg.psd_sqrt(gram, tol)
-        sqrt_check.record(hs_norm(s @ s - gram), max(tol.check_abs, 1e-12 * hs_norm(gram)))
+        sqrt_check.record(hs_norm(s @ s - gram), check_bound(dim, hs_norm(gram)))
     return [recon, residual, eckart, rank_comp, sqrt_check]
 
 
@@ -143,35 +159,43 @@ def check_glra(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]
     err_consist = InvariantResult("optimal_error_consistency")
     for k in range(trials):
         p = random_problem(rng, deficient=(k % 3 == 0))
+        dim = max(p.m.shape + p.b.shape + p.c.shape)
         sol = solver.solve(p, tol)
+        m_norm = hs_norm(p.m)
+        x_norm = hs_norm(sol.x_hat)
+        # ||B|| ||x_hat|| ||C|| bounds the rounding of B x_hat C, which can
+        # exceed ||M|| by the conditioning of B and C
+        op_scale = m_norm + hs_norm(p.b) * x_norm * hs_norm(p.c)
         g, _ = solver.projected_truncation(p, tol)
         const = hs_norm(p.m) ** 2 - hs_norm(g) ** 2
         u = rng.standard_normal((p.x_shape[0], p.r))
         v = rng.standard_normal((p.x_shape[1], p.r))
         x_rand = u @ v.T
+        obj_rand = solver.objective(p, x_rand)
+        # G carries dim-long inner products (scale ||M|| obj); the shared
+        # ||B x C||^2 parts of both squares cancel up to elementwise rounding
         projected.record(
-            abs(
-                solver.objective(p, x_rand) ** 2
-                - hs_norm(g - p.b @ x_rand @ p.c) ** 2
-                - const
-            ),
-            max(tol.check_abs, 1e-12 * hs_norm(p.m) ** 2),
+            abs(obj_rand**2 - hs_norm(g - p.b @ x_rand @ p.c) ** 2 - const),
+            check_bound(dim, m_norm * obj_rand) + check_bound(1, obj_rand**2),
         )
         charact.record(
-            hs_norm(p.b @ sol.x_hat @ p.c - sol.truncation.matrix()), tol.check_abs
+            hs_norm(p.b @ sol.x_hat @ p.c - sol.truncation.matrix()),
+            check_bound(dim, op_scale),
         )
         oracle = solver.als_oracle(p, restarts=6, iters=80, seed=seed + k)
-        optimal.record(sol.objective - oracle, ORACLE_SLACK)
+        optimal.record(sol.objective - oracle, check_bound(dim, op_scale))
         t = rng.standard_normal(p.x_shape)
         s = rng.standard_normal(p.x_shape)
         member = solver.solution_set_sample(sol, p, t, s)
-        minimal.record(hs_norm(sol.x_hat) - hs_norm(member), tol.check_abs)
+        member_norm = hs_norm(member)
+        minimal.record(x_norm - member_norm, check_bound(dim, member_norm))
         round_trip.record(
             hs_norm(solver.canonicalize(member, p.b, p.c, tol) - sol.x_hat),
-            tol.check_abs,
+            check_bound(dim, member_norm),
         )
         adjoint.record(
-            abs(sol.objective - solver.solve_adjoint(p, tol).objective), tol.check_abs
+            abs(sol.objective - solver.solve_adjoint(p, tol).objective),
+            check_bound(dim, op_scale),
         )
         opt = solver.optimal_error(p, tol)
         spread = max(
@@ -179,7 +203,7 @@ def check_glra(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]
         )
         err_consist.record(
             max(spread, abs(sol.objective**2 + opt.delta - hs_norm(p.m) ** 2)),
-            tol.check_abs,
+            check_bound(dim, m_norm**2),
         )
     return [projected, charact, optimal, minimal, round_trip, adjoint, err_consist]
 
@@ -204,39 +228,38 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
         worst = max(
             abs(row.norm - row.predicted_norm) for row in sweep.rows
         )
-        growth.record(worst, 1e-10)
+        c_norm = hs_norm(inst.problem.c)
+        c_pinv = linalg.pinv(inst.problem.c, tol)
+        # the probe columns of x_hat carry C^+ applied to M
+        growth.record(worst, check_bound(n, hs_norm(inst.problem.m) * hs_norm(c_pinv)))
         chain = sequences.nested_chain(inst.problem.c, steps=3, seed=seed + k, tol=tol)
         steps = sequences.outer_inverse_chain(inst.problem.c, chain, tol)
-        c_pinv = linalg.pinv(inst.problem.c, tol)
         for st in steps:
+            # C# is degree -1 in C, formed by a solve whose error grows with ||C|| ||C#||
+            sharp_scale = hs_norm(st.c_sharp) ** 2 * c_norm
             outer.record(
                 hs_norm(st.c_sharp @ inst.problem.c @ st.c_sharp - st.c_sharp),
-                max(tol.check_abs, 1e-10 * max(1.0, hs_norm(st.c_sharp))),
+                check_bound(n, sharp_scale),
             )
             q_n = st.x_basis @ st.x_basis.T
-            agrees.record(
-                hs_norm(st.c_sharp - q_n @ c_pinv),
-                max(tol.check_abs, 1e-10 * max(1.0, hs_norm(c_pinv))),
-            )
+            agrees.record(hs_norm(st.c_sharp - q_n @ c_pinv), check_bound(n, sharp_scale))
         bounded = sequences.bounded_approximation_sequence(inst.problem, chain, tol)
         tails = [st.tail_error for st in bounded.steps]
         tail_mono.record(
-            max(
-                (tails[i + 1] - tails[i] for i in range(len(tails) - 1)),
-                default=0.0,
-            ),
-            tol.check_abs,
+            max((later - earlier for earlier, later in zip(tails, tails[1:])), default=0.0),
+            check_bound(n, bounded.solution.delta),
         )
         g_r = bounded.solution.truncation.matrix()
         for st in bounded.steps:
             q_n = st.x_basis @ st.x_basis.T
+            x_norm = hs_norm(st.x)
             bxc_ident.record(
                 hs_norm(inst.problem.b @ st.x @ inst.problem.c - g_r @ q_n),
-                tol.check_abs,
+                check_bound(n, x_norm * c_norm),
             )
             step_min.record(
                 solver.minimality_defect(st.x, inst.problem.b, inst.problem.c, tol),
-                max(tol.check_abs, 1e-10 * max(1.0, hs_norm(st.x))),
+                check_bound(n, x_norm),
             )
         sol = bounded.solution
         t = rng.standard_normal(inst.problem.x_shape)
@@ -245,7 +268,7 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
         probes = [2, n - 1]
         canon_sup = max(np.linalg.norm(sol.x_hat[:, m - 1]) for m in probes)
         member_sup = max(np.linalg.norm(member[:, m - 1]) for m in probes)
-        family.record(canon_sup - member_sup, tol.check_abs)
+        family.record(canon_sup - member_sup, check_bound(n, hs_norm(member)))
         scaled = solver.GlraProblem(
             m=inst.problem.m / (inst.mu[0] * 1.25),
             b=inst.problem.b,
@@ -256,9 +279,10 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
             scaled, [1.0 / (j + 1) for j in range(6)], tol, seed=seed + k
         )
         lam1 = float(seq_res.lambdas[0])
+        target_sq = hs_norm(seq_res.target_y) ** 2
         for st in seq_res.steps:
             approx_bound.record(
-                st.deviation_sq - scaled.r * lam1 * st.epsilon**2, tol.check_abs
+                st.deviation_sq - scaled.r * lam1 * st.epsilon**2, check_bound(n, target_sq)
             )
     return [growth, outer, agrees, tail_mono, bxc_ident, step_min, family, approx_bound]
 
@@ -283,45 +307,56 @@ def check_rrr(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
             ys[:, -1] = ys[:, 0]
         samples = regression.SampleSet(xs=xs, ys=ys)
         cov = regression.empirical_covariances(samples)
+        dim = dim_f + dim_g
         c_y_half = linalg.psd_sqrt(cov.c_y, tol)
         c_x_half = linalg.psd_sqrt(cov.c_x, tol)
-        u = linalg.pinv(c_y_half, tol) @ cov.c_yx @ linalg.pinv(c_x_half, tol)
+        c_y_half_pinv = linalg.pinv(c_y_half, tol)
+        c_x_half_pinv = linalg.pinv(c_x_half, tol)
+        yx_norm = hs_norm(cov.c_yx)
+        u = c_y_half_pinv @ cov.c_yx @ c_x_half_pinv
         op_norm = float(np.linalg.svd(u, compute_uv=False)[0]) if u.size else 0.0
         sandwich = (
             linalg.proj_range(c_y_half, tol) @ u @ linalg.proj_range(c_x_half, tol)
         )
         factor.record(
-            max(op_norm - 1.0, hs_norm(sandwich - u)), max(tol.check_abs, 1e-8)
+            max(op_norm - 1.0, hs_norm(sandwich - u)),
+            check_bound(dim, hs_norm(c_y_half_pinv) * yx_norm * hs_norm(c_x_half_pinv)),
         )
         range_id.record(
-            hs_norm(c_y_half @ linalg.pinv(c_y_half, tol) @ cov.c_yx - cov.c_yx),
-            max(tol.check_abs, 1e-10 * max(1.0, hs_norm(cov.c_yx))),
+            hs_norm(c_y_half @ c_y_half_pinv @ cov.c_yx - cov.c_yx),
+            check_bound(dim, hs_norm(c_y_half) * hs_norm(c_y_half_pinv) * yx_norm),
         )
         r = int(rng.integers(1, min(dim_f, dim_g) + 1))
         model = regression.fit(cov, r, tol=tol)
-        contain.record(model.fit_report.containment_residual, tol.check_abs)
+        # the residual of projecting orthonormal vectors has unit scale
+        contain.record(model.fit_report.containment_residual, check_bound(dim, 1.0))
         prob = regression._transposed_problem(
             cov, r, np.eye(dim_f), np.eye(dim_f), np.eye(dim_g), tol
         )
         oracle_obj = solver.als_oracle(prob, restarts=6, iters=80, seed=seed + k)
         c_half_norm = hs_norm(c_x_half)
         const = c_half_norm**2 - hs_norm(prob.m) ** 2
+        # the traces of the MSE: tr(C_x) and tr(A C_y A^T) up to rounding
+        mse_scale = hs_norm(cov.c_x) + hs_norm(model.a_hat) ** 2 * hs_norm(cov.c_y)
         optimal.record(
-            model.fit_report.objective_mse - (const + oracle_obj**2), ORACLE_SLACK
+            model.fit_report.objective_mse - (const + oracle_obj**2),
+            check_bound(dim, mse_scale),
         )
+        # both kernels are known to the angle eps ||C_y|| ||C_y^+||, and
+        # ||C_y^+|| <= ||(C_y^(1/2))^+||^2
         kernels.record(
             hs_norm(
                 linalg.proj_kernel_perp(c_y_half, tol)
                 - linalg.proj_kernel_perp(cov.c_y, tol)
             ),
-            max(tol.check_abs, 1e-7),
+            check_bound(dim, hs_norm(cov.c_y) * hs_norm(c_y_half_pinv) ** 2),
         )
         agree.record(
             abs(
                 regression.mse_trace(model, cov)
                 - regression.mse_monte_carlo(model, samples)
             ),
-            max(tol.check_abs, 1e-12 * max(1.0, hs_norm(cov.c_x) ** 2)),
+            check_bound(dim, mse_scale),
         )
     return [factor, range_id, contain, optimal, kernels, agree]
 
@@ -346,14 +381,8 @@ def run_suites(
     return CheckReport(suites=results)
 
 
-def check_fixture_pair(a: np.ndarray, a_pinv: np.ndarray, tol: Tolerances) -> InvariantResult:
+def check_fixture_pair(a: np.ndarray, a_pinv: np.ndarray) -> InvariantResult:
     """Verify a stored (A, A^+) pair against the four Moore-Penrose equations."""
     result = InvariantResult("fixture_moore_penrose")
-    residual = max(
-        hs_norm(a @ a_pinv @ a - a),
-        hs_norm(a_pinv @ a @ a_pinv - a_pinv),
-        hs_norm((a @ a_pinv) - (a @ a_pinv).T),
-        hs_norm((a_pinv @ a) - (a_pinv @ a).T),
-    )
-    result.record(residual, tol.check_abs)
+    result.record_all(_moore_penrose_checks(a, a_pinv))
     return result

@@ -25,6 +25,7 @@ __all__ = [
     "TruncatedSvd",
     "Uniqueness",
     "as_matrix",
+    "check_bound",
     "hs_inner",
     "hs_norm",
     "nullspace",
@@ -39,6 +40,7 @@ __all__ = [
     "svd",
     "trace",
     "truncated_svd",
+    "CHECK_C",
     "DEFAULT_TOL",
 ]
 
@@ -57,24 +59,39 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds shared across the package.
+    """The two numerical decisions a caller may tune.
 
     rank_rel  relative cutoff below which singular values count as zero
     tie_rel   relative gap under which adjacent singular values are a tie
-    check_abs absolute tolerance for invariant assertions
+
+    Pass/fail checks of identities are not tunable: they use check_bound.
     """
 
     rank_rel: float = 1e-12
     tie_rel: float = 1e-9
-    check_abs: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("rank_rel", "tie_rel", "check_abs"):
+        for name in ("rank_rel", "tie_rel"):
             if not getattr(self, name) > 0.0:
                 raise InputError(f"tolerance {name} must be strictly positive")
 
 
 DEFAULT_TOL = Tolerances()
+
+# Rounding-error constant of check_bound, shared by every invariant check.
+CHECK_C = 20.0
+
+
+def check_bound(dim: int, scale: float) -> float:
+    """Largest residual an identity may show in floating point: c * eps * dim * scale.
+
+    ``scale`` is the product of operand norms of the same degree as the
+    residual (||A|| for A A^+ A - A, ||A|| ||A^+|| for a projector
+    identity), so scaling the inputs scales the bound exactly as the
+    residual.  This is the backward-error form of Higham, Accuracy and
+    Stability of Numerical Algorithms (SIAM 2002).
+    """
+    return CHECK_C * float(np.finfo(float).eps) * dim * scale
 
 
 class Uniqueness(str, enum.Enum):
@@ -276,23 +293,26 @@ def _truncate(
 def psd_sqrt(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Symmetric PSD square root S with S S = A.
 
-    Eigenvalues in [-check_abs, 0) are clamped to zero (empirical
-    covariances are PSD only up to rounding); anything more negative is a
-    DomainError.  Nonnegative eigenvalues below the numerical-rank cutoff
-    are zeroed as well, so ker(S) agrees with ker(A) numerically instead
-    of picking up sqrt-amplified rounding noise.
+    The asymmetry may reach check_bound(n, ||A||_HS).  Eigenvalues are
+    judged by the numerical-rank cutoff rank_rel * ||A||_2 * n, whatever
+    their sign: those below it in magnitude are zeroed, so ker(S) agrees
+    with ker(A) numerically instead of picking up sqrt-amplified rounding
+    noise, and a negative one beyond it is a DomainError.  Empirical
+    covariances are PSD only up to the rounding of their sample sums,
+    which grows with the sample count that A does not carry, so the
+    negative side is a rank decision, not a check_bound test.
     """
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
         raise DomainError(f"psd_sqrt needs a square matrix, got {arr.shape}")
     asym = float(np.max(np.abs(arr - arr.T)))
-    if asym > tol.check_abs:
+    if asym > check_bound(arr.shape[0], hs_norm(arr)):
         raise DomainError(f"psd_sqrt needs a symmetric matrix (asymmetry {asym:.3e})")
     evals, q = np.linalg.eigh((arr + arr.T) / 2.0)
     low = float(evals[0])
-    if low < -tol.check_abs:
+    cutoff = tol.rank_rel * max(-low, float(evals[-1])) * arr.shape[0]
+    if low < -cutoff:
         raise DomainError(f"matrix is not positive semidefinite: eigenvalue {low:.6e}")
-    cutoff = tol.rank_rel * float(evals[-1]) * arr.shape[0] if evals[-1] > 0 else 0.0
     evals = np.where(evals > cutoff, evals, 0.0)
     s = (q * np.sqrt(evals)) @ q.T
     return (s + s.T) / 2.0

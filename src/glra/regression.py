@@ -24,6 +24,7 @@ from .linalg import (
     Uniqueness,
     _check_rank_bound,
     as_matrix,
+    check_bound,
     hs_norm,
     nullspace,
     pinv,
@@ -277,15 +278,18 @@ def maximal_kernel_check(
     if model.weights is not None:
         raise InputError("the maximal-kernel check applies to identity-weight models")
     kernel = nullspace(cov.c_y, tol)
+    dim_x, dim_y = cov.c_x.shape[0], cov.c_y.shape[0]
     k_dim = kernel.shape[1]
     annihilation = hs_norm(model.a_hat @ kernel) if k_dim else 0.0
     base = mse_trace(model, cov)
+    c_x_norm = hs_norm(cov.c_x)
+    c_y_norm = hs_norm(cov.c_y)
     rng = np.random.default_rng(seed)
     max_dev = 0.0
     min_shrink = np.inf
-    ok = annihilation <= tol.check_abs
+    ok = annihilation <= check_bound(dim_y, hs_norm(model.a_hat))
     for _ in range(trials):
-        t_mat = rng.standard_normal((cov.c_y.shape[0], cov.c_x.shape[0]))
+        t_mat = rng.standard_normal((dim_y, dim_x))
         pert = (t_mat.T @ kernel) @ kernel.T
         perturbed = RrrModel(
             a_hat=model.a_hat + pert,
@@ -293,12 +297,16 @@ def maximal_kernel_check(
             weights=None,
             fit_report=model.fit_report,
         )
-        max_dev = max(max_dev, abs(mse_trace(perturbed, cov) - base))
-        if k_dim and hs_norm(pert) > tol.check_abs:
+        a_norm = hs_norm(perturbed.a_hat)
+        dev = abs(mse_trace(perturbed, cov) - base)
+        max_dev = max(max_dev, dev)
+        # the MSE traces are tr(C_x) and tr(A C_y A^T), up to rounding
+        ok = ok and dev <= check_bound(dim_x + dim_y, c_x_norm + a_norm**2 * c_y_norm)
+        # a Gaussian T gives a nonzero perturbation whenever the kernel is not trivial
+        if k_dim:
             shrink = hs_norm(perturbed.a_hat @ kernel)
             min_shrink = min(min_shrink, shrink)
-            ok = ok and shrink > tol.check_abs
-    ok = ok and max_dev <= tol.check_abs
+            ok = ok and shrink > check_bound(dim_y, a_norm)
     return MaximalKernelReport(
         passed=bool(ok),
         kernel_dim=k_dim,

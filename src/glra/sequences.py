@@ -24,10 +24,12 @@ from .linalg import (
     _check_rank_bound,
     _pinv,
     as_matrix,
+    check_bound,
     hs_norm,
     pinv,
     range_basis,
     nullspace,
+    rank_factors,
     rowspace_basis,
 )
 from .solver import GlraProblem, GlraSolution, _lift, _reduce, solve
@@ -219,7 +221,7 @@ def unboundedness_sweep(
         if not tie:
             sol = solve(inst.problem, tol)
             residual = hs_norm(sol.x_hat - x_a)
-            if residual > tol.check_abs:
+            if residual > check_bound(n, hs_norm(sol.x_hat)):
                 raise NumericalError(
                     f"solver minimiser deviates from assembled form by {residual:.3e}"
                 )
@@ -319,7 +321,7 @@ def approximate_minimizers(
     for eps in epsilons:
         f_pert = f_vecs + eps * directions
         drift = hs_norm(f_pert - fb.u @ (fb.u.T @ f_pert))
-        if drift > tol.check_abs:
+        if drift > check_bound(p.m.shape[0], hs_norm(f_pert)):
             raise InputError(
                 f"perturbed directions leave ran(B) by {drift:.3e}"
             )
@@ -348,7 +350,7 @@ class SubspaceChain:
 
 
 def _validate_chain(chain: SubspaceChain, c: np.ndarray, tol: Tolerances) -> None:
-    ran_c = range_basis(c, tol)
+    fc = rank_factors(c, tol)
     prev: np.ndarray | None = None
     for i, y in enumerate(chain.bases):
         ya = as_matrix(y, f"chain step {i + 1}")
@@ -356,13 +358,17 @@ def _validate_chain(chain: SubspaceChain, c: np.ndarray, tol: Tolerances) -> Non
             raise InputError(
                 f"chain step {i + 1} lives in dimension {ya.shape[0]}, expected {c.shape[0]}"
             )
-        gram = ya.T @ ya
-        if np.max(np.abs(gram - np.eye(ya.shape[1]))) > 1e-8:
+        # columns of unit norm, so orthonormality and nesting have unit scale
+        if np.max(np.abs(ya.T @ ya - np.eye(ya.shape[1]))) > check_bound(c.shape[0], 1.0):
             raise InputError(f"chain step {i + 1} columns are not orthonormal")
-        if np.max(np.abs(ya - ran_c @ (ran_c.T @ ya))) > tol.check_abs:
+        # the k-th direction of ran(C) is known to the angle eps ||C|| / sigma_k,
+        # which a step weights by its coefficients in C^+ Y
+        coef = fc.u.T @ ya
+        escape_scale = np.linalg.norm(fc.sigma) * np.linalg.norm(coef / fc.sigma[:, None])
+        if np.max(np.abs(ya - fc.u @ coef)) > check_bound(c.shape[0], escape_scale):
             raise InputError(f"chain step {i + 1} escapes ran(C)")
         if prev is not None:
-            if np.max(np.abs(prev - ya @ (ya.T @ prev))) > 1e-8:
+            if np.max(np.abs(prev - ya @ (ya.T @ prev))) > check_bound(c.shape[0], 1.0):
                 raise InputError(f"chain step {i + 1} does not contain step {i}")
         prev = ya
 

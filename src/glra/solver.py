@@ -24,6 +24,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     InputError,
+    NumericalError,
     SvdFactors,
     Tolerances,
     TruncatedSvd,
@@ -120,6 +121,13 @@ def _reduce(
     return fb, fc, core, _truncate(_svd(core), p.r, p.m.shape, tol)
 
 
+def _require_finite(**values: float) -> None:
+    """Raise NumericalError naming the first value that overflowed."""
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise NumericalError(f"{name} is not finite ({value}); the inputs overflow float64")
+
+
 def _lift(fb: SvdFactors, fc: SvdFactors, t: TruncatedSvd) -> TruncatedSvd:
     """A core truncation as the truncation of G: left vectors U_B u, right V_C v."""
     f = t.factors
@@ -149,7 +157,7 @@ def solve(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> GlraSolution:
     f = t.factors
     x_hat = (((fb.v / fb.sigma) @ f.u) * f.sigma) @ ((fc.u / fc.sigma) @ f.v).T
     y = p.b @ x_hat @ p.c
-    return GlraSolution(
+    sol = GlraSolution(
         x_hat=x_hat,
         y=y,
         objective=hs_norm(p.m - y),
@@ -158,6 +166,8 @@ def solve(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> GlraSolution:
         minimality_defect=hs_norm(x_hat - _minimal_part(x_hat, fb.v, fc.u)),
         truncation=_lift(fb, fc, t),
     )
+    _require_finite(objective=sol.objective, delta=sol.delta)
+    return sol
 
 
 def objective(p: GlraProblem, x) -> float:
@@ -232,13 +242,13 @@ def optimal_error(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> OptimalError
     """
     fb, fc, core, t = _reduce(p, tol)
     delta = float(np.sum(t.factors.sigma**2))
+    error = hs_norm(p.m - _lift(fb, fc, t).matrix())
+    _require_finite(error=error, delta=delta)
     gram = core @ core.T
     v1 = _top_singvals_sum(gram, p.r)
     v2 = _top_singvals_sum(core.T @ core, p.r)
     v3 = _top_eigvals_sum(gram / fb.sigma[:, None] * fb.sigma, p.r)
-    return OptimalError(
-        error=hs_norm(p.m - _lift(fb, fc, t).matrix()), delta=delta, delta_variants=(v1, v2, v3)
-    )
+    return OptimalError(error=error, delta=delta, delta_variants=(v1, v2, v3))
 
 
 def adjoint_problem(p: GlraProblem) -> GlraProblem:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from glra import cli
-from glra.linalg import DEFAULT_TOL, pinv, truncated_svd
+from glra.linalg import check_bound, hs_norm, pinv, truncated_svd
 from glra.matio import read_matrix, write_matrix
 from glra.regression import load_model
 
@@ -161,6 +161,32 @@ class TestSolveCommand:
         assert code == 2
 
 
+    def test_overflow_exits_numerical(self, capsys, tmp_path):
+        g = np.random.default_rng(3)
+        for name, mat in (
+            ("M", 1e200 * g.standard_normal((4, 5))),
+            ("B", g.standard_normal((4, 3))),
+            ("C", g.standard_normal((3, 5))),
+        ):
+            write_matrix(str(tmp_path / f"{name}.csv"), mat)
+        with np.errstate(over="ignore"):
+            code = cli.main(
+                [
+                    "solve",
+                    "--M", str(tmp_path / "M.csv"),
+                    "--B", str(tmp_path / "B.csv"),
+                    "--C", str(tmp_path / "C.csv"),
+                    "--rank", "1",
+                    "--out", str(tmp_path / "x.csv"),
+                    "--no-timestamp",
+                ]
+            )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "not finite" in captured.err
+
+
 class TestErrorCommand:
     def test_fixture_delta(self, capsys, fixture_files):
         code, doc = run(
@@ -257,6 +283,42 @@ class TestDemoUnbounded:
         assert main_rows[0, 2] == pytest.approx(0.0, abs=1e-12)
 
 
+    def test_large_minimiser_passes_the_scale_aware_cross_check(self, capsys, tmp_path):
+        # ||x_hat|| = 4.4e3 at N = 100, and the solver's residual against the
+        # assembled minimiser, 4e-10, is rounding at that size
+        code, doc = run(
+            capsys,
+            [
+                "demo-unbounded",
+                "--N", "100",
+                "--gamma-exp", "4",
+                "--alpha-exp", "1",
+                "--probes", "10,50",
+                "--out", str(tmp_path / "sweep.csv"),
+                "--no-timestamp",
+            ],
+        )
+        assert code == 0
+        assert "seed" not in doc["inputs"]
+
+    def test_rank_cut_mismatch_still_fails(self, capsys, tmp_path):
+        # from N = 260 on the rank cutoff drops tail entries of C = diag(k^-4)
+        # and the solver departs from the assembled minimiser for real
+        code = cli.main(
+            [
+                "demo-unbounded",
+                "--N", "300",
+                "--gamma-exp", "4",
+                "--alpha-exp", "1",
+                "--probes", "10,50",
+                "--out", str(tmp_path / "sweep.csv"),
+                "--no-timestamp",
+            ]
+        )
+        assert code == 3
+        assert "deviates from assembled form" in capsys.readouterr().err
+
+
 class TestOuterApprox:
     def test_exhaustive_chain_reaches_zero(self, capsys, tmp_path, fixture_files):
         out = tmp_path / "outer.csv"
@@ -336,7 +398,7 @@ class TestOuterApprox:
         assert code == 0
         table = read_matrix(str(out))
         np.testing.assert_array_equal(table[:, 1], [1.0, 2.0, 3.0])
-        assert doc["outputs"]["final_tail_error"] <= DEFAULT_TOL.check_abs
+        assert doc["outputs"]["final_tail_error"] <= 1e-10
         assert doc["diagnostics"]["tail_nonincreasing"] is True
 
 
@@ -431,6 +493,38 @@ class TestRegressCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize("scale", [10.0, 100.0])
+    def test_scaled_rank_deficient_samples(self, capsys, tmp_path, scale):
+        # ys of rank 30 in 50 columns: C_y has a 20-dimensional kernel whose
+        # eigenvalues are rounding of the size of the data
+        g = np.random.default_rng(0)
+        ys = g.standard_normal((800, 30)) @ g.standard_normal((30, 50))
+        xs = ys @ g.standard_normal((50, 16)) / np.sqrt(50) + 0.1 * g.standard_normal((800, 16))
+        models = {}
+        for s in (1.0, scale):
+            write_matrix(str(tmp_path / "x.csv"), s * xs)
+            write_matrix(str(tmp_path / "y.csv"), s * ys)
+            model_path = str(tmp_path / f"model_{s:g}.json")
+            code, doc = run(
+                capsys,
+                [
+                    "regress",
+                    "--x", str(tmp_path / "x.csv"),
+                    "--y", str(tmp_path / "y.csv"),
+                    "--rank", "3",
+                    "--model-out", model_path,
+                    "--no-timestamp",
+                ],
+            )
+            assert code == 0
+            assert doc["diagnostics"]["maximal_kernel"]["passed"] is True
+            assert doc["diagnostics"]["maximal_kernel"]["kernel_dim"] == 20
+            models[s] = load_model(model_path).a_hat
+        # A_hat is invariant when x and y are scaled together
+        base = models[1.0]
+        assert hs_norm(models[scale] - base) <= check_bound(16 + 50, hs_norm(base))
+
+
 class TestCheckCommand:
     def test_all_suites_pass(self, capsys):
         code, doc = run(
@@ -481,29 +575,3 @@ class TestCheckCommand:
         )
         assert code == 3
         assert doc["diagnostics"]["passed"] is False
-
-
-class TestToleranceOverrides:
-    def test_env_variable_overrides_check_abs(self, monkeypatch):
-        import argparse
-
-        monkeypatch.setenv("GLRA_TOL_ABS", "1e-6")
-        args = argparse.Namespace(rank_rel=None, tie_rel=None, check_abs=None)
-        assert cli._tolerances(args).check_abs == 1e-6
-
-    def test_flag_beats_env(self, monkeypatch):
-        import argparse
-
-        monkeypatch.setenv("GLRA_TOL_ABS", "1e-6")
-        args = argparse.Namespace(rank_rel=None, tie_rel=None, check_abs=1e-4)
-        assert cli._tolerances(args).check_abs == 1e-4
-
-    def test_bad_env_value(self, monkeypatch):
-        import argparse
-
-        from glra.linalg import InputError
-
-        monkeypatch.setenv("GLRA_TOL_ABS", "soup")
-        args = argparse.Namespace(rank_rel=None, tie_rel=None, check_abs=None)
-        with pytest.raises(InputError):
-            cli._tolerances(args)

@@ -30,7 +30,7 @@ from glra.regression import (
 from glra.solver import als_oracle
 from glra import regression
 
-ATOL = DEFAULT_TOL.check_abs
+ATOL = 1e-10
 
 
 def gaussian_samples(seed, count=200, dim_f=4, dim_g=5, noise=0.2, deficient_y=False):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from glra.linalg import DEFAULT_TOL, InputError, hs_norm, pinv, proj_kernel_perp
+from glra.linalg import InputError, hs_norm, pinv, proj_kernel_perp
 from glra.sequences import (
     SequenceSpec,
     SubspaceChain,
@@ -17,7 +17,7 @@ from glra.sequences import (
 )
 from glra.solver import GlraProblem, projected_truncation, solution_set_sample, solve
 
-ATOL = DEFAULT_TOL.check_abs
+ATOL = 1e-10
 
 
 def diag_spec(**kwargs):
@@ -208,6 +208,21 @@ class TestOuterInverseChain:
         y[1, 0] = 1.0
         with pytest.raises(InputError):
             outer_inverse_chain(c, SubspaceChain(bases=(y,)))
+
+    def test_ill_conditioned_range_accepts_generated_chain_only(self):
+        # rank 20 in dimension 40, cond 20^6: ran(C) is known only to the
+        # angle eps ||C|| / sigma_k along its k-th direction
+        g = np.random.default_rng(0)
+        sigma = np.arange(1, 41, dtype=float) ** -6.0
+        sigma[20:] = 0.0
+        q_rot, _ = np.linalg.qr(g.standard_normal((40, 40)))
+        c = (q_rot * sigma) @ q_rot.T
+        gens, _ = np.linalg.qr(c @ g.standard_normal((40, 3)))
+        steps = outer_inverse_chain(c, SubspaceChain(bases=(gens[:, :1], gens[:, :3])))
+        assert len(steps) == 2
+        escaping = gens[:, :1] + 1e-9 * q_rot[:, 20:21]
+        with pytest.raises(InputError, match="escapes ran"):
+            outer_inverse_chain(c, SubspaceChain(bases=(escaping / np.linalg.norm(escaping),)))
 
 
 class TestBoundedApproximation:

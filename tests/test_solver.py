@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import branch_member
 from glra.linalg import (
-    DEFAULT_TOL,
     InputError,
+    NumericalError,
     Uniqueness,
+    check_bound,
     hs_norm,
     pinv,
     proj_kernel_perp,
@@ -15,6 +18,7 @@ from glra.linalg import (
 from glra.solver import (
     GlraProblem,
     als_oracle,
+    projected_truncation,
     canonicalize,
     classify_uniqueness,
     minimality_defect,
@@ -25,7 +29,7 @@ from glra.solver import (
     solve_adjoint,
 )
 
-ATOL = DEFAULT_TOL.check_abs
+ATOL = 1e-10
 
 
 def rng(seed=0):
@@ -387,3 +391,88 @@ class TestRankBound:
     @pytest.mark.parametrize("r", [2, np.int64(2), np.int32(2)])
     def test_integers_accepted(self, r):
         assert GlraProblem(m=np.eye(3), b=np.eye(3), c=np.eye(3), r=r).r == 2
+
+
+class TestOverflow:
+    def problem(self):
+        g = rng(3)
+        return GlraProblem(
+            m=1e200 * g.standard_normal((4, 5)),
+            b=g.standard_normal((4, 3)),
+            c=g.standard_normal((3, 5)),
+            r=1,
+        )
+
+    @pytest.mark.parametrize("func", [solve, optimal_error])
+    def test_non_finite_results_raise(self, func):
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite"):
+            func(self.problem())
+
+
+problem_draws = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.tuples(*[st.integers(1, 8)] * 4),
+    st.integers(1, 3),
+)
+
+
+def drawn_problem(draw):
+    seed, (m_rows, n_cols, p_cols, q_rows), r = draw
+    g = rng(seed)
+    return GlraProblem(
+        m=g.standard_normal((m_rows, n_cols)),
+        b=g.standard_normal((m_rows, p_cols)),
+        c=g.standard_normal((q_rows, n_cols)),
+        r=r,
+    ), g
+
+
+def minimiser_scale(p: GlraProblem, x_hat: np.ndarray) -> float:
+    """How far rounding of M, B and C can move x_hat, per unit of eps * dim.
+
+    A change of M moves x_hat by ||B^+|| ||M|| ||C^+|| times sigma_1 / gap
+    of G at r; a change of B or C moves it by ||x_hat|| times the
+    condition number ||B|| ||B^+|| or ||C|| ||C^+||.
+    """
+    b_pinv, c_pinv = pinv(p.b), pinv(p.c)
+    sigma = np.linalg.svd(projected_truncation(p)[0], compute_uv=False)
+    amplification = 1.0
+    if p.r < sigma.size and sigma[p.r] > check_bound(max(p.m.shape), sigma[0]):
+        amplification = sigma[0] / (sigma[p.r - 1] - sigma[p.r])
+    conditioning = hs_norm(p.b) * hs_norm(b_pinv) + hs_norm(p.c) * hs_norm(c_pinv)
+    return (
+        hs_norm(b_pinv) * hs_norm(p.m) * hs_norm(c_pinv) * amplification
+        + hs_norm(x_hat) * conditioning
+    )
+
+
+class TestScaleAndBasisProperties:
+    """solve commutes with scaling M and with orthogonal changes of basis."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(problem_draws, st.integers(-150, 150))
+    def test_scale_equivariance(self, draw, k):
+        p, _ = drawn_problem(draw)
+        s = 10.0**k
+        dim = max(p.m.shape + p.b.shape + p.c.shape)
+        sol = solve(p)
+        scaled = solve(GlraProblem(m=s * p.m, b=p.b, c=p.c, r=p.r))
+        assert scaled.uniqueness == sol.uniqueness
+        x_bound = check_bound(dim, s * minimiser_scale(p, sol.x_hat))
+        assert hs_norm(scaled.x_hat - s * sol.x_hat) <= x_bound
+        op_scale = hs_norm(p.m) + hs_norm(p.b) * hs_norm(sol.x_hat) * hs_norm(p.c)
+        assert abs(scaled.objective - s * sol.objective) <= check_bound(dim, s * op_scale)
+        assert abs(scaled.delta - s**2 * sol.delta) <= check_bound(dim, s**2 * hs_norm(p.m) ** 2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(problem_draws)
+    def test_orthogonal_invariance(self, draw):
+        p, g = drawn_problem(draw)
+        u, _ = np.linalg.qr(g.standard_normal((p.m.shape[0],) * 2))
+        v, _ = np.linalg.qr(g.standard_normal((p.m.shape[1],) * 2))
+        dim = max(p.m.shape + p.b.shape + p.c.shape)
+        sol = solve(p)
+        rotated = solve(GlraProblem(m=u @ p.m @ v, b=u @ p.b, c=p.c @ v, r=p.r))
+        assert hs_norm(rotated.x_hat - sol.x_hat) <= check_bound(dim, minimiser_scale(p, sol.x_hat))
+        op_scale = hs_norm(p.m) + hs_norm(p.b) * hs_norm(sol.x_hat) * hs_norm(p.c)
+        assert abs(rotated.objective - sol.objective) <= check_bound(dim, op_scale)
