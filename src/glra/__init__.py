@@ -15,7 +15,6 @@ from .linalg import (
     Tolerances,
     TruncatedSvd,
     Uniqueness,
-    hs_inner,
     hs_norm,
     nullspace,
     numerical_rank,
@@ -27,7 +26,6 @@ from .linalg import (
     rank_factors,
     rowspace_basis,
     svd,
-    trace,
     truncated_svd,
 )
 from .matio import read_matrix, write_matrix

@@ -186,7 +186,7 @@ def check_glra(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]
         optimal.record(sol.objective - oracle, check_bound(dim, op_scale))
         t = rng.standard_normal(p.x_shape)
         s = rng.standard_normal(p.x_shape)
-        member = solver.solution_set_sample(sol, p, t, s)
+        member = solver.solution_set_sample(sol, p, t, s, tol)
         member_norm = hs_norm(member)
         minimal.record(x_norm - member_norm, check_bound(dim, member_norm))
         round_trip.record(
@@ -264,7 +264,7 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
         sol = bounded.solution
         t = rng.standard_normal(inst.problem.x_shape)
         s = rng.standard_normal(inst.problem.x_shape)
-        member = solver.solution_set_sample(sol, inst.problem, t, s)
+        member = solver.solution_set_sample(sol, inst.problem, t, s, tol)
         probes = [2, n - 1]
         canon_sup = max(np.linalg.norm(sol.x_hat[:, m - 1]) for m in probes)
         member_sup = max(np.linalg.norm(member[:, m - 1]) for m in probes)
@@ -282,7 +282,8 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
         target_sq = hs_norm(seq_res.target_y) ** 2
         for st in seq_res.steps:
             approx_bound.record(
-                st.deviation_sq - scaled.r * lam1 * st.epsilon**2, check_bound(n, target_sq)
+                st.deviation_sq - scaled.r * lam1**2 * st.epsilon**2,
+                check_bound(n, target_sq),
             )
     return [growth, outer, agrees, tail_mono, bxc_ident, step_min, family, approx_bound]
 

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Matrices travel as headerless CSV files; every command prints a JSON
-report (schema "glra/1") to stdout and exits 0 on success, 2 on input or
-parse errors, 3 when a numerical invariant fails, and 4 on internal
-errors.  Reports are byte-reproducible for fixed inputs and seed when
---no-timestamp is passed.
+report (schema "glra/1") to stdout and exits 0 on success, 2 on input
+errors (bad arguments, unreadable or unparsable input files, unwritable
+output paths), 3 when a numerical invariant fails, and 4 on internal
+errors.  Each ``cmd_*`` function only reads, computes and writes; main()
+wraps what it returns in the report.  Reports are byte-reproducible for
+fixed inputs and seed when --no-timestamp is passed.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
 
+# what a command hands to main: inputs, outputs, diagnostics and exit code
+Result = tuple[dict, dict, dict, int]
+
 
 def _number_list(text: str, kind: type = int) -> list:
     """Parse a comma-separated list of ints (or of the given kind)."""
@@ -46,31 +51,6 @@ def _number_list(text: str, kind: type = int) -> list:
     if not values:
         raise InputError(f"expected at least one {name}")
     return values
-
-
-def _tolerances(args: argparse.Namespace) -> Tolerances:
-    return Tolerances(
-        rank_rel=args.rank_rel if args.rank_rel is not None else DEFAULT_TOL.rank_rel,
-        tie_rel=args.tie_rel if args.tie_rel is not None else DEFAULT_TOL.tie_rel,
-    )
-
-
-def _report(command: str, inputs: dict, outputs: dict, diagnostics: dict) -> dict:
-    return {
-        "schema": "glra/1",
-        "command": command,
-        "inputs": inputs,
-        "outputs": outputs,
-        "diagnostics": diagnostics,
-    }
-
-
-def _emit(report: dict, args: argparse.Namespace, started: float) -> None:
-    if not args.no_timestamp:
-        report["timing"] = time.perf_counter() - started
-        report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
 
 
 def _load_problem(args: argparse.Namespace) -> solver.GlraProblem:
@@ -85,46 +65,36 @@ def _load_problem(args: argparse.Namespace) -> solver.GlraProblem:
         ) from exc
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    tol = _tolerances(args)
+def cmd_solve(args: argparse.Namespace, tol: Tolerances) -> Result:
     problem = _load_problem(args)
     sol = (solver.solve_adjoint if args.adjoint else solver.solve)(problem, tol)
     write_matrix(args.out, sol.x_hat)
-    report = _report(
-        "solve",
+    return (
         {"M": args.M, "B": args.B, "C": args.C, "rank": args.rank, "adjoint": bool(args.adjoint)},
         {"x_hat": args.out, "objective": sol.objective, "delta": sol.delta},
         {"uniqueness": sol.uniqueness.value, "minimality_defect": sol.minimality_defect},
+        EXIT_OK,
     )
-    _emit(report, args, started)
-    return EXIT_OK
 
 
-def cmd_error(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    tol = _tolerances(args)
+def cmd_error(args: argparse.Namespace, tol: Tolerances) -> Result:
     problem = _load_problem(args)
     err = solver.optimal_error(problem, tol)
     variants = (err.delta,) + err.delta_variants
     spread = max(abs(a - b) for a in variants for b in variants)
-    report = _report(
-        "error",
+    return (
         {"M": args.M, "B": args.B, "C": args.C, "rank": args.rank},
         {"error": err.error, "delta": err.delta, "delta_variants": list(err.delta_variants)},
         {"max_delta_discrepancy": spread},
+        EXIT_OK,
     )
-    _emit(report, args, started)
-    return EXIT_OK
 
 
 def _write_sweep(path: str, rows: list[sequences.SweepRow]) -> None:
     write_matrix(path, np.array([[r.n, r.m, r.norm, r.predicted_norm] for r in rows]))
 
 
-def cmd_demo_unbounded(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    tol = _tolerances(args)
+def cmd_demo_unbounded(args: argparse.Namespace, tol: Tolerances) -> Result:
     n_values = _number_list(args.N)
     probes = _number_list(args.probes)
     spec = sequences.SequenceSpec(
@@ -142,8 +112,7 @@ def cmd_demo_unbounded(args: argparse.Namespace) -> int:
         files["bounded_branch"] = args.out + ".bounded.csv"
         _write_sweep(files["bounded_branch"], sweep.bounded_rows)
     mismatch = max(abs(row.norm - row.predicted_norm) for row in sweep.rows)
-    report = _report(
-        "demo-unbounded",
+    return (
         {
             "N": n_values,
             "gamma_exp": args.gamma_exp,
@@ -159,9 +128,8 @@ def cmd_demo_unbounded(args: argparse.Namespace) -> int:
             "lower_bound_constants": {str(n): v for n, v in sweep.lower_bounds.items()},
         },
         {"tie": sweep.tie, "max_abs_norm_mismatch": mismatch},
+        EXIT_OK,
     )
-    _emit(report, args, started)
-    return EXIT_OK
 
 
 def _build_chain(spec: str, c: np.ndarray, seed: int, tol: Tolerances) -> sequences.SubspaceChain:
@@ -185,9 +153,7 @@ def _nonincreasing(values: list[float], slack: float) -> bool:
     return all(later <= earlier + slack for earlier, later in zip(values, values[1:]))
 
 
-def cmd_outer_approx(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    tol = _tolerances(args)
+def cmd_outer_approx(args: argparse.Namespace, tol: Tolerances) -> Result:
     problem = _load_problem(args)
     chain = _build_chain(args.chain, problem.c, args.seed, tol)
     result = sequences.bounded_approximation_sequence(problem, chain, tol)
@@ -222,8 +188,7 @@ def cmd_outer_approx(args: argparse.Namespace) -> int:
     }
     if args.alternative:
         diagnostics["alternative_tail_nonincreasing"] = _nonincreasing(alt_tails, slack)
-    report = _report(
-        "outer-approx",
+    return (
         {
             "M": args.M,
             "B": args.B,
@@ -239,14 +204,11 @@ def cmd_outer_approx(args: argparse.Namespace) -> int:
             "objective": result.solution.objective,
         },
         diagnostics,
+        EXIT_OK,
     )
-    _emit(report, args, started)
-    return EXIT_OK
 
 
-def cmd_regress(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    tol = _tolerances(args)
+def cmd_regress(args: argparse.Namespace, tol: Tolerances) -> Result:
     xs = read_matrix(args.x)
     ys = read_matrix(args.y)
     if args.center:
@@ -282,8 +244,7 @@ def cmd_regress(args: argparse.Namespace) -> int:
             "annihilation_residual": kernel.annihilation_residual,
             "max_mse_deviation": kernel.max_mse_deviation,
         }
-    report = _report(
-        "regress",
+    return (
         {
             "x": args.x,
             "y": args.y,
@@ -296,9 +257,8 @@ def cmd_regress(args: argparse.Namespace) -> int:
         },
         outputs,
         diagnostics,
+        EXIT_OK,
     )
-    _emit(report, args, started)
-    return EXIT_OK
 
 
 def _invariant_doc(res: checks.InvariantResult) -> dict:
@@ -310,9 +270,7 @@ def _invariant_doc(res: checks.InvariantResult) -> dict:
     }
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    tol = _tolerances(args)
+def cmd_check(args: argparse.Namespace, tol: Tolerances) -> Result:
     names = list(checks.SUITE_NAMES) if args.suite == "all" else [args.suite]
     report = checks.run_suites(names, trials=args.trials, seed=args.seed, tol=tol)
     suites_doc = {
@@ -326,19 +284,21 @@ def cmd_check(args: argparse.Namespace) -> int:
         fixture_result = checks.check_fixture_pair(a, a_pinv)
         suites_doc["fixture"] = [_invariant_doc(fixture_result)]
         passed = passed and fixture_result.failures == 0
-    doc = _report(
-        "check",
+    return (
         {"suite": args.suite, "trials": args.trials, "seed": args.seed},
         {"suites": suites_doc},
         {"passed": passed},
+        EXIT_OK if passed else EXIT_NUMERICAL,
     )
-    _emit(doc, args, started)
-    return EXIT_OK if passed else EXIT_NUMERICAL
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rank-rel", type=float, default=None, help="numerical rank cutoff")
-    parser.add_argument("--tie-rel", type=float, default=None, help="singular-value tie gap")
+    parser.add_argument(
+        "--rank-rel", type=float, default=DEFAULT_TOL.rank_rel, help="numerical rank cutoff"
+    )
+    parser.add_argument(
+        "--tie-rel", type=float, default=DEFAULT_TOL.tie_rel, help="singular-value tie gap"
+    )
     parser.add_argument(
         "--no-timestamp",
         action="store_true",
@@ -437,10 +397,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        tol = Tolerances(rank_rel=args.rank_rel, tie_rel=args.tie_rel)
+        inputs, outputs, diagnostics, code = args.func(args, tol)
+        report = {
+            "schema": "glra/1",
+            "command": args.command,
+            "inputs": inputs,
+            "outputs": outputs,
+            "diagnostics": diagnostics,
+        }
+        if not args.no_timestamp:
+            report["timing"] = time.perf_counter() - started
+            report["timestamp"] = datetime.now(timezone.utc).isoformat()
+        json.dump(report, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
+        return code
     except (InputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -4,8 +4,8 @@ Everything downstream (the solver, the truncation experiments, the
 regression front end) is built on the primitives here: a deterministic
 SVD and its cut at the numerical rank, the Moore-Penrose inverse,
 orthogonal projectors, rank-r truncation with tie detection, the PSD
-square root and the Hilbert-Schmidt norm and inner product.  All matrices are plain 2-D float64 ``numpy`` arrays and
-all functions are pure.
+square root and the Hilbert-Schmidt norm.  All matrices are plain 2-D
+float64 ``numpy`` arrays and all functions are pure.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "Uniqueness",
     "as_matrix",
     "check_bound",
-    "hs_inner",
     "hs_norm",
     "nullspace",
     "numerical_rank",
@@ -38,7 +37,6 @@ __all__ = [
     "rank_factors",
     "rowspace_basis",
     "svd",
-    "trace",
     "truncated_svd",
     "CHECK_C",
     "DEFAULT_TOL",
@@ -321,19 +319,3 @@ def psd_sqrt(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def hs_norm(a) -> float:
     """Hilbert-Schmidt (Frobenius) norm: sqrt of the sum of squared entries."""
     return float(np.linalg.norm(as_matrix(a), "fro"))
-
-
-def hs_inner(a, b) -> float:
-    """Trace inner product <A, B> = trace(B^T A); shapes must match."""
-    aa = as_matrix(a, "first argument")
-    bb = as_matrix(b, "second argument")
-    if aa.shape != bb.shape:
-        raise InputError(f"hs_inner shape mismatch: {aa.shape} vs {bb.shape}")
-    return float(np.sum(aa * bb))
-
-
-def trace(a) -> float:
-    arr = as_matrix(a)
-    if arr.shape[0] != arr.shape[1]:
-        raise InputError(f"trace needs a square matrix, got {arr.shape}")
-    return float(np.trace(arr))

@@ -1,53 +1,45 @@
 """CSV matrix I/O.
 
-The on-disk format is plain CSV: one matrix row per line, decimal floats,
-no header, no trailing commas.  Dimensions are inferred.  Values are
-written with 17 significant digits, which round-trips float64 bit-exactly.
+The on-disk format is plain ASCII CSV: one matrix row per line, decimal
+floats, no header, no trailing commas.  Blank and whitespace-only lines
+are skipped and ``#`` does not start a comment.  Dimensions are inferred.
+Values are written with 17 significant digits, which round-trips float64
+bit-exactly.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
 from .linalg import InputError, as_matrix
 
-__all__ = ["read_matrix", "write_matrix", "format_matrix"]
+__all__ = ["read_matrix", "write_matrix"]
 
 
 def read_matrix(path: str) -> np.ndarray:
     """Parse a CSV matrix file; raises InputError naming the file on failure."""
-    rows: list[list[float]] = []
     try:
         with open(path, "r", encoding="ascii") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rows.append([float(tok) for tok in line.split(",")])
-                except ValueError as exc:
-                    raise InputError(f"{path}:{lineno}: {exc}") from exc
-    except OSError as exc:
+            lines = (line for line in fh if line.strip())
+            # loadtxt only warns on an empty input, so test for one first
+            first = next(lines, None)
+            if first is not None:
+                arr = np.loadtxt(
+                    chain([first], lines), delimiter=",", comments=None, ndmin=2
+                )
+    except (OSError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
-    if not rows:
+    if first is None:
         raise InputError(f"{path}: empty matrix file")
-    width = len(rows[0])
-    for i, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise InputError(
-                f"{path}:{i}: expected {width} columns, found {len(row)}"
-            )
-    try:
-        return as_matrix(rows, name=path)
-    except InputError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def format_matrix(a) -> str:
-    arr = as_matrix(a)
-    return "\n".join(",".join(format(x, ".17g") for x in row) for row in arr) + "\n"
+    return as_matrix(arr, name=path)
 
 
 def write_matrix(path: str, a) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_matrix(a))
+    """Write a finite 2-D matrix as CSV; raises InputError naming the file on failure."""
+    arr = as_matrix(a)
+    try:
+        np.savetxt(path, arr, fmt="%.17g", delimiter=",")
+    except OSError as exc:
+        raise InputError(f"{path}: {exc}") from exc

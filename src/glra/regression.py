@@ -368,9 +368,12 @@ def model_from_dict(doc: dict) -> RrrModel:
 
 
 def save_model(path: str, model: RrrModel) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def load_model(path: str) -> RrrModel:

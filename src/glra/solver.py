@@ -192,18 +192,21 @@ def canonicalize(x, b, c, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return _minimal_part(as_matrix(x, "X"), rank_factors(b, tol).v, rank_factors(c, tol).u)
 
 
-def solution_set_sample(sol: GlraSolution, p: GlraProblem, t, s) -> np.ndarray:
+def solution_set_sample(
+    sol: GlraSolution, p: GlraProblem, t, s, tol: Tolerances = DEFAULT_TOL
+) -> np.ndarray:
     """A member ``x_hat + P_ker(B) T + S P_ran(C)-perp`` of the solution set.
 
-    Every such matrix attains the same objective; canonicalize() maps it
-    back to ``x_hat``.
+    Every such matrix attains the same objective; canonicalize() with the
+    same tolerances maps it back to ``x_hat``, so pass the ``tol`` that
+    solved the problem.
     """
     ta = as_matrix(t, "T")
     sa = as_matrix(s, "S")
     if ta.shape != p.x_shape or sa.shape != p.x_shape:
         raise InputError(f"T and S must have shape {p.x_shape}")
-    vb = rank_factors(p.b).v
-    uc = rank_factors(p.c).u
+    vb = rank_factors(p.b, tol).v
+    uc = rank_factors(p.c, tol).u
     return sol.x_hat + (ta - vb @ (vb.T @ ta)) + (sa - (sa @ uc) @ uc.T)
 
 
@@ -285,6 +288,7 @@ def als_oracle(
     pp, qq = p.x_shape
     r = min(p.r, pp, qq)
     b_pinv = pinv(p.b)
+    c_pinv = pinv(p.c)
     best = np.inf
     for _ in range(restarts):
         u = rng.standard_normal((pp, r))
@@ -294,7 +298,7 @@ def als_oracle(
             k = v.T @ p.c
             u = b_pinv @ p.m @ pinv(k)
             lhs = p.b @ u
-            v = (pinv(lhs) @ p.m @ pinv(p.c)).T
+            v = (pinv(lhs) @ p.m @ c_pinv).T
             obj = hs_norm(p.m - lhs @ v.T @ p.c)
             if abs(prev - obj) <= 1e-13 * (1.0 + obj):
                 break

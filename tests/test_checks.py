@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from glra import checks
-from glra.linalg import pinv
+from glra import checks, sequences
+from glra.linalg import DEFAULT_TOL, pinv
 
 
 class TestFixturePair:
@@ -35,3 +37,24 @@ def test_all_suites_pass_beyond_the_benchmark_seed(seed):
         for res in results if res.failures
     ]
     assert failed == []
+
+
+def test_approx_minimizer_bound_is_lambda_squared(monkeypatch):
+    # approximate_minimizers documents deviation_sq <= r lambda_1^2 eps^2; a
+    # deviation 10% beyond it must fail although the suite's lambda_1 = 0.8
+    # keeps it below r lambda_1 eps^2
+    real = sequences.approximate_minimizers
+
+    def inflated(p, epsilons, *args, **kwargs):
+        res = real(p, epsilons, *args, **kwargs)
+        lam1 = float(res.lambdas[0])
+        steps = [
+            replace(st, deviation_sq=1.1 * p.r * lam1**2 * st.epsilon**2) for st in res.steps
+        ]
+        return replace(res, steps=steps)
+
+    monkeypatch.setattr(sequences, "approximate_minimizers", inflated)
+    results = {res.name: res for res in checks.check_seq(trials=2, seed=0, tol=DEFAULT_TOL)}
+    bound = results["approx_minimizer_deviation_bound"]
+    assert bound.trials > 0
+    assert bound.failures == bound.trials

@@ -1,10 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from glra import cli
-from glra.linalg import check_bound, hs_norm, pinv, truncated_svd
+from glra.linalg import InputError, check_bound, hs_norm, pinv, truncated_svd
 from glra.matio import read_matrix, write_matrix
 from glra.regression import load_model
 
@@ -36,20 +37,52 @@ class TestMatrixRoundTrip:
         write_matrix(str(path), a)
         assert np.array_equal(read_matrix(str(path)), a)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1)])
+    def test_thin_shapes_bit_exact(self, tmp_path, shape):
+        a = np.random.default_rng(1).standard_normal(shape)
+        path = tmp_path / "a.csv"
+        write_matrix(str(path), a)
+        assert np.array_equal(read_matrix(str(path)), a)
+
+    def test_edge_values_bit_exact(self, tmp_path):
+        a = np.array([[-0.0, 5e-324, 1e308], [-1e308, 2.2250738585072014e-308, 0.1]])
+        path = tmp_path / "edge.csv"
+        write_matrix(str(path), a)
+        assert path.read_text() == "".join(
+            ",".join(format(x, ".17g") for x in row) + "\n" for row in a
+        )
+        back = read_matrix(str(path))
+        assert np.array_equal(back, a)
+        assert np.array_equal(np.signbit(back), np.signbit(a))
+
+    def test_blank_and_whitespace_lines_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("\n1,2\n \t\n\n3, 4 \r\n   \n")
+        assert np.array_equal(read_matrix(str(path)), [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", " \n\n", "1,2,\n", "#1,2\n", "1,nan\n", "1,1e400\n", "1_000\n"],
+        ids=["empty", "blank", "trailing-comma", "hash", "nan", "overflow", "underscore"],
+    )
+    def test_rejected_without_warnings(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="bad.csv"):
+                read_matrix(str(path))
+
     def test_parse_error_names_file(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3,oops\n")
-        from glra.linalg import InputError
-
         with pytest.raises(InputError, match="bad.csv"):
             read_matrix(str(path))
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("1,2\n3\n")
-        from glra.linalg import InputError
-
-        with pytest.raises(InputError, match="expected 2 columns"):
+        with pytest.raises(InputError, match=r"ragged\.csv: .*from 2 to 1"):
             read_matrix(str(path))
 
 
@@ -160,6 +193,38 @@ class TestSolveCommand:
         )
         assert code == 2
 
+    def test_non_ascii_input_exits_input(self, capsys, tmp_path, fixture_files):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"1,2\n3,\xe9\n")
+        code = cli.main(
+            [
+                "solve",
+                "--M", str(bad),
+                "--B", fixture_files["B"],
+                "--C", fixture_files["C"],
+                "--rank", "1",
+                "--out", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == 2
+        assert "latin1.csv" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_input(self, capsys, tmp_path, fixture_files):
+        out = tmp_path / "missing" / "x.csv"
+        code = cli.main(
+            [
+                "solve",
+                "--M", fixture_files["M"],
+                "--B", fixture_files["B"],
+                "--C", fixture_files["C"],
+                "--rank", "1",
+                "--out", str(out),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert str(out) in captured.err
 
     def test_overflow_exits_numerical(self, capsys, tmp_path):
         g = np.random.default_rng(3)
@@ -491,6 +556,21 @@ class TestRegressCommand:
             ]
         )
         assert code == 2
+
+    def test_unwritable_model_out_exits_input(self, capsys, tmp_path):
+        write_matrix(str(tmp_path / "xs.csv"), np.random.default_rng(6).standard_normal((20, 2)))
+        model_path = tmp_path / "missing" / "model.json"
+        code = cli.main(
+            [
+                "regress",
+                "--x", str(tmp_path / "xs.csv"),
+                "--y", str(tmp_path / "xs.csv"),
+                "--rank", "1",
+                "--model-out", str(model_path),
+            ]
+        )
+        assert code == 2
+        assert str(model_path) in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("scale", [10.0, 100.0])

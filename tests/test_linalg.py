@@ -10,7 +10,6 @@ from glra.linalg import (
     InputError,
     Tolerances,
     Uniqueness,
-    hs_inner,
     hs_norm,
     numerical_rank,
     pinv,
@@ -19,7 +18,6 @@ from glra.linalg import (
     psd_sqrt,
     rank_factors,
     svd,
-    trace,
     truncated_svd,
 )
 
@@ -207,17 +205,6 @@ class TestHsOps:
         gram_sigma = np.linalg.svd(a.T @ a, compute_uv=False)
         assert hs_norm(a) ** 2 == pytest.approx(float(np.sum(gram_sigma)), abs=ATOL)
 
-    def test_inner_is_trace_form(self):
-        a = rng(11).standard_normal((3, 4))
-        b = rng(12).standard_normal((3, 4))
-        assert hs_inner(a, b) == pytest.approx(trace(b.T @ a), abs=ATOL)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(InputError):
-            hs_inner(np.eye(2), np.eye(3))
-        with pytest.raises(InputError):
-            trace(np.ones((2, 3)))
-
 
 class TestRankDecisions:
     def test_rank_composition(self):
@@ -239,7 +226,7 @@ class TestRankDecisions:
     )
 )
 def test_hs_norm_squared_equals_gram_trace(a):
-    assert hs_norm(a) ** 2 == pytest.approx(trace(a.T @ a), abs=1e-9)
+    assert hs_norm(a) ** 2 == pytest.approx(np.trace(a.T @ a), abs=1e-9)
 
 
 @settings(max_examples=40, deadline=None)

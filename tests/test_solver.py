@@ -7,6 +7,7 @@ from conftest import branch_member
 from glra.linalg import (
     InputError,
     NumericalError,
+    Tolerances,
     Uniqueness,
     check_bound,
     hs_norm,
@@ -161,6 +162,22 @@ class TestSolutionSet:
         )
         assert objective(p, member) == pytest.approx(sol.objective, abs=ATOL)
         assert hs_norm(canonicalize(member, p.b, p.c) - sol.x_hat) < ATOL
+        assert hs_norm(member) >= hs_norm(sol.x_hat) - ATOL
+
+    def test_sample_uses_the_solving_tolerances(self):
+        # sigma_3(B) = 1e-13 is rank under rank_rel = 1e-16 but kernel under
+        # the default cutoff, so sampling with the default would move x_hat
+        g = rng(7)
+        b = np.zeros((3, 4))
+        b[:, :3] = np.diag([1.0, 0.5, 1e-13])
+        c = g.standard_normal((4, 3))
+        p = GlraProblem(m=b @ g.standard_normal((4, 4)) @ c, b=b, c=c, r=3)
+        tol = Tolerances(rank_rel=1e-16)
+        sol = solve(p, tol)
+        member = solution_set_sample(
+            sol, p, g.standard_normal(p.x_shape), g.standard_normal(p.x_shape), tol
+        )
+        assert hs_norm(canonicalize(member, p.b, p.c, tol) - sol.x_hat) < ATOL
         assert hs_norm(member) >= hs_norm(sol.x_hat) - ATOL
 
 
