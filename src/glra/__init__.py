@@ -22,9 +22,7 @@ from .linalg import (
     proj_kernel_perp,
     proj_range,
     psd_sqrt,
-    range_basis,
     rank_factors,
-    rowspace_basis,
     svd,
     truncated_svd,
 )
@@ -61,7 +59,6 @@ from .solver import (
     OptimalError,
     als_oracle,
     canonicalize,
-    classify_uniqueness,
     minimality_defect,
     objective,
     optimal_error,

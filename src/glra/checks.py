@@ -166,7 +166,8 @@ def check_glra(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]
         # ||B|| ||x_hat|| ||C|| bounds the rounding of B x_hat C, which can
         # exceed ||M|| by the conditioning of B and C
         op_scale = m_norm + hs_norm(p.b) * x_norm * hs_norm(p.c)
-        g, _ = solver.projected_truncation(p, tol)
+        # G from its definition, independent of the solver's reduced core
+        g = linalg.proj_range(p.b, tol) @ p.m @ linalg.proj_kernel_perp(p.c, tol)
         const = hs_norm(p.m) ** 2 - hs_norm(g) ** 2
         u = rng.standard_normal((p.x_shape[0], p.r))
         v = rng.standard_normal((p.x_shape[1], p.r))

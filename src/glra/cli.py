@@ -159,6 +159,7 @@ def cmd_outer_approx(args: argparse.Namespace, tol: Tolerances) -> Result:
     result = sequences.bounded_approximation_sequence(problem, chain, tol)
     rows = []
     alt_tails = []
+    g_r = result.solution.truncation.matrix()
     for i, step in enumerate(result.steps):
         c_sharp = step.outer.c_sharp
         row = [
@@ -173,9 +174,7 @@ def cmd_outer_approx(args: argparse.Namespace, tol: Tolerances) -> Result:
             # for contrast
             y_n = step.outer.y_basis
             x_alt = result.solution.x_hat @ y_n @ y_n.T
-            alt_tails.append(
-                hs_norm(result.solution.y - problem.b @ x_alt @ problem.c) ** 2
-            )
+            alt_tails.append(hs_norm(g_r - problem.b @ x_alt @ problem.c) ** 2)
             row.append(alt_tails[-1])
         rows.append(row)
     write_matrix(args.out, np.array(rows))
@@ -412,8 +411,15 @@ def main(argv: list[str] | None = None) -> int:
         if not args.no_timestamp:
             report["timing"] = time.perf_counter() - started
             report["timestamp"] = datetime.now(timezone.utc).isoformat()
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        try:
+            json.dump(report, sys.stdout, indent=2, sort_keys=True)
+            sys.stdout.write("\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone; the next flush, at interpreter shutdown,
+            # would fail again, so stdout now points at devnull (the recipe
+            # of the Python signal module's note on SIGPIPE)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except (InputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -431,4 +437,4 @@ def entrypoint() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entrypoint()

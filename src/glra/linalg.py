@@ -33,9 +33,7 @@ __all__ = [
     "proj_kernel_perp",
     "proj_range",
     "psd_sqrt",
-    "range_basis",
     "rank_factors",
-    "rowspace_basis",
     "svd",
     "truncated_svd",
     "CHECK_C",
@@ -219,16 +217,6 @@ def _pinv(f: SvdFactors) -> np.ndarray:
     return (f.v / f.sigma) @ f.u.T
 
 
-def range_basis(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of ran(A), as columns (shape m x rank)."""
-    return rank_factors(a, tol).u
-
-
-def rowspace_basis(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of ker(A)-perp = ran(A^T), as columns (n x rank)."""
-    return rank_factors(a, tol).v
-
-
 def nullspace(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of ker(A), as columns (n x dim; n x 0 if trivial)."""
     arr = as_matrix(a)
@@ -240,13 +228,13 @@ def nullspace(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def proj_range(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto ran(A); equals A A^+ in exact arithmetic."""
-    u = range_basis(a, tol)
+    u = rank_factors(a, tol).u
     return u @ u.T
 
 
 def proj_kernel_perp(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto ker(A)-perp; equals A^+ A."""
-    v = rowspace_basis(a, tol)
+    v = rank_factors(a, tol).v
     return v @ v.T
 
 

@@ -19,7 +19,11 @@ __all__ = ["read_matrix", "write_matrix"]
 
 
 def read_matrix(path: str) -> np.ndarray:
-    """Parse a CSV matrix file; raises InputError naming the file on failure."""
+    """Parse a CSV matrix file; raises InputError naming the file on failure.
+
+    A line that does not parse is named as ``path:LINE:``, 1-based with
+    blank lines counted.
+    """
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = (line for line in fh if line.strip())
@@ -29,11 +33,37 @@ def read_matrix(path: str) -> np.ndarray:
                 arr = np.loadtxt(
                     chain([first], lines), delimiter=",", comments=None, ndmin=2
                 )
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
+    except ValueError as exc:
+        raise InputError(_parse_error(path, exc)) from exc
     if first is None:
         raise InputError(f"{path}: empty matrix file")
     return as_matrix(arr, name=path)
+
+
+def _parse_error(path: str, exc: ValueError) -> str:
+    """``path:LINE: reason`` for the first line that read_matrix rejected.
+
+    Runs only after a failed read, so the success path streams its lines
+    into loadtxt without keeping them.  Each line goes through loadtxt on
+    its own, the same grammar; the rows loadtxt reports are not used, as
+    they count only non-blank lines and differ in base between its errors.
+    """
+    width = None
+    # a non-ASCII byte becomes a backslash escape, which no float contains
+    with open(path, "r", encoding="ascii", errors="backslashreplace") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                cols = np.loadtxt([line], delimiter=",", comments=None, ndmin=2).shape[1]
+            except ValueError:
+                return f"{path}:{number}: cannot parse '{line.strip()}' as comma-separated floats"
+            width = width or cols
+            if cols != width:
+                return f"{path}:{number}: the number of columns changed from {width} to {cols}"
+    return f"{path}: {exc}"
 
 
 def write_matrix(path: str, a) -> None:

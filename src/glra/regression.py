@@ -29,7 +29,7 @@ from .linalg import (
     nullspace,
     pinv,
     psd_sqrt,
-    range_basis,
+    rank_factors,
 )
 from .solver import GlraProblem, solve
 
@@ -176,7 +176,7 @@ def fit(
     sol = solve(prob, tol)
     a_hat = sol.x_hat.T
     u_r = sol.truncation.factors.u[:, : sol.truncation.effective_count]
-    ran_b = range_basis(prob.b, tol)
+    ran_b = rank_factors(prob.b, tol).u
     containment = hs_norm(u_r - ran_b @ (ran_b.T @ u_r)) if u_r.size else 0.0
     report = FitReport(
         objective_mse=_mse_from_traces(a_hat, cov, w_x, w_a, w_y),

@@ -27,10 +27,8 @@ from .linalg import (
     check_bound,
     hs_norm,
     pinv,
-    range_basis,
     nullspace,
     rank_factors,
-    rowspace_basis,
 )
 from .solver import GlraProblem, GlraSolution, _lift, _reduce, solve
 
@@ -375,14 +373,14 @@ def _validate_chain(chain: SubspaceChain, c: np.ndarray, tol: Tolerances) -> Non
 
 def full_chain(c, tol: Tolerances = DEFAULT_TOL) -> SubspaceChain:
     """The one-step chain spanning all of ran(C)."""
-    return SubspaceChain(bases=(range_basis(c, tol),))
+    return SubspaceChain(bases=(rank_factors(c, tol).u,))
 
 
 def nested_chain(c, steps: int, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> SubspaceChain:
     """A seeded random nested chain exhausting ran(C) in ``steps`` steps."""
     if steps < 1:
         raise InputError("steps must be >= 1")
-    basis = range_basis(c, tol)
+    basis = rank_factors(c, tol).u
     d = basis.shape[1]
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -427,7 +425,7 @@ def outer_inverse_chain(
     _validate_chain(chain, ca, tol)
     steps: list[OuterInverseStep] = []
     for y in chain.bases:
-        x_basis = range_basis(ca.T @ y, tol)
+        x_basis = rank_factors(ca.T @ y, tol).u
         if x_basis.shape[1] != y.shape[1]:
             raise InputError(
                 "chain step degenerates under C^T; its span is not inside ran(C)"
@@ -468,12 +466,13 @@ def bounded_approximation_sequence(
     ker(C)-perp not yet covered; it reaches zero for exhaustive chains.
     """
     sol = solve(p, tol)
+    g_r = sol.truncation.matrix()
     # B^+ (G)_r = x_hat C, because the rows of (G)_r lie in ker(C)-perp
     prefix = sol.x_hat @ p.c
     steps: list[BoundedApproxStep] = []
     for outer in outer_inverse_chain(p.c, chain, tol):
         x_n = prefix @ outer.c_sharp
-        tail = hs_norm(sol.y - p.b @ x_n @ p.c) ** 2
+        tail = hs_norm(g_r - p.b @ x_n @ p.c) ** 2
         steps.append(BoundedApproxStep(x=x_n, tail_error=tail, outer=outer))
     return BoundedApproxResult(solution=sol, steps=steps)
 
@@ -509,7 +508,7 @@ def lower_bound_constant(c, z, tol: Tolerances = DEFAULT_TOL) -> LowerBoundResul
             f"Z must act on C's domain: expected {ca.shape[1]} columns, got {za.shape[1]}"
         )
     ker_z = nullspace(za, tol)
-    row_c = rowspace_basis(ca, tol)
+    row_c = rank_factors(ca, tol).v
     sines = ker_z - row_c @ (row_c.T @ ker_z)
     _, s, vh = np.linalg.svd(sines, full_matrices=False)
     w = ker_z @ vh[np.count_nonzero(s > tol.rank_rel * max(sines.shape)):].T

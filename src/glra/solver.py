@@ -45,11 +45,9 @@ __all__ = [
     "adjoint_problem",
     "als_oracle",
     "canonicalize",
-    "classify_uniqueness",
     "minimality_defect",
     "objective",
     "optimal_error",
-    "projected_truncation",
     "solution_set_sample",
     "solve",
     "solve_adjoint",
@@ -92,13 +90,12 @@ class GlraProblem:
 class GlraSolution:
     """A solved problem: the minimiser, its image, and diagnostics.
 
-    ``truncation`` is the chosen rank-r truncation of the projected matrix
-    G in full coordinates, and ``y = B x_hat C`` equals its matrix;
-    ``objective**2 + delta`` recovers ``||M||_HS**2``.
+    ``truncation`` is the chosen rank-r truncation (G)_r of the projected
+    matrix G in full coordinates; its matrix is the image ``B x_hat C``
+    and ``objective**2 + delta`` recovers ``||M||_HS**2``.
     """
 
     x_hat: np.ndarray
-    y: np.ndarray
     objective: float
     delta: float
     uniqueness: Uniqueness
@@ -121,11 +118,11 @@ def _reduce(
     return fb, fc, core, _truncate(_svd(core), p.r, p.m.shape, tol)
 
 
-def _require_finite(**values: float) -> None:
-    """Raise NumericalError naming the first value that overflowed."""
+def _require_finite(**values: float | np.ndarray) -> None:
+    """Raise NumericalError naming the first value (number or array) that overflowed."""
     for name, value in values.items():
-        if not np.isfinite(value):
-            raise NumericalError(f"{name} is not finite ({value}); the inputs overflow float64")
+        if not np.all(np.isfinite(value)):
+            raise NumericalError(f"{name} is not finite; the inputs overflow float64")
 
 
 def _lift(fb: SvdFactors, fc: SvdFactors, t: TruncatedSvd) -> TruncatedSvd:
@@ -139,14 +136,6 @@ def _minimal_part(x: np.ndarray, vb: np.ndarray, uc: np.ndarray) -> np.ndarray:
     return vb @ (vb.T @ x @ uc) @ uc.T
 
 
-def projected_truncation(
-    p: GlraProblem, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, TruncatedSvd]:
-    """The projected matrix G = P_ran(B) M P_ker(C)-perp and its rank-r truncation."""
-    fb, fc, core, t = _reduce(p, tol)
-    return fb.u @ core @ fc.v.T, _lift(fb, fc, t)
-
-
 def solve(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> GlraSolution:
     """Closed-form minimiser of ||M - B X C||_HS over rank(X) <= r.
 
@@ -156,11 +145,11 @@ def solve(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> GlraSolution:
     fb, fc, _, t = _reduce(p, tol)
     f = t.factors
     x_hat = (((fb.v / fb.sigma) @ f.u) * f.sigma) @ ((fc.u / fc.sigma) @ f.v).T
-    y = p.b @ x_hat @ p.c
+    _require_finite(x_hat=x_hat)
     sol = GlraSolution(
         x_hat=x_hat,
-        y=y,
-        objective=hs_norm(p.m - y),
+        # not hs_norm: an overflowing B x_hat C is a numerical failure, not bad input
+        objective=float(np.linalg.norm(p.m - p.b @ x_hat @ p.c)),
         delta=float(np.sum(f.sigma**2)),
         uniqueness=t.uniqueness,
         minimality_defect=hs_norm(x_hat - _minimal_part(x_hat, fb.v, fc.u)),
@@ -266,11 +255,6 @@ def solve_adjoint(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> GlraSolution
     minimality property P_ran(C) X P_ker(B)-perp = X.
     """
     return solve(adjoint_problem(p), tol)
-
-
-def classify_uniqueness(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> Uniqueness:
-    """Uniqueness flag of the rank-r truncation behind solve()."""
-    return _reduce(p, tol)[3].uniqueness
 
 
 def als_oracle(

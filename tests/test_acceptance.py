@@ -184,10 +184,7 @@ def test_06_outer_inverse_convergence():
         hs_norm(st.c_sharp @ inst.problem.c @ st.c_sharp - st.c_sharp) for st in outer
     )
     res = bounded_approximation_sequence(inst.problem, chain)
-    from glra.solver import projected_truncation
-
-    _, tsvd = projected_truncation(inst.problem)
-    g_r = tsvd.matrix()
+    g_r = solve(inst.problem).truncation.matrix()
     pk = proj_kernel_perp(inst.problem.c)
     worst_tail_identity = 0.0
     for st in res.steps:
@@ -223,10 +220,7 @@ def test_07_approximate_minimizers():
     p0 = GlraProblem(
         m=m, b=rng.standard_normal((7, 5)), c=rng.standard_normal((6, 6)), r=2
     )
-    from glra.solver import projected_truncation
-
-    _, tsvd = projected_truncation(p0)
-    scale = 0.9 / tsvd.factors.sigma[0]
+    scale = 0.9 / solve(p0).truncation.factors.sigma[0]
     p = GlraProblem(m=m * scale, b=p0.b, c=p0.c, r=2)
     epsilons = [1.0 / n for n in range(1, 21)]
     seq = approximate_minimizers(p, epsilons, seed=7)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -76,14 +79,16 @@ class TestMatrixRoundTrip:
     def test_parse_error_names_file(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3,oops\n")
-        with pytest.raises(InputError, match="bad.csv"):
+        with pytest.raises(InputError, match=r"bad\.csv:2: .*'3,oops'"):
             read_matrix(str(path))
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
-        path.write_text("1,2\n3\n")
-        with pytest.raises(InputError, match=r"ragged\.csv: .*from 2 to 1"):
-            read_matrix(str(path))
+        # the line number is the file's own, blank lines counted
+        for text, line in (("1,2\n3\n", 2), ("1,2\n\n3\n", 3)):
+            path.write_text(text)
+            with pytest.raises(InputError, match=rf"ragged\.csv:{line}: .*from 2 to 1"):
+                read_matrix(str(path))
 
 
 class TestSolveCommand:
@@ -226,30 +231,58 @@ class TestSolveCommand:
         assert captured.out == ""
         assert str(out) in captured.err
 
+    def test_closed_stdout_keeps_exit_code(self, tmp_path, fixture_files):
+        out = tmp_path / "x.csv"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "glra.cli", "solve",
+                "--M", fixture_files["M"],
+                "--B", fixture_files["B"],
+                "--C", fixture_files["C"],
+                "--rank", "1",
+                "--out", str(out),
+                "--no-timestamp",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        # closed while the child is still importing, long before it writes
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert err == b""
+        assert read_matrix(str(out)).shape == (3, 3)
+
     def test_overflow_exits_numerical(self, capsys, tmp_path):
         g = np.random.default_rng(3)
-        for name, mat in (
-            ("M", 1e200 * g.standard_normal((4, 5))),
-            ("B", g.standard_normal((4, 3))),
-            ("C", g.standard_normal((3, 5))),
-        ):
-            write_matrix(str(tmp_path / f"{name}.csv"), mat)
-        with np.errstate(over="ignore"):
-            code = cli.main(
-                [
-                    "solve",
-                    "--M", str(tmp_path / "M.csv"),
-                    "--B", str(tmp_path / "B.csv"),
-                    "--C", str(tmp_path / "C.csv"),
-                    "--rank", "1",
-                    "--out", str(tmp_path / "x.csv"),
-                    "--no-timestamp",
-                ]
-            )
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert "not finite" in captured.err
+        cases = [
+            # the objective overflows
+            (1e200 * g.standard_normal((4, 5)), g.standard_normal((4, 3)),
+             g.standard_normal((3, 5)), "1", "not finite"),
+            # finite inputs whose minimiser M C^+ holds 1e299 / 1e-10
+            (np.diag([1e300, 1e299]), np.eye(2), np.diag([1.0, 1e-10]), "2", "x_hat"),
+        ]
+        for m, b, c, rank, message in cases:
+            for name, mat in (("M", m), ("B", b), ("C", c)):
+                write_matrix(str(tmp_path / f"{name}.csv"), mat)
+            with np.errstate(over="ignore"):
+                code = cli.main(
+                    [
+                        "solve",
+                        "--M", str(tmp_path / "M.csv"),
+                        "--B", str(tmp_path / "B.csv"),
+                        "--C", str(tmp_path / "C.csv"),
+                        "--rank", rank,
+                        "--out", str(tmp_path / "x.csv"),
+                        "--no-timestamp",
+                    ]
+                )
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert message in captured.err
 
 
 class TestErrorCommand:

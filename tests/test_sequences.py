@@ -15,7 +15,7 @@ from glra.sequences import (
     outer_inverse_chain,
     unboundedness_sweep,
 )
-from glra.solver import GlraProblem, projected_truncation, solution_set_sample, solve
+from glra.solver import GlraProblem, solution_set_sample, solve
 
 ATOL = 1e-10
 
@@ -263,8 +263,7 @@ class TestBoundedApproximation:
         )
         chain = nested_chain(p.c, steps=4, seed=seed)
         res = bounded_approximation_sequence(p, chain)
-        _, tsvd = projected_truncation(p)
-        g_r = tsvd.matrix()
+        g_r = solve(p).truncation.matrix()
         pk = proj_kernel_perp(p.c)
         for st in res.steps:
             q = st.x_basis @ st.x_basis.T

@@ -19,9 +19,7 @@ from glra.linalg import (
 from glra.solver import (
     GlraProblem,
     als_oracle,
-    projected_truncation,
     canonicalize,
-    classify_uniqueness,
     minimality_defect,
     objective,
     optimal_error,
@@ -237,15 +235,15 @@ class TestAdjoint:
 
 class TestClassify:
     def test_tie(self, tied_problem):
-        assert classify_uniqueness(tied_problem) is Uniqueness.NON_UNIQUE
+        assert solve(tied_problem).uniqueness is Uniqueness.NON_UNIQUE
 
     def test_rank_saturation(self, tied_problem):
         p = GlraProblem(m=tied_problem.m, b=tied_problem.b, c=tied_problem.c, r=2)
-        assert classify_uniqueness(p) is Uniqueness.UNIQUE_BY_RANK
+        assert solve(p).uniqueness is Uniqueness.UNIQUE_BY_RANK
 
     def test_gap(self):
         p = GlraProblem(m=np.diag([2.0, 1.0]), b=np.eye(2), c=np.eye(2), r=1)
-        assert classify_uniqueness(p) is Uniqueness.UNIQUE_BY_GAP
+        assert solve(p).uniqueness is Uniqueness.UNIQUE_BY_GAP
 
 
 class TestAlsOracle:
@@ -425,6 +423,19 @@ class TestOverflow:
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite"):
             func(self.problem())
 
+    @pytest.mark.parametrize(
+        "m, b, c, name",
+        [
+            # finite inputs whose minimiser M C^+ holds 1e299 / 1e-10
+            (np.diag([1e300, 1e299]), np.eye(2), np.diag([1.0, 1e-10]), "x_hat"),
+            # the minimiser 1e150 I is finite, but B x_hat overflows before C scales it back
+            (1e150 * np.eye(2), 1e200 * np.eye(2), 1e-200 * np.eye(2), "objective"),
+        ],
+    )
+    def test_overflowing_minimiser_is_numerical(self, m, b, c, name):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match=name):
+            solve(GlraProblem(m=m, b=b, c=c, r=2))
+
 
 problem_draws = st.tuples(
     st.integers(0, 2**32 - 1),
@@ -452,7 +463,8 @@ def minimiser_scale(p: GlraProblem, x_hat: np.ndarray) -> float:
     condition number ||B|| ||B^+|| or ||C|| ||C^+||.
     """
     b_pinv, c_pinv = pinv(p.b), pinv(p.c)
-    sigma = np.linalg.svd(projected_truncation(p)[0], compute_uv=False)
+    g = proj_range(p.b) @ p.m @ proj_kernel_perp(p.c)
+    sigma = np.linalg.svd(g, compute_uv=False)
     amplification = 1.0
     if p.r < sigma.size and sigma[p.r] > check_bound(max(p.m.shape), sigma[0]):
         amplification = sigma[0] / (sigma[p.r - 1] - sigma[p.r])
