@@ -20,17 +20,16 @@ from .linalg import (
     DEFAULT_TOL,
     InputError,
     NumericalError,
+    SvdFactors,
     Tolerances,
     _check_rank_bound,
     _pinv,
     as_matrix,
     check_bound,
     hs_norm,
-    pinv,
-    nullspace,
     rank_factors,
 )
-from .solver import GlraProblem, GlraSolution, _lift, _reduce, solve
+from .solver import GlraProblem, GlraSolution, _lift, _minimiser, _reduce, _solution
 
 __all__ = [
     "ApproxStep",
@@ -179,6 +178,15 @@ class UnboundednessSweep:
     lower_bounds: dict[int, float]
 
 
+def _pinv_row(fc: SvdFactors, f: np.ndarray) -> np.ndarray:
+    """The row f^T C^+ = (f^T (V_C / S_C)) U_C^T, without forming C^+.
+
+    V_C / S_C is C^+'s own left factor, so a diagonal C, whose singular
+    vectors are exact, gives the bits of f^T C^+.
+    """
+    return (f @ (fc.v / fc.sigma)) @ fc.u.T
+
+
 def unboundedness_sweep(
     spec: SequenceSpec,
     n_values: list[int],
@@ -213,17 +221,22 @@ def unboundedness_sweep(
         live_probes = [m for m in probes if m <= n]
         w_norm = float(np.linalg.norm(inst.w))
         w_norms[n] = w_norm
+        # C is factorised once per N, for the minimiser, the rows f^T C^+
+        # and the lower bound
+        if tie:
+            fc = rank_factors(inst.problem.c, tol)
+        else:
+            fb, fc, _, t = _reduce(inst.problem, tol)
         f1 = inst.f_basis[:, 0]
-        c_pinv = pinv(inst.problem.c, tol)
-        x_a = inst.mu[0] * np.outer(f1, f1 @ c_pinv)
+        x_a = inst.mu[0] * np.outer(f1, _pinv_row(fc, f1))
         if not tie:
-            sol = solve(inst.problem, tol)
-            residual = hs_norm(sol.x_hat - x_a)
-            if residual > check_bound(n, hs_norm(sol.x_hat)):
+            x_hat = _minimiser(fb, fc, t)
+            residual = hs_norm(x_hat - x_a)
+            if residual > check_bound(n, hs_norm(x_hat)):
                 raise NumericalError(
                     f"solver minimiser deviates from assembled form by {residual:.3e}"
                 )
-            x_a = sol.x_hat
+            x_a = x_hat
         for m in live_probes:
             predicted = 0.0 if m == 1 else inst.mu[0] * inst.alpha[m - 1] / w_norm
             rows.append(
@@ -236,7 +249,7 @@ def unboundedness_sweep(
             )
         if tie:
             f2 = inst.f_basis[:, 1]
-            x_b = inst.mu[1] * np.outer(f2, f2 @ c_pinv)
+            x_b = inst.mu[1] * np.outer(f2, _pinv_row(fc, f2))
             for m in live_probes:
                 predicted = inst.mu[1] / inst.gamma[0] if m == 1 else 0.0
                 bounded_rows.append(
@@ -249,7 +262,7 @@ def unboundedness_sweep(
                 )
         # the truncation mu_1 f1 f1^T has the kernel of its row factor mu_1 f1^T
         z = inst.mu[0] * f1[None, :]
-        lower_bounds[n] = lower_bound_constant(inst.problem.c, z, tol).constant
+        lower_bounds[n] = _lower_bound(fc, z, n, tol).constant
     return UnboundednessSweep(
         rows=rows,
         bounded_rows=bounded_rows,
@@ -347,8 +360,8 @@ class SubspaceChain:
             raise InputError("a subspace chain needs at least one step")
 
 
-def _validate_chain(chain: SubspaceChain, c: np.ndarray, tol: Tolerances) -> None:
-    fc = rank_factors(c, tol)
+def _validate_chain(chain: SubspaceChain, c: np.ndarray, fc: SvdFactors) -> None:
+    # fc are the rank-cut factors of c
     prev: np.ndarray | None = None
     for i, y in enumerate(chain.bases):
         ya = as_matrix(y, f"chain step {i + 1}")
@@ -399,7 +412,8 @@ def canonical_chain(c, counts: list[int], tol: Tolerances = DEFAULT_TOL) -> Subs
             raise InputError(f"chain size {k} out of range 1..{n_rows}")
         bases.append(eye[:, :k].copy())
     chain = SubspaceChain(bases=tuple(bases))
-    _validate_chain(chain, as_matrix(c, "C"), tol)
+    ca = as_matrix(c, "C")
+    _validate_chain(chain, ca, rank_factors(ca, tol))
     return chain
 
 
@@ -422,7 +436,14 @@ def outer_inverse_chain(
     outer inverse coincides with C^+.
     """
     ca = as_matrix(c, "C")
-    _validate_chain(chain, ca, tol)
+    return _outer_inverse_chain(ca, rank_factors(ca, tol), chain, tol)
+
+
+def _outer_inverse_chain(
+    ca: np.ndarray, fc: SvdFactors, chain: SubspaceChain, tol: Tolerances
+) -> list[OuterInverseStep]:
+    # outer_inverse_chain with C validated and factorised by the caller
+    _validate_chain(chain, ca, fc)
     steps: list[OuterInverseStep] = []
     for y in chain.bases:
         x_basis = rank_factors(ca.T @ y, tol).u
@@ -465,12 +486,13 @@ def bounded_approximation_sequence(
     optimum is the tail sum of ||(G)_r e_i||^2 over directions of
     ker(C)-perp not yet covered; it reaches zero for exhaustive chains.
     """
-    sol = solve(p, tol)
+    fb, fc, _, t = _reduce(p, tol)
+    sol = _solution(p, fb, fc, t)
     g_r = sol.truncation.matrix()
     # B^+ (G)_r = x_hat C, because the rows of (G)_r lie in ker(C)-perp
     prefix = sol.x_hat @ p.c
     steps: list[BoundedApproxStep] = []
-    for outer in outer_inverse_chain(p.c, chain, tol):
+    for outer in _outer_inverse_chain(p.c, fc, chain, tol):
         x_n = prefix @ outer.c_sharp
         tail = hs_norm(g_r - p.b @ x_n @ p.c) ** 2
         steps.append(BoundedApproxStep(x=x_n, tail_error=tail, outer=outer))
@@ -494,12 +516,7 @@ class LowerBoundResult:
 def lower_bound_constant(c, z, tol: Tolerances = DEFAULT_TOL) -> LowerBoundResult:
     """Smallest singular value of C on ker(Z) int ker(C)-perp (see LowerBoundResult).
 
-    With orthonormal bases K of ker(Z) and R of ker(C)-perp, the
-    intersection is K y over the null vectors y of K - R R^T K, whose
-    singular values are the sines of the principal angles between the two
-    subspaces (Bjorck & Golub, Math. Comp. 1973).  A sine counts as zero
-    below rank_rel * max(shape): the scale is 1 because K and R are
-    orthonormal.
+    The intersection is found by principal angles from ker(C)-perp's side.
     """
     ca = as_matrix(c, "C")
     za = as_matrix(z, "Z")
@@ -507,12 +524,25 @@ def lower_bound_constant(c, z, tol: Tolerances = DEFAULT_TOL) -> LowerBoundResul
         raise InputError(
             f"Z must act on C's domain: expected {ca.shape[1]} columns, got {za.shape[1]}"
         )
-    ker_z = nullspace(za, tol)
-    row_c = rank_factors(ca, tol).v
-    sines = ker_z - row_c @ (row_c.T @ ker_z)
-    _, s, vh = np.linalg.svd(sines, full_matrices=False)
-    w = ker_z @ vh[np.count_nonzero(s > tol.rank_rel * max(sines.shape)):].T
-    if w.shape[1] == 0:
+    return _lower_bound(rank_factors(ca, tol), za, ca.shape[1], tol)
+
+
+def _lower_bound(fc: SvdFactors, z: np.ndarray, n: int, tol: Tolerances) -> LowerBoundResult:
+    """lower_bound_constant from the rank-cut factors of C, whose domain is R^n.
+
+    With V_C the basis of ker(C)-perp and R one of ker(Z)-perp, the
+    intersection is V_C y over the null vectors y of R^T V_C, whose
+    singular values are the sines of the principal angles between
+    ker(C)-perp and ker(Z) (Bjorck & Golub, Math. Comp. 1973).  The matrix
+    is only rank(Z) x rank(C); its full V is needed only when it is wide.
+    A sine counts as zero below rank_rel * n: the scale is 1 because V_C
+    and R are orthonormal.  As C V_C y = U_C S_C y, the constant is the
+    smallest singular value of S_C y.
+    """
+    sines = rank_factors(z, tol).v.T @ fc.v
+    _, s, vh = np.linalg.svd(sines, full_matrices=sines.shape[0] < sines.shape[1])
+    y = vh[np.count_nonzero(s > tol.rank_rel * n):].T
+    if y.shape[1] == 0:
         return LowerBoundResult(constant=0.0, subspace_dim=0)
-    s = np.linalg.svd(ca @ w, compute_uv=False)
-    return LowerBoundResult(constant=float(s[-1]), subspace_dim=int(w.shape[1]))
+    s = np.linalg.svd(fc.sigma[:, None] * y, compute_uv=False)
+    return LowerBoundResult(constant=float(s[-1]), subspace_dim=int(y.shape[1]))

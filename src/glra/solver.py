@@ -136,6 +136,45 @@ def _minimal_part(x: np.ndarray, vb: np.ndarray, uc: np.ndarray) -> np.ndarray:
     return vb @ (vb.T @ x @ uc) @ uc.T
 
 
+def _minimiser(fb: SvdFactors, fc: SvdFactors, t: TruncatedSvd) -> np.ndarray:
+    """x_hat = V_B S_B^-1 (K)_r S_C^-1 U_C^T from the factors of B, C and K.
+
+    The truncated singular values Sigma_K scale the left factor
+    V_B S_B^-1 U_K unless its largest entry times sigma_1 leaves the float
+    range (a tiny B with a huge C); then they scale the right factor, so a
+    representable x_hat does not overflow in S_B^-1 Sigma_K.
+    """
+    f = t.factors
+    left = (fb.v / fb.sigma) @ f.u
+    right = (fc.u / fc.sigma) @ f.v
+    head = float(f.sigma[0]) if f.sigma.size else 0.0
+    if head > 1.0 and np.max(np.abs(left), initial=0.0) > np.finfo(float).max / head:
+        right = right * f.sigma
+    else:
+        left = left * f.sigma
+    x_hat = left @ right.T
+    _require_finite(x_hat=x_hat)
+    return x_hat
+
+
+def _solution(
+    p: GlraProblem, fb: SvdFactors, fc: SvdFactors, t: TruncatedSvd
+) -> GlraSolution:
+    """The GlraSolution of p from the factors that _reduce returned."""
+    x_hat = _minimiser(fb, fc, t)
+    sol = GlraSolution(
+        x_hat=x_hat,
+        # not hs_norm: an overflowing B x_hat C is a numerical failure, not bad input
+        objective=float(np.linalg.norm(p.m - p.b @ x_hat @ p.c)),
+        delta=float(np.sum(t.factors.sigma**2)),
+        uniqueness=t.uniqueness,
+        minimality_defect=hs_norm(x_hat - _minimal_part(x_hat, fb.v, fc.u)),
+        truncation=_lift(fb, fc, t),
+    )
+    _require_finite(objective=sol.objective, delta=sol.delta)
+    return sol
+
+
 def solve(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> GlraSolution:
     """Closed-form minimiser of ||M - B X C||_HS over rank(X) <= r.
 
@@ -143,20 +182,7 @@ def solve(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> GlraSolution:
     used and the solution is flagged ``NON_UNIQUE``.
     """
     fb, fc, _, t = _reduce(p, tol)
-    f = t.factors
-    x_hat = (((fb.v / fb.sigma) @ f.u) * f.sigma) @ ((fc.u / fc.sigma) @ f.v).T
-    _require_finite(x_hat=x_hat)
-    sol = GlraSolution(
-        x_hat=x_hat,
-        # not hs_norm: an overflowing B x_hat C is a numerical failure, not bad input
-        objective=float(np.linalg.norm(p.m - p.b @ x_hat @ p.c)),
-        delta=float(np.sum(f.sigma**2)),
-        uniqueness=t.uniqueness,
-        minimality_defect=hs_norm(x_hat - _minimal_part(x_hat, fb.v, fc.u)),
-        truncation=_lift(fb, fc, t),
-    )
-    _require_finite(objective=sol.objective, delta=sol.delta)
-    return sol
+    return _solution(p, fb, fc, t)
 
 
 def objective(p: GlraProblem, x) -> float:

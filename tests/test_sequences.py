@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from glra.linalg import InputError, hs_norm, pinv, proj_kernel_perp
+from glra.linalg import DEFAULT_TOL, InputError, check_bound, hs_norm, pinv, proj_kernel_perp
 from glra.sequences import (
     SequenceSpec,
     SubspaceChain,
@@ -321,6 +321,69 @@ class TestLowerBoundConstant:
             lower_bound_constant(np.eye(3), np.eye(2))
 
 
+def reference_lower_bound(c, z, rank_rel=DEFAULT_TOL.rank_rel):
+    """The constant by principal angles from ker(Z)'s side, in numpy alone.
+
+    With K a basis of ker(Z) and R one of ker(C)-perp, the intersection is
+    K y over the null vectors y of K - R R^T K.
+    """
+
+    def rank(s, shape):
+        return np.count_nonzero(s > rank_rel * (s[0] if s.size else 0.0) * max(shape))
+
+    _, s_z, vh_z = np.linalg.svd(z, full_matrices=True)
+    ker_z = vh_z[rank(s_z, z.shape):].T
+    _, s_c, vh_c = np.linalg.svd(c, full_matrices=False)
+    row_c = vh_c[: rank(s_c, c.shape)].T
+    sines = ker_z - row_c @ (row_c.T @ ker_z)
+    _, s, vh = np.linalg.svd(sines, full_matrices=False)
+    w = ker_z @ vh[np.count_nonzero(s > rank_rel * max(sines.shape)):].T
+    if w.shape[1] == 0:
+        return 0.0, 0
+    return float(np.linalg.svd(c @ w, compute_uv=False)[-1]), w.shape[1]
+
+
+def low_rank(g, rows, cols, rank):
+    return g.standard_normal((rows, rank)) @ g.standard_normal((rank, cols))
+
+
+def lower_bound_cases():
+    """Name -> (C, Z, dimension of ker(Z) int ker(C)-perp)."""
+    g = np.random.default_rng(21)
+    tall_c = low_rank(g, 9, 6, 4)
+    wide_c = low_rank(g, 4, 7, 3)
+    # rank(Z) = 5 > rank(C) = 2, with one direction of ker(C)-perp inside ker(Z)
+    c_low = low_rank(g, 6, 8, 2)
+    v = np.linalg.svd(c_low)[2][0]
+    z_high = g.standard_normal((5, 8)) @ (np.eye(8) - np.outer(v, v))
+    cases = {
+        "tall_c": (tall_c, g.standard_normal((2, 6)), 2),
+        "wide_c": (wide_c, g.standard_normal((2, 7)), 1),
+        "zero_z": (tall_c, np.zeros((3, 6)), 4),
+        "full_column_rank_z": (wide_c, g.standard_normal((9, 7)), 0),
+        "rank_z_above_rank_c": (c_low, z_high, 1),
+        "rank_z_above_rank_c_generic": (c_low, g.standard_normal((5, 8)), 0),
+    }
+    for n in (10, 50, 200):
+        inst = build_instance(diag_spec(n=n))
+        cases[f"diagonal_{n}"] = (inst.problem.c, inst.mu[0] * inst.f_basis[:, :1].T, n - 1)
+    return cases
+
+
+class TestLowerBoundEquivalence:
+    """The ker(C)-perp-side principal angles agree with the ker(Z)-side ones."""
+
+    CASES = lower_bound_cases()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_kernel_side_reference(self, name):
+        c, z, dim = self.CASES[name]
+        want, want_dim = reference_lower_bound(c, z)
+        res = lower_bound_constant(c, z)
+        assert res.subspace_dim == want_dim == dim
+        assert abs(res.constant - want) <= check_bound(c.shape[1], hs_norm(c))
+
+
 class TestThinBases:
     """Factor counts and the absence of dense projectors."""
 
@@ -352,6 +415,41 @@ class TestThinBases:
             if full and uv and shape[0] > shape[1]
         ]
         assert svd_calls and not full_tall
+
+    @pytest.mark.parametrize("mu_head, count", [((1.0, 0.5), 6), ((1.0, 1.0), 4)])
+    def test_sweep_step_svd_count(self, svd_calls, mu_head, count):
+        unboundedness_sweep(diag_spec(mu_head=mu_head, n=20), [20], [5])
+        assert len(svd_calls) == count
+
+    @pytest.mark.parametrize("mu_head", [(1.0, 0.5), (1.0, 1.0)])
+    def test_sweep_factorises_c_once_per_step(self, monkeypatch, mu_head):
+        n_values = [10, 20]
+        cs = [build_instance(diag_spec(n=n)).problem.c for n in n_values]
+        svd = np.linalg.svd
+        seen = []
+
+        def recording(a, *args, **kwargs):
+            seen.append(np.array(a, copy=True))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        unboundedness_sweep(diag_spec(mu_head=mu_head, n=20), n_values, [5])
+        for c in cs:
+            assert sum(a.shape == c.shape and np.array_equal(a, c) for a in seen) == 1
+
+    def test_outer_approx_svd_count(self, svd_calls):
+        g = np.random.default_rng(12)
+        p = GlraProblem(
+            m=g.standard_normal((24, 24)),
+            b=g.standard_normal((24, 24)),
+            c=g.standard_normal((24, 24)),
+            r=3,
+        )
+        chain = nested_chain(p.c, 5, seed=4)
+        res = bounded_approximation_sequence(p, chain)
+        assert len(res.steps) == 5
+        # C once for the chain and once for the solve, B, the core, one per step
+        assert len(svd_calls) == 9
 
     def test_no_dense_projectors(self, no_projectors):
         p = self.problem()

@@ -436,6 +436,32 @@ class TestOverflow:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match=name):
             solve(GlraProblem(m=m, b=b, c=c, r=2))
 
+    # S_B^-1 Sigma_K = 1e350 would overflow, but the minimiser 1e150 I is finite
+    TINY_B_HUGE_C = (1e150 * np.eye(2), 1e-200 * np.eye(2), 1e200 * np.eye(2))
+
+    def test_tiny_b_huge_c_minimiser_is_finite(self):
+        m, b, c = self.TINY_B_HUGE_C
+        sol = solve(GlraProblem(m=m, b=b, c=c, r=2))
+        np.testing.assert_allclose(sol.x_hat, 1e150 * np.eye(2), rtol=1e-14, atol=0.0)
+
+    def test_adjoint_of_huge_b_tiny_c_is_finite(self):
+        m, b, c = self.TINY_B_HUGE_C
+        sol = solve_adjoint(GlraProblem(m=m, b=c, c=b, r=2))
+        np.testing.assert_allclose(sol.x_hat, 1e150 * np.eye(2), rtol=1e-14, atol=0.0)
+
+    def test_cli_solves_tiny_b_huge_c(self, tmp_path, capsys):
+        from glra.cli import main
+        from glra.matio import read_matrix, write_matrix
+
+        argv = ["solve", "--rank", "2", "--out", str(tmp_path / "x.csv"), "--no-timestamp"]
+        for name, a in zip(("M", "B", "C"), self.TINY_B_HUGE_C):
+            write_matrix(str(tmp_path / f"{name}.csv"), a)
+            argv += [f"--{name}", str(tmp_path / f"{name}.csv")]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        x_hat = read_matrix(str(tmp_path / "x.csv"))
+        np.testing.assert_allclose(x_hat, 1e150 * np.eye(2), rtol=1e-14, atol=0.0)
+
 
 problem_draws = st.tuples(
     st.integers(0, 2**32 - 1),
