@@ -11,6 +11,7 @@ float64 ``numpy`` arrays and all functions are pure.
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -305,5 +306,15 @@ def psd_sqrt(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def hs_norm(a) -> float:
-    """Hilbert-Schmidt (Frobenius) norm: sqrt of the sum of squared entries."""
-    return float(np.linalg.norm(as_matrix(a), "fro"))
+    """Hilbert-Schmidt (Frobenius) norm: sqrt of the sum of squared entries.
+
+    numpy sums unscaled squares, which overflow for entries near 1e154 and
+    above; only then is the sum redone on the matrix scaled by its largest
+    entry, so every other input keeps numpy's bits.
+    """
+    arr = as_matrix(a)
+    norm = float(np.linalg.norm(arr))
+    if math.isinf(norm):
+        scale = float(np.max(np.abs(arr)))
+        norm = scale * float(np.linalg.norm(arr / scale))
+    return norm

@@ -29,9 +29,8 @@ from .linalg import (
     nullspace,
     pinv,
     psd_sqrt,
-    rank_factors,
 )
-from .solver import GlraProblem, solve
+from .solver import GlraProblem, _reduce, _solution
 
 __all__ = [
     "CovarianceBundle",
@@ -127,11 +126,14 @@ class RrrModel:
 
 
 def _weight_triplet(
-    cov: CovarianceBundle,
+    dim_f: int,
+    dim_g: int,
     weights: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    dim_f = cov.c_x.shape[0]
-    dim_g = cov.c_y.shape[0]
+    """(W_x, W_A, W_y) checked against x of dimension dim_f and y of dim_g.
+
+    None stands for the identity weights.
+    """
     if weights is None:
         return np.eye(dim_f), np.eye(dim_f), np.eye(dim_g)
     w_x, w_a, w_y = (as_matrix(w, n) for w, n in zip(weights, ("W_x", "W_A", "W_y")))
@@ -171,13 +173,13 @@ def fit(
     A_hat = ((C_y^(1/2))^+ (P_ran(C_y^(1/2)) (C_y^(1/2))^+ C_yx)_r)^T.
     """
     _check_rank_bound(r)
-    w_x, w_a, w_y = _weight_triplet(cov, weights)
+    w_x, w_a, w_y = _weight_triplet(cov.c_x.shape[0], cov.c_y.shape[0], weights)
     prob = _transposed_problem(cov, r, w_x, w_a, w_y, tol)
-    sol = solve(prob, tol)
+    fb, fc, _, t = _reduce(prob, tol)
+    sol = _solution(prob, fb, fc, t)
     a_hat = sol.x_hat.T
     u_r = sol.truncation.factors.u[:, : sol.truncation.effective_count]
-    ran_b = rank_factors(prob.b, tol).u
-    containment = hs_norm(u_r - ran_b @ (ran_b.T @ u_r)) if u_r.size else 0.0
+    containment = hs_norm(u_r - fb.u @ (fb.u.T @ u_r)) if u_r.size else 0.0
     report = FitReport(
         objective_mse=_mse_from_traces(a_hat, cov, w_x, w_a, w_y),
         # the defect of A_hat^T for the transposed problem is A_hat's own
@@ -218,7 +220,7 @@ def _mse_from_traces(
 
 def mse_trace(model: RrrModel, cov: CovarianceBundle) -> float:
     """Mean squared error evaluated through the covariance traces only."""
-    w_x, w_a, w_y = _weight_triplet(cov, model.weights)
+    w_x, w_a, w_y = _weight_triplet(cov.c_x.shape[0], cov.c_y.shape[0], model.weights)
     return _mse_from_traces(model.a_hat, cov, w_x, w_a, w_y)
 
 
@@ -226,7 +228,7 @@ def mse_via_residual(
     model: RrrModel, cov: CovarianceBundle, tol: Tolerances = DEFAULT_TOL
 ) -> float:
     """Same quantity as mse_trace, via c + ||M - B A^T C||_HS^2."""
-    w_x, w_a, w_y = _weight_triplet(cov, model.weights)
+    w_x, w_a, w_y = _weight_triplet(cov.c_x.shape[0], cov.c_y.shape[0], model.weights)
     prob = _transposed_problem(cov, model.r, w_x, w_a, w_y, tol)
     c_x_half = psd_sqrt(cov.c_x, tol)
     const = hs_norm(w_x @ c_x_half) ** 2 - hs_norm(prob.m) ** 2
@@ -235,17 +237,12 @@ def mse_via_residual(
 
 def mse_monte_carlo(model: RrrModel, samples: SampleSet) -> float:
     """Mean squared error averaged over the given samples."""
-    cov_dims = (samples.xs.shape[1], samples.ys.shape[1])
-    if model.weights is None and model.a_hat.shape != cov_dims:
+    dims = (samples.xs.shape[1], samples.ys.shape[1])
+    if model.weights is None and model.a_hat.shape != dims:
         raise InputError(
-            f"model expects dimensions {model.a_hat.shape}, samples have {cov_dims}"
+            f"model expects dimensions {model.a_hat.shape}, samples have {dims}"
         )
-    if model.weights is None:
-        w_x = np.eye(cov_dims[0])
-        w_a = np.eye(cov_dims[0])
-        w_y = np.eye(cov_dims[1])
-    else:
-        w_x, w_a, w_y = model.weights
+    w_x, w_a, w_y = _weight_triplet(*dims, model.weights)
     residual = w_x @ samples.xs.T - w_a @ model.a_hat @ w_y @ samples.ys.T
     return float(np.mean(np.sum(residual**2, axis=0)))
 

@@ -23,13 +23,21 @@ from .linalg import (
     SvdFactors,
     Tolerances,
     _check_rank_bound,
-    _pinv,
     as_matrix,
     check_bound,
     hs_norm,
     rank_factors,
 )
-from .solver import GlraProblem, GlraSolution, _lift, _minimiser, _reduce, _solution
+from .solver import (
+    GlraProblem,
+    GlraSolution,
+    _lift,
+    _minimiser,
+    _reduce,
+    _require_finite,
+    _solution,
+    objective,
+)
 
 __all__ = [
     "ApproxStep",
@@ -230,7 +238,7 @@ def unboundedness_sweep(
         f1 = inst.f_basis[:, 0]
         x_a = inst.mu[0] * np.outer(f1, _pinv_row(fc, f1))
         if not tie:
-            x_hat = _minimiser(fb, fc, t)
+            x_hat = _minimiser(fb, fc, t.factors)
             residual = hs_norm(x_hat - x_a)
             if residual > check_bound(n, hs_norm(x_hat)):
                 raise NumericalError(
@@ -294,14 +302,16 @@ def approximate_minimizers(
     epsilons: list[float],
     tol: Tolerances = DEFAULT_TOL,
     seed: int = 0,
-    directions: np.ndarray | None = None,
 ) -> ApproximationSequence:
     """Minimising sequence built by perturbing the target truncation.
 
     Each left singular direction f_i of the truncation is replaced by
-    f_i + eps * d_i with unit vectors d_i inside ran(B), so
+    f_i + eps * d_i with seeded random unit vectors d_i inside ran(B), so
     ||Y - Y_eps||_HS^2 = sum_i lambda_i^2 eps^2 <= r lambda_1^2 eps^2 and
-    every step retains the minimality property exactly.
+    every step retains the minimality property exactly.  As f_i = U_B u_i
+    and d_i both lie in ran(B), X_eps = B^+ Y_eps C^+ is X_0 + eps X_D:
+    the solver's minimiser of the core triplets, and the same formula with
+    the left vectors u_i replaced by U_B^T d_i.
     """
     fb, fc, _, t = _reduce(p, tol)
     tsvd = _lift(fb, fc, t)
@@ -309,39 +319,28 @@ def approximate_minimizers(
     lambdas = tsvd.factors.sigma[:k].copy()
     f_vecs = tsvd.factors.u[:, :k]
     e_vecs = tsvd.factors.v[:, :k]
-    if directions is None:
-        rng = np.random.default_rng(seed)
-        cols = []
-        for _ in range(k):
-            norm = 0.0
-            while norm <= tol.rank_rel:
-                d = fb.u @ (fb.u.T @ rng.standard_normal(p.m.shape[0]))
-                norm = np.linalg.norm(d)
-            cols.append(d / norm)
-        directions = np.column_stack(cols) if cols else np.zeros((p.m.shape[0], 0))
-    else:
-        directions = as_matrix(directions, "directions")
-        if directions.shape != (p.m.shape[0], k):
-            raise InputError(
-                f"directions must have shape {(p.m.shape[0], k)}, got {directions.shape}"
-            )
+    rng = np.random.default_rng(seed)
+    cols = []
+    for _ in range(k):
+        norm = 0.0
+        while norm <= tol.rank_rel:
+            d = fb.u @ (fb.u.T @ rng.standard_normal(p.m.shape[0]))
+            norm = np.linalg.norm(d)
+        cols.append(d / norm)
+    directions = np.column_stack(cols) if cols else np.zeros((p.m.shape[0], 0))
+    core = SvdFactors(u=t.factors.u[:, :k], sigma=lambdas, v=t.factors.v[:, :k])
+    x_0 = _minimiser(fb, fc, core)
+    x_d = _minimiser(fb, fc, replace(core, u=fb.u.T @ directions))
     target_y = tsvd.matrix()
-    b_pinv = _pinv(fb)
-    c_pinv = _pinv(fc)
     steps: list[ApproxStep] = []
     for eps in epsilons:
-        f_pert = f_vecs + eps * directions
-        drift = hs_norm(f_pert - fb.u @ (fb.u.T @ f_pert))
-        if drift > check_bound(p.m.shape[0], hs_norm(f_pert)):
-            raise InputError(
-                f"perturbed directions leave ran(B) by {drift:.3e}"
-            )
-        y_eps = (f_pert * lambdas) @ e_vecs.T
-        x_eps = b_pinv @ y_eps @ c_pinv
+        x_eps = x_0 + eps * x_d
+        _require_finite(x_eps=x_eps)
+        y_eps = ((f_vecs + eps * directions) * lambdas) @ e_vecs.T
         steps.append(
             ApproxStep(
                 x=x_eps,
-                objective=hs_norm(p.m - p.b @ x_eps @ p.c),
+                objective=objective(p, x_eps),
                 deviation_sq=hs_norm(target_y - y_eps) ** 2,
                 epsilon=float(eps),
             )

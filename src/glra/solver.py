@@ -136,15 +136,15 @@ def _minimal_part(x: np.ndarray, vb: np.ndarray, uc: np.ndarray) -> np.ndarray:
     return vb @ (vb.T @ x @ uc) @ uc.T
 
 
-def _minimiser(fb: SvdFactors, fc: SvdFactors, t: TruncatedSvd) -> np.ndarray:
-    """x_hat = V_B S_B^-1 (K)_r S_C^-1 U_C^T from the factors of B, C and K.
+def _minimiser(fb: SvdFactors, fc: SvdFactors, f: SvdFactors) -> np.ndarray:
+    """x_hat = V_B S_B^-1 U_K Sigma_K V_K^T S_C^-1 U_C^T from the factors of B and C.
 
-    The truncated singular values Sigma_K scale the left factor
+    f holds the core factors U_K, Sigma_K and V_K, in the coordinates of
+    ran(B) and ker(C)-perp.  Sigma_K scales the left factor
     V_B S_B^-1 U_K unless its largest entry times sigma_1 leaves the float
-    range (a tiny B with a huge C); then they scale the right factor, so a
+    range (a tiny B with a huge C); then it scales the right factor, so a
     representable x_hat does not overflow in S_B^-1 Sigma_K.
     """
-    f = t.factors
     left = (fb.v / fb.sigma) @ f.u
     right = (fc.u / fc.sigma) @ f.v
     head = float(f.sigma[0]) if f.sigma.size else 0.0
@@ -161,17 +161,16 @@ def _solution(
     p: GlraProblem, fb: SvdFactors, fc: SvdFactors, t: TruncatedSvd
 ) -> GlraSolution:
     """The GlraSolution of p from the factors that _reduce returned."""
-    x_hat = _minimiser(fb, fc, t)
+    x_hat = _minimiser(fb, fc, t.factors)
     sol = GlraSolution(
         x_hat=x_hat,
-        # not hs_norm: an overflowing B x_hat C is a numerical failure, not bad input
-        objective=float(np.linalg.norm(p.m - p.b @ x_hat @ p.c)),
+        objective=objective(p, x_hat),
         delta=float(np.sum(t.factors.sigma**2)),
         uniqueness=t.uniqueness,
         minimality_defect=hs_norm(x_hat - _minimal_part(x_hat, fb.v, fc.u)),
         truncation=_lift(fb, fc, t),
     )
-    _require_finite(objective=sol.objective, delta=sol.delta)
+    _require_finite(delta=sol.delta)
     return sol
 
 
@@ -186,11 +185,17 @@ def solve(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> GlraSolution:
 
 
 def objective(p: GlraProblem, x) -> float:
-    """||M - B X C||_HS for a candidate X of shape p x q."""
+    """||M - B X C||_HS for a candidate X of shape p x q.
+
+    Raises NumericalError when B X C overflows: the inputs were finite, so
+    this is a numerical failure, not bad input.
+    """
     xa = as_matrix(x, "X")
     if xa.shape != p.x_shape:
         raise InputError(f"X must have shape {p.x_shape}, got {xa.shape}")
-    return hs_norm(p.m - p.b @ xa @ p.c)
+    value = float(np.linalg.norm(p.m - p.b @ xa @ p.c))
+    _require_finite(objective=value)
+    return value
 
 
 def minimality_defect(x, b, c, tol: Tolerances = DEFAULT_TOL) -> float:

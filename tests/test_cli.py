@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -128,6 +129,23 @@ class TestSolveCommand:
         assert adjoint["outputs"]["objective"] == pytest.approx(
             primal["outputs"]["objective"], abs=1e-12
         )
+
+    def test_report_carries_timing_and_timestamp(self, capsys, tmp_path, fixture_files):
+        args = [
+            "solve",
+            "--M", fixture_files["M"],
+            "--B", fixture_files["B"],
+            "--C", fixture_files["C"],
+            "--rank", "1",
+            "--out", str(tmp_path / "x.csv"),
+        ]
+        _, stamped = run(capsys, args)
+        _, plain = run(capsys, args + ["--no-timestamp"])
+        timing = stamped.pop("timing")
+        assert isinstance(timing, float) and timing >= 0.0
+        when = datetime.fromisoformat(stamped.pop("timestamp"))
+        assert when.utcoffset() == timedelta(0)
+        assert stamped == plain
 
     def test_identity_factors_write_truncation(self, capsys, tmp_path):
         m = np.random.default_rng(1).standard_normal((4, 4))
@@ -468,6 +486,29 @@ class TestOuterApprox:
         assert doc["diagnostics"]["max_outer_identity_residual"] < 1e-10
 
 
+    def test_residual_beyond_sqrt_of_float_max(self, capsys, tmp_path):
+        # C# C C# - C# is finite (about 2.6e284), but its squared entries overflow
+        for name, mat in (("M", np.eye(3)), ("B", np.eye(3)), ("C", 1e-300 * np.eye(3))):
+            write_matrix(str(tmp_path / f"{name}.csv"), mat)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, doc = run(
+                capsys,
+                [
+                    "outer-approx",
+                    "--M", str(tmp_path / "M.csv"),
+                    "--B", str(tmp_path / "B.csv"),
+                    "--C", str(tmp_path / "C.csv"),
+                    "--rank", "2",
+                    "--chain", "full",
+                    "--out", str(tmp_path / "outer.csv"),
+                    "--no-timestamp",
+                ],
+            )
+        assert code == 0
+        residual = doc["diagnostics"]["max_outer_identity_residual"]
+        assert np.isfinite(residual) and residual > 1e284
+        assert read_matrix(str(tmp_path / "outer.csv"))[0, 3] == residual
+
     def test_csv_chain_of_generators_in_range(self, capsys, tmp_path):
         g = np.random.default_rng(10)
         left = g.standard_normal((5, 3))
@@ -522,6 +563,38 @@ class TestRegressCommand:
         assert doc["diagnostics"]["maximal_kernel"]["passed"] is True
         model = load_model(str(model_path))
         assert model.a_hat.shape == (3, 3)
+
+    def test_center_matches_pre_centred_files(self, capsys, tmp_path):
+        g = np.random.default_rng(7)
+        ys = g.standard_normal((60, 3)) + np.array([5.0, -2.0, 1.5])
+        xs = ys @ g.standard_normal((3, 2)) + 0.1 * g.standard_normal((60, 2)) + 4.0
+        write_matrix(str(tmp_path / "xs.csv"), xs)
+        write_matrix(str(tmp_path / "ys.csv"), ys)
+        # written with %.17g, so the centred files read back bit for bit
+        write_matrix(str(tmp_path / "xc.csv"), xs - xs.mean(axis=0))
+        write_matrix(str(tmp_path / "yc.csv"), ys - ys.mean(axis=0))
+        docs = {}
+        for tag, x, y, extra in (
+            ("center", "xs.csv", "ys.csv", ["--center"]),
+            ("plain", "xc.csv", "yc.csv", []),
+        ):
+            code, docs[tag] = run(
+                capsys,
+                [
+                    "regress",
+                    "--x", str(tmp_path / x),
+                    "--y", str(tmp_path / y),
+                    "--rank", "2",
+                    "--model-out", str(tmp_path / f"{tag}.json"),
+                    "--no-timestamp",
+                ]
+                + extra,
+            )
+            assert code == 0
+            docs[tag]["outputs"].pop("model")
+        assert docs["center"]["outputs"] == docs["plain"]["outputs"]
+        assert docs["center"]["diagnostics"] == docs["plain"]["diagnostics"]
+        assert (tmp_path / "center.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
     def test_identity_weight_files_match_default(self, capsys, tmp_path):
         g = np.random.default_rng(5)

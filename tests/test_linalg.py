@@ -205,6 +205,14 @@ class TestHsOps:
         gram_sigma = np.linalg.svd(a.T @ a, compute_uv=False)
         assert hs_norm(a) ** 2 == pytest.approx(float(np.sum(gram_sigma)), abs=ATOL)
 
+    def test_finite_entries_whose_squares_overflow(self):
+        with np.errstate(over="ignore"):
+            assert hs_norm(np.full((3, 3), 1e300)) == pytest.approx(3e300, rel=1e-15)
+
+    def test_ordinary_input_keeps_numpys_bits(self):
+        a = rng(9).standard_normal((5, 7))
+        assert hs_norm(a) == float(np.linalg.norm(a))
+
 
 class TestRankDecisions:
     def test_rank_composition(self):

@@ -128,6 +128,11 @@ class TestFit:
         const = hs_norm(psd_sqrt(cov.c_x)) ** 2 - hs_norm(prob.m) ** 2
         assert model.fit_report.objective_mse <= const + oracle**2 + 1e-6
 
+    def test_fit_makes_four_svds(self, svd_calls):
+        # B, C and the core of the solve; pinv of C_y^(1/2). B is factorised once
+        fit(empirical_covariances(gaussian_samples(19, count=60, dim_f=3, dim_g=4)), r=2)
+        assert len(svd_calls) == 4
+
     def test_uniqueness_reported(self):
         cov = empirical_covariances(gaussian_samples(9))
         assert fit(cov, r=1).fit_report.uniqueness in (
@@ -209,6 +214,15 @@ class TestMse:
         assert mse_trace(model, cov) == pytest.approx(
             mse_monte_carlo(model, s), abs=1e-10
         )
+
+    def test_weighted_model_on_samples_of_wrong_width(self):
+        s = gaussian_samples(16, dim_f=3, dim_g=3)
+        g = np.random.default_rng(17)
+        weights = tuple(g.standard_normal((3, 3)) for _ in range(3))
+        model = fit(empirical_covariances(s), r=1, weights=weights)
+        wide = SampleSet(xs=np.hstack([s.xs, s.xs[:, :1]]), ys=s.ys)
+        with pytest.raises(InputError, match="W_x"):
+            mse_monte_carlo(model, wide)
 
     def test_zero_samples_zero_model(self):
         s = SampleSet(xs=np.zeros((5, 2)), ys=np.ones((5, 3)))

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from glra.linalg import DEFAULT_TOL, InputError, check_bound, hs_norm, pinv, proj_kernel_perp
+from glra.linalg import (
+    DEFAULT_TOL,
+    InputError,
+    NumericalError,
+    check_bound,
+    hs_norm,
+    pinv,
+    proj_kernel_perp,
+)
 from glra.sequences import (
     SequenceSpec,
     SubspaceChain,
@@ -15,7 +23,7 @@ from glra.sequences import (
     outer_inverse_chain,
     unboundedness_sweep,
 )
-from glra.solver import GlraProblem, solution_set_sample, solve
+from glra.solver import GlraProblem, objective, solution_set_sample, solve
 
 ATOL = 1e-10
 
@@ -165,16 +173,46 @@ class TestApproximateMinimizers:
                 minimality_defect(step.x, inst.problem.b, inst.problem.c) < ATOL
             )
 
-    def test_rejects_directions_outside_range(self):
-        # B's range is the first coordinate axis; a direction along the
-        # second axis cannot be represented
-        b = np.zeros((3, 3))
-        b[0, 0] = 1.0
-        p = GlraProblem(m=np.diag([1.0, 0.0, 0.0]), b=b, c=np.eye(3), r=1)
-        bad = np.zeros((3, 1))
-        bad[1, 0] = 1.0
-        with pytest.raises(InputError):
-            approximate_minimizers(p, [0.1], directions=bad)
+    @pytest.mark.parametrize("seed", range(40))
+    def test_zero_step_is_the_solvers_minimiser(self, seed):
+        g = np.random.default_rng(seed)
+        m_rows, n_cols, p_cols, q_rows = g.integers(2, 8, size=4)
+        p = GlraProblem(
+            m=g.standard_normal((m_rows, n_cols)),
+            b=g.standard_normal((m_rows, p_cols)),
+            c=g.standard_normal((q_rows, n_cols)),
+            r=int(g.integers(1, 4)),
+        )
+        sol = solve(p)
+        # every kept triplet carries weight, so no triplet is dropped
+        assert sol.truncation.effective_count == sol.truncation.factors.sigma.size
+        seq = approximate_minimizers(p, [0.5, 0.0], seed=seed)
+        assert np.array_equal(seq.steps[1].x, sol.x_hat)
+        assert seq.steps[1].objective == sol.objective
+
+
+class TestApproximateMinimizersOverflow:
+    # the minimiser 1e150 I is finite, although S_B^-1 Sigma_K = 1e350 is not
+    TINY_B_HUGE_C = (1e150 * np.eye(2), 1e-200 * np.eye(2), 1e200 * np.eye(2))
+
+    def test_tiny_b_huge_c_steps_are_finite(self):
+        m, b, c = self.TINY_B_HUGE_C
+        p = GlraProblem(m=m, b=b, c=c, r=2)
+        seq = approximate_minimizers(p, [0.5, 0.0])
+        for step in seq.steps:
+            assert np.all(np.isfinite(step.x))
+            assert np.isfinite(step.objective) and np.isfinite(step.deviation_sq)
+        assert np.array_equal(seq.steps[1].x, solve(p).x_hat)
+
+    def test_huge_b_tiny_c_objective_is_numerical(self):
+        # the minimiser 1e150 I is finite, but B X overflows before C scales it back
+        m, c, b = self.TINY_B_HUGE_C
+        p = GlraProblem(m=m, b=b, c=c, r=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="objective"):
+                objective(p, 1e150 * np.eye(2))
+            with pytest.raises(NumericalError, match="objective"):
+                approximate_minimizers(p, [0.5, 0.0])
 
 
 class TestOuterInverseChain:
