@@ -78,6 +78,9 @@ DEFAULT_TOL = Tolerances()
 # Rounding-error constant of check_bound, shared by every invariant check.
 CHECK_C = 20.0
 
+# Below this norm numpy's sum of squares is subnormal or zero (see hs_norm).
+_SQRT_TINY = math.sqrt(float(np.finfo(float).tiny))
+
 
 def check_bound(dim: int, scale: float) -> float:
     """Largest residual an identity may show in floating point: c * eps * dim * scale.
@@ -309,12 +312,14 @@ def hs_norm(a) -> float:
     """Hilbert-Schmidt (Frobenius) norm: sqrt of the sum of squared entries.
 
     numpy sums unscaled squares, which overflow for entries near 1e154 and
-    above; only then is the sum redone on the matrix scaled by its largest
-    entry, so every other input keeps numpy's bits.
+    above and lose digits once the sum falls below the smallest normal
+    float; only then is the sum redone on the matrix scaled by its largest
+    entry, so every other input keeps numpy's bits.  The zero matrix stays 0.
     """
     arr = as_matrix(a)
     norm = float(np.linalg.norm(arr))
-    if math.isinf(norm):
+    if math.isinf(norm) or norm < _SQRT_TINY:
         scale = float(np.max(np.abs(arr)))
-        norm = scale * float(np.linalg.norm(arr / scale))
+        if scale > 0.0:
+            norm = scale * float(np.linalg.norm(arr / scale))
     return norm

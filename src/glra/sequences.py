@@ -23,6 +23,7 @@ from .linalg import (
     SvdFactors,
     Tolerances,
     _check_rank_bound,
+    _rank,
     as_matrix,
     check_bound,
     hs_norm,
@@ -36,6 +37,7 @@ from .solver import (
     _reduce,
     _require_finite,
     _solution,
+    _truncate_core,
     objective,
 )
 
@@ -186,6 +188,21 @@ class UnboundednessSweep:
     lower_bounds: dict[int, float]
 
 
+def _diagonal_factors(d: np.ndarray, tol: Tolerances) -> SvdFactors:
+    """rank_factors(np.diag(d), tol) for a positive, nonincreasing d, without an SVD.
+
+    The singular vectors of such a diagonal are the coordinate axes and its
+    singular values are d, cut at the same numerical rank.  For d = 1 (the
+    identity) and for the construction's gamma, whose head is 1, LAPACK
+    returns exactly these factors, so nothing downstream changes a bit.
+    U and V are one array.
+    """
+    n = d.size
+    k = _rank(d, (n, n), tol)
+    axes = np.eye(n)[:, :k]
+    return SvdFactors(u=axes, sigma=d[:k], v=axes)
+
+
 def _pinv_row(fc: SvdFactors, f: np.ndarray) -> np.ndarray:
     """The row f^T C^+ = (f^T (V_C / S_C)) U_C^T, without forming C^+.
 
@@ -229,15 +246,14 @@ def unboundedness_sweep(
         live_probes = [m for m in probes if m <= n]
         w_norm = float(np.linalg.norm(inst.w))
         w_norms[n] = w_norm
-        # C is factorised once per N, for the minimiser, the rows f^T C^+
-        # and the lower bound
-        if tie:
-            fc = rank_factors(inst.problem.c, tol)
-        else:
-            fb, fc, _, t = _reduce(inst.problem, tol)
+        # B = I and C = diag(gamma) come with their factors: the minimiser,
+        # the rows f^T C^+ and the lower bound take them from the construction
+        fc = _diagonal_factors(inst.gamma, tol)
         f1 = inst.f_basis[:, 0]
         x_a = inst.mu[0] * np.outer(f1, _pinv_row(fc, f1))
         if not tie:
+            fb = _diagonal_factors(np.ones(n), tol)
+            _, t = _truncate_core(inst.problem, fb, fc, tol)
             x_hat = _minimiser(fb, fc, t.factors)
             residual = hs_norm(x_hat - x_a)
             if residual > check_bound(n, hs_norm(x_hat)):
@@ -372,10 +388,14 @@ def _validate_chain(chain: SubspaceChain, c: np.ndarray, fc: SvdFactors) -> None
         if np.max(np.abs(ya.T @ ya - np.eye(ya.shape[1]))) > check_bound(c.shape[0], 1.0):
             raise InputError(f"chain step {i + 1} columns are not orthonormal")
         # the k-th direction of ran(C) is known to the angle eps ||C|| / sigma_k,
-        # which a step weights by its coefficients in C^+ Y
+        # which a step weights by its coefficients in C^+ Y; the scale has
+        # degree 0 in C, so it is taken from sigma / sigma_1, which the rank
+        # cut keeps finite and nonzero however tiny or huge C is
         coef = fc.u.T @ ya
-        escape_scale = np.linalg.norm(fc.sigma) * np.linalg.norm(coef / fc.sigma[:, None])
-        if np.max(np.abs(ya - fc.u @ coef)) > check_bound(c.shape[0], escape_scale):
+        rel = fc.sigma / fc.sigma[0] if fc.sigma.size else fc.sigma
+        escape_scale = np.linalg.norm(rel) * np.linalg.norm(coef / rel[:, None])
+        # "not <=" also rejects a NaN
+        if not np.max(np.abs(ya - fc.u @ coef)) <= check_bound(c.shape[0], escape_scale):
             raise InputError(f"chain step {i + 1} escapes ran(C)")
         if prev is not None:
             if np.max(np.abs(prev - ya @ (ya.T @ prev))) > check_bound(c.shape[0], 1.0):

@@ -109,13 +109,24 @@ def _reduce(
     """Factor B and C once and truncate the core K = U_B^T M V_C.
 
     Returns the rank-cut factors of B and C, K, and the rank-r truncation
-    of K in core coordinates.  K has the nonzero singular values of G,
-    whose shape is M's, so the rank is decided with G's cutoff.
+    of K in core coordinates (see _truncate_core).
     """
     fb = rank_factors(p.b, tol)
     fc = rank_factors(p.c, tol)
+    core, t = _truncate_core(p, fb, fc, tol)
+    return fb, fc, core, t
+
+
+def _truncate_core(
+    p: GlraProblem, fb: SvdFactors, fc: SvdFactors, tol: Tolerances
+) -> tuple[np.ndarray, TruncatedSvd]:
+    """The core K = U_B^T M V_C from the rank-cut factors of B and C, and its truncation.
+
+    K has the nonzero singular values of G, whose shape is M's, so the
+    rank is decided with G's cutoff.
+    """
     core = fb.u.T @ p.m @ fc.v
-    return fb, fc, core, _truncate(_svd(core), p.r, p.m.shape, tol)
+    return core, _truncate(_svd(core), p.r, p.m.shape, tol)
 
 
 def _require_finite(**values: float | np.ndarray) -> None:

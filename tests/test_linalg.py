@@ -213,6 +213,18 @@ class TestHsOps:
         a = rng(9).standard_normal((5, 7))
         assert hs_norm(a) == float(np.linalg.norm(a))
 
+    @pytest.mark.parametrize(
+        "a, want",
+        [(1e-200 * np.eye(2), np.sqrt(2.0) * 1e-200), ([[1e-160, 1e-160]], np.sqrt(2.0) * 1e-160)],
+        ids=["identity_1e-200", "row_1e-160"],
+    )
+    def test_entries_whose_squares_underflow(self, a, want):
+        assert abs(hs_norm(a) - want) <= 1e-15 * want
+
+    def test_zero_matrix_needs_no_division(self):
+        with np.errstate(all="raise"):
+            assert hs_norm(np.zeros((2, 3))) == 0.0
+
 
 class TestRankDecisions:
     def test_rank_composition(self):

@@ -5,14 +5,17 @@ from glra.linalg import (
     DEFAULT_TOL,
     InputError,
     NumericalError,
+    Tolerances,
     check_bound,
     hs_norm,
     pinv,
     proj_kernel_perp,
+    rank_factors,
 )
 from glra.sequences import (
     SequenceSpec,
     SubspaceChain,
+    _diagonal_factors,
     approximate_minimizers,
     bounded_approximation_sequence,
     build_instance,
@@ -239,6 +242,16 @@ class TestOuterInverseChain:
             q = st.x_basis @ st.x_basis.T
             assert hs_norm(st.c_sharp - q @ c_pinv) < 1e-8
 
+    def test_tiny_c_is_judged_as_c(self):
+        # the escape scale has degree 0 in C, so scaling C by 1e-300 keeps it
+        c = 1e-300 * np.diag([1.0, 1.0, 0.0])
+        escaping = np.array([[0.6], [0.0], [0.8]])
+        with pytest.raises(InputError, match="escapes ran"):
+            outer_inverse_chain(c, SubspaceChain(bases=(escaping,)))
+        inside = np.array([[0.6], [0.8], [0.0]])
+        steps = outer_inverse_chain(c, SubspaceChain(bases=(inside,)))
+        assert np.all(np.isfinite(steps[0].c_sharp))
+
     def test_rejects_chain_outside_range(self):
         c = np.zeros((3, 3))
         c[0, 0] = 1.0
@@ -454,15 +467,16 @@ class TestThinBases:
         ]
         assert svd_calls and not full_tall
 
-    @pytest.mark.parametrize("mu_head, count", [((1.0, 0.5), 6), ((1.0, 1.0), 4)])
+    # the core (untied only), Z, the sines matrix and the lower bound
+    @pytest.mark.parametrize("mu_head, count", [((1.0, 0.5), 4), ((1.0, 1.0), 3)])
     def test_sweep_step_svd_count(self, svd_calls, mu_head, count):
         unboundedness_sweep(diag_spec(mu_head=mu_head, n=20), [20], [5])
         assert len(svd_calls) == count
 
     @pytest.mark.parametrize("mu_head", [(1.0, 0.5), (1.0, 1.0)])
-    def test_sweep_factorises_c_once_per_step(self, monkeypatch, mu_head):
+    def test_sweep_never_factorises_b_or_c(self, monkeypatch, mu_head):
         n_values = [10, 20]
-        cs = [build_instance(diag_spec(n=n)).problem.c for n in n_values]
+        problems = [build_instance(diag_spec(n=n)).problem for n in n_values]
         svd = np.linalg.svd
         seen = []
 
@@ -472,8 +486,9 @@ class TestThinBases:
 
         monkeypatch.setattr(np.linalg, "svd", recording)
         unboundedness_sweep(diag_spec(mu_head=mu_head, n=20), n_values, [5])
-        for c in cs:
-            assert sum(a.shape == c.shape and np.array_equal(a, c) for a in seen) == 1
+        assert seen
+        for operand in (x for p in problems for x in (p.b, p.c)):
+            assert not any(a.shape == operand.shape and np.array_equal(a, operand) for a in seen)
 
     def test_outer_approx_svd_count(self, svd_calls):
         g = np.random.default_rng(12)
@@ -495,3 +510,34 @@ class TestThinBases:
         unboundedness_sweep(diag_spec(mu_head=(1.0, 1.0), n=20), [20], [1, 5])
         approximate_minimizers(p, [0.5, 0.1], seed=3)
         lower_bound_constant(p.c, p.m[:3])
+
+
+class TestKnownFactors:
+    """The sweep's factors of B = I and C = diag(gamma) are LAPACK's, bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 20, 260, 300])
+    @pytest.mark.parametrize("gamma_exp", [None, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize(
+        "tol", [DEFAULT_TOL, Tolerances(rank_rel=1e-14)], ids=["default", "rank_rel_1e-14"]
+    )
+    def test_diagonal_factors_equal_rank_factors(self, n, gamma_exp, tol):
+        idx = np.arange(1, n + 1, dtype=float)
+        d = np.ones(n) if gamma_exp is None else idx**-gamma_exp
+        got = _diagonal_factors(d, tol)
+        want = rank_factors(np.diag(d), tol)
+        for a, b in ((got.u, want.u), (got.sigma, want.sigma), (got.v, want.v)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_rank_cut_case_is_covered(self):
+        d = np.arange(1, 301, dtype=float) ** -4.0
+        assert _diagonal_factors(d, DEFAULT_TOL).sigma.size == 240
+        assert _diagonal_factors(d, Tolerances(rank_rel=1e-14)).sigma.size == 300
+
+    @pytest.mark.parametrize("n", [10, 50, 200])
+    def test_sweep_norms_equal_the_solvers(self, n):
+        spec = diag_spec(n=n)
+        probes = [1, 2, n // 2, n]
+        sweep = unboundedness_sweep(spec, [n], probes)
+        x_hat = solve(build_instance(spec).problem).x_hat
+        want = [float(np.linalg.norm(x_hat[:, m - 1])) for m in probes]
+        assert [row.norm for row in sweep.rows] == want
