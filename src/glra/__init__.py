@@ -57,7 +57,6 @@ from .solver import (
     GlraProblem,
     GlraSolution,
     OptimalError,
-    als_oracle,
     canonicalize,
     minimality_defect,
     objective,

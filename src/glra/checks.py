@@ -6,6 +6,10 @@ residuals, solver optimality against the alternating-least-squares
 oracle, covariance factorisations).  Results are per-invariant pass
 counts with the worst residual seen, so a report is reproducible from
 the same seed.
+
+The oracle (``als_oracle``) is a brute-force reference written in numpy
+alone: it shares no rank cutoff or factorisation with the library it
+checks.
 """
 
 from __future__ import annotations
@@ -17,9 +21,23 @@ import numpy as np
 from . import linalg, regression, sequences, solver
 from .linalg import DEFAULT_TOL, Tolerances, check_bound, hs_norm
 
-__all__ = ["CheckReport", "InvariantResult", "SUITE_NAMES", "check_fixture_pair", "run_suites"]
+__all__ = [
+    "CheckReport",
+    "InvariantResult",
+    "SUITE_NAMES",
+    "als_oracle",
+    "check_fixture_pair",
+    "run_suites",
+]
 
 SUITE_NAMES = ("mp", "svd", "glra", "seq", "rrr")
+
+# The oracle's own pseudo-inverse cutoff, 1e-12 * sigma_1 * max(shape) per
+# matrix, written out so that the library's DEFAULT_TOL cannot move it.
+ORACLE_RANK_REL = 1e-12
+# The oracle stops a restart once its objective moves by at most
+# 1e-13 * (objective + eps * max(M.shape)) in units of ||M||.
+ORACLE_STOP_REL = 1e-13
 
 
 @dataclass
@@ -80,6 +98,66 @@ def random_problem(
     )
 
 
+def _pinv_stack(a: np.ndarray) -> np.ndarray:
+    """Moore-Penrose inverse of a matrix or of each matrix in a stack, from one SVD.
+
+    Singular values at or below ORACLE_RANK_REL * sigma_1 * max(shape) of
+    their own matrix count as zero.
+    """
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    keep = s > ORACLE_RANK_REL * max(a.shape[-2:]) * s[..., :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    return (np.swapaxes(vh, -1, -2) * inv[..., None, :]) @ np.swapaxes(u, -1, -2)
+
+
+def als_oracle(
+    p: solver.GlraProblem, restarts: int = 20, iters: int = 200, seed: int = 0
+) -> float:
+    """Best objective found by alternating least squares over X = U V^T.
+
+    A brute-force reference for the closed-form solver: U (p x r) and
+    V (q x r) are updated by exact least-squares steps,
+    U = B^+ M (V^T C)^+ and V^T = (B U)^+ M C^+, from ``restarts`` seeded
+    random initialisations (U_0, V_0, U_1, V_1, ... drawn in that order),
+    all run at once as one stack.  It runs on M / ||M||, so the result is
+    degree 1 in M; a restart stops, frozen, once its objective moves by at
+    most ORACLE_STOP_REL * (objective + eps * max(M.shape)) there, or after
+    ``iters`` steps.  Deterministic for a fixed seed.
+    """
+    if restarts < 1 or iters < 1:
+        raise linalg.InputError("restarts and iters must be >= 1")
+    scale = hs_norm(p.m)
+    if scale == 0.0:
+        return 0.0
+    m = p.m / scale
+    rng = np.random.default_rng(seed)
+    pp, qq = p.x_shape
+    r = min(p.r, pp, qq)
+    v = np.empty((restarts, qq, r))
+    for k in range(restarts):
+        rng.standard_normal((pp, r))  # U_k keeps the draw order; the first step replaces it
+        v[k] = rng.standard_normal((qq, r))
+    b_pinv_m = _pinv_stack(p.b) @ m
+    m_c_pinv = m @ _pinv_stack(p.c)
+    floor = float(np.finfo(float).eps) * max(m.shape)
+    prev = np.full(restarts, np.inf)
+    obj = np.empty(restarts)
+    active = np.arange(restarts)
+    for _ in range(iters):
+        u = b_pinv_m @ _pinv_stack(np.swapaxes(v[active], -1, -2) @ p.c)
+        lhs = p.b @ u
+        vt = _pinv_stack(lhs) @ m_c_pinv
+        cur = np.linalg.norm(m - lhs @ vt @ p.c, axis=(-2, -1))
+        v[active] = np.swapaxes(vt, -1, -2)
+        obj[active] = cur
+        done = np.abs(prev[active] - cur) <= ORACLE_STOP_REL * (cur + floor)
+        prev[active] = cur
+        active = active[~done]
+        if not active.size:
+            break
+    return scale * float(np.min(obj))
+
+
 def _moore_penrose_checks(a: np.ndarray, a_pinv: np.ndarray) -> list[tuple[float, float]]:
     """The four Moore-Penrose residuals of (A, A^+), each with its bound."""
     dim = max(a.shape)
@@ -136,7 +214,7 @@ def check_svd(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
         prob = solver.GlraProblem(
             m=a, b=np.eye(a.shape[0]), c=np.eye(a.shape[1]), r=r
         )
-        oracle = solver.als_oracle(prob, restarts=4, iters=60, seed=seed + k)
+        oracle = als_oracle(prob, restarts=4, iters=60, seed=seed + k)
         eckart.record(hs_norm(a - tsvd.matrix()) - oracle, check_bound(dim, a_norm))
         t = rng.standard_normal((int(rng.integers(1, 7)), a.shape[0]))
         rank_comp.record(
@@ -183,7 +261,7 @@ def check_glra(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]
             hs_norm(p.b @ sol.x_hat @ p.c - sol.truncation.matrix()),
             check_bound(dim, op_scale),
         )
-        oracle = solver.als_oracle(p, restarts=6, iters=80, seed=seed + k)
+        oracle = als_oracle(p, restarts=6, iters=80, seed=seed + k)
         optimal.record(sol.objective - oracle, check_bound(dim, op_scale))
         t = rng.standard_normal(p.x_shape)
         s = rng.standard_normal(p.x_shape)
@@ -335,7 +413,7 @@ def check_rrr(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
         prob = regression._transposed_problem(
             cov, r, np.eye(dim_f), np.eye(dim_f), np.eye(dim_g), tol
         )
-        oracle_obj = solver.als_oracle(prob, restarts=6, iters=80, seed=seed + k)
+        oracle_obj = als_oracle(prob, restarts=6, iters=80, seed=seed + k)
         c_half_norm = hs_norm(c_x_half)
         const = c_half_norm**2 - hs_norm(prob.m) ** 2
         # the traces of the MSE: tr(C_x) and tr(A C_y A^T) up to rounding
@@ -375,6 +453,8 @@ _SUITE_FUNCS = {
 def run_suites(
     names: list[str], trials: int, seed: int, tol: Tolerances = DEFAULT_TOL
 ) -> CheckReport:
+    if trials < 1:
+        raise linalg.InputError(f"trials must be >= 1, got {trials}")
     results: dict[str, list[InvariantResult]] = {}
     for name in names:
         if name not in _SUITE_FUNCS:

@@ -315,9 +315,12 @@ def hs_norm(a) -> float:
     above and lose digits once the sum falls below the smallest normal
     float; only then is the sum redone on the matrix scaled by its largest
     entry, so every other input keeps numpy's bits.  The zero matrix stays 0.
+    The first pass ignores numpy's overflow and underflow warnings, which
+    the rescale answers.
     """
     arr = as_matrix(a)
-    norm = float(np.linalg.norm(arr))
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(arr))
     if math.isinf(norm) or norm < _SQRT_TINY:
         scale = float(np.max(np.abs(arr)))
         if scale > 0.0:

@@ -274,6 +274,8 @@ def maximal_kernel_check(
     """Verify the maximal-kernel property of an identity-weights model."""
     if model.weights is not None:
         raise InputError("the maximal-kernel check applies to identity-weight models")
+    if trials < 0:
+        raise InputError(f"trials must be >= 0, got {trials}")
     kernel = nullspace(cov.c_y, tol)
     dim_x, dim_y = cov.c_x.shape[0], cov.c_y.shape[0]
     k_dim = kernel.shape[1]

@@ -10,9 +10,8 @@ rank(C) core ``K = U_B^T M V_C``, so only K is truncated and
 satisfies the minimality property ``X = P_ker(B)-perp X P_ran(C)`` (all
 blocks of X outside the ran(C) -> ker(B)-perp corner vanish), which is
 what survives of the often-quoted but generally false minimal-Frobenius-
-norm property.  The full solution set, the optimal-error identities, the
-adjoint problem and an alternating-least-squares oracle for testing live
-here as well.
+norm property.  The full solution set, the optimal-error identities and
+the adjoint problem live here as well.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .linalg import (
     _truncate,
     as_matrix,
     hs_norm,
-    pinv,
     rank_factors,
 )
 
@@ -43,7 +41,6 @@ __all__ = [
     "GlraSolution",
     "OptimalError",
     "adjoint_problem",
-    "als_oracle",
     "canonicalize",
     "minimality_defect",
     "objective",
@@ -204,7 +201,9 @@ def objective(p: GlraProblem, x) -> float:
     xa = as_matrix(x, "X")
     if xa.shape != p.x_shape:
         raise InputError(f"X must have shape {p.x_shape}, got {xa.shape}")
-    value = float(np.linalg.norm(p.m - p.b @ xa @ p.c))
+    # an overflow is reported below as NumericalError, not as numpy's warning
+    with np.errstate(over="ignore", under="ignore"):
+        value = float(np.linalg.norm(p.m - p.b @ xa @ p.c))
     _require_finite(objective=value)
     return value
 
@@ -297,37 +296,3 @@ def solve_adjoint(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> GlraSolution
     minimality property P_ran(C) X P_ker(B)-perp = X.
     """
     return solve(adjoint_problem(p), tol)
-
-
-def als_oracle(
-    p: GlraProblem, restarts: int = 20, iters: int = 200, seed: int = 0
-) -> float:
-    """Best objective found by alternating least squares over X = U V^T.
-
-    A brute-force reference for the closed-form solver: U (p x r) and
-    V (q x r) are updated by exact least-squares steps from ``restarts``
-    seeded random initialisations.  Deterministic for a fixed seed.
-    """
-    if restarts < 1 or iters < 1:
-        raise InputError("restarts and iters must be >= 1")
-    rng = np.random.default_rng(seed)
-    pp, qq = p.x_shape
-    r = min(p.r, pp, qq)
-    b_pinv = pinv(p.b)
-    c_pinv = pinv(p.c)
-    best = np.inf
-    for _ in range(restarts):
-        u = rng.standard_normal((pp, r))
-        v = rng.standard_normal((qq, r))
-        prev = np.inf
-        for _ in range(iters):
-            k = v.T @ p.c
-            u = b_pinv @ p.m @ pinv(k)
-            lhs = p.b @ u
-            v = (pinv(lhs) @ p.m @ c_pinv).T
-            obj = hs_norm(p.m - lhs @ v.T @ p.c)
-            if abs(prev - obj) <= 1e-13 * (1.0 + obj):
-                break
-            prev = obj
-        best = min(best, hs_norm(p.m - p.b @ u @ v.T @ p.c))
-    return float(best)

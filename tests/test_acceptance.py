@@ -11,6 +11,7 @@ import numpy as np
 
 from conftest import branch_member
 from glra import checks
+from glra.checks import als_oracle
 from glra.linalg import hs_norm, pinv, proj_kernel_perp, truncated_svd
 from glra.regression import (
     SampleSet,
@@ -31,7 +32,6 @@ from glra.sequences import (
 )
 from glra.solver import (
     GlraProblem,
-    als_oracle,
     minimality_defect,
     objective,
     optimal_error,

@@ -3,8 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from glra import checks, sequences
-from glra.linalg import DEFAULT_TOL, pinv
+import glra
+from glra import checks, linalg, sequences, solver
+from glra.checks import als_oracle
+from glra.linalg import DEFAULT_TOL, InputError, Tolerances, check_bound, hs_norm, pinv
 
 
 class TestFixturePair:
@@ -58,3 +60,91 @@ def test_approx_minimizer_bound_is_lambda_squared(monkeypatch):
     bound = results["approx_minimizer_deviation_bound"]
     assert bound.trials > 0
     assert bound.failures == bound.trials
+
+
+def _loop_oracle(p, restarts, iters, seed):
+    """The oracle one restart at a time, with the stopping rule 1e-13 (1 + obj)."""
+    tol = Tolerances(rank_rel=1e-12)
+    rng = np.random.default_rng(seed)
+    pp, qq = p.x_shape
+    r = min(p.r, pp, qq)
+    b_pinv = pinv(p.b, tol)
+    c_pinv = pinv(p.c, tol)
+    best = np.inf
+    for _ in range(restarts):
+        u = rng.standard_normal((pp, r))
+        v = rng.standard_normal((qq, r))
+        prev = np.inf
+        for _ in range(iters):
+            u = b_pinv @ p.m @ pinv(v.T @ p.c, tol)
+            lhs = p.b @ u
+            v = (pinv(lhs, tol) @ p.m @ c_pinv).T
+            obj = hs_norm(p.m - lhs @ v.T @ p.c)
+            if abs(prev - obj) <= 1e-13 * (1.0 + obj):
+                break
+            prev = obj
+        best = min(best, hs_norm(p.m - p.b @ u @ v.T @ p.c))
+    return float(best)
+
+
+def _suite_draws(count=40):
+    rng = np.random.default_rng(0)
+    return [checks.random_problem(rng, deficient=(k % 3 == 0)) for k in range(count)]
+
+
+class TestAlsOracle:
+    """The batched oracle against the loop it replaced, under scaling, and alone."""
+
+    def test_equals_one_restart_at_a_time(self):
+        worst = max(
+            abs(als_oracle(p, 6, 80, k) - _loop_oracle(p, 6, 80, k)) / hs_norm(p.m)
+            for k, p in enumerate(_suite_draws())
+        )
+        assert worst <= 1e-12
+
+    # draws 1 and 30 stop early under the rule 1e-13 (1 + obj) at s = 1e-8,
+    # by 1e5 and 5e6 times the bound
+    @pytest.mark.parametrize("draw", [1, 30])
+    @pytest.mark.parametrize("s", [1e-8, 1e8])
+    def test_scaled_target_stays_within_the_bound(self, draw, s):
+        p = _suite_draws(draw + 1)[draw]
+        q = solver.GlraProblem(m=s * p.m, b=p.b, c=p.c, r=p.r)
+        sol = solver.solve(q)
+        dim = max(q.m.shape + q.b.shape + q.c.shape)
+        op_scale = hs_norm(q.m) + hs_norm(q.b) * hs_norm(sol.x_hat) * hs_norm(q.c)
+        gap = abs(als_oracle(q, restarts=6, iters=80, seed=draw) - sol.objective)
+        assert gap <= check_bound(dim, op_scale)
+
+    def test_tiny_target_does_not_underflow(self):
+        p = solver.GlraProblem(m=1e-200 * np.eye(3), b=np.eye(3), c=np.eye(3), r=1)
+        assert als_oracle(p, restarts=4, iters=60) == pytest.approx(
+            np.sqrt(2.0) * 1e-200, rel=1e-12, abs=0.0
+        )
+
+    def test_zero_target(self):
+        p = solver.GlraProblem(m=np.zeros((3, 2)), b=np.eye(3), c=np.eye(2), r=1)
+        assert als_oracle(p) == 0.0
+
+    def test_needs_no_library_factorisation(self, monkeypatch):
+        p = _suite_draws(1)[0]
+        expected = als_oracle(p, restarts=6, iters=80)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called the library")
+
+        for owner in (glra, linalg, solver):
+            for name in ("pinv", "rank_factors"):
+                if hasattr(owner, name):
+                    monkeypatch.setattr(owner, name, refuse)
+        assert als_oracle(p, restarts=6, iters=80) == expected
+
+    @pytest.mark.parametrize("restarts, iters", [(0, 5), (3, 0)])
+    def test_rejects_empty_search(self, restarts, iters):
+        with pytest.raises(InputError):
+            als_oracle(_suite_draws(1)[0], restarts=restarts, iters=iters)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_run_suites_rejects_no_trials(trials):
+    with pytest.raises(InputError):
+        checks.run_suites(["mp"], trials=trials, seed=0)

@@ -487,12 +487,13 @@ class TestOuterApprox:
 
 
     def test_residual_beyond_sqrt_of_float_max(self, capsys, tmp_path):
-        # C# C C# - C# is finite (about 2.6e284), but its squared entries overflow
+        # C# C C# - C# is finite (about 2.6e284), but its squared entries
+        # overflow; the report carries it and no numpy warning reaches stderr
         for name, mat in (("M", np.eye(3)), ("B", np.eye(3)), ("C", 1e-300 * np.eye(3))):
             write_matrix(str(tmp_path / f"{name}.csv"), mat)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, doc = run(
-                capsys,
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(
                 [
                     "outer-approx",
                     "--M", str(tmp_path / "M.csv"),
@@ -504,8 +505,9 @@ class TestOuterApprox:
                     "--no-timestamp",
                 ],
             )
-        assert code == 0
-        residual = doc["diagnostics"]["max_outer_identity_residual"]
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        residual = json.loads(captured.out)["diagnostics"]["max_outer_identity_residual"]
         assert np.isfinite(residual) and residual > 1e284
         assert read_matrix(str(tmp_path / "outer.csv"))[0, 3] == residual
 
@@ -650,6 +652,13 @@ class TestRegressCommand:
         kernel = doc["diagnostics"]["maximal_kernel"]
         assert kernel["passed"] is True and kernel["kernel_dim"] == 2
 
+    def test_negative_trials_rejected(self, capsys, tmp_path):
+        xs = np.random.default_rng(4).standard_normal((20, 3))
+        write_matrix(str(tmp_path / "xs.csv"), xs)
+        argv = ["regress", "--x", str(tmp_path / "xs.csv"), "--y", str(tmp_path / "xs.csv")]
+        assert cli.main(argv + ["--rank", "1", "--trials", "-3"]) == 2
+        assert "trials" in capsys.readouterr().err
+
     def test_partial_weights_rejected(self, capsys, tmp_path):
         write_matrix(str(tmp_path / "xs.csv"), np.ones((4, 2)))
         code = cli.main(
@@ -719,6 +728,12 @@ class TestCheckCommand:
         assert code == 0
         assert doc["diagnostics"]["passed"] is True
         assert set(doc["outputs"]["suites"]) == {"mp", "svd", "glra", "seq", "rrr"}
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_rejected(self, capsys, trials):
+        assert cli.main(["check", "--suite", "all", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "trials" in captured.err
 
     def test_reports_are_seed_reproducible(self, capsys):
         args = ["check", "--suite", "mp", "--trials", "5", "--seed", "7", "--no-timestamp"]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,7 +208,9 @@ class TestHsOps:
         assert hs_norm(a) ** 2 == pytest.approx(float(np.sum(gram_sigma)), abs=ATOL)
 
     def test_finite_entries_whose_squares_overflow(self):
-        with np.errstate(over="ignore"):
+        # the rescale answers numpy's overflow, so no warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert hs_norm(np.full((3, 3), 1e300)) == pytest.approx(3e300, rel=1e-15)
 
     def test_ordinary_input_keeps_numpys_bits(self):

@@ -27,7 +27,7 @@ from glra.regression import (
     predict,
     save_model,
 )
-from glra.solver import als_oracle
+from glra.checks import als_oracle
 from glra import regression
 
 ATOL = 1e-10

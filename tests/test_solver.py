@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,9 @@ from glra.linalg import (
     proj_range,
     truncated_svd,
 )
+from glra.checks import als_oracle
 from glra.solver import (
     GlraProblem,
-    als_oracle,
     canonicalize,
     minimality_defect,
     objective,
@@ -435,6 +437,13 @@ class TestOverflow:
     def test_overflowing_minimiser_is_numerical(self, m, b, c, name):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match=name):
             solve(GlraProblem(m=m, b=b, c=c, r=2))
+
+    def test_overflowing_objective_warns_nothing(self):
+        p = GlraProblem(m=np.eye(2), b=1e200 * np.eye(2), c=1e200 * np.eye(2), r=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="objective"):
+                objective(p, np.eye(2))
 
     # S_B^-1 Sigma_K = 1e350 would overflow, but the minimiser 1e150 I is finite
     TINY_B_HUGE_C = (1e150 * np.eye(2), 1e-200 * np.eye(2), 1e200 * np.eye(2))
