@@ -16,7 +16,6 @@ from .linalg import (
     TruncatedSvd,
     Uniqueness,
     hs_norm,
-    nullspace,
     numerical_rank,
     pinv,
     proj_kernel_perp,

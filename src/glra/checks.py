@@ -36,7 +36,9 @@ SUITE_NAMES = ("mp", "svd", "glra", "seq", "rrr")
 # matrix, written out so that the library's DEFAULT_TOL cannot move it.
 ORACLE_RANK_REL = 1e-12
 # The oracle stops a restart once its objective moves by at most
-# 1e-13 * (objective + eps * max(M.shape)) in units of ||M||.
+# 1e-13 * objective + eps * max(M.shape) in units of ||M||: the additive
+# floor is the rounding of one objective evaluation, so an exact fit,
+# whose objective is rounding noise, stops as soon as the noise settles.
 ORACLE_STOP_REL = 1e-13
 
 
@@ -121,7 +123,7 @@ def als_oracle(
     random initialisations (U_0, V_0, U_1, V_1, ... drawn in that order),
     all run at once as one stack.  It runs on M / ||M||, so the result is
     degree 1 in M; a restart stops, frozen, once its objective moves by at
-    most ORACLE_STOP_REL * (objective + eps * max(M.shape)) there, or after
+    most ORACLE_STOP_REL * objective + eps * max(M.shape) there, or after
     ``iters`` steps.  Deterministic for a fixed seed.
     """
     if restarts < 1 or iters < 1:
@@ -150,7 +152,7 @@ def als_oracle(
         cur = np.linalg.norm(m - lhs @ vt @ p.c, axis=(-2, -1))
         v[active] = np.swapaxes(vt, -1, -2)
         obj[active] = cur
-        done = np.abs(prev[active] - cur) <= ORACLE_STOP_REL * (cur + floor)
+        done = np.abs(prev[active] - cur) <= ORACLE_STOP_REL * cur + floor
         prev[active] = cur
         active = active[~done]
         if not active.size:
@@ -412,7 +414,7 @@ def check_rrr(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
         contain.record(model.fit_report.containment_residual, check_bound(dim, 1.0))
         prob = regression._transposed_problem(
             cov, r, np.eye(dim_f), np.eye(dim_f), np.eye(dim_g), tol
-        )
+        )[0]
         oracle_obj = als_oracle(prob, restarts=6, iters=80, seed=seed + k)
         c_half_norm = hs_norm(c_x_half)
         const = c_half_norm**2 - hs_norm(prob.m) ** 2

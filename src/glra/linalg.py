@@ -28,7 +28,6 @@ __all__ = [
     "as_matrix",
     "check_bound",
     "hs_norm",
-    "nullspace",
     "numerical_rank",
     "pinv",
     "proj_kernel_perp",
@@ -221,15 +220,6 @@ def _pinv(f: SvdFactors) -> np.ndarray:
     return (f.v / f.sigma) @ f.u.T
 
 
-def nullspace(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of ker(A), as columns (n x dim; n x 0 if trivial)."""
-    arr = as_matrix(a)
-    # only a wide matrix needs the full V to reach its kernel; a tall one
-    # would also get an m x m U that is thrown away
-    _, s, vh = np.linalg.svd(arr, full_matrices=arr.shape[0] < arr.shape[1])
-    return vh[_rank(s, arr.shape, tol):].T
-
-
 def proj_range(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto ran(A); equals A A^+ in exact arithmetic."""
     u = rank_factors(a, tol).u
@@ -280,6 +270,21 @@ def _truncate(
     )
 
 
+def _diagonal_factors(d: np.ndarray, tol: Tolerances) -> SvdFactors:
+    """rank_factors(np.diag(d), tol) for a positive, nonincreasing d, without an SVD.
+
+    The singular vectors of such a diagonal are the coordinate axes and its
+    singular values are d, cut at the same numerical rank.  For d = 1 (the
+    identity) and for a d whose head is 1, such as the unboundedness
+    construction's gamma, LAPACK returns exactly these factors, so nothing
+    downstream changes a bit.  U and V are one array.
+    """
+    n = d.size
+    k = _rank(d, (n, n), tol)
+    axes = np.eye(n)[:, :k]
+    return SvdFactors(u=axes, sigma=d[:k], v=axes)
+
+
 def psd_sqrt(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Symmetric PSD square root S with S S = A.
 
@@ -292,6 +297,19 @@ def psd_sqrt(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     which grows with the sample count that A does not carry, so the
     negative side is a rank decision, not a check_bound test.
     """
+    s = _psd_factors(a, tol)[0].reconstruct()
+    return (s + s.T) / 2.0
+
+
+def _psd_factors(a, tol: Tolerances) -> tuple[SvdFactors, np.ndarray]:
+    """One eigendecomposition of a PSD A: the rank-cut factors of A^(1/2) and ker(A).
+
+    The factors are (Q_k, sqrt(lambda_k), Q_k) in descending order, U and V
+    the same columns, so A^(1/2) is their reconstruction and its
+    pseudo-inverse is _pinv of them; the remaining eigenvectors Q_{k:}
+    are an orthonormal basis of ker(A) (n x 0 if trivial).  The rank and
+    the domain checks are psd_sqrt's.
+    """
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
         raise DomainError(f"psd_sqrt needs a square matrix, got {arr.shape}")
@@ -303,9 +321,9 @@ def psd_sqrt(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     cutoff = tol.rank_rel * max(-low, float(evals[-1])) * arr.shape[0]
     if low < -cutoff:
         raise DomainError(f"matrix is not positive semidefinite: eigenvalue {low:.6e}")
-    evals = np.where(evals > cutoff, evals, 0.0)
-    s = (q * np.sqrt(evals)) @ q.T
-    return (s + s.T) / 2.0
+    evals, q = evals[::-1], q[:, ::-1]
+    k = int(np.count_nonzero(evals > cutoff))
+    return SvdFactors(u=q[:, :k], sigma=np.sqrt(evals[:k]), v=q[:, :k]), q[:, k:]
 
 
 def hs_norm(a) -> float:

@@ -6,31 +6,37 @@ rewrites the objective through uncentered covariances as a constant plus
 ||M - B A^T C||_HS^2 with B = C_y^(1/2) W_y^T, C = W_A^T and
 M = (C_y^(1/2))^+ C_yx W_x^T, and solves that transposed problem in
 closed form; this route is the one that yields bounded finite-rank
-solutions.  The returned minimiser annihilates ker(C_y) (maximal-kernel
-property) in the identity-weight case.
+solutions.  C_y is factorised once per call: one eigendecomposition gives
+C_y^(1/2), its pseudo-inverse and, with identity weights, the factors of
+B, so the solve itself only takes the SVD of its core.  The returned
+minimiser annihilates ker(C_y) (maximal-kernel property) in the
+identity-weight case; the maximal-kernel check takes ker(C_y) from the
+same eigendecomposition, so it sees the rank the fit used.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
     InputError,
+    SvdFactors,
     Tolerances,
     Uniqueness,
     _check_rank_bound,
+    _diagonal_factors,
+    _pinv,
+    _psd_factors,
     as_matrix,
     check_bound,
     hs_norm,
-    nullspace,
-    pinv,
     psd_sqrt,
 )
-from .solver import GlraProblem, _reduce, _solution
+from .solver import GlraProblem, _reduce, _solution, _truncate_core
 
 __all__ = [
     "CovarianceBundle",
@@ -153,12 +159,15 @@ def _transposed_problem(
     w_a: np.ndarray,
     w_y: np.ndarray,
     tol: Tolerances,
-) -> GlraProblem:
-    c_y_half = psd_sqrt(cov.c_y, tol)
-    b_op = c_y_half @ w_y.T
-    c_op = w_a.T
-    m_op = pinv(c_y_half, tol) @ cov.c_yx @ w_x.T
-    return GlraProblem(m=m_op, b=b_op, c=c_op, r=r)
+) -> tuple[GlraProblem, SvdFactors]:
+    """The transposed problem (M, B, C, r) and the rank-cut factors of C_y^(1/2).
+
+    C_y^(1/2) and its pseudo-inverse both come from the one
+    eigendecomposition of C_y.
+    """
+    half = _psd_factors(cov.c_y, tol)[0]
+    m_op = _pinv(half) @ cov.c_yx @ w_x.T
+    return GlraProblem(m=m_op, b=half.reconstruct() @ w_y.T, c=w_a.T, r=r), half
 
 
 def fit(
@@ -174,8 +183,13 @@ def fit(
     """
     _check_rank_bound(r)
     w_x, w_a, w_y = _weight_triplet(cov.c_x.shape[0], cov.c_y.shape[0], weights)
-    prob = _transposed_problem(cov, r, w_x, w_a, w_y, tol)
-    fb, fc, _, t = _reduce(prob, tol)
+    prob, half = _transposed_problem(cov, r, w_x, w_a, w_y, tol)
+    if weights is None:
+        # B = C_y^(1/2) and C = I come with their factors
+        fb, fc = half, _diagonal_factors(np.ones(w_a.shape[0]), tol)
+        t = _truncate_core(prob, fb, fc, tol)[1]
+    else:
+        fb, fc, _, t = _reduce(prob, tol)
     sol = _solution(prob, fb, fc, t)
     a_hat = sol.x_hat.T
     u_r = sol.truncation.factors.u[:, : sol.truncation.effective_count]
@@ -229,9 +243,8 @@ def mse_via_residual(
 ) -> float:
     """Same quantity as mse_trace, via c + ||M - B A^T C||_HS^2."""
     w_x, w_a, w_y = _weight_triplet(cov.c_x.shape[0], cov.c_y.shape[0], model.weights)
-    prob = _transposed_problem(cov, model.r, w_x, w_a, w_y, tol)
-    c_x_half = psd_sqrt(cov.c_x, tol)
-    const = hs_norm(w_x @ c_x_half) ** 2 - hs_norm(prob.m) ** 2
+    prob = _transposed_problem(cov, model.r, w_x, w_a, w_y, tol)[0]
+    const = hs_norm(w_x @ psd_sqrt(cov.c_x, tol)) ** 2 - hs_norm(prob.m) ** 2
     return const + hs_norm(prob.m - prob.b @ model.a_hat.T @ prob.c) ** 2
 
 
@@ -276,9 +289,9 @@ def maximal_kernel_check(
         raise InputError("the maximal-kernel check applies to identity-weight models")
     if trials < 0:
         raise InputError(f"trials must be >= 0, got {trials}")
-    kernel = nullspace(cov.c_y, tol)
-    dim_x, dim_y = cov.c_x.shape[0], cov.c_y.shape[0]
-    k_dim = kernel.shape[1]
+    kernel = _psd_factors(cov.c_y, tol)[1]
+    dim_x = cov.c_x.shape[0]
+    dim_y, k_dim = kernel.shape
     annihilation = hs_norm(model.a_hat @ kernel) if k_dim else 0.0
     base = mse_trace(model, cov)
     c_x_norm = hs_norm(cov.c_x)
@@ -290,12 +303,7 @@ def maximal_kernel_check(
     for _ in range(trials):
         t_mat = rng.standard_normal((dim_y, dim_x))
         pert = (t_mat.T @ kernel) @ kernel.T
-        perturbed = RrrModel(
-            a_hat=model.a_hat + pert,
-            r=model.r,
-            weights=None,
-            fit_report=model.fit_report,
-        )
+        perturbed = replace(model, a_hat=model.a_hat + pert)
         a_norm = hs_norm(perturbed.a_hat)
         dev = abs(mse_trace(perturbed, cov) - base)
         max_dev = max(max_dev, dev)

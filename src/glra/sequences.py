@@ -23,7 +23,7 @@ from .linalg import (
     SvdFactors,
     Tolerances,
     _check_rank_bound,
-    _rank,
+    _diagonal_factors,
     as_matrix,
     check_bound,
     hs_norm,
@@ -186,21 +186,6 @@ class UnboundednessSweep:
     tie: bool
     w_norms: dict[int, float]
     lower_bounds: dict[int, float]
-
-
-def _diagonal_factors(d: np.ndarray, tol: Tolerances) -> SvdFactors:
-    """rank_factors(np.diag(d), tol) for a positive, nonincreasing d, without an SVD.
-
-    The singular vectors of such a diagonal are the coordinate axes and its
-    singular values are d, cut at the same numerical rank.  For d = 1 (the
-    identity) and for the construction's gamma, whose head is 1, LAPACK
-    returns exactly these factors, so nothing downstream changes a bit.
-    U and V are one array.
-    """
-    n = d.size
-    k = _rank(d, (n, n), tol)
-    axes = np.eye(n)[:, :k]
-    return SvdFactors(u=axes, sigma=d[:k], v=axes)
 
 
 def _pinv_row(fc: SvdFactors, f: np.ndarray) -> np.ndarray:

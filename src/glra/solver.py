@@ -165,21 +165,31 @@ def _minimiser(fb: SvdFactors, fc: SvdFactors, f: SvdFactors) -> np.ndarray:
     return x_hat
 
 
+def _delta(t: TruncatedSvd) -> float:
+    """The sum of the truncation's squared singular values, ||(G)_r||_HS^2.
+
+    An overflow is left to _require_finite to report as NumericalError, so
+    numpy prints no warning for it.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.sum(t.factors.sigma**2))
+
+
 def _solution(
     p: GlraProblem, fb: SvdFactors, fc: SvdFactors, t: TruncatedSvd
 ) -> GlraSolution:
     """The GlraSolution of p from the factors that _reduce returned."""
     x_hat = _minimiser(fb, fc, t.factors)
-    sol = GlraSolution(
+    delta = _delta(t)
+    _require_finite(delta=delta)
+    return GlraSolution(
         x_hat=x_hat,
         objective=objective(p, x_hat),
-        delta=float(np.sum(t.factors.sigma**2)),
+        delta=delta,
         uniqueness=t.uniqueness,
         minimality_defect=hs_norm(x_hat - _minimal_part(x_hat, fb.v, fc.u)),
         truncation=_lift(fb, fc, t),
     )
-    _require_finite(delta=sol.delta)
-    return sol
 
 
 def solve(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> GlraSolution:
@@ -195,15 +205,17 @@ def solve(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> GlraSolution:
 def objective(p: GlraProblem, x) -> float:
     """||M - B X C||_HS for a candidate X of shape p x q.
 
-    Raises NumericalError when B X C overflows: the inputs were finite, so
-    this is a numerical failure, not bad input.
+    Raises NumericalError when B X C or the residual overflows: the inputs
+    were finite, so this is a numerical failure, not bad input.  A finite
+    residual whose squares overflow still has its norm (see hs_norm).
     """
     xa = as_matrix(x, "X")
     if xa.shape != p.x_shape:
         raise InputError(f"X must have shape {p.x_shape}, got {xa.shape}")
     # an overflow is reported below as NumericalError, not as numpy's warning
     with np.errstate(over="ignore", under="ignore"):
-        value = float(np.linalg.norm(p.m - p.b @ xa @ p.c))
+        residual = p.m - p.b @ xa @ p.c
+    value = hs_norm(residual) if np.all(np.isfinite(residual)) else np.inf
     _require_finite(objective=value)
     return value
 
@@ -274,7 +286,7 @@ def optimal_error(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> OptimalError
     is nearly exact.
     """
     fb, fc, core, t = _reduce(p, tol)
-    delta = float(np.sum(t.factors.sigma**2))
+    delta = _delta(t)
     error = hs_norm(p.m - _lift(fb, fc, t).matrix())
     _require_finite(error=error, delta=delta)
     gram = core @ core.T

@@ -52,6 +52,20 @@ def svd_calls(monkeypatch):
 
 
 @pytest.fixture
+def eigh_calls(monkeypatch):
+    """Record the shape of every numpy.linalg.eigh call."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return calls
+
+
+@pytest.fixture
 def no_projectors(monkeypatch):
     """Make every glra module's dense projectors raise when called."""
 

@@ -263,7 +263,7 @@ def test_08_regression_identities():
         )
         prob = regression._transposed_problem(
             cov, r, np.eye(dim_f), np.eye(dim_f), np.eye(dim_g), DEFAULT_TOL
-        )
+        )[0]
         oracle = als_oracle(prob, restarts=20, iters=200, seed=800 + k)
         const = hs_norm(psd_sqrt(cov.c_x)) ** 2 - hs_norm(prob.m) ** 2
         worst_gap = max(

@@ -194,6 +194,18 @@ class TestPsdSqrt:
         s = psd_sqrt(gram)
         assert numerical_rank(s) == numerical_rank(gram) == 2
 
+    def test_factors_split_range_and_kernel(self):
+        g = rng(8).standard_normal((5, 2))
+        gram = g @ g.T
+        f, kernel = linalg._psd_factors(gram, linalg.DEFAULT_TOL)
+        assert f.sigma.size == 2 and kernel.shape == (5, 3)
+        assert np.all(np.diff(f.sigma) <= 0.0)
+        basis = np.hstack([f.u, kernel])
+        assert hs_norm(basis.T @ basis - np.eye(5)) < ATOL
+        assert hs_norm(gram @ kernel) < ATOL
+        np.testing.assert_allclose(f.reconstruct() @ f.reconstruct(), gram, atol=ATOL)
+        assert hs_norm(linalg._pinv(f) - pinv(psd_sqrt(gram))) < ATOL
+
 
 class TestHsOps:
     def test_identity_norm(self):

@@ -10,9 +10,11 @@ from glra.linalg import (
     proj_kernel_perp,
     proj_range,
     psd_sqrt,
+    rank_factors,
     truncated_svd,
 )
 from glra.regression import (
+    CovarianceBundle,
     RrrModel,
     SampleSet,
     empirical_covariances,
@@ -123,15 +125,21 @@ class TestFit:
         model = fit(cov, r=1)
         prob = regression._transposed_problem(
             cov, 1, np.eye(3), np.eye(3), np.eye(4), DEFAULT_TOL
-        )
+        )[0]
         oracle = als_oracle(prob, restarts=20, iters=200, seed=8)
         const = hs_norm(psd_sqrt(cov.c_x)) ** 2 - hs_norm(prob.m) ** 2
         assert model.fit_report.objective_mse <= const + oracle**2 + 1e-6
 
-    def test_fit_makes_four_svds(self, svd_calls):
-        # B, C and the core of the solve; pinv of C_y^(1/2). B is factorised once
-        fit(empirical_covariances(gaussian_samples(19, count=60, dim_f=3, dim_g=4)), r=2)
-        assert len(svd_calls) == 4
+    @pytest.mark.parametrize("weighted, svds", [(False, 1), (True, 3)], ids=["identity", "weighted"])
+    def test_fit_factor_counts(self, svd_calls, eigh_calls, weighted, svds):
+        # one eigh of C_y gives C_y^(1/2), its pseudo-inverse and, with identity
+        # weights, B's factors, so only the core is an SVD; weighted B and C are new
+        cov = empirical_covariances(gaussian_samples(19, count=60, dim_f=3, dim_g=4))
+        g = np.random.default_rng(20)
+        weights = tuple(g.standard_normal((d, d)) for d in (3, 3, 4)) if weighted else None
+        fit(cov, r=2, weights=weights)
+        assert len(eigh_calls) == 1
+        assert len(svd_calls) == svds
 
     def test_uniqueness_reported(self):
         cov = empirical_covariances(gaussian_samples(9))
@@ -272,6 +280,28 @@ class TestMaximalKernel:
         assert report.annihilation_residual < ATOL
         assert report.max_mse_deviation < ATOL
         assert report.min_shrink_norm > ATOL
+
+    def test_check_makes_one_eigh_and_no_svd(self, svd_calls, eigh_calls):
+        cov = empirical_covariances(gaussian_samples(23, deficient_y=True))
+        model = fit(cov, r=2)
+        svd_calls.clear()
+        eigh_calls.clear()
+        maximal_kernel_check(model, cov, trials=3, seed=1)
+        assert len(eigh_calls) == 1
+        assert not svd_calls
+
+    def test_kernel_and_fit_make_one_rank_decision(self):
+        # lambda_4 sits at the rank cutoff 5e-12 * lambda_1, where an eigen cut
+        # and an SVD cut of C_y can disagree
+        g = np.random.default_rng(4)
+        q = np.linalg.qr(g.standard_normal((5, 5)))[0]
+        lam = np.array([1.0, 0.7, 0.3, 5e-12 * (1.0 + g.uniform(-3e-4, 3e-4)), 0.0])
+        a = g.standard_normal((3, 5))
+        c_y = q @ np.diag(lam) @ q.T
+        c_y = (c_y + c_y.T) / 2.0
+        cov = CovarianceBundle(c_x=a @ c_y @ a.T + np.eye(3), c_y=c_y, c_xy=a @ c_y)
+        report = maximal_kernel_check(fit(cov, 2), cov, trials=0)
+        assert report.kernel_dim + rank_factors(psd_sqrt(cov.c_y)).sigma.size == 5
 
     def test_rejects_weighted_models(self):
         cov = empirical_covariances(gaussian_samples(24, dim_f=3, dim_g=3))

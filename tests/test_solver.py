@@ -445,6 +445,17 @@ class TestOverflow:
             with pytest.raises(NumericalError, match="objective"):
                 objective(p, np.eye(2))
 
+    def test_objective_of_representable_residual(self):
+        # the squares of the residual's entries overflow, its norm 3e300 does not
+        p = GlraProblem(m=1e300 * np.ones((3, 3)), b=np.eye(3), c=np.eye(3), r=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert objective(p, np.zeros((3, 3))) == pytest.approx(3e300, rel=1e-15)
+            # solve still raises: delta, the sum of the squared singular values, overflows
+            for func in (solve, optimal_error):
+                with pytest.raises(NumericalError, match="delta"):
+                    func(p)
+
     # S_B^-1 Sigma_K = 1e350 would overflow, but the minimiser 1e150 I is finite
     TINY_B_HUGE_C = (1e150 * np.eye(2), 1e-200 * np.eye(2), 1e200 * np.eye(2))
 
