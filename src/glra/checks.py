@@ -314,25 +314,18 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
         # the probe columns of x_hat carry C^+ applied to M
         growth.record(worst, check_bound(n, hs_norm(inst.problem.m) * hs_norm(c_pinv)))
         chain = sequences.nested_chain(inst.problem.c, steps=3, seed=seed + k, tol=tol)
-        steps = sequences.outer_inverse_chain(inst.problem.c, chain, tol)
-        for st in steps:
-            # C# is degree -1 in C, formed by a solve whose error grows with ||C|| ||C#||
-            sharp_scale = hs_norm(st.c_sharp) ** 2 * c_norm
-            outer.record(
-                hs_norm(st.c_sharp @ inst.problem.c @ st.c_sharp - st.c_sharp),
-                check_bound(n, sharp_scale),
-            )
-            q_n = st.x_basis @ st.x_basis.T
-            agrees.record(hs_norm(st.c_sharp - q_n @ c_pinv), check_bound(n, sharp_scale))
         bounded = sequences.bounded_approximation_sequence(inst.problem, chain, tol)
-        tails = [st.tail_error for st in bounded.steps]
-        tail_mono.record(
-            max((later - earlier for earlier, later in zip(tails, tails[1:])), default=0.0),
-            check_bound(n, bounded.solution.delta),
-        )
         g_r = bounded.solution.truncation.matrix()
         for st in bounded.steps:
-            q_n = st.x_basis @ st.x_basis.T
+            c_sharp = st.outer.c_sharp
+            # C# is degree -1 in C, formed by a solve whose error grows with ||C|| ||C#||
+            sharp_scale = hs_norm(c_sharp) ** 2 * c_norm
+            outer.record(
+                hs_norm(c_sharp @ inst.problem.c @ c_sharp - c_sharp),
+                check_bound(n, sharp_scale),
+            )
+            q_n = st.outer.x_basis @ st.outer.x_basis.T
+            agrees.record(hs_norm(c_sharp - q_n @ c_pinv), check_bound(n, sharp_scale))
             x_norm = hs_norm(st.x)
             bxc_ident.record(
                 hs_norm(inst.problem.b @ st.x @ inst.problem.c - g_r @ q_n),
@@ -342,6 +335,11 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
                 solver.minimality_defect(st.x, inst.problem.b, inst.problem.c, tol),
                 check_bound(n, x_norm),
             )
+        tails = [st.tail_error for st in bounded.steps]
+        tail_mono.record(
+            max((later - earlier for earlier, later in zip(tails, tails[1:])), default=0.0),
+            check_bound(n, bounded.solution.delta),
+        )
         sol = bounded.solution
         t = rng.standard_normal(inst.problem.x_shape)
         s = rng.standard_normal(inst.problem.x_shape)

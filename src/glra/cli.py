@@ -27,6 +27,7 @@ from .linalg import (
     InputError,
     NumericalError,
     Tolerances,
+    _check_rank_bound,
     check_bound,
     hs_norm,
 )
@@ -54,6 +55,8 @@ def _number_list(text: str, kind: type = int) -> list:
 
 
 def _load_problem(args: argparse.Namespace) -> solver.GlraProblem:
+    # a bad rank bound is no fault of the files, so it is judged before them
+    _check_rank_bound(args.rank)
     m = read_matrix(args.M)
     b = read_matrix(args.B)
     c = read_matrix(args.C)
@@ -103,7 +106,6 @@ def cmd_demo_unbounded(args: argparse.Namespace, tol: Tolerances) -> Result:
         mu_head=tuple(_number_list(args.mu, float)),
         mu_tail_exponent=args.mu_tail_exp,
         n=max(n_values),
-        r=args.rank,
     )
     sweep = sequences.unboundedness_sweep(spec, n_values, probes, tol)
     _write_sweep(args.out, sweep.rows)
@@ -119,7 +121,6 @@ def cmd_demo_unbounded(args: argparse.Namespace, tol: Tolerances) -> Result:
             "alpha_exp": args.alpha_exp,
             "mu": args.mu,
             "mu_tail_exp": args.mu_tail_exp,
-            "rank": args.rank,
             "probes": probes,
         },
         {
@@ -159,12 +160,13 @@ def cmd_outer_approx(args: argparse.Namespace, tol: Tolerances) -> Result:
     result = sequences.bounded_approximation_sequence(problem, chain, tol)
     rows = []
     alt_tails = []
-    g_r = result.solution.truncation.matrix()
+    if args.alternative:
+        g_r = result.solution.truncation.matrix()
     for i, step in enumerate(result.steps):
         c_sharp = step.outer.c_sharp
         row = [
             float(i + 1),
-            float(step.x_basis.shape[1]),
+            float(step.outer.x_basis.shape[1]),
             step.tail_error,
             hs_norm(c_sharp @ problem.c @ c_sharp - c_sharp),
         ]
@@ -279,7 +281,10 @@ def cmd_check(args: argparse.Namespace, tol: Tolerances) -> Result:
     passed = report.passed
     if args.fixture:
         a = read_matrix(os.path.join(args.fixture, "a.csv"))
-        a_pinv = read_matrix(os.path.join(args.fixture, "a_pinv.csv"))
+        pinv_path = os.path.join(args.fixture, "a_pinv.csv")
+        a_pinv = read_matrix(pinv_path)
+        if a_pinv.shape != a.T.shape:
+            raise InputError(f"{pinv_path} is {a_pinv.shape}, expected A^T's shape {a.T.shape}")
         fixture_result = checks.check_fixture_pair(a, a_pinv)
         suites_doc["fixture"] = [_invariant_doc(fixture_result)]
         passed = passed and fixture_result.failures == 0
@@ -340,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--alpha-exp", type=float, default=1.0)
     p_demo.add_argument("--mu", default="1,0.5", help="leading spectrum values of the target")
     p_demo.add_argument("--mu-tail-exp", type=float, default=1.0)
-    p_demo.add_argument("--rank", type=int, default=1)
     p_demo.add_argument("--probes", default="10,50,100", help="probe column indices")
     p_demo.add_argument("--out", default="sweep.csv", help="sweep table CSV (N,m,norm,predicted)")
     _add_common(p_demo)

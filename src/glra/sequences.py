@@ -13,6 +13,7 @@ as divergence of probe norms under a stated law, never as a boolean.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -197,6 +198,15 @@ def _pinv_row(fc: SvdFactors, f: np.ndarray) -> np.ndarray:
     return (f @ (fc.v / fc.sigma)) @ fc.u.T
 
 
+def _probe_rows(
+    n: int, probes: list[int], x: np.ndarray, predicted: Callable[[int], float]
+) -> list[SweepRow]:
+    """The rows ||X e_m|| of the probe columns m of X at dimension n, against the law."""
+    return [
+        SweepRow(n, m, float(np.linalg.norm(x[:, m - 1])), float(predicted(m))) for m in probes
+    ]
+
+
 def unboundedness_sweep(
     spec: SequenceSpec,
     n_values: list[int],
@@ -246,32 +256,21 @@ def unboundedness_sweep(
                     f"solver minimiser deviates from assembled form by {residual:.3e}"
                 )
             x_a = x_hat
-        for m in live_probes:
-            predicted = 0.0 if m == 1 else inst.mu[0] * inst.alpha[m - 1] / w_norm
-            rows.append(
-                SweepRow(
-                    n=n,
-                    m=m,
-                    norm=float(np.linalg.norm(x_a[:, m - 1])),
-                    predicted_norm=float(predicted),
-                )
-            )
+        rows += _probe_rows(
+            n,
+            live_probes,
+            x_a,
+            lambda m: 0.0 if m == 1 else inst.mu[0] * inst.alpha[m - 1] / w_norm,
+        )
         if tie:
             f2 = inst.f_basis[:, 1]
             x_b = inst.mu[1] * np.outer(f2, _pinv_row(fc, f2))
-            for m in live_probes:
-                predicted = inst.mu[1] / inst.gamma[0] if m == 1 else 0.0
-                bounded_rows.append(
-                    SweepRow(
-                        n=n,
-                        m=m,
-                        norm=float(np.linalg.norm(x_b[:, m - 1])),
-                        predicted_norm=float(predicted),
-                    )
-                )
+            bounded_rows += _probe_rows(
+                n, live_probes, x_b, lambda m: inst.mu[1] / inst.gamma[0] if m == 1 else 0.0
+            )
         # the truncation mu_1 f1 f1^T has the kernel of its row factor mu_1 f1^T
         z = inst.mu[0] * f1[None, :]
-        lower_bounds[n] = _lower_bound(fc, z, n, tol).constant
+        lower_bounds[n] = _lower_bound(fc, z, tol).constant
     return UnboundednessSweep(
         rows=rows,
         bounded_rows=bounded_rows,
@@ -321,13 +320,11 @@ def approximate_minimizers(
     f_vecs = tsvd.factors.u[:, :k]
     e_vecs = tsvd.factors.v[:, :k]
     rng = np.random.default_rng(seed)
+    # a Gaussian projected onto ran(B) != {0} is nonzero with probability 1
     cols = []
     for _ in range(k):
-        norm = 0.0
-        while norm <= tol.rank_rel:
-            d = fb.u @ (fb.u.T @ rng.standard_normal(p.m.shape[0]))
-            norm = np.linalg.norm(d)
-        cols.append(d / norm)
+        d = fb.u @ (fb.u.T @ rng.standard_normal(p.m.shape[0]))
+        cols.append(d / np.linalg.norm(d))
     directions = np.column_stack(cols) if cols else np.zeros((p.m.shape[0], 0))
     core = SvdFactors(u=t.factors.u[:, :k], sigma=lambdas, v=t.factors.v[:, :k])
     x_0 = _minimiser(fb, fc, core)
@@ -360,17 +357,18 @@ class SubspaceChain:
             raise InputError("a subspace chain needs at least one step")
 
 
-def _validate_chain(chain: SubspaceChain, c: np.ndarray, fc: SvdFactors) -> None:
-    # fc are the rank-cut factors of c
+def _validate_chain(chain: SubspaceChain, fc: SvdFactors) -> None:
+    # fc are the rank-cut factors of C, whose rows live in R^dim
+    dim = fc.u.shape[0]
     prev: np.ndarray | None = None
     for i, y in enumerate(chain.bases):
         ya = as_matrix(y, f"chain step {i + 1}")
-        if ya.shape[0] != c.shape[0]:
+        if ya.shape[0] != dim:
             raise InputError(
-                f"chain step {i + 1} lives in dimension {ya.shape[0]}, expected {c.shape[0]}"
+                f"chain step {i + 1} lives in dimension {ya.shape[0]}, expected {dim}"
             )
         # columns of unit norm, so orthonormality and nesting have unit scale
-        if np.max(np.abs(ya.T @ ya - np.eye(ya.shape[1]))) > check_bound(c.shape[0], 1.0):
+        if np.max(np.abs(ya.T @ ya - np.eye(ya.shape[1]))) > check_bound(dim, 1.0):
             raise InputError(f"chain step {i + 1} columns are not orthonormal")
         # the k-th direction of ran(C) is known to the angle eps ||C|| / sigma_k,
         # which a step weights by its coefficients in C^+ Y; the scale has
@@ -380,10 +378,10 @@ def _validate_chain(chain: SubspaceChain, c: np.ndarray, fc: SvdFactors) -> None
         rel = fc.sigma / fc.sigma[0] if fc.sigma.size else fc.sigma
         escape_scale = np.linalg.norm(rel) * np.linalg.norm(coef / rel[:, None])
         # "not <=" also rejects a NaN
-        if not np.max(np.abs(ya - fc.u @ coef)) <= check_bound(c.shape[0], escape_scale):
+        if not np.max(np.abs(ya - fc.u @ coef)) <= check_bound(dim, escape_scale):
             raise InputError(f"chain step {i + 1} escapes ran(C)")
         if prev is not None:
-            if np.max(np.abs(prev - ya @ (ya.T @ prev))) > check_bound(c.shape[0], 1.0):
+            if np.max(np.abs(prev - ya @ (ya.T @ prev))) > check_bound(dim, 1.0):
                 raise InputError(f"chain step {i + 1} does not contain step {i}")
         prev = ya
 
@@ -406,8 +404,12 @@ def nested_chain(c, steps: int, seed: int = 0, tol: Tolerances = DEFAULT_TOL) ->
     return SubspaceChain(bases=tuple(mixed[:, :cut] for cut in cuts))
 
 
-def canonical_chain(c, counts: list[int], tol: Tolerances = DEFAULT_TOL) -> SubspaceChain:
-    """Chain of spans of leading canonical basis vectors (diagonal-C instances)."""
+def canonical_chain(c, counts: list[int]) -> SubspaceChain:
+    """Chain of spans of leading canonical basis vectors (diagonal-C instances).
+
+    Only C's row count is read: the chain is checked against C where it
+    is used (outer_inverse_chain, bounded_approximation_sequence).
+    """
     n_rows = as_matrix(c, "C").shape[0]
     eye = np.eye(n_rows)
     bases = []
@@ -415,10 +417,7 @@ def canonical_chain(c, counts: list[int], tol: Tolerances = DEFAULT_TOL) -> Subs
         if not 1 <= k <= n_rows:
             raise InputError(f"chain size {k} out of range 1..{n_rows}")
         bases.append(eye[:, :k].copy())
-    chain = SubspaceChain(bases=tuple(bases))
-    ca = as_matrix(c, "C")
-    _validate_chain(chain, ca, rank_factors(ca, tol))
-    return chain
+    return SubspaceChain(bases=tuple(bases))
 
 
 @dataclass(frozen=True)
@@ -447,7 +446,7 @@ def _outer_inverse_chain(
     ca: np.ndarray, fc: SvdFactors, chain: SubspaceChain, tol: Tolerances
 ) -> list[OuterInverseStep]:
     # outer_inverse_chain with C validated and factorised by the caller
-    _validate_chain(chain, ca, fc)
+    _validate_chain(chain, fc)
     steps: list[OuterInverseStep] = []
     for y in chain.bases:
         x_basis = rank_factors(ca.T @ y, tol).u
@@ -468,10 +467,6 @@ class BoundedApproxStep:
     x: np.ndarray
     tail_error: float
     outer: OuterInverseStep
-
-    @property
-    def x_basis(self) -> np.ndarray:
-        return self.outer.x_basis
 
 
 @dataclass(frozen=True)
@@ -528,10 +523,10 @@ def lower_bound_constant(c, z, tol: Tolerances = DEFAULT_TOL) -> LowerBoundResul
         raise InputError(
             f"Z must act on C's domain: expected {ca.shape[1]} columns, got {za.shape[1]}"
         )
-    return _lower_bound(rank_factors(ca, tol), za, ca.shape[1], tol)
+    return _lower_bound(rank_factors(ca, tol), za, tol)
 
 
-def _lower_bound(fc: SvdFactors, z: np.ndarray, n: int, tol: Tolerances) -> LowerBoundResult:
+def _lower_bound(fc: SvdFactors, z: np.ndarray, tol: Tolerances) -> LowerBoundResult:
     """lower_bound_constant from the rank-cut factors of C, whose domain is R^n.
 
     With V_C the basis of ker(C)-perp and R one of ker(Z)-perp, the
@@ -545,7 +540,7 @@ def _lower_bound(fc: SvdFactors, z: np.ndarray, n: int, tol: Tolerances) -> Lowe
     """
     sines = rank_factors(z, tol).v.T @ fc.v
     _, s, vh = np.linalg.svd(sines, full_matrices=sines.shape[0] < sines.shape[1])
-    y = vh[np.count_nonzero(s > tol.rank_rel * n):].T
+    y = vh[np.count_nonzero(s > tol.rank_rel * fc.v.shape[0]):].T
     if y.shape[1] == 0:
         return LowerBoundResult(constant=0.0, subspace_dim=0)
     s = np.linalg.svd(fc.sigma[:, None] * y, compute_uv=False)

@@ -188,7 +188,7 @@ def test_06_outer_inverse_convergence():
     pk = proj_kernel_perp(inst.problem.c)
     worst_tail_identity = 0.0
     for st in res.steps:
-        q = st.x_basis @ st.x_basis.T
+        q = st.outer.x_basis @ st.outer.x_basis.T
         evals, evecs = np.linalg.eigh(pk - q)
         tail_basis = evecs[:, evals > 0.5]
         tail_sum = float(

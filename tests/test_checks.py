@@ -148,3 +148,8 @@ class TestAlsOracle:
 def test_run_suites_rejects_no_trials(trials):
     with pytest.raises(InputError):
         checks.run_suites(["mp"], trials=trials, seed=0)
+
+
+def test_unknown_suite_rejected():
+    with pytest.raises(InputError, match="unknown suite 'nope'"):
+        checks.run_suites(["nope"], trials=1, seed=0)

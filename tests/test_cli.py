@@ -83,6 +83,10 @@ class TestMatrixRoundTrip:
         with pytest.raises(InputError, match=r"bad\.csv:2: .*'3,oops'"):
             read_matrix(str(path))
 
+    def test_missing_file_names_path(self, tmp_path):
+        with pytest.raises(InputError, match="absent.csv"):
+            read_matrix(str(tmp_path / "absent.csv"))
+
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         # the line number is the file's own, blank lines counted
@@ -200,6 +204,25 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert "badB.csv" in captured.err
+
+    @pytest.mark.parametrize("command", ["solve", "error", "outer-approx"])
+    def test_bad_rank_is_judged_before_the_files(self, capsys, fixture_files, command):
+        argv = [command, "--rank", "0"]
+        for name in ("M", "B", "C"):
+            argv += [f"--{name}", fixture_files[name]]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "rank bound must be >= 1, got 0" in err
+        assert "incompatible" not in err and fixture_files["M"] not in err
+
+    def test_shape_error_names_the_three_files(self, capsys, tmp_path, fixture_files):
+        write_matrix(str(tmp_path / "badB.csv"), np.eye(3))
+        argv = ["error", "--rank", "1", "--B", str(tmp_path / "badB.csv")]
+        argv += ["--M", fixture_files["M"], "--C", fixture_files["C"]]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "B has 3 rows but M has 2" in err
+        assert all(path in err for path in (fixture_files["M"], "badB.csv", fixture_files["C"]))
 
     def test_parse_error_exit_code(self, capsys, tmp_path, fixture_files):
         bad = tmp_path / "bad.csv"
@@ -416,6 +439,7 @@ class TestDemoUnbounded:
         )
         assert code == 0
         assert "seed" not in doc["inputs"]
+        assert "rank" not in doc["inputs"]
 
     def test_rank_cut_mismatch_still_fails(self, capsys, tmp_path):
         # from N = 260 on the rank cutoff drops tail entries of C = diag(k^-4)
@@ -759,6 +783,16 @@ class TestCheckCommand:
         assert code == 0
         assert doc["outputs"]["suites"]["fixture"][0]["failures"] == 0
 
+    def test_fixture_pinv_of_wrong_shape_exits_input(self, capsys, tmp_path):
+        a = np.random.default_rng(10).standard_normal((2, 3))
+        write_matrix(str(tmp_path / "a.csv"), a)
+        write_matrix(str(tmp_path / "a_pinv.csv"), a)
+        code = cli.main(["check", "--suite", "mp", "--trials", "1", "--fixture", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "a_pinv.csv" in captured.err
+        assert "(2, 3)" in captured.err and "(3, 2)" in captured.err
+
     def test_corrupted_fixture_fails(self, capsys, tmp_path):
         # documented corrupt asset: the stored pseudo-inverse is off by 10%
         a = np.random.default_rng(9).standard_normal((4, 3))
@@ -776,3 +810,25 @@ class TestCheckCommand:
         )
         assert code == 3
         assert doc["diagnostics"]["passed"] is False
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["demo-unbounded", "--N", "10,x"], "integer list, got '10,x'"),
+            (["demo-unbounded", "--probes", ","], "expected at least one integer"),
+            (["outer-approx", "--chain", "auto:x"], "bad chain spec 'auto:x'"),
+        ],
+        ids=["N-not-integer", "probes-empty", "chain-steps-not-integer"],
+    )
+    def test_rejected(self, capsys, tmp_path, monkeypatch, fixture_files, argv, fragment):
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "outer-approx":
+            argv = argv + ["--rank", "1"]
+            for name in ("M", "B", "C"):
+                argv += [f"--{name}", fixture_files[name]]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and fragment in captured.err

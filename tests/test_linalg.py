@@ -277,3 +277,20 @@ def test_hs_norm_squared_equals_gram_trace(a):
 def test_truncation_never_exceeds_rank_bound(a, r):
     t = truncated_svd(a, r)
     assert numerical_rank(t.matrix()) <= r
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (
+            lambda: linalg.as_matrix(np.ones(3), "Z"),
+            InputError,
+            r"Z must be a 2-D matrix, got shape \(3,\)",
+        ),
+        (lambda: psd_sqrt(np.ones((2, 3))), DomainError, r"needs a square matrix, got \(2, 3\)"),
+    ],
+    ids=["as-matrix-1d", "psd-sqrt-non-square"],
+)
+def test_rejected_input(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -367,3 +367,56 @@ class TestPersistence:
     def test_rejects_bad_schema(self):
         with pytest.raises(InputError):
             model_from_dict({"schema": "other/9"})
+
+
+def small_cov():
+    return empirical_covariances(gaussian_samples(31, count=50))
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "call, fragment",
+        [
+            (
+                lambda: CovarianceBundle(c_x=np.ones((2, 3)), c_y=np.eye(2), c_xy=np.ones((2, 2))),
+                "C_x and C_y must be square",
+            ),
+            (
+                lambda: CovarianceBundle(c_x=np.eye(2), c_y=np.eye(3), c_xy=np.ones((3, 2))),
+                r"C_xy must be 2 x 3, got \(3, 2\)",
+            ),
+            (
+                lambda: fit(small_cov(), 1, weights=(np.eye(4), np.eye(4), np.eye(6))),
+                "W_y must have 5 columns, got 6",
+            ),
+            (
+                lambda: fit(small_cov(), 1, weights=(np.eye(4), np.ones((3, 4)), np.eye(5))),
+                "W_A must map into the same space as W_x",
+            ),
+            (
+                lambda: predict(fit(small_cov(), 1), [1.0, np.nan, 0.0, 0.0, 0.0]),
+                "y contains non-finite entries",
+            ),
+            (
+                lambda: model_from_dict(
+                    {k: v for k, v in model_to_dict(fit(small_cov(), 1)).items() if k != "r"}
+                ),
+                "malformed model document: 'r'",
+            ),
+        ],
+        ids=[
+            "c-x-not-square",
+            "c-xy-shape",
+            "w-y-columns",
+            "w-a-rows",
+            "predict-non-finite",
+            "model-missing-key",
+        ],
+    )
+    def test_rejected(self, call, fragment):
+        with pytest.raises(InputError, match=fragment):
+            call()
+
+    def test_load_missing_model_names_path(self, tmp_path):
+        with pytest.raises(InputError, match="absent.json"):
+            load_model(str(tmp_path / "absent.json"))

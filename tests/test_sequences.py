@@ -317,7 +317,7 @@ class TestBoundedApproximation:
         g_r = solve(p).truncation.matrix()
         pk = proj_kernel_perp(p.c)
         for st in res.steps:
-            q = st.x_basis @ st.x_basis.T
+            q = st.outer.x_basis @ st.outer.x_basis.T
             # product identity B X_n C = (G)_r Q_n
             assert hs_norm(p.b @ st.x @ p.c - g_r @ q) < ATOL
             # tail equals the adapted-basis sum over directions not yet covered
@@ -541,3 +541,59 @@ class TestKnownFactors:
         x_hat = solve(build_instance(spec).problem).x_hat
         want = [float(np.linalg.norm(x_hat[:, m - 1])) for m in probes]
         assert [row.norm for row in sweep.rows] == want
+
+
+E1, E2 = np.eye(3)[:, :1], np.eye(3)[:, 1:2]
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "call, fragment",
+        [
+            (
+                lambda: SequenceSpec(gamma_exponent=0.0, alpha_exponent=-1.0),
+                "gamma_exponent must be positive",
+            ),
+            (lambda: diag_spec(mu_head=()), "mu_head must contain at least one value"),
+            (
+                lambda: unboundedness_sweep(diag_spec(n=10), [10], [0, 2]),
+                "probe indices must be >= 1",
+            ),
+            (lambda: SubspaceChain(bases=()), "chain needs at least one step"),
+            (
+                lambda: outer_inverse_chain(np.eye(3), SubspaceChain(bases=(np.eye(4)[:, :1],))),
+                "chain step 1 lives in dimension 4, expected 3",
+            ),
+            (
+                lambda: outer_inverse_chain(np.eye(3), SubspaceChain(bases=(2.0 * E1,))),
+                "chain step 1 columns are not orthonormal",
+            ),
+            (
+                lambda: outer_inverse_chain(np.eye(3), SubspaceChain(bases=(E1, E2))),
+                "chain step 2 does not contain step 1",
+            ),
+            (lambda: nested_chain(np.eye(3), steps=0), "steps must be >= 1"),
+            (lambda: canonical_chain(np.eye(3), [1, 4]), r"chain size 4 out of range 1\.\.3"),
+            (lambda: canonical_chain(np.eye(3), [0]), r"chain size 0 out of range 1\.\.3"),
+        ],
+        ids=[
+            "gamma-exponent-zero",
+            "empty-mu-head",
+            "probe-zero",
+            "empty-chain",
+            "step-dimension",
+            "step-not-orthonormal",
+            "step-not-nested",
+            "nested-chain-no-steps",
+            "canonical-count-above",
+            "canonical-count-zero",
+        ],
+    )
+    def test_rejected(self, call, fragment):
+        with pytest.raises(InputError, match=fragment):
+            call()
+
+    def test_canonical_chain_factorises_nothing(self, svd_calls):
+        # the chain is checked against C where it is used, not where it is built
+        canonical_chain(np.diag([1.0, 0.5, 0.0]), [1, 2, 3])
+        assert svd_calls == []

@@ -551,3 +551,30 @@ class TestScaleAndBasisProperties:
         assert hs_norm(rotated.x_hat - sol.x_hat) <= check_bound(dim, minimiser_scale(p, sol.x_hat))
         op_scale = hs_norm(p.m) + hs_norm(p.b) * hs_norm(sol.x_hat) * hs_norm(p.c)
         assert abs(rotated.objective - sol.objective) <= check_bound(dim, op_scale)
+
+
+def _sample_with(t_shape, s_shape):
+    p = random_problem(0)
+    return solution_set_sample(solve(p), p, np.zeros(t_shape), np.zeros(s_shape))
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "call, fragment",
+        [
+            (
+                lambda: GlraProblem(m=np.ones((2, 3)), b=np.eye(2), c=np.ones((2, 4)), r=1),
+                "C has 4 columns but M has 3",
+            ),
+            (
+                lambda: objective(random_problem(0), np.zeros((5, 5))),
+                r"X must have shape \(3, 4\), got \(5, 5\)",
+            ),
+            (lambda: _sample_with((4, 3), (3, 4)), r"T and S must have shape \(3, 4\)"),
+            (lambda: _sample_with((3, 4), (3, 5)), r"T and S must have shape \(3, 4\)"),
+        ],
+        ids=["c-columns", "objective-x-shape", "sample-t-shape", "sample-s-shape"],
+    )
+    def test_rejected(self, call, fragment):
+        with pytest.raises(InputError, match=fragment):
+            call()
