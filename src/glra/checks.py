@@ -464,7 +464,12 @@ def run_suites(
 
 
 def check_fixture_pair(a: np.ndarray, a_pinv: np.ndarray) -> InvariantResult:
-    """Verify a stored (A, A^+) pair against the four Moore-Penrose equations."""
+    """Verify a stored (A, A^+) pair against the four Moore-Penrose equations.
+
+    Raises InputError unless A^+ has the shape of A^T.
+    """
+    if a_pinv.shape != a.T.shape:
+        raise linalg.InputError(f"A^+ is {a_pinv.shape}, expected A^T's shape {a.T.shape}")
     result = InvariantResult("fixture_moore_penrose")
     result.record_all(_moore_penrose_checks(a, a_pinv))
     return result

@@ -42,15 +42,17 @@ EXIT_INTERNAL = 4
 Result = tuple[dict, dict, dict, int]
 
 
-def _number_list(text: str, kind: type = int) -> list:
-    """Parse a comma-separated list of ints (or of the given kind)."""
+def _number_list(option: str, text: str, kind: type = int) -> list:
+    """Parse the comma-separated ints (or values of the given kind) of an option."""
     name = "integer" if kind is int else kind.__name__
     try:
         values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise InputError(f"expected a comma-separated {name} list, got {text!r}") from exc
+        raise InputError(
+            f"{option}: expected a comma-separated {name} list, got {text!r}"
+        ) from exc
     if not values:
-        raise InputError(f"expected at least one {name}")
+        raise InputError(f"{option}: expected at least one {name}")
     return values
 
 
@@ -98,12 +100,12 @@ def _write_sweep(path: str, rows: list[sequences.SweepRow]) -> None:
 
 
 def cmd_demo_unbounded(args: argparse.Namespace, tol: Tolerances) -> Result:
-    n_values = _number_list(args.N)
-    probes = _number_list(args.probes)
+    n_values = _number_list("--N", args.N)
+    probes = _number_list("--probes", args.probes)
     spec = sequences.SequenceSpec(
         gamma_exponent=args.gamma_exp,
         alpha_exponent=args.alpha_exp,
-        mu_head=tuple(_number_list(args.mu, float)),
+        mu_head=tuple(_number_list("--mu", args.mu, float)),
         mu_tail_exponent=args.mu_tail_exp,
         n=max(n_values),
     )
@@ -283,9 +285,10 @@ def cmd_check(args: argparse.Namespace, tol: Tolerances) -> Result:
         a = read_matrix(os.path.join(args.fixture, "a.csv"))
         pinv_path = os.path.join(args.fixture, "a_pinv.csv")
         a_pinv = read_matrix(pinv_path)
-        if a_pinv.shape != a.T.shape:
-            raise InputError(f"{pinv_path} is {a_pinv.shape}, expected A^T's shape {a.T.shape}")
-        fixture_result = checks.check_fixture_pair(a, a_pinv)
+        try:
+            fixture_result = checks.check_fixture_pair(a, a_pinv)
+        except InputError as exc:
+            raise InputError(f"{pinv_path}: {exc}") from exc
         suites_doc["fixture"] = [_invariant_doc(fixture_result)]
         passed = passed and fixture_result.failures == 0
     return (

@@ -249,10 +249,14 @@ def _truncate(
     """Rank-r truncation of the factors of a matrix of the given shape.
 
     The shape sets the rank cutoff, so a reduced core that carries the
-    nonzero singular values of a larger matrix is cut as that matrix.
+    nonzero singular values of a larger matrix is cut as that matrix.  The
+    head's V is a copy in V's own layout, so a kept truncation does not
+    hold all of f.v.  Its U stays a view: as a contiguous copy, a single
+    left vector sends B^+'s product with it down numpy's matrix-vector
+    path and moves the last bits of the minimiser.
     """
     k = min(r, f.sigma.size)
-    head = SvdFactors(u=f.u[:, :k], sigma=f.sigma[:k], v=f.v[:, :k])
+    head = SvdFactors(u=f.u[:, :k], sigma=f.sigma[:k], v=f.v[:, :k].copy("K"))
     discarded = float(f.sigma[r]) if r < f.sigma.size else 0.0
     rank = _rank(f.sigma, shape, tol)
     if rank <= r:

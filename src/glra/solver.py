@@ -12,11 +12,18 @@ blocks of X outside the ran(C) -> ker(B)-perp corner vanish), which is
 what survives of the often-quoted but generally false minimal-Frobenius-
 norm property.  The full solution set, the optimal-error identities and
 the adjoint problem live here as well.
+
+A problem keeps its reduction (the factors of B and C, K and its
+truncation), one per ``Tolerances`` value, so ``solve``,
+``optimal_error`` and ``solution_set_sample`` on one problem factorise
+each operand once between them.  ``solve_adjoint`` builds the transposed
+problem, which factorises C^T and B^T itself.  A problem holds read-only
+views of its inputs, which must not change after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,17 +64,27 @@ class GlraProblem:
 
     Shapes: M is m x n, B is m x p, C is q x n, and the unknown X is
     p x q so that B X C matches M.
+
+    The arrays are validated once, here, and held as read-only views of
+    the inputs, not copies: the problem relies on them not changing
+    afterwards, because it keeps the factors of B and C and the truncated
+    core of its first solve for each ``Tolerances`` and every later call
+    reuses them.  ``dataclasses.replace`` gives a problem that factorises
+    afresh.
     """
 
     m: np.ndarray
     b: np.ndarray
     c: np.ndarray
     r: int
+    # Tolerances -> the (fb, fc, core, t) of _reduce
+    _reductions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "m", as_matrix(self.m, "M"))
-        object.__setattr__(self, "b", as_matrix(self.b, "B"))
-        object.__setattr__(self, "c", as_matrix(self.c, "C"))
+        for name in ("m", "b", "c"):
+            view = as_matrix(getattr(self, name), name.upper()).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
         if self.b.shape[0] != self.m.shape[0]:
             raise InputError(
                 f"B has {self.b.shape[0]} rows but M has {self.m.shape[0]}"
@@ -106,12 +123,16 @@ def _reduce(
     """Factor B and C once and truncate the core K = U_B^T M V_C.
 
     Returns the rank-cut factors of B and C, K, and the rank-r truncation
-    of K in core coordinates (see _truncate_core).
+    of K in core coordinates (see _truncate_core).  The first call for a
+    tol stores them on p and every later one returns the stored ones.
     """
-    fb = rank_factors(p.b, tol)
-    fc = rank_factors(p.c, tol)
-    core, t = _truncate_core(p, fb, fc, tol)
-    return fb, fc, core, t
+    reduction = p._reductions.get(tol)
+    if reduction is None:
+        fb = rank_factors(p.b, tol)
+        fc = rank_factors(p.c, tol)
+        core, t = _truncate_core(p, fb, fc, tol)
+        reduction = p._reductions[tol] = (fb, fc, core, t)
+    return reduction
 
 
 def _truncate_core(
@@ -241,14 +262,14 @@ def solution_set_sample(
 
     Every such matrix attains the same objective; canonicalize() with the
     same tolerances maps it back to ``x_hat``, so pass the ``tol`` that
-    solved the problem.
+    solved the problem; V_B and U_C then come from that solve's factors.
     """
     ta = as_matrix(t, "T")
     sa = as_matrix(s, "S")
     if ta.shape != p.x_shape or sa.shape != p.x_shape:
         raise InputError(f"T and S must have shape {p.x_shape}")
-    vb = rank_factors(p.b, tol).v
-    uc = rank_factors(p.c, tol).u
+    fb, fc, _, _ = _reduce(p, tol)
+    vb, uc = fb.v, fc.u
     return sol.x_hat + (ta - vb @ (vb.T @ ta)) + (sa - (sa @ uc) @ uc.T)
 
 
@@ -297,7 +318,10 @@ def optimal_error(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> OptimalError
 
 
 def adjoint_problem(p: GlraProblem) -> GlraProblem:
-    """The transposed problem min ||M^T - C^T X B^T|| with B and C swapped."""
+    """The transposed problem min ||M^T - C^T X B^T|| with B and C swapped.
+
+    It is a new problem and factorises its own operands.
+    """
     return GlraProblem(m=p.m.T, b=p.c.T, c=p.b.T, r=p.r)
 
 
@@ -305,6 +329,8 @@ def solve_adjoint(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> GlraSolution
     """Solve the adjoint problem; its objective equals the primal one.
 
     The returned minimiser X (shape q x p) satisfies the transposed
-    minimality property P_ran(C) X P_ker(B)-perp = X.
+    minimality property P_ran(C) X P_ker(B)-perp = X.  C^T and B^T are
+    factorised afresh, not taken from p's factors, so the objective is an
+    independent recomputation of the primal one.
     """
     return solve(adjoint_problem(p), tol)

@@ -27,6 +27,13 @@ class TestFixturePair:
         a, a_pinv = pair
         assert checks.check_fixture_pair(s * a, 1.1 * a_pinv / s).failures == 1
 
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 3)])
+    def test_pinv_of_wrong_shape_is_input_error(self, pair, shape):
+        a = pair[0]
+        with pytest.raises(InputError, match=r"\(3, 5\)") as info:
+            checks.check_fixture_pair(a, np.ones(shape))
+        assert str(shape) in str(info.value)
+
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_all_suites_pass_beyond_the_benchmark_seed(seed):

@@ -818,9 +818,10 @@ class TestArgumentErrors:
         [
             (["demo-unbounded", "--N", "10,x"], "integer list, got '10,x'"),
             (["demo-unbounded", "--probes", ","], "expected at least one integer"),
+            (["demo-unbounded", "--mu", "1,x"], "--mu: expected a comma-separated float list"),
             (["outer-approx", "--chain", "auto:x"], "bad chain spec 'auto:x'"),
         ],
-        ids=["N-not-integer", "probes-empty", "chain-steps-not-integer"],
+        ids=["N-not-integer", "probes-empty", "mu-not-float", "chain-steps-not-integer"],
     )
     def test_rejected(self, capsys, tmp_path, monkeypatch, fixture_files, argv, fragment):
         monkeypatch.chdir(tmp_path)

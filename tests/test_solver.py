@@ -398,6 +398,68 @@ class TestFactorOnce:
         assert main(argv) == 0
         assert calls == {"svd": 3, "eig": 0}
 
+    def test_optimal_error_after_solve_reuses_the_reduction(self, monkeypatch):
+        p = deficient_problem(3, 2)
+        fresh = optimal_error(deficient_problem(3, 2))
+        calls = self.count_lapack(monkeypatch)
+        solve(p)
+        err = optimal_error(p)
+        # only the two values-only SVDs and the eigvals of its variants
+        assert calls == {"svd": 5, "eig": 1}
+        assert err == fresh
+
+    def test_solution_set_sample_after_solve_factorises_nothing(self, monkeypatch):
+        p = deficient_problem(3, 2)
+        sol = solve(p)
+        calls = self.count_lapack(monkeypatch)
+        z = np.zeros(p.x_shape)
+        np.testing.assert_array_equal(solution_set_sample(sol, p, z, z), sol.x_hat)
+        assert calls == {"svd": 0, "eig": 0}
+
+    def test_solve_adjoint_factorises_its_own_operands(self, monkeypatch):
+        # guard: the adjoint objective stays an independent recomputation
+        p = deficient_problem(3, 2)
+        solve(p)
+        calls = self.count_lapack(monkeypatch)
+        solve_adjoint(p)
+        solve_adjoint(p)
+        assert calls == {"svd": 6, "eig": 0}
+
+    def test_other_tolerances_factorise_again(self, monkeypatch):
+        # guard: the reduction is kept per Tolerances value
+        p = deficient_problem(3, 2)
+        solve(p)
+        calls = self.count_lapack(monkeypatch)
+        solve(p, Tolerances(rank_rel=1e-10))
+        assert calls == {"svd": 3, "eig": 0}
+        solve(p, Tolerances())
+        assert calls == {"svd": 3, "eig": 0}
+
+    def test_replace_starts_afresh(self):
+        # guard: dataclasses.replace does not carry the rank-1 reduction over
+        from dataclasses import replace
+
+        p = deficient_problem(3, 1)
+        solve(p)
+        sol = solve(replace(p, r=2))
+        assert sol.truncation.factors.sigma.size == 2
+        np.testing.assert_array_equal(sol.x_hat, solve(deficient_problem(3, 2)).x_hat)
+
+    @pytest.mark.parametrize("name", ["m", "b", "c"])
+    def test_inputs_are_read_only_views(self, name):
+        g = rng(4)
+        given = {
+            "m": g.standard_normal((3, 4)),
+            "b": g.standard_normal((3, 2)),
+            "c": g.standard_normal((2, 4)),
+        }
+        p = GlraProblem(**given, r=1)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(p, name)[0, 0] = 1.0
+        # a view, not a copy, and the caller's own array stays writeable
+        assert np.shares_memory(getattr(p, name), given[name])
+        given[name][0, 0] = 1.0
+
 
 class TestRankBound:
     @pytest.mark.parametrize("r", [1.5, 2.0, "2", None])
