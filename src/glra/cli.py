@@ -135,15 +135,19 @@ def cmd_demo_unbounded(args: argparse.Namespace, tol: Tolerances) -> Result:
     )
 
 
-def _build_chain(spec: str, c: np.ndarray, seed: int, tol: Tolerances) -> sequences.SubspaceChain:
+def _build_chain(
+    spec: str, problem: solver.GlraProblem, seed: int, tol: Tolerances
+) -> sequences.SubspaceChain:
+    # full_chain and nested_chain on the problem's own factors of C, which
+    # bounded_approximation_sequence reuses, so C is factorised once
     if spec == "full":
-        return sequences.full_chain(c, tol)
+        return sequences.SubspaceChain(bases=(solver._reduce(problem, tol)[1].u,))
     if spec.startswith("auto:"):
         try:
             steps = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise InputError(f"bad chain spec {spec!r}; expected auto:<steps>") from exc
-        return sequences.nested_chain(c, steps, seed=seed, tol=tol)
+        return sequences._nested_chain(solver._reduce(problem, tol)[1].u, steps, seed)
     generators = read_matrix(spec)
     # the leading k columns of one QR span the first k generators
     q, _ = np.linalg.qr(generators)
@@ -158,7 +162,7 @@ def _nonincreasing(values: list[float], slack: float) -> bool:
 
 def cmd_outer_approx(args: argparse.Namespace, tol: Tolerances) -> Result:
     problem = _load_problem(args)
-    chain = _build_chain(args.chain, problem.c, args.seed, tol)
+    chain = _build_chain(args.chain, problem, args.seed, tol)
     result = sequences.bounded_approximation_sequence(problem, chain, tol)
     rows = []
     alt_tails = []

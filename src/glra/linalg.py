@@ -101,7 +101,7 @@ class Uniqueness(str, enum.Enum):
     NON_UNIQUE = "NonUnique"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdFactors:
     """Economy SVD ``A = U diag(sigma) V^T`` with orthonormal columns."""
 
@@ -113,7 +113,7 @@ class SvdFactors:
         return (self.u * self.sigma) @ self.v.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedSvd:
     """The first ``r`` singular triplets of a matrix plus tie diagnostics.
 
@@ -171,11 +171,14 @@ def _svd(arr: np.ndarray) -> SvdFactors:
     # unchecked form of svd(), which also accepts an empty (k x 0 or 0 x k) core
     u, s, vh = np.linalg.svd(arr, full_matrices=False)
     v = vh.T
-    for j in range(u.shape[1]):
-        nz = np.nonzero(u[:, j])[0]
-        if nz.size and u[nz[0], j] < 0.0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
+    if u.size:
+        # the first nonzero of each left vector (row 0 for a zero column);
+        # a product with -1.0 is an exact negation and one with 1.0 keeps
+        # every bit, signed zeros included
+        first = u[np.argmax(u != 0.0, axis=0), np.arange(u.shape[1])]
+        sign = np.where(first < 0.0, -1.0, 1.0)
+        u *= sign
+        v *= sign
     return SvdFactors(u=u, sigma=s, v=v)
 
 

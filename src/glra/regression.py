@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Paired samples, one per row: xs is S x dimF, ys is S x dimG."""
 
@@ -74,7 +74,7 @@ class SampleSet:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceBundle:
     """Uncentered covariances: C_x (F x F), C_y (G x G), C_xy (F x G)."""
 
@@ -116,7 +116,7 @@ class FitReport:
     containment_residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RrrModel:
     """A fitted rank-constrained reconstruction x ~ A_hat y.
 

@@ -112,7 +112,7 @@ class SequenceSpec:
         return np.concatenate([head, tail])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SequenceInstance:
     """One truncated instance: the problem (B = I, C diagonal) plus its raw pieces."""
 
@@ -280,7 +280,7 @@ def unboundedness_sweep(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApproxStep:
     x: np.ndarray
     objective: float
@@ -288,7 +288,7 @@ class ApproxStep:
     epsilon: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApproximationSequence:
     """Perturbed-truncation minimisers Y_eps = sum lambda_i (f_i + eps d_i) e_i^T."""
 
@@ -346,7 +346,7 @@ def approximate_minimizers(
     return ApproximationSequence(target_y=target_y, lambdas=lambdas, steps=steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceChain:
     """Nested orthonormal-column bases Y_1 subset Y_2 subset ... inside ran(C)."""
 
@@ -393,9 +393,13 @@ def full_chain(c, tol: Tolerances = DEFAULT_TOL) -> SubspaceChain:
 
 def nested_chain(c, steps: int, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> SubspaceChain:
     """A seeded random nested chain exhausting ran(C) in ``steps`` steps."""
+    return _nested_chain(rank_factors(c, tol).u, steps, seed)
+
+
+def _nested_chain(basis: np.ndarray, steps: int, seed: int) -> SubspaceChain:
+    """nested_chain from an orthonormal basis of ran(C), such as U_C of C's factors."""
     if steps < 1:
         raise InputError("steps must be >= 1")
-    basis = rank_factors(c, tol).u
     d = basis.shape[1]
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -420,7 +424,7 @@ def canonical_chain(c, counts: list[int]) -> SubspaceChain:
     return SubspaceChain(bases=tuple(bases))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OuterInverseStep:
     """One finite-rank outer inverse: inverts P_n C on X_n, zero on Y_n-perp."""
 
@@ -460,7 +464,7 @@ def _outer_inverse_chain(
     return steps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundedApproxStep:
     """One bounded minimiser X_n and the outer inverse C_n# it is built from."""
 
@@ -469,7 +473,7 @@ class BoundedApproxStep:
     outer: OuterInverseStep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundedApproxResult:
     solution: GlraSolution
     steps: list[BoundedApproxStep]

@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlraProblem:
     """The data (M, B, C, r) of one approximation problem.
 
@@ -70,7 +70,8 @@ class GlraProblem:
     afterwards, because it keeps the factors of B and C and the truncated
     core of its first solve for each ``Tolerances`` and every later call
     reuses them.  ``dataclasses.replace`` gives a problem that factorises
-    afresh.
+    afresh.  Problems, like every glra record that holds arrays, compare
+    and hash by identity.
     """
 
     m: np.ndarray
@@ -78,7 +79,7 @@ class GlraProblem:
     c: np.ndarray
     r: int
     # Tolerances -> the (fb, fc, core, t) of _reduce
-    _reductions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _reductions: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("m", "b", "c"):
@@ -100,7 +101,7 @@ class GlraProblem:
         return (self.b.shape[1], self.c.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlraSolution:
     """A solved problem: the minimiser, its image, and diagnostics.
 
@@ -165,22 +166,29 @@ def _minimal_part(x: np.ndarray, vb: np.ndarray, uc: np.ndarray) -> np.ndarray:
     return vb @ (vb.T @ x @ uc) @ uc.T
 
 
-def _minimiser(fb: SvdFactors, fc: SvdFactors, f: SvdFactors) -> np.ndarray:
-    """x_hat = V_B S_B^-1 U_K Sigma_K V_K^T S_C^-1 U_C^T from the factors of B and C.
+def _minimiser_factors(
+    fb: SvdFactors, fc: SvdFactors, f: SvdFactors
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rank-r factors L, R of x_hat = L R^T from the factors of B and C.
 
-    f holds the core factors U_K, Sigma_K and V_K, in the coordinates of
-    ran(B) and ker(C)-perp.  Sigma_K scales the left factor
-    V_B S_B^-1 U_K unless its largest entry times sigma_1 leaves the float
-    range (a tiny B with a huge C); then it scales the right factor, so a
-    representable x_hat does not overflow in S_B^-1 Sigma_K.
+    L = V_B S_B^-1 U_K and R = U_C S_C^-1 V_K, one of them scaled by
+    Sigma_K, where f holds the core factors U_K, Sigma_K and V_K in the
+    coordinates of ran(B) and ker(C)-perp.  Sigma_K scales L unless L's
+    largest entry times sigma_1 leaves the float range (a tiny B with a
+    huge C); then it scales R, so a representable x_hat does not overflow
+    in S_B^-1 Sigma_K.
     """
     left = (fb.v / fb.sigma) @ f.u
     right = (fc.u / fc.sigma) @ f.v
     head = float(f.sigma[0]) if f.sigma.size else 0.0
     if head > 1.0 and np.max(np.abs(left), initial=0.0) > np.finfo(float).max / head:
-        right = right * f.sigma
-    else:
-        left = left * f.sigma
+        return left, right * f.sigma
+    return left * f.sigma, right
+
+
+def _minimiser(fb: SvdFactors, fc: SvdFactors, f: SvdFactors) -> np.ndarray:
+    """x_hat = V_B S_B^-1 U_K Sigma_K V_K^T S_C^-1 U_C^T (see _minimiser_factors)."""
+    left, right = _minimiser_factors(fb, fc, f)
     x_hat = left @ right.T
     _require_finite(x_hat=x_hat)
     return x_hat
@@ -199,16 +207,25 @@ def _delta(t: TruncatedSvd) -> float:
 def _solution(
     p: GlraProblem, fb: SvdFactors, fc: SvdFactors, t: TruncatedSvd
 ) -> GlraSolution:
-    """The GlraSolution of p from the factors that _reduce returned."""
-    x_hat = _minimiser(fb, fc, t.factors)
+    """The GlraSolution of p from the factors that _reduce returned.
+
+    The minimality defect ||x_hat - P_ker(B)-perp x_hat P_ran(C)|| is
+    taken at x_hat's rank: with x_hat = L R^T, the projected matrix is
+    (V_B V_B^T L)(U_C U_C^T R)^T, so no p x q product beyond x_hat's own
+    is formed.
+    """
+    left, right = _minimiser_factors(fb, fc, t.factors)
+    x_hat = left @ right.T
+    _require_finite(x_hat=x_hat)
     delta = _delta(t)
     _require_finite(delta=delta)
+    minimal = (fb.v @ (fb.v.T @ left)) @ (fc.u @ (fc.u.T @ right)).T
     return GlraSolution(
         x_hat=x_hat,
         objective=objective(p, x_hat),
         delta=delta,
         uniqueness=t.uniqueness,
-        minimality_defect=hs_norm(x_hat - _minimal_part(x_hat, fb.v, fc.u)),
+        minimality_defect=hs_norm(x_hat - minimal),
         truncation=_lift(fb, fc, t),
     )
 
@@ -289,30 +306,35 @@ def _top_eigvals_sum(a: np.ndarray, r: int) -> float:
     return float(np.sum(evals[:r]))
 
 
-def _top_singvals_sum(sym: np.ndarray, r: int) -> float:
-    s = np.linalg.svd((sym + sym.T) / 2.0, compute_uv=False)
-    return float(np.sum(s[:r]))
+def _top_abs_eigvalsh_sum(gram: np.ndarray, r: int) -> float:
+    # the singular values of the symmetrised Gram matrix are its |eigenvalues|;
+    # the abs folds the rounding-level negatives of a rank-deficient one
+    evals = np.sort(np.abs(np.linalg.eigvalsh((gram + gram.T) / 2.0)))[::-1]
+    return float(np.sum(evals[:r]))
 
 
 def optimal_error(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> OptimalError:
     """Optimal error and delta = sum of the r largest sigma_i(G)^2.
 
     delta comes from the truncated core K = U_B^T M V_C.  The three
-    variants recompute it from G G^T and from G^T G, both in the bases of
-    ran(B) and ker(C)-perp (K K^T and K^T K), and from the eigenvalues of
-    B^+ M C^+ C M^T B restricted to ker(B)-perp (S_B^-1 K K^T S_B); all
-    four agree to rounding.  ``error = ||M - (G)_r||_HS`` is the residual
-    of the lifted truncation, which equals sqrt(||M||^2 - delta) in exact
-    arithmetic but, unlike that difference, does not cancel when the fit
-    is nearly exact.
+    variants recompute it without that SVD.  The first two sum the r
+    largest |eigenvalues| (``eigvalsh``) of G G^T and of G^T G, both in
+    the bases of ran(B) and ker(C)-perp and symmetrised (K K^T and
+    K^T K).  The third sums the r largest real parts of the eigenvalues
+    (``eigvals``, a nonsymmetric solver, so it shares no code path with
+    the other two) of B^+ M C^+ C M^T B restricted to ker(B)-perp,
+    S_B^-1 K K^T S_B.  All four agree to rounding.
+    ``error = ||M - (G)_r||_HS`` is the residual of the lifted truncation,
+    which equals sqrt(||M||^2 - delta) in exact arithmetic but, unlike
+    that difference, does not cancel when the fit is nearly exact.
     """
     fb, fc, core, t = _reduce(p, tol)
     delta = _delta(t)
     error = hs_norm(p.m - _lift(fb, fc, t).matrix())
     _require_finite(error=error, delta=delta)
     gram = core @ core.T
-    v1 = _top_singvals_sum(gram, p.r)
-    v2 = _top_singvals_sum(core.T @ core, p.r)
+    v1 = _top_abs_eigvalsh_sum(gram, p.r)
+    v2 = _top_abs_eigvalsh_sum(core.T @ core, p.r)
     v3 = _top_eigvals_sum(gram / fb.sigma[:, None] * fb.sigma, p.r)
     return OptimalError(error=error, delta=delta, delta_variants=(v1, v2, v3))
 

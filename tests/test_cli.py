@@ -535,6 +535,37 @@ class TestOuterApprox:
         assert np.isfinite(residual) and residual > 1e284
         assert read_matrix(str(tmp_path / "outer.csv"))[0, 3] == residual
 
+    @pytest.mark.parametrize("chain", ["full", "auto:3"])
+    def test_factorises_c_once(self, capsys, tmp_path, svd_calls, chain):
+        from glra.solver import GlraProblem
+        from glra.sequences import bounded_approximation_sequence, full_chain, nested_chain
+
+        g = np.random.default_rng(11)
+        mats = {
+            "M": g.standard_normal((6, 14)),
+            "B": g.standard_normal((6, 5)),
+            "C": g.standard_normal((7, 14)),
+        }
+        argv = ["outer-approx", "--rank", "2", "--chain", chain, "--no-timestamp"]
+        for name, mat in mats.items():
+            write_matrix(str(tmp_path / f"{name}.csv"), mat)
+            argv += [f"--{name}", str(tmp_path / f"{name}.csv")]
+        out = tmp_path / "outer.csv"
+        code, doc = run(capsys, argv + ["--out", str(out)])
+        assert code == 0
+        assert [call for call in svd_calls if call[0] == (7, 14)] == [((7, 14), False, True)]
+        # the rows are those of the public chain on a fresh problem, bit for bit
+        c = mats["C"]
+        public = full_chain(c) if chain == "full" else nested_chain(c, 3, seed=0)
+        p = GlraProblem(m=mats["M"], b=mats["B"], c=c, r=2)
+        steps = bounded_approximation_sequence(p, public).steps
+        table = read_matrix(str(out))
+        np.testing.assert_array_equal(table[:, 1], [s.outer.x_basis.shape[1] for s in steps])
+        np.testing.assert_array_equal(table[:, 2], [s.tail_error for s in steps])
+        residuals = [hs_norm(s.outer.c_sharp @ c @ s.outer.c_sharp - s.outer.c_sharp) for s in steps]
+        np.testing.assert_array_equal(table[:, 3], residuals)
+        assert doc["outputs"]["final_tail_error"] == steps[-1].tail_error
+
     def test_csv_chain_of_generators_in_range(self, capsys, tmp_path):
         g = np.random.default_rng(10)
         left = g.standard_normal((5, 3))

@@ -62,6 +62,61 @@ class TestSvd:
             svd(np.array([[1.0, np.nan]]))
 
 
+def loop_sign_svd(a):
+    """The column loop the vectorised sign rule of linalg._svd replaced."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    v = vh.T
+    for j in range(u.shape[1]):
+        nz = np.nonzero(u[:, j])[0]
+        if nz.size and u[nz[0], j] < 0.0:
+            u[:, j] = -u[:, j]
+            v[:, j] = -v[:, j]
+    return u, s, v
+
+
+def block_diagonal():
+    a = np.zeros((5, 5))
+    a[:2, :2] = rng(11).standard_normal((2, 2))
+    a[2:, 2:] = rng(12).standard_normal((3, 3))
+    return a
+
+
+class TestSignRule:
+    """linalg._svd flips the same columns as the loop, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            rng(20).standard_normal((7, 4)),
+            rng(21).standard_normal((4, 7)),
+            rng(22).standard_normal((5, 5)),
+            rng(23).standard_normal((6, 2)) @ rng(24).standard_normal((2, 5)),
+            np.outer(rng(25).standard_normal(4), rng(26).standard_normal(4)),
+            np.zeros((3, 4)),
+            block_diagonal(),
+            np.eye(4)[[2, 0, 3, 1]],
+            np.diag([-3.0, 2.0, -1.0, 0.5]),
+            -np.eye(3),
+            np.zeros((3, 0)),
+            np.zeros((0, 3)),
+        ],
+        ids=[
+            "tall", "wide", "square", "rank-2", "rank-1", "zero", "block-diagonal",
+            "permutation", "negative-diagonal", "minus-identity", "empty-k-by-0",
+            "empty-0-by-k",
+        ],
+    )
+    def test_matches_the_column_loop(self, a):
+        u, s, v = loop_sign_svd(a.copy())
+        f = linalg._svd(a.copy())
+        assert np.array_equal(f.u, u) and np.array_equal(f.v, v)
+        assert np.array_equal(f.sigma, s)
+        # the signs of zeros too: a flipped zero is -0.0 in both
+        assert np.array_equal(np.signbit(f.u), np.signbit(u))
+        assert np.array_equal(np.signbit(f.v), np.signbit(v))
+        assert f.u.shape == u.shape and f.v.shape == v.shape
+
+
 class TestRankFactors:
     def test_cut_at_numerical_rank(self):
         g = rng(4)
