@@ -16,14 +16,10 @@ from .linalg import (
     TruncatedSvd,
     Uniqueness,
     hs_norm,
-    numerical_rank,
     pinv,
-    proj_kernel_perp,
-    proj_range,
     psd_sqrt,
     rank_factors,
     svd,
-    truncated_svd,
 )
 from .matio import read_matrix, write_matrix
 from .regression import (

@@ -7,9 +7,13 @@ oracle, covariance factorisations).  Results are per-invariant pass
 counts with the worst residual seen, so a report is reproducible from
 the same seed.
 
-The oracle (``als_oracle``) is a brute-force reference written in numpy
-alone: it shares no rank cutoff or factorisation with the library it
-checks.
+The references the invariants compare the library with are written in
+numpy alone and share no factorisation or rank cutoff with the library
+they check: the oracle (``als_oracle``) is a brute-force search, and
+``_ref_projectors`` gives P_ran(A) and P_ker(A)-perp from the bases of
+one numpy SVD.  Both cut at ORACLE_RANK_REL, written out here, so a
+wrong rank decision in the library does not pass by checking it against
+itself.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ __all__ = [
 
 SUITE_NAMES = ("mp", "svd", "glra", "seq", "rrr")
 
-# The oracle's own pseudo-inverse cutoff, 1e-12 * sigma_1 * max(shape) per
-# matrix, written out so that the library's DEFAULT_TOL cannot move it.
+# The references' own rank cutoff, 1e-12 * sigma_1 * max(shape) per matrix
+# (see _ref_keep), written out so that the library's DEFAULT_TOL cannot move it.
 ORACLE_RANK_REL = 1e-12
 # The oracle stops a restart once its objective moves by at most
 # 1e-13 * objective + eps * max(M.shape) in units of ||M||: the additive
@@ -100,15 +104,33 @@ def random_problem(
     )
 
 
+def _ref_keep(s: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Which singular values of a matrix, or of each matrix in a stack, count as nonzero.
+
+    Those above ORACLE_RANK_REL * sigma_1 * max(shape) of their own matrix.
+    """
+    return s > ORACLE_RANK_REL * max(shape[-2:]) * s[..., :1]
+
+
+def _ref_projectors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reference P_ran(A) and P_ker(A)-perp from one numpy SVD.
+
+    They are the products of the orthonormal bases of ran(A) and
+    ker(A)-perp that the singular vectors kept by _ref_keep form.
+    """
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    k = int(np.count_nonzero(_ref_keep(s, a.shape)))
+    u, vh = u[:, :k], vh[:k]
+    return u @ u.T, vh.T @ vh
+
+
 def _pinv_stack(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of a matrix or of each matrix in a stack, from one SVD.
 
-    Singular values at or below ORACLE_RANK_REL * sigma_1 * max(shape) of
-    their own matrix count as zero.
+    Singular values that _ref_keep drops count as zero.
     """
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    keep = s > ORACLE_RANK_REL * max(a.shape[-2:]) * s[..., :1]
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=_ref_keep(s, a.shape))
     return (np.swapaxes(vh, -1, -2) * inv[..., None, :]) @ np.swapaxes(u, -1, -2)
 
 
@@ -186,10 +208,11 @@ def check_mp(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
             eq_k.record(*pair)
         # the bounds of eq1 (degree 1, ||A||) and eq3 (projector, ||A|| ||A^+||)
         a_bound, proj_bound = mp_checks[0][1], mp_checks[2][1]
-        pk = linalg.proj_kernel_perp(a, tol)
-        pr = linalg.proj_range(a, tol)
+        pr, pk = _ref_projectors(a)
         proj.record_all([(hs_norm(pk - a_pinv @ a), proj_bound), (hs_norm(pr @ a - a), a_bound)])
-        dual.record(hs_norm(linalg.proj_range(a.T, tol) - pk), proj_bound)
+        # ran(A^T) = ker(A)-perp: the library's basis of the one against the reference
+        u = linalg.rank_factors(a.T, tol).u
+        dual.record(hs_norm(u @ u.T - pk), proj_bound)
     return eq + [proj, dual]
 
 
@@ -207,20 +230,25 @@ def check_svd(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
         f = linalg.svd(a)
         recon.record(hs_norm(f.reconstruct() - a), check_bound(dim, a_norm))
         r = int(rng.integers(1, 4))
-        tsvd = linalg.truncated_svd(a, r, tol)
-        sigma = np.linalg.svd(a, compute_uv=False)
-        residual.record(
-            abs(hs_norm(a - tsvd.matrix()) ** 2 - float(np.sum(sigma[r:] ** 2))),
-            check_bound(dim, a_norm**2),
-        )
+        # (A)_r is the truncation of the B = I, C = I problem
         prob = solver.GlraProblem(
             m=a, b=np.eye(a.shape[0]), c=np.eye(a.shape[1]), r=r
         )
+        a_r = solver.solve(prob, tol).truncation.matrix()
+        sigma = np.linalg.svd(a, compute_uv=False)
+        residual.record(
+            abs(hs_norm(a - a_r) ** 2 - float(np.sum(sigma[r:] ** 2))),
+            check_bound(dim, a_norm**2),
+        )
         oracle = als_oracle(prob, restarts=4, iters=60, seed=seed + k)
-        eckart.record(hs_norm(a - tsvd.matrix()) - oracle, check_bound(dim, a_norm))
+        eckart.record(hs_norm(a - a_r) - oracle, check_bound(dim, a_norm))
         t = rng.standard_normal((int(rng.integers(1, 7)), a.shape[0]))
         rank_comp.record(
-            float(linalg.numerical_rank(t @ a, tol) - linalg.numerical_rank(a, tol)), 0.0
+            float(
+                linalg.rank_factors(t @ a, tol).sigma.size
+                - linalg.rank_factors(a, tol).sigma.size
+            ),
+            0.0,
         )
         gram = a.T @ a
         s = linalg.psd_sqrt(gram, tol)
@@ -246,8 +274,9 @@ def check_glra(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]
         # ||B|| ||x_hat|| ||C|| bounds the rounding of B x_hat C, which can
         # exceed ||M|| by the conditioning of B and C
         op_scale = m_norm + hs_norm(p.b) * x_norm * hs_norm(p.c)
-        # G from its definition, independent of the solver's reduced core
-        g = linalg.proj_range(p.b, tol) @ p.m @ linalg.proj_kernel_perp(p.c, tol)
+        # G from its definition with the reference projectors, independent
+        # of the solver's reduced core
+        g = _ref_projectors(p.b)[0] @ p.m @ _ref_projectors(p.c)[1]
         const = hs_norm(p.m) ** 2 - hs_norm(g) ** 2
         u = rng.standard_normal((p.x_shape[0], p.r))
         v = rng.standard_normal((p.x_shape[1], p.r))
@@ -310,10 +339,12 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
             abs(row.norm - row.predicted_norm) for row in sweep.rows
         )
         c_norm = hs_norm(inst.problem.c)
-        c_pinv = linalg.pinv(inst.problem.c, tol)
+        # C's factors, which C^+, the chain and the bounded sequence share
+        fc = solver._reduce(inst.problem, tol)[1]
+        c_pinv = linalg._pinv(fc)
         # the probe columns of x_hat carry C^+ applied to M
         growth.record(worst, check_bound(n, hs_norm(inst.problem.m) * hs_norm(c_pinv)))
-        chain = sequences.nested_chain(inst.problem.c, steps=3, seed=seed + k, tol=tol)
+        chain = sequences._nested_chain(fc.u, 3, seed + k)
         bounded = sequences.bounded_approximation_sequence(inst.problem, chain, tol)
         g_r = bounded.solution.truncation.matrix()
         for st in bounded.steps:
@@ -395,9 +426,8 @@ def check_rrr(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
         yx_norm = hs_norm(cov.c_yx)
         u = c_y_half_pinv @ cov.c_yx @ c_x_half_pinv
         op_norm = float(np.linalg.svd(u, compute_uv=False)[0]) if u.size else 0.0
-        sandwich = (
-            linalg.proj_range(c_y_half, tol) @ u @ linalg.proj_range(c_x_half, tol)
-        )
+        ran_y_half, ker_perp_y_half = _ref_projectors(c_y_half)
+        sandwich = ran_y_half @ u @ _ref_projectors(c_x_half)[0]
         factor.record(
             max(op_norm - 1.0, hs_norm(sandwich - u)),
             check_bound(dim, hs_norm(c_y_half_pinv) * yx_norm * hs_norm(c_x_half_pinv)),
@@ -425,10 +455,7 @@ def check_rrr(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
         # both kernels are known to the angle eps ||C_y|| ||C_y^+||, and
         # ||C_y^+|| <= ||(C_y^(1/2))^+||^2
         kernels.record(
-            hs_norm(
-                linalg.proj_kernel_perp(c_y_half, tol)
-                - linalg.proj_kernel_perp(cov.c_y, tol)
-            ),
+            hs_norm(ker_perp_y_half - _ref_projectors(cov.c_y)[1]),
             check_bound(dim, hs_norm(cov.c_y) * hs_norm(c_y_half_pinv) ** 2),
         )
         agree.record(

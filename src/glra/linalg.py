@@ -2,10 +2,12 @@
 
 Everything downstream (the solver, the truncation experiments, the
 regression front end) is built on the primitives here: a deterministic
-SVD and its cut at the numerical rank, the Moore-Penrose inverse,
-orthogonal projectors, rank-r truncation with tie detection, the PSD
-square root and the Hilbert-Schmidt norm.  All matrices are plain 2-D
-float64 ``numpy`` arrays and all functions are pure.
+SVD and its cut at the numerical rank, the Moore-Penrose inverse, rank-r
+truncation with tie detection (``_truncate``, reached through the
+solver), the PSD square root and the Hilbert-Schmidt norm.  No dense
+projector is formed here: orthonormal bases of ran(A) and ker(A)-perp are
+the columns of ``rank_factors``.  All matrices are plain 2-D float64
+``numpy`` arrays and all functions are pure.
 """
 
 from __future__ import annotations
@@ -28,14 +30,10 @@ __all__ = [
     "as_matrix",
     "check_bound",
     "hs_norm",
-    "numerical_rank",
     "pinv",
-    "proj_kernel_perp",
-    "proj_range",
     "psd_sqrt",
     "rank_factors",
     "svd",
-    "truncated_svd",
     "CHECK_C",
     "DEFAULT_TOL",
 ]
@@ -191,12 +189,6 @@ def _rank(sigma: np.ndarray, shape: tuple[int, int], tol: Tolerances) -> int:
     return int(np.count_nonzero(sigma > _rank_cutoff(sigma, shape, tol)))
 
 
-def numerical_rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Number of singular values above the scaled rank cutoff."""
-    arr = as_matrix(a)
-    return _rank(np.linalg.svd(arr, compute_uv=False), arr.shape, tol)
-
-
 def rank_factors(a, tol: Tolerances = DEFAULT_TOL) -> SvdFactors:
     """The deterministic SVD cut at the numerical rank: A = U diag(sigma) V^T.
 
@@ -223,40 +215,20 @@ def _pinv(f: SvdFactors) -> np.ndarray:
     return (f.v / f.sigma) @ f.u.T
 
 
-def proj_range(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto ran(A); equals A A^+ in exact arithmetic."""
-    u = rank_factors(a, tol).u
-    return u @ u.T
-
-
-def proj_kernel_perp(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto ker(A)-perp; equals A^+ A."""
-    v = rank_factors(a, tol).v
-    return v @ v.T
-
-
-def truncated_svd(a, r: int, tol: Tolerances = DEFAULT_TOL) -> TruncatedSvd:
-    """Best rank-r approximation factors under the deterministic SVD order.
-
-    When the optimal truncation is ambiguous the canonical one (ties broken
-    by the SVD's ordering) is still returned, flagged ``NON_UNIQUE``.
-    """
-    _check_rank_bound(r)
-    arr = as_matrix(a)
-    return _truncate(_svd(arr), r, arr.shape, tol)
-
-
 def _truncate(
     f: SvdFactors, r: int, shape: tuple[int, int], tol: Tolerances
 ) -> TruncatedSvd:
     """Rank-r truncation of the factors of a matrix of the given shape.
 
-    The shape sets the rank cutoff, so a reduced core that carries the
-    nonzero singular values of a larger matrix is cut as that matrix.  The
-    head's V is a copy in V's own layout, so a kept truncation does not
-    hold all of f.v.  Its U stays a view: as a contiguous copy, a single
-    left vector sends B^+'s product with it down numpy's matrix-vector
-    path and moves the last bits of the minimiser.
+    The best rank-r approximation under the deterministic SVD order: when
+    it is ambiguous the canonical one (ties broken by the SVD's ordering)
+    is still returned, flagged ``NON_UNIQUE``.  The shape sets the rank
+    cutoff, so a reduced core that carries the nonzero singular values of
+    a larger matrix is cut as that matrix.  The head's V is a copy in V's
+    own layout, so a kept truncation does not hold all of f.v.  Its U stays
+    a view: as a contiguous copy, a single left vector sends B^+'s product
+    with it down numpy's matrix-vector path and moves the last bits of the
+    minimiser.
     """
     k = min(r, f.sigma.size)
     head = SvdFactors(u=f.u[:, :k], sigma=f.sigma[:k], v=f.v[:, :k].copy("K"))

@@ -34,7 +34,6 @@ from .linalg import (
     as_matrix,
     check_bound,
     hs_norm,
-    psd_sqrt,
 )
 from .solver import GlraProblem, _reduce, _solution, _truncate_core
 
@@ -52,7 +51,6 @@ __all__ = [
     "model_to_dict",
     "mse_monte_carlo",
     "mse_trace",
-    "mse_via_residual",
     "predict",
     "save_model",
 ]
@@ -236,16 +234,6 @@ def mse_trace(model: RrrModel, cov: CovarianceBundle) -> float:
     """Mean squared error evaluated through the covariance traces only."""
     w_x, w_a, w_y = _weight_triplet(cov.c_x.shape[0], cov.c_y.shape[0], model.weights)
     return _mse_from_traces(model.a_hat, cov, w_x, w_a, w_y)
-
-
-def mse_via_residual(
-    model: RrrModel, cov: CovarianceBundle, tol: Tolerances = DEFAULT_TOL
-) -> float:
-    """Same quantity as mse_trace, via c + ||M - B A^T C||_HS^2."""
-    w_x, w_a, w_y = _weight_triplet(cov.c_x.shape[0], cov.c_y.shape[0], model.weights)
-    prob = _transposed_problem(cov, model.r, w_x, w_a, w_y, tol)[0]
-    const = hs_norm(w_x @ psd_sqrt(cov.c_x, tol)) ** 2 - hs_norm(prob.m) ** 2
-    return const + hs_norm(prob.m - prob.b @ model.a_hat.T @ prob.c) ** 2
 
 
 def mse_monte_carlo(model: RrrModel, samples: SampleSet) -> float:

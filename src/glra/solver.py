@@ -323,7 +323,10 @@ def optimal_error(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> OptimalError
     K^T K).  The third sums the r largest real parts of the eigenvalues
     (``eigvals``, a nonsymmetric solver, so it shares no code path with
     the other two) of B^+ M C^+ C M^T B restricted to ker(B)-perp,
-    S_B^-1 K K^T S_B.  All four agree to rounding.
+    S_B^-1 K K^T S_B, formed as K K^T times the ratios sigma_j / sigma_i
+    of B's kept singular values: the rank cut bounds those, so the
+    similarity does not overflow where 1/sigma_i alone would.  All four
+    agree to rounding.
     ``error = ||M - (G)_r||_HS`` is the residual of the lifted truncation,
     which equals sqrt(||M||^2 - delta) in exact arithmetic but, unlike
     that difference, does not cancel when the fit is nearly exact.
@@ -335,7 +338,7 @@ def optimal_error(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> OptimalError
     gram = core @ core.T
     v1 = _top_abs_eigvalsh_sum(gram, p.r)
     v2 = _top_abs_eigvalsh_sum(core.T @ core, p.r)
-    v3 = _top_eigvals_sum(gram / fb.sigma[:, None] * fb.sigma, p.r)
+    v3 = _top_eigvals_sum(gram * (fb.sigma / fb.sigma[:, None]), p.r)
     return OptimalError(error=error, delta=delta, delta_variants=(v1, v2, v3))
 
 

@@ -67,12 +67,22 @@ def eigh_calls(monkeypatch):
 
 @pytest.fixture
 def no_projectors(monkeypatch):
-    """Make every glra module's dense projectors raise when called."""
+    """Make the checks' reference projectors raise in every glra module.
+
+    Only the invariant suites form dense projectors; a library path that
+    reached for them would raise here.
+    """
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("dense projector built")
+        raise AssertionError("reference projector built outside the checks")
 
-    for module in (glra, glra.linalg, glra.solver, glra.sequences, glra.regression):
-        for name in ("proj_range", "proj_kernel_perp"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
+    for module in (glra, glra.linalg, glra.solver, glra.sequences, glra.regression, glra.checks):
+        if hasattr(module, "_ref_projectors"):
+            monkeypatch.setattr(module, "_ref_projectors", forbidden)
+
+
+def identity_truncation(a, r):
+    """(A)_r with its tie diagnostics: the truncation of the B = I, C = I problem."""
+    a = np.asarray(a, dtype=float)
+    p = GlraProblem(m=a, b=np.eye(a.shape[0]), c=np.eye(a.shape[1]), r=r)
+    return glra.solve(p).truncation

@@ -6,7 +6,15 @@ import pytest
 import glra
 from glra import checks, linalg, sequences, solver
 from glra.checks import als_oracle
-from glra.linalg import DEFAULT_TOL, InputError, Tolerances, check_bound, hs_norm, pinv
+from glra.linalg import (
+    DEFAULT_TOL,
+    InputError,
+    SvdFactors,
+    Tolerances,
+    check_bound,
+    hs_norm,
+    pinv,
+)
 
 
 class TestFixturePair:
@@ -67,6 +75,29 @@ def test_approx_minimizer_bound_is_lambda_squared(monkeypatch):
     bound = results["approx_minimizer_deviation_bound"]
     assert bound.trials > 0
     assert bound.failures == bound.trials
+
+
+def test_duality_sees_a_wrong_rank_cut(monkeypatch):
+    # a library rank cut one short must fail against the reference, which
+    # shares no factorisation or cutoff with rank_factors
+    real = linalg.rank_factors
+
+    def one_short(a, tol=DEFAULT_TOL):
+        f = real(a, tol)
+        k = max(f.sigma.size - 1, 0)
+        return SvdFactors(u=f.u[:, :k], sigma=f.sigma[:k], v=f.v[:, :k])
+
+    monkeypatch.setattr(linalg, "rank_factors", one_short)
+    results = {res.name: res for res in checks.check_mp(trials=25, seed=0, tol=DEFAULT_TOL)}
+    assert results["kernel_range_duality"].failures > 0
+
+
+def test_seq_factorises_each_c_once(svd_calls):
+    # each trial's chain, C^+ and bounded sequence share solver._reduce's
+    # factors of C; with the chain and C^+ each factorising C again, the
+    # same two trials make 42 SVDs
+    checks.check_seq(trials=2, seed=0, tol=DEFAULT_TOL)
+    assert len(svd_calls) == 38
 
 
 def _loop_oracle(p, restarts, iters, seed):

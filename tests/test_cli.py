@@ -8,8 +8,9 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+from conftest import identity_truncation
 from glra import cli
-from glra.linalg import InputError, check_bound, hs_norm, pinv, truncated_svd
+from glra.linalg import InputError, check_bound, hs_norm, pinv
 from glra.matio import read_matrix, write_matrix
 from glra.regression import load_model
 
@@ -170,7 +171,7 @@ class TestSolveCommand:
         )
         assert code == 0
         np.testing.assert_allclose(
-            read_matrix(str(out)), truncated_svd(m, 2).matrix(), atol=1e-10
+            read_matrix(str(out)), identity_truncation(m, 2).matrix(), atol=1e-10
         )
 
     def test_deterministic_reports(self, capsys, tmp_path, fixture_files):
@@ -365,6 +366,24 @@ class TestErrorCommand:
         )
         assert code == 0
         assert doc["outputs"]["error"] == pytest.approx(0.0, abs=1e-8)
+
+    def test_tiny_b_with_huge_c(self, capsys, tmp_path):
+        # S_B^-1 K K^T S_B would overflow as (K K^T / sigma_i) sigma_j
+        # (1e300 / 1e-200); the ratios sigma_j / sigma_i stay bounded
+        for name, mat in (
+            ("M", 1e150 * np.eye(2)), ("B", 1e-200 * np.eye(2)), ("C", 1e200 * np.eye(2))
+        ):
+            write_matrix(str(tmp_path / f"{name}.csv"), mat)
+        argv = ["error", "--rank", "2", "--no-timestamp"]
+        for name in ("M", "B", "C"):
+            argv += [f"--{name}", str(tmp_path / f"{name}.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc = run(capsys, argv)
+        assert code == 0
+        variants = doc["outputs"]["delta_variants"]
+        assert np.all(np.isfinite(variants))
+        assert variants == pytest.approx([doc["outputs"]["delta"]] * 3, rel=1e-12)
 
 
 class TestDemoUnbounded:

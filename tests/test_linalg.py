@@ -6,21 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from conftest import identity_truncation
 from glra import linalg
+from glra.checks import _ref_projectors
 from glra.linalg import (
     DomainError,
     InputError,
     Tolerances,
     Uniqueness,
     hs_norm,
-    numerical_rank,
     pinv,
-    proj_kernel_perp,
-    proj_range,
     psd_sqrt,
     rank_factors,
     svd,
-    truncated_svd,
 )
 
 ATOL = 1e-10
@@ -158,32 +156,37 @@ class TestPinv:
 
 
 class TestProjectors:
+    """The checks' reference projectors, and the library's pinv and bases against them."""
+
     def test_full_row_rank_factor_projects_to_identity(self):
         b = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
-        np.testing.assert_allclose(proj_range(b), np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(proj_kernel_perp(b.T), np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(_ref_projectors(b)[0], np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(_ref_projectors(b.T)[1], np.eye(2), atol=1e-14)
 
     def test_zero_matrix(self):
-        assert hs_norm(proj_range(np.zeros((3, 3)))) == 0.0
-        assert hs_norm(proj_kernel_perp(np.zeros((3, 3)))) == 0.0
+        for proj in _ref_projectors(np.zeros((3, 3))):
+            assert hs_norm(proj) == 0.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_projector_algebra(self, seed):
         a = rng(seed).standard_normal((5, 4))
-        p = proj_range(a)
+        p, pk = _ref_projectors(a)
         assert hs_norm(p @ p - p) < ATOL
         assert hs_norm(p - p.T) < ATOL
         assert hs_norm(p @ a - a) < ATOL
-        assert hs_norm(proj_kernel_perp(a) - pinv(a) @ a) < ATOL
+        assert hs_norm(pk - pinv(a) @ a) < ATOL
 
     def test_kernel_range_duality(self):
         a = rng(9).standard_normal((6, 3)) @ rng(10).standard_normal((3, 5))
-        assert hs_norm(proj_range(a.T) - proj_kernel_perp(a)) < ATOL
+        u = rank_factors(a.T).u
+        assert hs_norm(u @ u.T - _ref_projectors(a)[1]) < ATOL
 
 
 class TestTruncatedSvd:
+    """The rank-r truncation, reached through the B = I, C = I problem."""
+
     def test_tied_identity_is_flagged(self):
-        t = truncated_svd(np.eye(2), 1)
+        t = identity_truncation(np.eye(2), 1)
         assert t.uniqueness is Uniqueness.NON_UNIQUE
         recon = t.matrix()
         candidates = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
@@ -191,26 +194,26 @@ class TestTruncatedSvd:
 
     def test_rank_saturation(self):
         a = rng(3).standard_normal((4, 2)) @ rng(4).standard_normal((2, 5))
-        t = truncated_svd(a, 3)
+        t = identity_truncation(a, 3)
         assert t.uniqueness is Uniqueness.UNIQUE_BY_RANK
         assert hs_norm(t.matrix() - a) < ATOL
         assert t.discarded_head < 1e-12
 
     def test_distinct_diagonal(self):
-        t = truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
+        t = identity_truncation(np.diag([3.0, 2.0, 1.0]), 2)
         assert t.uniqueness is Uniqueness.UNIQUE_BY_GAP
         np.testing.assert_allclose(t.matrix(), np.diag([3.0, 2.0, 0.0]), atol=1e-14)
         assert t.discarded_head == pytest.approx(1.0)
 
     def test_rejects_zero_rank(self):
         with pytest.raises(InputError):
-            truncated_svd(np.eye(2), 0)
+            identity_truncation(np.eye(2), 0)
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_residual_identity(self, r):
         a = rng(5).standard_normal((6, 4))
         sigma = np.linalg.svd(a, compute_uv=False)
-        t = truncated_svd(a, r)
+        t = identity_truncation(a, r)
         assert hs_norm(a - t.matrix()) ** 2 == pytest.approx(
             float(np.sum(sigma[r:] ** 2)), abs=ATOL
         )
@@ -247,7 +250,7 @@ class TestPsdSqrt:
         g = rng(7).standard_normal((5, 2))
         gram = g @ g.T  # rank 2 in dimension 5
         s = psd_sqrt(gram)
-        assert numerical_rank(s) == numerical_rank(gram) == 2
+        assert rank_factors(s).sigma.size == rank_factors(gram).sigma.size == 2
 
     def test_factors_split_range_and_kernel(self):
         g = rng(8).standard_normal((5, 2))
@@ -301,7 +304,7 @@ class TestRankDecisions:
     def test_rank_composition(self):
         s = rng(13).standard_normal((5, 2)) @ rng(14).standard_normal((2, 6))
         t = rng(15).standard_normal((4, 5))
-        assert numerical_rank(t @ s) <= numerical_rank(s)
+        assert rank_factors(t @ s).sigma.size <= rank_factors(s).sigma.size
 
     def test_tolerances_validate(self):
         with pytest.raises(InputError):
@@ -330,8 +333,8 @@ def test_hs_norm_squared_equals_gram_trace(a):
     st.integers(min_value=1, max_value=6),
 )
 def test_truncation_never_exceeds_rank_bound(a, r):
-    t = truncated_svd(a, r)
-    assert numerical_rank(t.matrix()) <= r
+    t = identity_truncation(a, r)
+    assert rank_factors(t.matrix()).sigma.size <= r
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
+from conftest import identity_truncation
+from glra.checks import _ref_projectors, als_oracle
 from glra.linalg import (
     DEFAULT_TOL,
     InputError,
     Uniqueness,
     hs_norm,
     pinv,
-    proj_kernel_perp,
-    proj_range,
     psd_sqrt,
     rank_factors,
-    truncated_svd,
 )
 from glra.regression import (
     CovarianceBundle,
@@ -25,11 +24,9 @@ from glra.regression import (
     model_to_dict,
     mse_monte_carlo,
     mse_trace,
-    mse_via_residual,
     predict,
     save_model,
 )
-from glra.checks import als_oracle
 from glra import regression
 
 ATOL = 1e-10
@@ -84,7 +81,7 @@ class TestFit:
         same = SampleSet(xs=s.ys.copy(), ys=s.ys)
         cov = empirical_covariances(same)
         model = fit(cov, r=4)
-        np.testing.assert_allclose(model.a_hat, proj_range(cov.c_y), atol=1e-9)
+        np.testing.assert_allclose(model.a_hat, _ref_projectors(cov.c_y)[0], atol=1e-9)
         assert model.fit_report.objective_mse == pytest.approx(0.0, abs=1e-9)
 
     def test_identity_weights_match_direct_formula(self):
@@ -92,10 +89,8 @@ class TestFit:
         r = 2
         model = fit(cov, r)
         half = psd_sqrt(cov.c_y)
-        direct = (
-            pinv(half)
-            @ truncated_svd(proj_range(half) @ pinv(half) @ cov.c_yx, r).matrix()
-        ).T
+        target = _ref_projectors(half)[0] @ pinv(half) @ cov.c_yx
+        direct = (pinv(half) @ identity_truncation(target, r).matrix()).T
         np.testing.assert_allclose(model.a_hat, direct, atol=1e-12)
         explicit = fit(
             cov,
@@ -114,8 +109,10 @@ class TestFit:
         model = fit(cov, r, weights=(w_x, w_a, w_y))
         half = psd_sqrt(cov.c_y)
         b_op = half @ w_y.T
-        target = proj_range(b_op) @ pinv(half) @ cov.c_yx @ w_x.T @ proj_range(w_a)
-        direct = pinv(w_a) @ (pinv(b_op) @ truncated_svd(target, r).matrix()).T
+        target = (
+            _ref_projectors(b_op)[0] @ pinv(half) @ cov.c_yx @ w_x.T @ _ref_projectors(w_a)[0]
+        )
+        direct = pinv(w_a) @ (pinv(b_op) @ identity_truncation(target, r).matrix()).T
         np.testing.assert_allclose(model.a_hat, direct, atol=1e-10)
         assert model.fit_report.minimality_defect < ATOL
         assert model.fit_report.containment_residual < ATOL
@@ -169,7 +166,7 @@ class TestPredict:
         same = SampleSet(xs=s.ys.copy(), ys=s.ys)
         cov = empirical_covariances(same)
         model = fit(cov, r=4)
-        p_ran = proj_range(cov.c_y)
+        p_ran = _ref_projectors(cov.c_y)[0]
         for row in same.ys[:5]:
             np.testing.assert_allclose(predict(model, row), p_ran @ row, atol=1e-9)
 
@@ -178,6 +175,14 @@ class TestPredict:
         model = fit(cov, r=1)
         with pytest.raises(InputError):
             predict(model, np.ones(model.a_hat.shape[1] + 1))
+
+
+def mse_via_residual(model, cov, tol=DEFAULT_TOL):
+    """Same quantity as mse_trace, via c + ||M - B A^T C||_HS^2."""
+    w_x, w_a, w_y = regression._weight_triplet(cov.c_x.shape[0], cov.c_y.shape[0], model.weights)
+    prob = regression._transposed_problem(cov, model.r, w_x, w_a, w_y, tol)[0]
+    const = hs_norm(w_x @ psd_sqrt(cov.c_x, tol)) ** 2 - hs_norm(prob.m) ** 2
+    return const + hs_norm(prob.m - prob.b @ model.a_hat.T @ prob.c) ** 2
 
 
 class TestMse:
@@ -327,7 +332,7 @@ class TestCovarianceFactorisation:
         half_x = psd_sqrt(cov.c_x)
         u = pinv(half_y) @ cov.c_yx @ pinv(half_x)
         assert np.linalg.svd(u, compute_uv=False)[0] <= 1.0 + 1e-8
-        sandwiched = proj_range(half_y) @ u @ proj_range(half_x)
+        sandwiched = _ref_projectors(half_y)[0] @ u @ _ref_projectors(half_x)[0]
         assert hs_norm(sandwiched - u) < 1e-8
 
     def test_half_power_range_identity(self):
@@ -338,7 +343,7 @@ class TestCovarianceFactorisation:
     def test_half_power_kernel_matches(self):
         cov = empirical_covariances(gaussian_samples(27, deficient_y=True))
         half = psd_sqrt(cov.c_y)
-        assert hs_norm(proj_kernel_perp(half) - proj_kernel_perp(cov.c_y)) < 1e-8
+        assert hs_norm(_ref_projectors(half)[1] - _ref_projectors(cov.c_y)[1]) < 1e-8
 
 
 class TestPersistence:

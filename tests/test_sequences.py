@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from glra.checks import _ref_projectors
 from glra.linalg import (
     DEFAULT_TOL,
     InputError,
@@ -9,7 +10,6 @@ from glra.linalg import (
     check_bound,
     hs_norm,
     pinv,
-    proj_kernel_perp,
     rank_factors,
 )
 from glra.sequences import (
@@ -315,7 +315,7 @@ class TestBoundedApproximation:
         chain = nested_chain(p.c, steps=4, seed=seed)
         res = bounded_approximation_sequence(p, chain)
         g_r = solve(p).truncation.matrix()
-        pk = proj_kernel_perp(p.c)
+        pk = _ref_projectors(p.c)[1]
         for st in res.steps:
             q = st.outer.x_basis @ st.outer.x_basis.T
             # product identity B X_n C = (G)_r Q_n

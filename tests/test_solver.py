@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import branch_member
+from conftest import branch_member, identity_truncation
 from glra.linalg import (
     InputError,
     NumericalError,
@@ -14,11 +14,8 @@ from glra.linalg import (
     check_bound,
     hs_norm,
     pinv,
-    proj_kernel_perp,
-    proj_range,
-    truncated_svd,
 )
-from glra.checks import als_oracle
+from glra.checks import _ref_projectors, als_oracle
 from glra.solver import (
     GlraProblem,
     canonicalize,
@@ -61,7 +58,8 @@ class TestSolve:
         m = rng(1).standard_normal((5, 4))
         p = GlraProblem(m=m, b=np.eye(5), c=np.eye(4), r=2)
         sol = solve(p)
-        assert hs_norm(sol.x_hat - truncated_svd(m, 2).matrix()) < ATOL
+        u, s, vh = np.linalg.svd(m)
+        assert hs_norm(sol.x_hat - (u[:, :2] * s[:2]) @ vh[:2]) < ATOL
 
     def test_objective_matches_oracle(self):
         p = random_problem(2)
@@ -311,7 +309,7 @@ class TestAdjoint:
         m = rng(7).standard_normal((4, 5))
         p = GlraProblem(m=m, b=np.eye(4), c=np.eye(5), r=2)
         adj = solve_adjoint(p)
-        assert hs_norm(adj.x_hat - truncated_svd(m, 2).matrix().T) < ATOL
+        assert hs_norm(adj.x_hat - identity_truncation(m, 2).matrix().T) < ATOL
 
     def test_tied_fixture(self, tied_problem, x_branch_a, x_branch_b):
         adj = solve_adjoint(tied_problem)
@@ -368,10 +366,8 @@ class TestAlsOracle:
 class TestProjectedProblemIdentity:
     @pytest.mark.parametrize("seed", range(5))
     def test_split_constant(self, seed):
-        from glra.linalg import proj_kernel_perp, proj_range
-
         p = random_problem(seed, dims=(5, 4, 3, 4), r=2)
-        g_mat = proj_range(p.b) @ p.m @ proj_kernel_perp(p.c)
+        g_mat = _ref_projectors(p.b)[0] @ p.m @ _ref_projectors(p.c)[1]
         const = hs_norm(p.m) ** 2 - hs_norm(g_mat) ** 2
         gen = rng(seed + 100)
         x = gen.standard_normal((p.x_shape[0], p.r)) @ gen.standard_normal(
@@ -412,8 +408,8 @@ class TestClosedForm:
 
     @staticmethod
     def reference(p):
-        g = proj_range(p.b) @ p.m @ proj_kernel_perp(p.c)
-        tsvd = truncated_svd(g, p.r)
+        g = _ref_projectors(p.b)[0] @ p.m @ _ref_projectors(p.c)[1]
+        tsvd = identity_truncation(g, p.r)
         return pinv(p.b) @ tsvd.matrix() @ pinv(p.c), tsvd
 
     def check(self, p):
@@ -664,7 +660,7 @@ def minimiser_scale(p: GlraProblem, x_hat: np.ndarray) -> float:
     condition number ||B|| ||B^+|| or ||C|| ||C^+||.
     """
     b_pinv, c_pinv = pinv(p.b), pinv(p.c)
-    g = proj_range(p.b) @ p.m @ proj_kernel_perp(p.c)
+    g = _ref_projectors(p.b)[0] @ p.m @ _ref_projectors(p.c)[1]
     sigma = np.linalg.svd(g, compute_uv=False)
     amplification = 1.0
     if p.r < sigma.size and sigma[p.r] > check_bound(max(p.m.shape), sigma[0]):
