@@ -56,14 +56,14 @@ def _number_list(option: str, text: str, kind: type = int) -> list:
     return values
 
 
-def _load_problem(args: argparse.Namespace) -> solver.GlraProblem:
+def _load_problem(args: argparse.Namespace, tol: Tolerances) -> solver.GlraProblem:
     # a bad rank bound is no fault of the files, so it is judged before them
     _check_rank_bound(args.rank)
     m = read_matrix(args.M)
     b = read_matrix(args.B)
     c = read_matrix(args.C)
     try:
-        return solver.GlraProblem(m=m, b=b, c=c, r=args.rank)
+        return solver.GlraProblem(m=m, b=b, c=c, r=args.rank, tol=tol)
     except InputError as exc:
         raise InputError(
             f"incompatible inputs {args.M}, {args.B}, {args.C}: {exc}"
@@ -71,8 +71,8 @@ def _load_problem(args: argparse.Namespace) -> solver.GlraProblem:
 
 
 def cmd_solve(args: argparse.Namespace, tol: Tolerances) -> Result:
-    problem = _load_problem(args)
-    sol = (solver.solve_adjoint if args.adjoint else solver.solve)(problem, tol)
+    problem = _load_problem(args, tol)
+    sol = (solver.solve_adjoint if args.adjoint else solver.solve)(problem)
     write_matrix(args.out, sol.x_hat)
     return (
         {"M": args.M, "B": args.B, "C": args.C, "rank": args.rank, "adjoint": bool(args.adjoint)},
@@ -83,8 +83,8 @@ def cmd_solve(args: argparse.Namespace, tol: Tolerances) -> Result:
 
 
 def cmd_error(args: argparse.Namespace, tol: Tolerances) -> Result:
-    problem = _load_problem(args)
-    err = solver.optimal_error(problem, tol)
+    problem = _load_problem(args, tol)
+    err = solver.optimal_error(problem)
     variants = (err.delta,) + err.delta_variants
     spread = max(abs(a - b) for a in variants for b in variants)
     return (
@@ -135,19 +135,17 @@ def cmd_demo_unbounded(args: argparse.Namespace, tol: Tolerances) -> Result:
     )
 
 
-def _build_chain(
-    spec: str, problem: solver.GlraProblem, seed: int, tol: Tolerances
-) -> sequences.SubspaceChain:
+def _build_chain(spec: str, problem: solver.GlraProblem, seed: int) -> sequences.SubspaceChain:
     # full_chain and nested_chain on the problem's own factors of C, which
     # bounded_approximation_sequence reuses, so C is factorised once
     if spec == "full":
-        return sequences.SubspaceChain(bases=(solver._reduce(problem, tol)[1].u,))
+        return sequences.SubspaceChain(bases=(solver._reduce(problem)[1].u,))
     if spec.startswith("auto:"):
         try:
             steps = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise InputError(f"bad chain spec {spec!r}; expected auto:<steps>") from exc
-        return sequences._nested_chain(solver._reduce(problem, tol)[1].u, steps, seed)
+        return sequences._nested_chain(solver._reduce(problem)[1].u, steps, seed)
     generators = read_matrix(spec)
     # the leading k columns of one QR span the first k generators
     q, _ = np.linalg.qr(generators)
@@ -161,9 +159,9 @@ def _nonincreasing(values: list[float], slack: float) -> bool:
 
 
 def cmd_outer_approx(args: argparse.Namespace, tol: Tolerances) -> Result:
-    problem = _load_problem(args)
-    chain = _build_chain(args.chain, problem, args.seed, tol)
-    result = sequences.bounded_approximation_sequence(problem, chain, tol)
+    problem = _load_problem(args, tol)
+    chain = _build_chain(args.chain, problem, args.seed)
+    result = sequences.bounded_approximation_sequence(problem, chain)
     rows = []
     alt_tails = []
     if args.alternative:
@@ -242,9 +240,7 @@ def cmd_regress(args: argparse.Namespace, tol: Tolerances) -> Result:
         "containment_residual": model.fit_report.containment_residual,
     }
     if weights is None:
-        kernel = regression.maximal_kernel_check(
-            model, cov, trials=args.trials, seed=args.seed, tol=tol
-        )
+        kernel = regression.maximal_kernel_check(model, cov, trials=args.trials, seed=args.seed)
         diagnostics["maximal_kernel"] = {
             "passed": kernel.passed,
             "kernel_dim": kernel.kernel_dim,

@@ -4,7 +4,9 @@ Everything downstream (the solver, the truncation experiments, the
 regression front end) is built on the primitives here: a deterministic
 SVD and its cut at the numerical rank, the Moore-Penrose inverse, rank-r
 truncation with tie detection (``_truncate``, reached through the
-solver), the PSD square root and the Hilbert-Schmidt norm.  No dense
+solver), the PSD square root and the Hilbert-Schmidt norm.  The one rank
+rule (``_cutoff``) and the one tie rule (``_tied``) that every numerical
+decision downstream applies with its ``Tolerances`` live here too.  No dense
 projector is formed here: orthonormal bases of ran(A) and ker(A)-perp are
 the columns of ``rank_factors``.  All matrices are plain 2-D float64
 ``numpy`` arrays and all functions are pure.
@@ -180,13 +182,29 @@ def _svd(arr: np.ndarray) -> SvdFactors:
     return SvdFactors(u=u, sigma=s, v=v)
 
 
-def _rank_cutoff(sigma: np.ndarray, shape: tuple[int, int], tol: Tolerances) -> float:
-    top = float(sigma[0]) if sigma.size else 0.0
-    return tol.rank_rel * top * max(shape)
+def _cutoff(scale: float, dim: int, tol: Tolerances) -> float:
+    """The rank rule: singular values at or below rank_rel * scale * dim count as zero.
+
+    ``scale`` is the largest singular value of the matrix whose rank is
+    decided (1 for the sines of principal angles) and ``dim`` its larger
+    dimension.  Every rank decision of the library is made here; only the
+    references in ``checks`` write out a cutoff of their own.
+    """
+    return tol.rank_rel * scale * dim
+
+
+def _tied(upper: float, lower: float, top: float, tol: Tolerances) -> bool:
+    """The tie rule: adjacent values upper >= lower tie when upper - lower <= tie_rel * top.
+
+    ``top`` is the largest value of the spectrum they belong to.  Every tie
+    decision of the library is made here.
+    """
+    return bool(upper - lower <= tol.tie_rel * top)
 
 
 def _rank(sigma: np.ndarray, shape: tuple[int, int], tol: Tolerances) -> int:
-    return int(np.count_nonzero(sigma > _rank_cutoff(sigma, shape, tol)))
+    top = float(sigma[0]) if sigma.size else 0.0
+    return int(np.count_nonzero(sigma > _cutoff(top, max(shape), tol)))
 
 
 def rank_factors(a, tol: Tolerances = DEFAULT_TOL) -> SvdFactors:
@@ -236,10 +254,10 @@ def _truncate(
     rank = _rank(f.sigma, shape, tol)
     if rank <= r:
         flag = Uniqueness.UNIQUE_BY_RANK
-    elif f.sigma[r - 1] - f.sigma[r] > tol.tie_rel * f.sigma[0]:
-        flag = Uniqueness.UNIQUE_BY_GAP
-    else:
+    elif _tied(f.sigma[r - 1], f.sigma[r], f.sigma[0], tol):
         flag = Uniqueness.NON_UNIQUE
+    else:
+        flag = Uniqueness.UNIQUE_BY_GAP
     return TruncatedSvd(
         factors=head,
         r=r,
@@ -297,7 +315,7 @@ def _psd_factors(a, tol: Tolerances) -> tuple[SvdFactors, np.ndarray]:
         raise DomainError(f"psd_sqrt needs a symmetric matrix (asymmetry {asym:.3e})")
     evals, q = np.linalg.eigh((arr + arr.T) / 2.0)
     low = float(evals[0])
-    cutoff = tol.rank_rel * max(-low, float(evals[-1])) * arr.shape[0]
+    cutoff = _cutoff(max(-low, float(evals[-1])), arr.shape[0], tol)
     if low < -cutoff:
         raise DomainError(f"matrix is not positive semidefinite: eigenvalue {low:.6e}")
     evals, q = evals[::-1], q[:, ::-1]

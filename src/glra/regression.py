@@ -10,8 +10,9 @@ solutions.  C_y is factorised once per call: one eigendecomposition gives
 C_y^(1/2), its pseudo-inverse and, with identity weights, the factors of
 B, so the solve itself only takes the SVD of its core.  The returned
 minimiser annihilates ker(C_y) (maximal-kernel property) in the
-identity-weight case; the maximal-kernel check takes ker(C_y) from the
-same eigendecomposition, so it sees the rank the fit used.
+identity-weight case.  A model keeps the ``Tolerances`` it was fitted
+with, and the maximal-kernel check cuts ker(C_y) with them, so it sees
+the rank the fit used.
 """
 
 from __future__ import annotations
@@ -120,13 +121,16 @@ class RrrModel:
 
     ``weights`` is None for the identity-weight fit, else the (W_x, W_A,
     W_y) triple used; in the weighted case A_hat maps the W_y input space
-    into the W_A input space.
+    into the W_A input space.  ``tol`` holds the tolerances of the fit;
+    the model document does not store them, so a loaded model has the
+    default ones.
     """
 
     a_hat: np.ndarray
     r: int
     weights: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     fit_report: FitReport
+    tol: Tolerances = DEFAULT_TOL
 
 
 def _weight_triplet(
@@ -158,14 +162,14 @@ def _transposed_problem(
     w_y: np.ndarray,
     tol: Tolerances,
 ) -> tuple[GlraProblem, SvdFactors]:
-    """The transposed problem (M, B, C, r) and the rank-cut factors of C_y^(1/2).
+    """The transposed problem (M, B, C, r), under tol, and the rank-cut factors of C_y^(1/2).
 
     C_y^(1/2) and its pseudo-inverse both come from the one
     eigendecomposition of C_y.
     """
     half = _psd_factors(cov.c_y, tol)[0]
     m_op = _pinv(half) @ cov.c_yx @ w_x.T
-    return GlraProblem(m=m_op, b=half.reconstruct() @ w_y.T, c=w_a.T, r=r), half
+    return GlraProblem(m=m_op, b=half.reconstruct() @ w_y.T, c=w_a.T, r=r, tol=tol), half
 
 
 def fit(
@@ -187,7 +191,7 @@ def fit(
         fb, fc = half, _diagonal_factors(np.ones(w_a.shape[0]), tol)
         t = _truncate_core(prob, fb, fc, tol)[1]
     else:
-        fb, fc, _, t = _reduce(prob, tol)
+        fb, fc, _, t = _reduce(prob)
     sol = _solution(prob, fb, fc, t)
     a_hat = sol.x_hat.T
     u_r = sol.truncation.factors.u[:, : sol.truncation.effective_count]
@@ -199,7 +203,7 @@ def fit(
         uniqueness=sol.uniqueness,
         containment_residual=containment,
     )
-    return RrrModel(a_hat=a_hat, r=r, weights=weights, fit_report=report)
+    return RrrModel(a_hat=a_hat, r=r, weights=weights, fit_report=report, tol=tol)
 
 
 def predict(model: RrrModel, y) -> np.ndarray:
@@ -266,24 +270,23 @@ class MaximalKernelReport:
 
 
 def maximal_kernel_check(
-    model: RrrModel,
-    cov: CovarianceBundle,
-    trials: int = 20,
-    seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
+    model: RrrModel, cov: CovarianceBundle, trials: int = 20, seed: int = 0
 ) -> MaximalKernelReport:
-    """Verify the maximal-kernel property of an identity-weights model."""
+    """Verify the maximal-kernel property of an identity-weights model.
+
+    ker(C_y) is cut with the model's own tolerances, those of its fit.
+    """
     if model.weights is not None:
         raise InputError("the maximal-kernel check applies to identity-weight models")
     if trials < 0:
         raise InputError(f"trials must be >= 0, got {trials}")
-    kernel = _psd_factors(cov.c_y, tol)[1]
+    kernel = _psd_factors(cov.c_y, model.tol)[1]
     dim_x = cov.c_x.shape[0]
     dim_y, k_dim = kernel.shape
     annihilation = hs_norm(model.a_hat @ kernel) if k_dim else 0.0
     base = mse_trace(model, cov)
     c_x_norm = hs_norm(cov.c_x)
-    c_y_norm = hs_norm(cov.c_y)
+    c_y_root = np.sqrt(hs_norm(cov.c_y))
     rng = np.random.default_rng(seed)
     max_dev = 0.0
     min_shrink = np.inf
@@ -295,8 +298,9 @@ def maximal_kernel_check(
         a_norm = hs_norm(perturbed.a_hat)
         dev = abs(mse_trace(perturbed, cov) - base)
         max_dev = max(max_dev, dev)
-        # the MSE traces are tr(C_x) and tr(A C_y A^T), up to rounding
-        ok = ok and dev <= check_bound(dim_x + dim_y, c_x_norm + a_norm**2 * c_y_norm)
+        # the MSE traces are tr(C_x) and tr(A C_y A^T), up to rounding; the
+        # second scale is finite whenever that trace is
+        ok = ok and dev <= check_bound(dim_x + dim_y, c_x_norm + (a_norm * c_y_root) ** 2)
         # a Gaussian T gives a nonzero perturbation whenever the kernel is not trivial
         if k_dim:
             shrink = hs_norm(perturbed.a_hat @ kernel)

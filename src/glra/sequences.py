@@ -24,7 +24,9 @@ from .linalg import (
     SvdFactors,
     Tolerances,
     _check_rank_bound,
+    _cutoff,
     _diagonal_factors,
+    _tied,
     as_matrix,
     check_bound,
     hs_norm,
@@ -230,7 +232,7 @@ def unboundedness_sweep(
             f"probe index {max(probes)} exceeds the largest sweep dimension {max(n_values)}"
         )
     mu_head = spec.mu_values(2)
-    tie = bool(mu_head[0] - mu_head[1] <= tol.tie_rel * mu_head[0])
+    tie = _tied(mu_head[0], mu_head[1], mu_head[0], tol)
     rows: list[SweepRow] = []
     bounded_rows: list[SweepRow] = []
     w_norms: dict[int, float] = {}
@@ -298,10 +300,7 @@ class ApproximationSequence:
 
 
 def approximate_minimizers(
-    p: GlraProblem,
-    epsilons: list[float],
-    tol: Tolerances = DEFAULT_TOL,
-    seed: int = 0,
+    p: GlraProblem, epsilons: list[float], seed: int = 0
 ) -> ApproximationSequence:
     """Minimising sequence built by perturbing the target truncation.
 
@@ -313,7 +312,7 @@ def approximate_minimizers(
     the solver's minimiser of the core triplets, and the same formula with
     the left vectors u_i replaced by U_B^T d_i.
     """
-    fb, fc, _, t = _reduce(p, tol)
+    fb, fc, _, t = _reduce(p)
     tsvd = _lift(fb, fc, t)
     k = tsvd.effective_count
     lambdas = tsvd.factors.sigma[:k].copy()
@@ -479,9 +478,7 @@ class BoundedApproxResult:
     steps: list[BoundedApproxStep]
 
 
-def bounded_approximation_sequence(
-    p: GlraProblem, chain: SubspaceChain, tol: Tolerances = DEFAULT_TOL
-) -> BoundedApproxResult:
+def bounded_approximation_sequence(p: GlraProblem, chain: SubspaceChain) -> BoundedApproxResult:
     """Bounded minimising sequence X_n = B^+ (G)_r C_n# along the chain.
 
     Each step keeps the minimality property and satisfies
@@ -489,13 +486,16 @@ def bounded_approximation_sequence(
     optimum is the tail sum of ||(G)_r e_i||^2 over directions of
     ker(C)-perp not yet covered; it reaches zero for exhaustive chains.
     """
-    fb, fc, _, t = _reduce(p, tol)
+    fb, fc, _, t = _reduce(p)
     sol = _solution(p, fb, fc, t)
     g_r = sol.truncation.matrix()
-    # B^+ (G)_r = x_hat C, because the rows of (G)_r lie in ker(C)-perp
-    prefix = sol.x_hat @ p.c
+    # B^+ (G)_r = x_hat C, because the rows of (G)_r lie in ker(C)-perp; a
+    # huge x_hat can overflow it, which is reported below as NumericalError
+    with np.errstate(over="ignore", invalid="ignore"):
+        prefix = sol.x_hat @ p.c
+    _require_finite(**{"x_hat C": prefix})
     steps: list[BoundedApproxStep] = []
-    for outer in _outer_inverse_chain(p.c, fc, chain, tol):
+    for outer in _outer_inverse_chain(p.c, fc, chain, p.tol):
         x_n = prefix @ outer.c_sharp
         tail = hs_norm(g_r - p.b @ x_n @ p.c) ** 2
         steps.append(BoundedApproxStep(x=x_n, tail_error=tail, outer=outer))
@@ -538,13 +538,13 @@ def _lower_bound(fc: SvdFactors, z: np.ndarray, tol: Tolerances) -> LowerBoundRe
     singular values are the sines of the principal angles between
     ker(C)-perp and ker(Z) (Bjorck & Golub, Math. Comp. 1973).  The matrix
     is only rank(Z) x rank(C); its full V is needed only when it is wide.
-    A sine counts as zero below rank_rel * n: the scale is 1 because V_C
-    and R are orthonormal.  As C V_C y = U_C S_C y, the constant is the
+    A sine is cut by the rank rule at scale 1, because V_C and R are
+    orthonormal.  As C V_C y = U_C S_C y, the constant is the
     smallest singular value of S_C y.
     """
     sines = rank_factors(z, tol).v.T @ fc.v
     _, s, vh = np.linalg.svd(sines, full_matrices=sines.shape[0] < sines.shape[1])
-    y = vh[np.count_nonzero(s > tol.rank_rel * fc.v.shape[0]):].T
+    y = vh[np.count_nonzero(s > _cutoff(1.0, fc.v.shape[0], tol)):].T
     if y.shape[1] == 0:
         return LowerBoundResult(constant=0.0, subspace_dim=0)
     s = np.linalg.svd(fc.sigma[:, None] * y, compute_uv=False)

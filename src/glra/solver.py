@@ -13,12 +13,13 @@ what survives of the often-quoted but generally false minimal-Frobenius-
 norm property.  The full solution set, the optimal-error identities and
 the adjoint problem live here as well.
 
-A problem keeps its reduction (the factors of B and C, K and its
-truncation), one per ``Tolerances`` value, so ``solve``,
+A problem carries the ``Tolerances`` it is solved with and keeps its one
+reduction (the factors of B and C, K and its truncation), so ``solve``,
 ``optimal_error`` and ``solution_set_sample`` on one problem factorise
-each operand once between them.  ``solve_adjoint`` builds the transposed
-problem, which factorises C^T and B^T itself.  A problem holds read-only
-views of its inputs, which must not change after construction.
+each operand once between them and cut it at one rank.  ``solve_adjoint``
+builds the transposed problem, which factorises C^T and B^T itself.  A
+problem holds read-only views of its inputs, which must not change after
+construction.
 """
 
 from __future__ import annotations
@@ -60,26 +61,28 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GlraProblem:
-    """The data (M, B, C, r) of one approximation problem.
+    """The data (M, B, C, r) of one approximation problem and its tolerances.
 
     Shapes: M is m x n, B is m x p, C is q x n, and the unknown X is
-    p x q so that B X C matches M.
+    p x q so that B X C matches M.  ``tol`` decides the ranks of B, C and
+    the core and the tie flag of every function that takes the problem.
 
     The arrays are validated once, here, and held as read-only views of
     the inputs, not copies: the problem relies on them not changing
     afterwards, because it keeps the factors of B and C and the truncated
-    core of its first solve for each ``Tolerances`` and every later call
-    reuses them.  ``dataclasses.replace`` gives a problem that factorises
-    afresh.  Problems, like every glra record that holds arrays, compare
-    and hash by identity.
+    core of its first solve and every later call reuses them.
+    ``dataclasses.replace`` (of ``r`` or ``tol``, say) gives a problem that
+    factorises afresh.  Problems, like every glra record that holds
+    arrays, compare and hash by identity.
     """
 
     m: np.ndarray
     b: np.ndarray
     c: np.ndarray
     r: int
-    # Tolerances -> the (fb, fc, core, t) of _reduce
-    _reductions: dict = field(default_factory=dict, init=False, repr=False)
+    tol: Tolerances = DEFAULT_TOL
+    # the (fb, fc, core, t) of _reduce, once it has run
+    _reduction: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("m", "b", "c"):
@@ -118,22 +121,19 @@ class GlraSolution:
     truncation: TruncatedSvd
 
 
-def _reduce(
-    p: GlraProblem, tol: Tolerances
-) -> tuple[SvdFactors, SvdFactors, np.ndarray, TruncatedSvd]:
+def _reduce(p: GlraProblem) -> tuple[SvdFactors, SvdFactors, np.ndarray, TruncatedSvd]:
     """Factor B and C once and truncate the core K = U_B^T M V_C.
 
-    Returns the rank-cut factors of B and C, K, and the rank-r truncation
-    of K in core coordinates (see _truncate_core).  The first call for a
-    tol stores them on p and every later one returns the stored ones.
+    Returns the factors of B and C cut at p.tol's rank, K, and the rank-r
+    truncation of K in core coordinates (see _truncate_core).  The first
+    call stores them on p and every later one returns the stored ones.
     """
-    reduction = p._reductions.get(tol)
-    if reduction is None:
-        fb = rank_factors(p.b, tol)
-        fc = rank_factors(p.c, tol)
-        core, t = _truncate_core(p, fb, fc, tol)
-        reduction = p._reductions[tol] = (fb, fc, core, t)
-    return reduction
+    if p._reduction is None:
+        fb = rank_factors(p.b, p.tol)
+        fc = rank_factors(p.c, p.tol)
+        core, t = _truncate_core(p, fb, fc, p.tol)
+        object.__setattr__(p, "_reduction", (fb, fc, core, t))
+    return p._reduction
 
 
 def _truncate_core(
@@ -230,13 +230,13 @@ def _solution(
     )
 
 
-def solve(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> GlraSolution:
+def solve(p: GlraProblem) -> GlraSolution:
     """Closed-form minimiser of ||M - B X C||_HS over rank(X) <= r.
 
     When the truncation is not unique the deterministic canonical one is
     used and the solution is flagged ``NON_UNIQUE``.
     """
-    fb, fc, _, t = _reduce(p, tol)
+    fb, fc, _, t = _reduce(p)
     return _solution(p, fb, fc, t)
 
 
@@ -272,20 +272,18 @@ def canonicalize(x, b, c, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return _minimal_part(as_matrix(x, "X"), rank_factors(b, tol).v, rank_factors(c, tol).u)
 
 
-def solution_set_sample(
-    sol: GlraSolution, p: GlraProblem, t, s, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def solution_set_sample(sol: GlraSolution, p: GlraProblem, t, s) -> np.ndarray:
     """A member ``x_hat + P_ker(B) T + S P_ran(C)-perp`` of the solution set.
 
-    Every such matrix attains the same objective; canonicalize() with the
-    same tolerances maps it back to ``x_hat``, so pass the ``tol`` that
-    solved the problem; V_B and U_C then come from that solve's factors.
+    ``sol`` is solve(p).  Every such matrix attains the same objective, and
+    canonicalize() with p.tol maps it back to ``x_hat``: V_B and U_C come
+    from the factors that solved p.
     """
     ta = as_matrix(t, "T")
     sa = as_matrix(s, "S")
     if ta.shape != p.x_shape or sa.shape != p.x_shape:
         raise InputError(f"T and S must have shape {p.x_shape}")
-    fb, fc, _, _ = _reduce(p, tol)
+    fb, fc, _, _ = _reduce(p)
     vb, uc = fb.v, fc.u
     return sol.x_hat + (ta - vb @ (vb.T @ ta)) + (sa - (sa @ uc) @ uc.T)
 
@@ -313,7 +311,7 @@ def _top_abs_eigvalsh_sum(gram: np.ndarray, r: int) -> float:
     return float(np.sum(evals[:r]))
 
 
-def optimal_error(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> OptimalError:
+def optimal_error(p: GlraProblem) -> OptimalError:
     """Optimal error and delta = sum of the r largest sigma_i(G)^2.
 
     delta comes from the truncated core K = U_B^T M V_C.  The three
@@ -331,7 +329,7 @@ def optimal_error(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> OptimalError
     which equals sqrt(||M||^2 - delta) in exact arithmetic but, unlike
     that difference, does not cancel when the fit is nearly exact.
     """
-    fb, fc, core, t = _reduce(p, tol)
+    fb, fc, core, t = _reduce(p)
     delta = _delta(t)
     error = hs_norm(p.m - _lift(fb, fc, t).matrix())
     _require_finite(error=error, delta=delta)
@@ -345,12 +343,12 @@ def optimal_error(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> OptimalError
 def adjoint_problem(p: GlraProblem) -> GlraProblem:
     """The transposed problem min ||M^T - C^T X B^T|| with B and C swapped.
 
-    It is a new problem and factorises its own operands.
+    It is a new problem, with p's tolerances, and factorises its own operands.
     """
-    return GlraProblem(m=p.m.T, b=p.c.T, c=p.b.T, r=p.r)
+    return GlraProblem(m=p.m.T, b=p.c.T, c=p.b.T, r=p.r, tol=p.tol)
 
 
-def solve_adjoint(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> GlraSolution:
+def solve_adjoint(p: GlraProblem) -> GlraSolution:
     """Solve the adjoint problem; its objective equals the primal one.
 
     The returned minimiser X (shape q x p) satisfies the transposed
@@ -358,4 +356,4 @@ def solve_adjoint(p: GlraProblem, tol: Tolerances = DEFAULT_TOL) -> GlraSolution
     factorised afresh, not taken from p's factors, so the objective is an
     independent recomputation of the primal one.
     """
-    return solve(adjoint_problem(p), tol)
+    return solve(adjoint_problem(p))

@@ -77,9 +77,9 @@ def test_approx_minimizer_bound_is_lambda_squared(monkeypatch):
     assert bound.failures == bound.trials
 
 
-def test_duality_sees_a_wrong_rank_cut(monkeypatch):
-    # a library rank cut one short must fail against the reference, which
-    # shares no factorisation or cutoff with rank_factors
+@pytest.fixture
+def rank_cut_one_short(monkeypatch):
+    """linalg.rank_factors, as checks calls it, dropping its smallest kept triplet."""
     real = linalg.rank_factors
 
     def one_short(a, tol=DEFAULT_TOL):
@@ -88,8 +88,19 @@ def test_duality_sees_a_wrong_rank_cut(monkeypatch):
         return SvdFactors(u=f.u[:, :k], sigma=f.sigma[:k], v=f.v[:, :k])
 
     monkeypatch.setattr(linalg, "rank_factors", one_short)
+
+
+def test_duality_sees_a_wrong_rank_cut(rank_cut_one_short):
+    # a library rank cut one short must fail against the reference, which
+    # shares no factorisation or cutoff with rank_factors
     results = {res.name: res for res in checks.check_mp(trials=25, seed=0, tol=DEFAULT_TOL)}
     assert results["kernel_range_duality"].failures > 0
+
+
+def test_rank_composition_sees_a_wrong_rank_cut(rank_cut_one_short):
+    # rank(T A) comes from the reference, rank(A) from the library
+    results = {res.name: res for res in checks.check_svd(trials=25, seed=0, tol=DEFAULT_TOL)}
+    assert results["rank_composition"].failures > 0
 
 
 def test_seq_factorises_each_c_once(svd_calls):

@@ -35,6 +35,15 @@ def run(capsys, argv):
     return code, (json.loads(out) if out.strip() else None)
 
 
+def report_numbers(doc):
+    """Every number in a JSON report, nested ones included."""
+    if isinstance(doc, dict):
+        return [x for v in doc.values() for x in report_numbers(v)]
+    if isinstance(doc, list):
+        return [x for v in doc for x in report_numbers(v)]
+    return [doc] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
+
+
 class TestMatrixRoundTrip:
     def test_bit_exact(self, tmp_path):
         a = np.random.default_rng(0).standard_normal((6, 4)) * 1e3
@@ -616,6 +625,25 @@ class TestOuterApprox:
         assert doc["outputs"]["final_tail_error"] <= 1e-10
         assert doc["diagnostics"]["tail_nonincreasing"] is True
 
+    def test_overflowing_minimiser_is_numerical(self, capsys, tmp_path):
+        # x_hat ~ 1e300 is finite, as solve reports, but x_hat C overflows:
+        # a numerical failure from finite input, not bad input
+        g = np.random.default_rng(1)
+        for name, shape, scale in (
+            ("M", (4, 5), 1e100), ("B", (4, 4), 1e-300), ("C", (4, 5), 1e100)
+        ):
+            write_matrix(str(tmp_path / f"{name}.csv"), scale * g.standard_normal(shape))
+        argv = ["outer-approx", "--rank", "2", "--out", str(tmp_path / "o.csv"), "--no-timestamp"]
+        for name in ("M", "B", "C"):
+            argv += [f"--{name}", str(tmp_path / f"{name}.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "x_hat C is not finite" in captured.err
+
 
 class TestRegressCommand:
     def test_self_reconstruction(self, capsys, tmp_path):
@@ -792,6 +820,20 @@ class TestRegressCommand:
         # A_hat is invariant when x and y are scaled together
         base = models[1.0]
         assert hs_norm(models[scale] - base) <= check_bound(16 + 50, hs_norm(base))
+
+    def test_huge_x_with_tiny_y(self, capsys, tmp_path):
+        # ||A_hat|| ~ 1e250 squares past the float range, but the MSE traces
+        # (~1e200) do not, so the maximal-kernel bound stays finite
+        g = np.random.default_rng(1)
+        write_matrix(str(tmp_path / "x.csv"), 1e100 * g.standard_normal((50, 4)))
+        write_matrix(str(tmp_path / "y.csv"), 1e-150 * g.standard_normal((50, 3)))
+        argv = ["regress", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc = run(capsys, argv + ["--rank", "2", "--no-timestamp"])
+        assert code == 0
+        assert np.all(np.isfinite(report_numbers(doc)))
+        assert doc["diagnostics"]["maximal_kernel"]["passed"] is True
 
 
 class TestCheckCommand:

@@ -1,4 +1,6 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,3 +354,23 @@ def test_truncation_never_exceeds_rank_bound(a, r):
 def test_rejected_input(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()
+
+
+def test_tolerances_are_read_by_the_two_rules_only():
+    # every rank and tie decision goes through linalg._cutoff and linalg._tied;
+    # cli only turns its options into a Tolerances
+    allowed = {
+        ("linalg", "_cutoff"),
+        ("linalg", "_tied"),
+        ("linalg", "Tolerances"),
+        ("cli", "_add_common"),
+        ("cli", "main"),
+    }
+    readers = set()
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in ("rank_rel", "tie_rel"):
+                    readers.add((path.stem, getattr(top, "name", "<module>")))
+    assert readers <= allowed
+    assert {("linalg", "_cutoff"), ("linalg", "_tied")} <= readers

@@ -6,6 +6,7 @@ from glra.checks import _ref_projectors, als_oracle
 from glra.linalg import (
     DEFAULT_TOL,
     InputError,
+    Tolerances,
     Uniqueness,
     hs_norm,
     pinv,
@@ -307,6 +308,18 @@ class TestMaximalKernel:
         cov = CovarianceBundle(c_x=a @ c_y @ a.T + np.eye(3), c_y=c_y, c_xy=a @ c_y)
         report = maximal_kernel_check(fit(cov, 2), cov, trials=0)
         assert report.kernel_dim + rank_factors(psd_sqrt(cov.c_y)).sigma.size == 5
+
+    def test_judges_with_the_fit_tolerances(self):
+        # lambda_min(C_y) is about 1e-13 lambda_max: rank under rank_rel = 1e-16,
+        # kernel under the default cutoff, which the model's A_hat does not annihilate
+        g = np.random.default_rng(3)
+        ys = g.standard_normal((200, 3)) * np.array([1.0, 0.5, 10**-6.5])
+        xs = ys @ g.standard_normal((3, 3)) + 0.01 * g.standard_normal((200, 3))
+        cov = empirical_covariances(SampleSet(xs=xs, ys=ys))
+        model = fit(cov, 3, tol=Tolerances(rank_rel=1e-16))
+        report = maximal_kernel_check(model, cov, trials=5)
+        assert report.kernel_dim == 0
+        assert report.passed
 
     def test_rejects_weighted_models(self):
         cov = empirical_covariances(gaussian_samples(24, dim_f=3, dim_g=3))

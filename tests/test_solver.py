@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from glra.linalg import (
     pinv,
 )
 from glra.checks import _ref_projectors, als_oracle
+from glra.sequences import bounded_approximation_sequence, nested_chain
 from glra.solver import (
     GlraProblem,
     canonicalize,
@@ -189,7 +191,7 @@ class TestRecordsCompareByIdentity:
             assert len({a, b}) == 2
 
     def test_tolerances_keep_value_equality(self):
-        # Tolerances is the key of a problem's stored reductions
+        # Tolerances is a value: equal ones make the same rank and tie decisions
         assert Tolerances(rank_rel=1e-10) == Tolerances(rank_rel=1e-10)
         assert len({Tolerances(), Tolerances()}) == 1
 
@@ -252,11 +254,11 @@ class TestSolutionSet:
         b = np.zeros((3, 4))
         b[:, :3] = np.diag([1.0, 0.5, 1e-13])
         c = g.standard_normal((4, 3))
-        p = GlraProblem(m=b @ g.standard_normal((4, 4)) @ c, b=b, c=c, r=3)
         tol = Tolerances(rank_rel=1e-16)
-        sol = solve(p, tol)
+        p = GlraProblem(m=b @ g.standard_normal((4, 4)) @ c, b=b, c=c, r=3, tol=tol)
+        sol = solve(p)
         member = solution_set_sample(
-            sol, p, g.standard_normal(p.x_shape), g.standard_normal(p.x_shape), tol
+            sol, p, g.standard_normal(p.x_shape), g.standard_normal(p.x_shape)
         )
         assert hs_norm(canonicalize(member, p.b, p.c, tol) - sol.x_hat) < ATOL
         assert hs_norm(member) >= hs_norm(sol.x_hat) - ATOL
@@ -515,19 +517,40 @@ class TestFactorOnce:
         assert calls == {"svd": 6, "eig": 0}
 
     def test_other_tolerances_factorise_again(self, monkeypatch):
-        # guard: the reduction is kept per Tolerances value
+        # guard: a problem with other tolerances does not reuse the reduction
         p = deficient_problem(3, 2)
         solve(p)
         calls = self.count_lapack(monkeypatch)
-        solve(p, Tolerances(rank_rel=1e-10))
+        solve(replace(p, tol=Tolerances(rank_rel=1e-10)))
         assert calls == {"svd": 3, "eig": 0}
-        solve(p, Tolerances())
+        solve(p)
         assert calls == {"svd": 3, "eig": 0}
+
+    def test_problem_tolerances_share_one_factorisation(self, monkeypatch):
+        # sigma_3(B) = 1e-13 is rank under rank_rel = 1e-16 but kernel under
+        # the default cutoff, so x_hat's third row shows which cut was used
+        g = rng(7)
+        b = np.zeros((3, 4))
+        b[:, :3] = np.diag([1.0, 0.5, 1e-13])
+        c = g.standard_normal((4, 3))
+        m = b @ g.standard_normal((4, 4)) @ c
+        p = GlraProblem(m=m, b=b, c=c, r=3, tol=Tolerances(rank_rel=1e-16))
+        chain = nested_chain(c, 2, seed=1, tol=p.tol)
+        calls = self.count_lapack(monkeypatch)
+        sol = solve(p)
+        optimal_error(p)
+        z = np.zeros(p.x_shape)
+        solution_set_sample(sol, p, z, z)
+        bounded = bounded_approximation_sequence(p, chain)
+        # B, C and K once; one SVD per chain step; the three error variants
+        assert calls == {"svd": 3 + len(chain.bases), "eig": 3}
+        assert np.any(sol.x_hat[2])
+        np.testing.assert_array_equal(bounded.solution.x_hat, sol.x_hat)
+        assert not np.any(solve(replace(p, tol=Tolerances())).x_hat[2])
+        assert calls["svd"] == 6 + len(chain.bases)
 
     def test_replace_starts_afresh(self):
         # guard: dataclasses.replace does not carry the rank-1 reduction over
-        from dataclasses import replace
-
         p = deficient_problem(3, 1)
         solve(p)
         sol = solve(replace(p, r=2))
