@@ -9,11 +9,12 @@ the same seed.
 
 The references the invariants compare the library with are written in
 numpy alone and share no factorisation or rank cutoff with the library
-they check: the oracle (``als_oracle``) is a brute-force search, and
+they check: the oracle (``als_oracle``) is a brute-force search,
 ``_ref_projectors`` gives P_ran(A) and P_ker(A)-perp from the bases of
-one numpy SVD.  Both cut at ORACLE_RANK_REL, written out here, so a
-wrong rank decision in the library does not pass by checking it against
-itself.
+one numpy SVD, and ``_pinv_stack`` gives A^+ (the C^+ that the seq
+suite compares its outer inverses with) from another.  All three cut at
+ORACLE_RANK_REL, written out here, so a wrong rank decision in the
+library does not pass by checking it against itself.
 """
 
 from __future__ import annotations
@@ -317,6 +318,7 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
     growth = InvariantResult("sweep_matches_growth_law")
     outer = InvariantResult("outer_inverse_identity")
     agrees = InvariantResult("outer_inverse_equals_projected_pinv")
+    exhaustive = InvariantResult("exhaustive_outer_inverse_is_pinv")
     tail_mono = InvariantResult("tail_error_monotone")
     bxc_ident = InvariantResult("bounded_step_product_identity")
     step_min = InvariantResult("bounded_step_minimality")
@@ -334,12 +336,12 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
             abs(row.norm - row.predicted_norm) for row in sweep.rows
         )
         c_norm = hs_norm(prob.c)
-        # C's factors, which C^+, the chain and the bounded sequence share
-        fc = solver._reduce(prob)[1]
-        c_pinv = linalg._pinv(fc)
+        # the reference C^+, which shares no factorisation or rank cut with the library
+        c_pinv = _pinv_stack(prob.c)
         # the probe columns of x_hat carry C^+ applied to M
         growth.record(worst, check_bound(n, hs_norm(prob.m) * hs_norm(c_pinv)))
-        chain = sequences._nested_chain(fc.u, 3, seed + k)
+        # the chain shares the library's factors of C with the bounded sequence
+        chain = sequences._nested_chain(solver._reduce(prob)[1].u, 3, seed + k)
         bounded = sequences.bounded_approximation_sequence(prob, chain)
         g_r = bounded.solution.truncation.matrix()
         for st in bounded.steps:
@@ -361,6 +363,11 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
                 solver.minimality_defect(st.x, prob.b, prob.c, tol),
                 check_bound(n, x_norm),
             )
+        # the last step spans ran(C), so its outer inverse is C^+ itself
+        exhaustive.record(
+            hs_norm(bounded.steps[-1].outer.c_sharp - c_pinv),
+            check_bound(n, hs_norm(c_pinv) ** 2 * c_norm),
+        )
         tails = [st.tail_error for st in bounded.steps]
         tail_mono.record(
             max((later - earlier for earlier, later in zip(tails, tails[1:])), default=0.0),
@@ -385,7 +392,9 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
                 st.deviation_sq - scaled.r * lam1**2 * st.epsilon**2,
                 check_bound(n, target_sq),
             )
-    return [growth, outer, agrees, tail_mono, bxc_ident, step_min, family, approx_bound]
+    return [
+        growth, outer, agrees, exhaustive, tail_mono, bxc_ident, step_min, family, approx_bound
+    ]
 
 
 def check_rrr(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:

@@ -8,11 +8,15 @@ M = (C_y^(1/2))^+ C_yx W_x^T, and solves that transposed problem in
 closed form; this route is the one that yields bounded finite-rank
 solutions.  C_y is factorised once per call: one eigendecomposition gives
 C_y^(1/2), its pseudo-inverse and, with identity weights, the factors of
-B, so the solve itself only takes the SVD of its core.  The returned
+B.  The fit then passes those and the factors of C = I to the solver's
+reduction as known factors, so the solve itself only takes the SVD of
+its core, and ``solve`` builds the solution.  The returned
 minimiser annihilates ker(C_y) (maximal-kernel property) in the
 identity-weight case.  A model keeps the ``Tolerances`` it was fitted
 with, and the maximal-kernel check cuts ker(C_y) with them, so it sees
-the rank the fit used.
+the rank the fit used.  Evaluating a model on data (``mse_trace``,
+``mse_monte_carlo``, ``maximal_kernel_check``) first checks its
+dimensions against the data's, as one InputError naming both shapes.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .linalg import (
     check_bound,
     hs_norm,
 )
-from .solver import GlraProblem, _reduce, _solution, _truncate_core
+from .solver import GlraProblem, _reduce, solve
 
 __all__ = [
     "CovarianceBundle",
@@ -186,13 +190,10 @@ def fit(
     _check_rank_bound(r)
     w_x, w_a, w_y = _weight_triplet(cov.c_x.shape[0], cov.c_y.shape[0], weights)
     prob, half = _transposed_problem(cov, r, w_x, w_a, w_y, tol)
-    if weights is None:
-        # B = C_y^(1/2) and C = I come with their factors
-        fb, fc = half, _diagonal_factors(np.ones(w_a.shape[0]), tol)
-        t = _truncate_core(prob, fb, fc, tol)[1]
-    else:
-        fb, fc, _, t = _reduce(prob)
-    sol = _solution(prob, fb, fc, t)
+    # with identity weights B = C_y^(1/2) and C = I come with their factors
+    known = (half, _diagonal_factors(np.ones(w_a.shape[0]), tol)) if weights is None else ()
+    fb = _reduce(prob, *known)[0]
+    sol = solve(prob)
     a_hat = sol.x_hat.T
     u_r = sol.truncation.factors.u[:, : sol.truncation.effective_count]
     containment = hs_norm(u_r - fb.u @ (fb.u.T @ u_r)) if u_r.size else 0.0
@@ -226,28 +227,36 @@ def _mse_from_traces(
     w_y: np.ndarray,
 ) -> float:
     way = w_a @ a_hat @ w_y
-    if way.shape[1] != cov.c_y.shape[0]:
-        raise InputError("model and covariance dimensions do not match")
     t_fit = float(np.trace(way @ cov.c_y @ way.T))
     t_x = float(np.trace(w_x @ cov.c_x @ w_x.T))
     t_cross = float(np.trace(way @ cov.c_yx @ w_x.T))
     return t_fit + t_x - 2.0 * t_cross
 
 
+def _model_weights(
+    model: RrrModel, dims: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The model's (W_x, W_A, W_y) for x and y of dimensions dims, checked against A_hat.
+
+    Raises InputError, naming both shapes, unless W_A A_hat W_y is
+    defined: with identity weights, unless A_hat is dims[0] x dims[1].
+    """
+    w_x, w_a, w_y = _weight_triplet(*dims, model.weights)
+    fits = (w_a.shape[1], w_y.shape[0])
+    if model.a_hat.shape != fits:
+        raise InputError(f"model expects dimensions {model.a_hat.shape}, data have {fits}")
+    return w_x, w_a, w_y
+
+
 def mse_trace(model: RrrModel, cov: CovarianceBundle) -> float:
     """Mean squared error evaluated through the covariance traces only."""
-    w_x, w_a, w_y = _weight_triplet(cov.c_x.shape[0], cov.c_y.shape[0], model.weights)
+    w_x, w_a, w_y = _model_weights(model, (cov.c_x.shape[0], cov.c_y.shape[0]))
     return _mse_from_traces(model.a_hat, cov, w_x, w_a, w_y)
 
 
 def mse_monte_carlo(model: RrrModel, samples: SampleSet) -> float:
     """Mean squared error averaged over the given samples."""
-    dims = (samples.xs.shape[1], samples.ys.shape[1])
-    if model.weights is None and model.a_hat.shape != dims:
-        raise InputError(
-            f"model expects dimensions {model.a_hat.shape}, samples have {dims}"
-        )
-    w_x, w_a, w_y = _weight_triplet(*dims, model.weights)
+    w_x, w_a, w_y = _model_weights(model, (samples.xs.shape[1], samples.ys.shape[1]))
     residual = w_x @ samples.xs.T - w_a @ model.a_hat @ w_y @ samples.ys.T
     return float(np.mean(np.sum(residual**2, axis=0)))
 
@@ -280,11 +289,12 @@ def maximal_kernel_check(
         raise InputError("the maximal-kernel check applies to identity-weight models")
     if trials < 0:
         raise InputError(f"trials must be >= 0, got {trials}")
+    # first, as it checks the model's dimensions against cov
+    base = mse_trace(model, cov)
     kernel = _psd_factors(cov.c_y, model.tol)[1]
     dim_x = cov.c_x.shape[0]
     dim_y, k_dim = kernel.shape
     annihilation = hs_norm(model.a_hat @ kernel) if k_dim else 0.0
-    base = mse_trace(model, cov)
     c_x_norm = hs_norm(cov.c_x)
     c_y_root = np.sqrt(hs_norm(cov.c_y))
     rng = np.random.default_rng(seed)

@@ -39,9 +39,8 @@ from .solver import (
     _minimiser,
     _reduce,
     _require_finite,
-    _solution,
-    _truncate_core,
     objective,
+    solve,
 )
 
 __all__ = [
@@ -250,7 +249,7 @@ def unboundedness_sweep(
         x_a = inst.mu[0] * np.outer(f1, _pinv_row(fc, f1))
         if not tie:
             fb = _diagonal_factors(np.ones(n), tol)
-            _, t = _truncate_core(inst.problem, fb, fc, tol)
+            _, _, _, t = _reduce(replace(inst.problem, tol=tol), fb, fc)
             x_hat = _minimiser(fb, fc, t.factors)
             residual = hs_norm(x_hat - x_a)
             if residual > check_bound(n, hs_norm(x_hat)):
@@ -486,8 +485,7 @@ def bounded_approximation_sequence(p: GlraProblem, chain: SubspaceChain) -> Boun
     optimum is the tail sum of ||(G)_r e_i||^2 over directions of
     ker(C)-perp not yet covered; it reaches zero for exhaustive chains.
     """
-    fb, fc, _, t = _reduce(p)
-    sol = _solution(p, fb, fc, t)
+    sol = solve(p)
     g_r = sol.truncation.matrix()
     # B^+ (G)_r = x_hat C, because the rows of (G)_r lie in ker(C)-perp; a
     # huge x_hat can overflow it, which is reported below as NumericalError
@@ -495,7 +493,7 @@ def bounded_approximation_sequence(p: GlraProblem, chain: SubspaceChain) -> Boun
         prefix = sol.x_hat @ p.c
     _require_finite(**{"x_hat C": prefix})
     steps: list[BoundedApproxStep] = []
-    for outer in _outer_inverse_chain(p.c, fc, chain, p.tol):
+    for outer in _outer_inverse_chain(p.c, _reduce(p)[1], chain, p.tol):
         x_n = prefix @ outer.c_sharp
         tail = hs_norm(g_r - p.b @ x_n @ p.c) ** 2
         steps.append(BoundedApproxStep(x=x_n, tail_error=tail, outer=outer))

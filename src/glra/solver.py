@@ -16,10 +16,14 @@ the adjoint problem live here as well.
 A problem carries the ``Tolerances`` it is solved with and keeps its one
 reduction (the factors of B and C, K and its truncation), so ``solve``,
 ``optimal_error`` and ``solution_set_sample`` on one problem factorise
-each operand once between them and cut it at one rank.  ``solve_adjoint``
-builds the transposed problem, which factorises C^T and B^T itself.  A
-problem holds read-only views of its inputs, which must not change after
-construction.
+each operand once between them and cut it at one rank.  Every
+truncation is cut in that reduction (``_reduce``), at its own problem's
+tolerances; a caller that already knows the rank-cut factors of B or C
+(the identity and diagonal operands of a growth sweep, or of an
+identity-weight regression fit) passes them to it.  ``solve`` is the
+only builder of a ``GlraSolution``.  ``solve_adjoint`` builds the
+transposed problem, which factorises C^T and B^T itself.  A problem holds
+read-only views of its inputs, which must not change after construction.
 """
 
 from __future__ import annotations
@@ -121,31 +125,27 @@ class GlraSolution:
     truncation: TruncatedSvd
 
 
-def _reduce(p: GlraProblem) -> tuple[SvdFactors, SvdFactors, np.ndarray, TruncatedSvd]:
+def _reduce(
+    p: GlraProblem, fb: SvdFactors | None = None, fc: SvdFactors | None = None
+) -> tuple[SvdFactors, SvdFactors, np.ndarray, TruncatedSvd]:
     """Factor B and C once and truncate the core K = U_B^T M V_C.
 
     Returns the factors of B and C cut at p.tol's rank, K, and the rank-r
-    truncation of K in core coordinates (see _truncate_core).  The first
-    call stores them on p and every later one returns the stored ones.
+    truncation of K in core coordinates.  K has the nonzero singular
+    values of G, whose shape is M's, so its rank is decided with G's
+    cutoff.  A caller that already holds the rank-cut factors of B or C
+    (a diagonal operand, say) passes them as fb or fc, and only the other
+    operand is factorised.  The first call stores the result on p and
+    every later one returns the stored one, so factors passed to a
+    problem that is already reduced are not used.
     """
     if p._reduction is None:
-        fb = rank_factors(p.b, p.tol)
-        fc = rank_factors(p.c, p.tol)
-        core, t = _truncate_core(p, fb, fc, p.tol)
+        fb = rank_factors(p.b, p.tol) if fb is None else fb
+        fc = rank_factors(p.c, p.tol) if fc is None else fc
+        core = fb.u.T @ p.m @ fc.v
+        t = _truncate(_svd(core), p.r, p.m.shape, p.tol)
         object.__setattr__(p, "_reduction", (fb, fc, core, t))
     return p._reduction
-
-
-def _truncate_core(
-    p: GlraProblem, fb: SvdFactors, fc: SvdFactors, tol: Tolerances
-) -> tuple[np.ndarray, TruncatedSvd]:
-    """The core K = U_B^T M V_C from the rank-cut factors of B and C, and its truncation.
-
-    K has the nonzero singular values of G, whose shape is M's, so the
-    rank is decided with G's cutoff.
-    """
-    core = fb.u.T @ p.m @ fc.v
-    return core, _truncate(_svd(core), p.r, p.m.shape, tol)
 
 
 def _require_finite(**values: float | np.ndarray) -> None:
@@ -204,16 +204,17 @@ def _delta(t: TruncatedSvd) -> float:
         return float(np.sum(t.factors.sigma**2))
 
 
-def _solution(
-    p: GlraProblem, fb: SvdFactors, fc: SvdFactors, t: TruncatedSvd
-) -> GlraSolution:
-    """The GlraSolution of p from the factors that _reduce returned.
+def solve(p: GlraProblem) -> GlraSolution:
+    """Closed-form minimiser of ||M - B X C||_HS over rank(X) <= r.
 
-    The minimality defect ||x_hat - P_ker(B)-perp x_hat P_ran(C)|| is
-    taken at x_hat's rank: with x_hat = L R^T, the projected matrix is
+    When the truncation is not unique the deterministic canonical one is
+    used and the solution is flagged ``NON_UNIQUE``.  The minimality
+    defect ||x_hat - P_ker(B)-perp x_hat P_ran(C)|| is taken at x_hat's
+    rank: with x_hat = L R^T, the projected matrix is
     (V_B V_B^T L)(U_C U_C^T R)^T, so no p x q product beyond x_hat's own
     is formed.
     """
+    fb, fc, _, t = _reduce(p)
     left, right = _minimiser_factors(fb, fc, t.factors)
     x_hat = left @ right.T
     _require_finite(x_hat=x_hat)
@@ -228,16 +229,6 @@ def _solution(
         minimality_defect=hs_norm(x_hat - minimal),
         truncation=_lift(fb, fc, t),
     )
-
-
-def solve(p: GlraProblem) -> GlraSolution:
-    """Closed-form minimiser of ||M - B X C||_HS over rank(X) <= r.
-
-    When the truncation is not unique the deterministic canonical one is
-    used and the solution is flagged ``NON_UNIQUE``.
-    """
-    fb, fc, _, t = _reduce(p)
-    return _solution(p, fb, fc, t)
 
 
 def objective(p: GlraProblem, x) -> float:

@@ -79,7 +79,7 @@ def test_approx_minimizer_bound_is_lambda_squared(monkeypatch):
 
 @pytest.fixture
 def rank_cut_one_short(monkeypatch):
-    """linalg.rank_factors, as checks calls it, dropping its smallest kept triplet."""
+    """rank_factors, as checks and the solver call it, dropping its smallest kept triplet."""
     real = linalg.rank_factors
 
     def one_short(a, tol=DEFAULT_TOL):
@@ -87,7 +87,8 @@ def rank_cut_one_short(monkeypatch):
         k = max(f.sigma.size - 1, 0)
         return SvdFactors(u=f.u[:, :k], sigma=f.sigma[:k], v=f.v[:, :k])
 
-    monkeypatch.setattr(linalg, "rank_factors", one_short)
+    for module in (linalg, solver):
+        monkeypatch.setattr(module, "rank_factors", one_short)
 
 
 def test_duality_sees_a_wrong_rank_cut(rank_cut_one_short):
@@ -103,12 +104,19 @@ def test_rank_composition_sees_a_wrong_rank_cut(rank_cut_one_short):
     assert results["rank_composition"].failures > 0
 
 
+def test_exhaustive_step_sees_a_wrong_rank_cut(rank_cut_one_short):
+    # the solver's factors of C, one triplet short, give a chain whose last
+    # step misses a direction of ran(C) that the reference C^+ keeps
+    results = {res.name: res for res in checks.check_seq(trials=25, seed=0, tol=DEFAULT_TOL)}
+    assert results["exhaustive_outer_inverse_is_pinv"].failures == 25
+
+
 def test_seq_factorises_each_c_once(svd_calls):
-    # each trial's chain, C^+ and bounded sequence share solver._reduce's
-    # factors of C; with the chain and C^+ each factorising C again, the
-    # same two trials make 42 SVDs
+    # each trial's chain and bounded sequence share solver._reduce's
+    # factors of C, and the reference C^+ takes one SVD of its own; with
+    # the chain factorising C again, the same two trials make 42 SVDs
     checks.check_seq(trials=2, seed=0, tol=DEFAULT_TOL)
-    assert len(svd_calls) == 38
+    assert len(svd_calls) == 40
 
 
 def _loop_oracle(p, restarts, iters, seed):

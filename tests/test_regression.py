@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -421,6 +423,29 @@ class TestInputErrors:
                 ),
                 "malformed model document: 'r'",
             ),
+            (
+                lambda: mse_trace(
+                    fit(small_cov(), 1), empirical_covariances(gaussian_samples(32, dim_g=6))
+                ),
+                r"model expects dimensions \(4, 5\), data have \(4, 6\)",
+            ),
+            (
+                lambda: maximal_kernel_check(
+                    fit(small_cov(), 1), empirical_covariances(gaussian_samples(33, dim_f=3))
+                ),
+                r"model expects dimensions \(4, 5\), data have \(3, 5\)",
+            ),
+            (
+                # a model document may carry an A_hat that W_A A_hat W_y cannot hold
+                lambda: mse_monte_carlo(
+                    replace(
+                        fit(small_cov(), 1, weights=(np.eye(4), np.eye(4), np.eye(5))),
+                        a_hat=np.zeros((4, 2)),
+                    ),
+                    gaussian_samples(31, count=50),
+                ),
+                r"model expects dimensions \(4, 2\), data have \(4, 5\)",
+            ),
         ],
         ids=[
             "c-x-not-square",
@@ -429,6 +454,9 @@ class TestInputErrors:
             "w-a-rows",
             "predict-non-finite",
             "model-missing-key",
+            "mse-trace-dimensions",
+            "kernel-check-dimensions",
+            "monte-carlo-a-hat-shape",
         ],
     )
     def test_rejected(self, call, fragment):

@@ -1,17 +1,21 @@
+import ast
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glra
 from conftest import branch_member, identity_truncation
 from glra.linalg import (
     InputError,
     NumericalError,
     Tolerances,
     Uniqueness,
+    _diagonal_factors,
     check_bound,
     hs_norm,
     pinv,
@@ -20,6 +24,7 @@ from glra.checks import _ref_projectors, als_oracle
 from glra.sequences import bounded_approximation_sequence, nested_chain
 from glra.solver import (
     GlraProblem,
+    _reduce,
     canonicalize,
     minimality_defect,
     objective,
@@ -549,6 +554,22 @@ class TestFactorOnce:
         assert not np.any(solve(replace(p, tol=Tolerances())).x_hat[2])
         assert calls["svd"] == 6 + len(chain.bases)
 
+    def test_known_factors_skip_their_factorisation(self, monkeypatch):
+        # B = I comes with its factors: only C and K are factorised, and the
+        # solution keeps the bits of the one that factorises I as well
+        g = rng(8)
+        p = GlraProblem(
+            m=g.standard_normal((4, 5)), b=np.eye(4), c=g.standard_normal((3, 5)), r=2
+        )
+        fresh = solve(replace(p))
+        calls = self.count_lapack(monkeypatch)
+        _reduce(p, _diagonal_factors(np.ones(4), p.tol))
+        assert calls == {"svd": 2, "eig": 0}
+        np.testing.assert_array_equal(solve(p).x_hat, fresh.x_hat)
+        # guard: factors passed to a problem that is already reduced are not used
+        half = _diagonal_factors(np.full(4, 0.5), p.tol)
+        assert _reduce(p, half)[0] is not half
+
     def test_replace_starts_afresh(self):
         # guard: dataclasses.replace does not carry the rank-1 reduction over
         p = deficient_problem(3, 1)
@@ -752,3 +773,17 @@ class TestInputErrors:
     def test_rejected(self, call, fragment):
         with pytest.raises(InputError, match=fragment):
             call()
+
+
+def test_one_truncation_and_one_solution_builder():
+    # every truncation is cut in solver._reduce, at its own problem's
+    # tolerances, and solver.solve builds every GlraSolution
+    callers = {"_truncate": set(), "GlraSolution": set()}
+    for path in sorted(Path(glra.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in callers:
+                        callers[name].add((path.stem, getattr(top, "name", "<module>")))
+    assert callers == {"_truncate": {("solver", "_reduce")}, "GlraSolution": {("solver", "solve")}}
