@@ -251,6 +251,18 @@ def check_svd(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
     return [recon, residual, eckart, rank_comp, sqrt_check]
 
 
+def _member_optimality(
+    p: solver.GlraProblem, sol: solver.GlraSolution, member: np.ndarray, dim: int
+) -> tuple[float, float]:
+    """|objective(member) - objective(x_hat)| for a sampled member of the solution set.
+
+    objective makes no rank decision, so a member drawn with a wrong cut
+    of B or C misses the optimum.  The bound is that of B X C's rounding.
+    """
+    scale = hs_norm(p.m) + hs_norm(p.b) * hs_norm(member) * hs_norm(p.c)
+    return abs(solver.objective(p, member) - sol.objective), check_bound(dim, scale)
+
+
 def check_glra(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
     rng = np.random.default_rng(seed)
     projected = InvariantResult("projected_problem_identity")
@@ -258,6 +270,7 @@ def check_glra(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]
     optimal = InvariantResult("solve_beats_als_oracle")
     minimal = InvariantResult("minimality_within_family")
     round_trip = InvariantResult("canonicalize_round_trip")
+    member_opt = InvariantResult("solution_set_member_is_optimal")
     adjoint = InvariantResult("adjoint_objective_equality")
     err_consist = InvariantResult("optimal_error_consistency")
     for k in range(trials):
@@ -295,9 +308,10 @@ def check_glra(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]
         member_norm = hs_norm(member)
         minimal.record(x_norm - member_norm, check_bound(dim, member_norm))
         round_trip.record(
-            hs_norm(solver.canonicalize(member, p.b, p.c, tol) - sol.x_hat),
+            hs_norm(solver.canonicalize(member, p) - sol.x_hat),
             check_bound(dim, member_norm),
         )
+        member_opt.record(*_member_optimality(p, sol, member, dim))
         adjoint.record(
             abs(sol.objective - solver.solve_adjoint(p).objective),
             check_bound(dim, op_scale),
@@ -310,7 +324,7 @@ def check_glra(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]
             max(spread, abs(sol.objective**2 + opt.delta - hs_norm(p.m) ** 2)),
             check_bound(dim, m_norm**2),
         )
-    return [projected, charact, optimal, minimal, round_trip, adjoint, err_consist]
+    return [projected, charact, optimal, minimal, round_trip, member_opt, adjoint, err_consist]
 
 
 def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
@@ -323,6 +337,7 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
     bxc_ident = InvariantResult("bounded_step_product_identity")
     step_min = InvariantResult("bounded_step_minimality")
     family = InvariantResult("sampled_solutions_dominate_canonical")
+    member_opt = InvariantResult("solution_set_member_is_optimal")
     approx_bound = InvariantResult("approx_minimizer_deviation_bound")
     spec = sequences.SequenceSpec(gamma_exponent=2.0, alpha_exponent=1.0)
     for k in range(trials):
@@ -360,7 +375,7 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
                 check_bound(n, x_norm * c_norm),
             )
             step_min.record(
-                solver.minimality_defect(st.x, prob.b, prob.c, tol),
+                solver.minimality_defect(st.x, prob),
                 check_bound(n, x_norm),
             )
         # the last step spans ran(C), so its outer inverse is C^+ itself
@@ -381,6 +396,7 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
         canon_sup = max(np.linalg.norm(sol.x_hat[:, m - 1]) for m in probes)
         member_sup = max(np.linalg.norm(member[:, m - 1]) for m in probes)
         family.record(canon_sup - member_sup, check_bound(n, hs_norm(member)))
+        member_opt.record(*_member_optimality(prob, sol, member, n))
         scaled = replace(prob, m=prob.m / (inst.mu[0] * 1.25), r=1)
         seq_res = sequences.approximate_minimizers(
             scaled, [1.0 / (j + 1) for j in range(6)], seed=seed + k
@@ -393,7 +409,8 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
                 check_bound(n, target_sq),
             )
     return [
-        growth, outer, agrees, exhaustive, tail_mono, bxc_ident, step_min, family, approx_bound
+        growth, outer, agrees, exhaustive, tail_mono, bxc_ident, step_min, family, member_opt,
+        approx_bound,
     ]
 
 

@@ -149,6 +149,16 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _require_finite(**values: float | np.ndarray) -> None:
+    """Raise NumericalError naming the first value (number or array) that overflowed.
+
+    For intermediates of finite inputs, which as_matrix would report as bad input.
+    """
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise NumericalError(f"{name} is not finite; the inputs overflow float64")
+
+
 def _check_rank_bound(r) -> None:
     """Reject a rank bound that is not an integer >= 1 (numpy integers pass)."""
     if not isinstance(r, numbers.Integral):

@@ -16,7 +16,9 @@ identity-weight case.  A model keeps the ``Tolerances`` it was fitted
 with, and the maximal-kernel check cuts ker(C_y) with them, so it sees
 the rank the fit used.  Evaluating a model on data (``mse_trace``,
 ``mse_monte_carlo``, ``maximal_kernel_check``) first checks its
-dimensions against the data's, as one InputError naming both shapes.
+dimensions against the data's, as one InputError naming both shapes;
+a loaded weighted model is checked the same way against its own weights.
+A covariance that overflows float64 is a NumericalError naming it.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .linalg import (
     _diagonal_factors,
     _pinv,
     _psd_factors,
+    _require_finite,
     as_matrix,
     check_bound,
     hs_norm,
@@ -102,13 +105,18 @@ class CovarianceBundle:
 
 
 def empirical_covariances(samples: SampleSet) -> CovarianceBundle:
-    """Sample means of the outer products: no mean subtraction is applied."""
+    """Sample means of the outer products: no mean subtraction is applied.
+
+    A covariance that overflows is reported as NumericalError naming it, so
+    numpy prints no warning for it.
+    """
     count = samples.xs.shape[0]
-    return CovarianceBundle(
-        c_x=samples.xs.T @ samples.xs / count,
-        c_y=samples.ys.T @ samples.ys / count,
-        c_xy=samples.xs.T @ samples.ys / count,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_x = samples.xs.T @ samples.xs / count
+        c_y = samples.ys.T @ samples.ys / count
+        c_xy = samples.xs.T @ samples.ys / count
+    _require_finite(C_x=c_x, C_y=c_y, C_xy=c_xy)
+    return CovarianceBundle(c_x=c_x, c_y=c_y, c_xy=c_xy)
 
 
 @dataclass(frozen=True)
@@ -348,9 +356,16 @@ def model_to_dict(model: RrrModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> RrrModel:
+    """The model a document describes; a weighted model's shapes are checked.
+
+    W_A A_hat W_y must be defined for x and y of W_x's and W_y's column
+    counts, as predict and the MSEs need.  A document that fails this
+    check, or lacks or garbles an entry, raises InputError "malformed
+    model document: ...".
+    """
+    if doc.get("schema") != "glra/1":
+        raise InputError(f"unsupported model schema: {doc.get('schema')!r}")
     try:
-        if doc.get("schema") != "glra/1":
-            raise InputError(f"unsupported model schema: {doc.get('schema')!r}")
         dims = doc["dims"]
         a_hat = np.array(doc["A_hat"], dtype=float).reshape(dims["rows"], dims["cols"])
         weights = None
@@ -369,10 +384,11 @@ def model_from_dict(doc: dict) -> RrrModel:
             uniqueness=Uniqueness(rep["uniqueness"]),
             containment_residual=float(rep["containment_residual"]),
         )
-        return RrrModel(a_hat=a_hat, r=int(doc["r"]), weights=weights, fit_report=report)
+        model = RrrModel(a_hat=a_hat, r=int(doc["r"]), weights=weights, fit_report=report)
+        if weights is not None:
+            _model_weights(model, (weights[0].shape[1], weights[2].shape[1]))
+        return model
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
         raise InputError(f"malformed model document: {exc}") from exc
 
 

@@ -26,6 +26,7 @@ from .linalg import (
     _check_rank_bound,
     _cutoff,
     _diagonal_factors,
+    _require_finite,
     _tied,
     as_matrix,
     check_bound,
@@ -38,7 +39,6 @@ from .solver import (
     _lift,
     _minimiser,
     _reduce,
-    _require_finite,
     objective,
     solve,
 )
@@ -250,7 +250,7 @@ def unboundedness_sweep(
         if not tie:
             fb = _diagonal_factors(np.ones(n), tol)
             _, _, _, t = _reduce(replace(inst.problem, tol=tol), fb, fc)
-            x_hat = _minimiser(fb, fc, t.factors)
+            x_hat = _minimiser(fb, fc, t.factors)[0]
             residual = hs_norm(x_hat - x_a)
             if residual > check_bound(n, hs_norm(x_hat)):
                 raise NumericalError(
@@ -325,8 +325,8 @@ def approximate_minimizers(
         cols.append(d / np.linalg.norm(d))
     directions = np.column_stack(cols) if cols else np.zeros((p.m.shape[0], 0))
     core = SvdFactors(u=t.factors.u[:, :k], sigma=lambdas, v=t.factors.v[:, :k])
-    x_0 = _minimiser(fb, fc, core)
-    x_d = _minimiser(fb, fc, replace(core, u=fb.u.T @ directions))
+    x_0 = _minimiser(fb, fc, core)[0]
+    x_d = _minimiser(fb, fc, replace(core, u=fb.u.T @ directions))[0]
     target_y = tsvd.matrix()
     steps: list[ApproxStep] = []
     for eps in epsilons:

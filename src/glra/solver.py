@@ -20,8 +20,11 @@ each operand once between them and cut it at one rank.  Every
 truncation is cut in that reduction (``_reduce``), at its own problem's
 tolerances; a caller that already knows the rank-cut factors of B or C
 (the identity and diagonal operands of a growth sweep, or of an
-identity-weight regression fit) passes them to it.  ``solve`` is the
-only builder of a ``GlraSolution``.  ``solve_adjoint`` builds the
+identity-weight regression fit) passes them to it.  ``rank_factors`` is
+called there and nowhere else in this module: ``canonicalize`` and
+``minimality_defect`` take V_B and U_C from the problem too.  ``solve``
+is the only builder of a ``GlraSolution``, and ``_minimiser`` the one
+builder of x_hat and its factors.  ``solve_adjoint`` builds the
 transposed problem, which factorises C^T and B^T itself.  A problem holds
 read-only views of its inputs, which must not change after construction.
 """
@@ -35,12 +38,12 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     InputError,
-    NumericalError,
     SvdFactors,
     Tolerances,
     TruncatedSvd,
     Uniqueness,
     _check_rank_bound,
+    _require_finite,
     _svd,
     _truncate,
     as_matrix,
@@ -148,50 +151,36 @@ def _reduce(
     return p._reduction
 
 
-def _require_finite(**values: float | np.ndarray) -> None:
-    """Raise NumericalError naming the first value (number or array) that overflowed."""
-    for name, value in values.items():
-        if not np.all(np.isfinite(value)):
-            raise NumericalError(f"{name} is not finite; the inputs overflow float64")
-
-
 def _lift(fb: SvdFactors, fc: SvdFactors, t: TruncatedSvd) -> TruncatedSvd:
     """A core truncation as the truncation of G: left vectors U_B u, right V_C v."""
     f = t.factors
     return replace(t, factors=SvdFactors(u=fb.u @ f.u, sigma=f.sigma, v=fc.v @ f.v))
 
 
-def _minimal_part(x: np.ndarray, vb: np.ndarray, uc: np.ndarray) -> np.ndarray:
-    """P_ker(B)-perp X P_ran(C) from the thin bases V_B and U_C."""
-    return vb @ (vb.T @ x @ uc) @ uc.T
-
-
-def _minimiser_factors(
+def _minimiser(
     fb: SvdFactors, fc: SvdFactors, f: SvdFactors
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rank-r factors L, R of x_hat = L R^T from the factors of B and C.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x_hat = L R^T and its rank-r factors L, R from the factors of B and C.
 
     L = V_B S_B^-1 U_K and R = U_C S_C^-1 V_K, one of them scaled by
     Sigma_K, where f holds the core factors U_K, Sigma_K and V_K in the
     coordinates of ran(B) and ker(C)-perp.  Sigma_K scales L unless L's
     largest entry times sigma_1 leaves the float range (a tiny B with a
     huge C); then it scales R, so a representable x_hat does not overflow
-    in S_B^-1 Sigma_K.
+    in S_B^-1 Sigma_K.  An x_hat that does overflow is reported by
+    _require_finite as NumericalError, so numpy prints no warning for it.
     """
-    left = (fb.v / fb.sigma) @ f.u
-    right = (fc.u / fc.sigma) @ f.v
-    head = float(f.sigma[0]) if f.sigma.size else 0.0
-    if head > 1.0 and np.max(np.abs(left), initial=0.0) > np.finfo(float).max / head:
-        return left, right * f.sigma
-    return left * f.sigma, right
-
-
-def _minimiser(fb: SvdFactors, fc: SvdFactors, f: SvdFactors) -> np.ndarray:
-    """x_hat = V_B S_B^-1 U_K Sigma_K V_K^T S_C^-1 U_C^T (see _minimiser_factors)."""
-    left, right = _minimiser_factors(fb, fc, f)
-    x_hat = left @ right.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = (fb.v / fb.sigma) @ f.u
+        right = (fc.u / fc.sigma) @ f.v
+        head = float(f.sigma[0]) if f.sigma.size else 0.0
+        if head > 1.0 and np.max(np.abs(left), initial=0.0) > np.finfo(float).max / head:
+            right = right * f.sigma
+        else:
+            left = left * f.sigma
+        x_hat = left @ right.T
     _require_finite(x_hat=x_hat)
-    return x_hat
+    return x_hat, left, right
 
 
 def _delta(t: TruncatedSvd) -> float:
@@ -215,9 +204,7 @@ def solve(p: GlraProblem) -> GlraSolution:
     is formed.
     """
     fb, fc, _, t = _reduce(p)
-    left, right = _minimiser_factors(fb, fc, t.factors)
-    x_hat = left @ right.T
-    _require_finite(x_hat=x_hat)
+    x_hat, left, right = _minimiser(fb, fc, t.factors)
     delta = _delta(t)
     _require_finite(delta=delta)
     minimal = (fb.v @ (fb.v.T @ left)) @ (fc.u @ (fc.u.T @ right)).T
@@ -231,6 +218,14 @@ def solve(p: GlraProblem) -> GlraSolution:
     )
 
 
+def _candidate(p: GlraProblem, x) -> np.ndarray:
+    """X as a matrix of p's unknown shape p x q, or InputError."""
+    xa = as_matrix(x, "X")
+    if xa.shape != p.x_shape:
+        raise InputError(f"X must have shape {p.x_shape}, got {xa.shape}")
+    return xa
+
+
 def objective(p: GlraProblem, x) -> float:
     """||M - B X C||_HS for a candidate X of shape p x q.
 
@@ -238,36 +233,40 @@ def objective(p: GlraProblem, x) -> float:
     were finite, so this is a numerical failure, not bad input.  A finite
     residual whose squares overflow still has its norm (see hs_norm).
     """
-    xa = as_matrix(x, "X")
-    if xa.shape != p.x_shape:
-        raise InputError(f"X must have shape {p.x_shape}, got {xa.shape}")
-    # an overflow is reported below as NumericalError, not as numpy's warning
-    with np.errstate(over="ignore", under="ignore"):
+    xa = _candidate(p, x)
+    # an overflow (or inf - inf) is reported below as NumericalError, not as numpy's warning
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         residual = p.m - p.b @ xa @ p.c
     value = hs_norm(residual) if np.all(np.isfinite(residual)) else np.inf
     _require_finite(objective=value)
     return value
 
 
-def minimality_defect(x, b, c, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Distance of X from P_ker(B)-perp X P_ran(C); zero iff X is minimal."""
+def minimality_defect(x, p: GlraProblem) -> float:
+    """Distance of X from P_ker(B)-perp X P_ran(C); zero iff X is minimal.
+
+    The projection is canonicalize's, with p's factors of B and C.
+    """
     xa = as_matrix(x, "X")
-    return hs_norm(xa - canonicalize(xa, b, c, tol))
+    return hs_norm(xa - canonicalize(xa, p))
 
 
-def canonicalize(x, b, c, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def canonicalize(x, p: GlraProblem) -> np.ndarray:
     """Project X onto the minimal representative P_ker(B)-perp X P_ran(C).
 
-    Idempotent, and leaves the product B X C unchanged.
+    V_B and U_C come from p's one reduction, so B and C are cut at p's
+    rank.  Idempotent, and leaves the product B X C unchanged.
     """
-    return _minimal_part(as_matrix(x, "X"), rank_factors(b, tol).v, rank_factors(c, tol).u)
+    xa = _candidate(p, x)
+    fb, fc, _, _ = _reduce(p)
+    return fb.v @ (fb.v.T @ xa @ fc.u) @ fc.u.T
 
 
 def solution_set_sample(sol: GlraSolution, p: GlraProblem, t, s) -> np.ndarray:
     """A member ``x_hat + P_ker(B) T + S P_ran(C)-perp`` of the solution set.
 
     ``sol`` is solve(p).  Every such matrix attains the same objective, and
-    canonicalize() with p.tol maps it back to ``x_hat``: V_B and U_C come
+    canonicalize(member, p) maps it back to ``x_hat``: V_B and U_C come
     from the factors that solved p.
     """
     ta = as_matrix(t, "T")

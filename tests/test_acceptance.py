@@ -63,7 +63,7 @@ def test_01_two_branch_fixture(tied_problem, x_branch_a, x_branch_b):
     ok &= abs(norms[0] - 1.0) <= 1e-12 and abs(norms[1] - 4.0) <= 1e-12
     ok &= hs_norm(sol.x_hat - x_a) < 1e-10 or hs_norm(sol.x_hat - x_b) < 1e-10
     for x in (x_a, x_b):
-        ok &= minimality_defect(x, tied_problem.b, tied_problem.c) < 1e-10
+        ok &= minimality_defect(x, tied_problem) < 1e-10
     rng = np.random.default_rng(0)
     for _ in range(20):
         member = solution_set_sample(
@@ -229,9 +229,7 @@ def test_07_approximate_minimizers():
     worst_defect = 0.0
     for step in seq.steps:
         ok &= step.deviation_sq <= p.r * lam1 * step.epsilon**2
-        worst_defect = max(
-            worst_defect, minimality_defect(step.x, p.b, p.c)
-        )
+        worst_defect = max(worst_defect, minimality_defect(step.x, p))
     ok &= worst_defect < 1e-10
     _verdict(
         7,

@@ -112,11 +112,40 @@ def test_exhaustive_step_sees_a_wrong_rank_cut(rank_cut_one_short):
 
 
 def test_seq_factorises_each_c_once(svd_calls):
-    # each trial's chain and bounded sequence share solver._reduce's
-    # factors of C, and the reference C^+ takes one SVD of its own; with
-    # the chain factorising C again, the same two trials make 42 SVDs
+    # each trial's chain, bounded sequence and step minimality defects share
+    # solver._reduce's factors of B and C, and the reference C^+ takes one
+    # SVD of its own; with minimality_defect factorising B and C at each of
+    # the 3 steps, the same two trials make 40 SVDs, and 42 with the chain
+    # factorising C again
     checks.check_seq(trials=2, seed=0, tol=DEFAULT_TOL)
-    assert len(svd_calls) == 40
+    assert len(svd_calls) == 28
+
+
+@pytest.mark.parametrize("suite", [checks.check_glra, checks.check_seq])
+def test_member_optimality_sees_a_wrong_rank_cut(rank_cut_one_short, suite):
+    # a member sampled with B and C cut one short misses the optimum, which
+    # objective computes without a rank decision
+    results = {res.name: res for res in suite(trials=25, seed=0, tol=DEFAULT_TOL)}
+    assert results["solution_set_member_is_optimal"].failures == 25
+
+
+def test_member_optimality_sees_a_wrong_cut_of_the_identity(monkeypatch):
+    # the seq suite's B is the identity; cut one short, it fails no other
+    # invariant, and its C, whose factors feed the chain, is cut right
+    real = linalg.rank_factors
+
+    def identity_one_short(a, tol=DEFAULT_TOL):
+        f = real(a, tol)
+        if not np.array_equal(a, np.eye(*np.shape(a))):
+            return f
+        k = f.sigma.size - 1
+        return SvdFactors(u=f.u[:, :k], sigma=f.sigma[:k], v=f.v[:, :k])
+
+    for module in (linalg, solver):
+        monkeypatch.setattr(module, "rank_factors", identity_one_short)
+    results = {res.name: res for res in checks.check_seq(trials=25, seed=0, tol=DEFAULT_TOL)}
+    assert results["solution_set_member_is_optimal"].failures == 25
+    assert results["exhaustive_outer_inverse_is_pinv"].failures == 0
 
 
 def _loop_oracle(p, restarts, iters, seed):

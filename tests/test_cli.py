@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 from datetime import datetime, timedelta
+from itertools import product
 
 import numpy as np
 import pytest
@@ -925,3 +926,85 @@ class TestArgumentErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and fragment in captured.err
+
+
+LADDER_SCALES = (1e-300, 1e-150, 1.0, 1e150, 1e300)
+LADDER_COMMANDS = {
+    "solve": ["solve"],
+    "solve-adjoint": ["solve", "--adjoint"],
+    "error": ["error"],
+    "outer-auto": ["outer-approx", "--chain", "auto:3"],
+    "outer-full-alternative": ["outer-approx", "--chain", "full", "--alternative"],
+}
+# each problem command on each operand version, and regress on the samples
+LADDER_CASES = [
+    (command, version) for command in LADDER_COMMANDS for version in ("full", "deficient")
+] + [("regress", "samples")]
+
+
+@pytest.fixture(scope="module")
+def ladder_files(tmp_path_factory):
+    """The ladder's operands at every scale, one CSV each, keyed (version, name, scale).
+
+    Seed-1 Gaussians: M (4 x 5), B (4 x 4) and C (4 x 5) in a full-rank and
+    a deficient version (B with a repeated column, C with a repeated row),
+    and 50 samples of x (dimension 4) and of y (dimension 3).
+    """
+    root = tmp_path_factory.mktemp("ladder")
+    g = np.random.default_rng(1)
+    m, b, c = (g.standard_normal(shape) for shape in ((4, 5), (4, 4), (4, 5)))
+    b_def, c_def = b.copy(), c.copy()
+    b_def[:, -1] = b_def[:, 0]
+    c_def[-1] = c_def[0]
+    operands = {
+        "full": {"M": m, "B": b, "C": c},
+        "deficient": {"M": m, "B": b_def, "C": c_def},
+        "samples": {"x": g.standard_normal((50, 4)), "y": g.standard_normal((50, 3))},
+    }
+    files = {}
+    for version, mats in operands.items():
+        for name, a in mats.items():
+            for s in LADDER_SCALES:
+                files[version, name, s] = str(root / f"{version}-{name}-{s:g}.csv")
+                write_matrix(files[version, name, s], s * a)
+    return files
+
+
+def _ladder_argvs(command, version, files, out):
+    """Every invocation of one ladder case: a command over all scales of its operands."""
+    if command == "regress":
+        for s_x, s_y in product(LADDER_SCALES, repeat=2):
+            yield [
+                "regress",
+                "--x", files[version, "x", s_x],
+                "--y", files[version, "y", s_y],
+                "--rank", "2",
+                "--trials", "3",
+            ]
+        return
+    argv = LADDER_COMMANDS[command] + ["--rank", "2"]
+    if command != "error":
+        argv += ["--out", out]
+    for scales in product(LADDER_SCALES, repeat=3):
+        yield argv + [
+            arg for name, s in zip("MBC", scales) for arg in (f"--{name}", files[version, name, s])
+        ]
+
+
+@pytest.mark.parametrize("command, version", LADDER_CASES, ids=["-".join(c) for c in LADDER_CASES])
+def test_scale_ladder_exits_cleanly(capsys, tmp_path, ladder_files, command, version):
+    # no input of the ladder is malformed: each invocation exits 0 with a
+    # finite report or 3 for an overflow, and numpy prints no warning
+    bad = []
+    for argv in _ladder_argvs(command, version, ladder_files, str(tmp_path / "out.csv")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv + ["--no-timestamp"])
+        out = capsys.readouterr().out
+        if caught:
+            bad.append((argv, code, str(caught[0].message)))
+        elif code not in (0, 3):
+            bad.append((argv, code, "exit code"))
+        elif code == 0 and not np.all(np.isfinite(report_numbers(json.loads(out)))):
+            bad.append((argv, code, "non-finite report"))
+    assert bad == []

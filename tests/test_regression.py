@@ -446,6 +446,21 @@ class TestInputErrors:
                 ),
                 r"model expects dimensions \(4, 2\), data have \(4, 5\)",
             ),
+            (
+                # W_A A_hat W_y is undefined, so predict would use an A_hat
+                # that the document's weights cannot hold
+                lambda: model_from_dict(
+                    model_to_dict(
+                        replace(
+                            fit(small_cov(), 1),
+                            a_hat=np.zeros((4, 2)),
+                            weights=(np.ones((4, 5)), np.eye(4), np.eye(6)),
+                        )
+                    )
+                ),
+                r"malformed model document: model expects dimensions \(4, 2\), "
+                r"data have \(4, 6\)",
+            ),
         ],
         ids=[
             "c-x-not-square",
@@ -457,6 +472,7 @@ class TestInputErrors:
             "mse-trace-dimensions",
             "kernel-check-dimensions",
             "monte-carlo-a-hat-shape",
+            "model-document-a-hat-shape",
         ],
     )
     def test_rejected(self, call, fragment):

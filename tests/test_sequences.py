@@ -172,9 +172,7 @@ class TestApproximateMinimizers:
         from glra.solver import minimality_defect
 
         for step in seq.steps:
-            assert (
-                minimality_defect(step.x, inst.problem.b, inst.problem.c) < ATOL
-            )
+            assert minimality_defect(step.x, inst.problem) < ATOL
 
     @pytest.mark.parametrize("seed", range(40))
     def test_zero_step_is_the_solvers_minimiser(self, seed):
@@ -332,7 +330,7 @@ class TestBoundedApproximation:
             assert st.tail_error == pytest.approx(tail_sum, abs=ATOL)
             from glra.solver import minimality_defect
 
-            assert minimality_defect(st.x, p.b, p.c) < 1e-8
+            assert minimality_defect(st.x, p) < 1e-8
 
 
 class TestLowerBoundConstant:

@@ -52,6 +52,20 @@ def random_problem(seed, dims=(4, 4, 3, 4), r=2):
     )
 
 
+def tiny_sigma_problem():
+    """A problem under rank_rel = 1e-16 whose B has singular values 1, 0.5 and 1e-13.
+
+    sigma_3(B) is rank under that cutoff but kernel under the default one.
+    Returns the problem and the generator that drew it, for later draws.
+    """
+    g = rng(7)
+    b = np.zeros((3, 4))
+    b[:, :3] = np.diag([1.0, 0.5, 1e-13])
+    c = g.standard_normal((4, 3))
+    tol = Tolerances(rank_rel=1e-16)
+    return GlraProblem(m=b @ g.standard_normal((4, 4)) @ c, b=b, c=c, r=3, tol=tol), g
+
+
 class TestSolve:
     def test_tied_fixture(self, tied_problem, x_branch_a, x_branch_b):
         sol = solve(tied_problem)
@@ -107,15 +121,23 @@ class TestObjective:
 
 class TestMinimality:
     def test_canonical_branch_is_minimal(self, tied_problem, x_branch_a):
-        assert minimality_defect(x_branch_a, tied_problem.b, tied_problem.c) < ATOL
+        assert minimality_defect(x_branch_a, tied_problem) < ATOL
 
     def test_padded_member_defect(self, tied_problem, x_branch_a):
         x = branch_member(x_branch_a, [1.0] * 5)
-        defect = minimality_defect(x, tied_problem.b, tied_problem.c)
+        defect = minimality_defect(x, tied_problem)
         assert defect == pytest.approx(np.sqrt(5.0), abs=ATOL)
 
     def test_zero_matrix(self, tied_problem):
-        assert minimality_defect(np.zeros((3, 3)), tied_problem.b, tied_problem.c) == 0.0
+        assert minimality_defect(np.zeros((3, 3)), tied_problem) == 0.0
+
+    def test_defect_uses_the_solving_tolerances(self):
+        # cut at the default tolerances, B loses the direction x_hat uses
+        # and the defect of x_hat reads 1.8, where its bound is 6e-14
+        p, _ = tiny_sigma_problem()
+        sol = solve(p)
+        dim = max(p.m.shape + p.x_shape)
+        assert minimality_defect(sol.x_hat, p) <= check_bound(dim, hs_norm(sol.x_hat))
 
 
 class TestSolutionMinimalityDefect:
@@ -126,7 +148,7 @@ class TestSolutionMinimalityDefect:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve(p)
-            public = minimality_defect(sol.x_hat, p.b, p.c)
+            public = minimality_defect(sol.x_hat, p)
         assert np.isfinite(sol.minimality_defect)
         dim = max(p.m.shape + p.x_shape)
         assert abs(sol.minimality_defect - public) <= check_bound(dim, hs_norm(sol.x_hat))
@@ -205,20 +227,22 @@ class TestCanonicalize:
     def test_strips_padding(self, tied_problem, x_branch_a):
         x = branch_member(x_branch_a, [3.0, -1.0, 2.0, 0.5, 7.0])
         np.testing.assert_allclose(
-            canonicalize(x, tied_problem.b, tied_problem.c), x_branch_a, atol=ATOL
+            canonicalize(x, tied_problem), x_branch_a, atol=ATOL
         )
 
     def test_identity_factors_change_nothing(self):
         x = rng(3).standard_normal((4, 4))
-        np.testing.assert_allclose(canonicalize(x, np.eye(4), np.eye(4)), x, atol=ATOL)
+        p = GlraProblem(m=np.zeros((4, 4)), b=np.eye(4), c=np.eye(4), r=1)
+        np.testing.assert_allclose(canonicalize(x, p), x, atol=ATOL)
 
     def test_idempotent(self):
         g = rng(4)
         x = g.standard_normal((4, 3))
         b = g.standard_normal((5, 4))
         c = g.standard_normal((3, 6))
-        once = canonicalize(x, b, c)
-        assert hs_norm(canonicalize(once, b, c) - once) < ATOL
+        p = GlraProblem(m=np.zeros((5, 6)), b=b, c=c, r=1)
+        once = canonicalize(x, p)
+        assert hs_norm(canonicalize(once, p) - once) < ATOL
 
 
 class TestSolutionSet:
@@ -249,23 +273,17 @@ class TestSolutionSet:
             sol, p, g.standard_normal(p.x_shape), g.standard_normal(p.x_shape)
         )
         assert objective(p, member) == pytest.approx(sol.objective, abs=ATOL)
-        assert hs_norm(canonicalize(member, p.b, p.c) - sol.x_hat) < ATOL
+        assert hs_norm(canonicalize(member, p) - sol.x_hat) < ATOL
         assert hs_norm(member) >= hs_norm(sol.x_hat) - ATOL
 
     def test_sample_uses_the_solving_tolerances(self):
-        # sigma_3(B) = 1e-13 is rank under rank_rel = 1e-16 but kernel under
-        # the default cutoff, so sampling with the default would move x_hat
-        g = rng(7)
-        b = np.zeros((3, 4))
-        b[:, :3] = np.diag([1.0, 0.5, 1e-13])
-        c = g.standard_normal((4, 3))
-        tol = Tolerances(rank_rel=1e-16)
-        p = GlraProblem(m=b @ g.standard_normal((4, 4)) @ c, b=b, c=c, r=3, tol=tol)
+        # sampling, or canonicalizing, with the default cutoff would move x_hat
+        p, g = tiny_sigma_problem()
         sol = solve(p)
         member = solution_set_sample(
             sol, p, g.standard_normal(p.x_shape), g.standard_normal(p.x_shape)
         )
-        assert hs_norm(canonicalize(member, p.b, p.c, tol) - sol.x_hat) < ATOL
+        assert hs_norm(canonicalize(member, p) - sol.x_hat) < ATOL
         assert hs_norm(member) >= hs_norm(sol.x_hat) - ATOL
 
 
@@ -321,7 +339,7 @@ class TestAdjoint:
     def test_tied_fixture(self, tied_problem, x_branch_a, x_branch_b):
         adj = solve_adjoint(tied_problem)
         assert adj.objective == pytest.approx(1.0, abs=1e-12)
-        back = canonicalize(adj.x_hat.T, tied_problem.b, tied_problem.c)
+        back = canonicalize(adj.x_hat.T, tied_problem)
         branches = [x_branch_a, x_branch_b]
         assert any(hs_norm(back - x) < ATOL for x in branches)
 
@@ -767,8 +785,23 @@ class TestInputErrors:
             ),
             (lambda: _sample_with((4, 3), (3, 4)), r"T and S must have shape \(3, 4\)"),
             (lambda: _sample_with((3, 4), (3, 5)), r"T and S must have shape \(3, 4\)"),
+            (
+                lambda: canonicalize(np.zeros((4, 3)), random_problem(0)),
+                r"X must have shape \(3, 4\), got \(4, 3\)",
+            ),
+            (
+                lambda: minimality_defect(np.zeros((3, 5)), random_problem(0)),
+                r"X must have shape \(3, 4\), got \(3, 5\)",
+            ),
         ],
-        ids=["c-columns", "objective-x-shape", "sample-t-shape", "sample-s-shape"],
+        ids=[
+            "c-columns",
+            "objective-x-shape",
+            "sample-t-shape",
+            "sample-s-shape",
+            "canonicalize-x-shape",
+            "defect-x-shape",
+        ],
     )
     def test_rejected(self, call, fragment):
         with pytest.raises(InputError, match=fragment):
@@ -787,3 +820,17 @@ def test_one_truncation_and_one_solution_builder():
                     if name in callers:
                         callers[name].add((path.stem, getattr(top, "name", "<module>")))
     assert callers == {"_truncate": {("solver", "_reduce")}, "GlraSolution": {("solver", "solve")}}
+
+
+def test_rank_factors_only_in_the_reduction():
+    # the solver factorises B and C once per problem, in solver._reduce;
+    # canonicalize and minimality_defect take V_B and U_C from it
+    callers = set()
+    path = Path(glra.solver.__file__)
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "rank_factors":
+                    callers.add(getattr(top, "name", "<module>"))
+    assert callers == {"_reduce"}
