@@ -144,7 +144,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise InputError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError(f"{name} contains non-finite entries")
     return arr
 
@@ -155,7 +155,7 @@ def _require_finite(**values: float | np.ndarray) -> None:
     For intermediates of finite inputs, which as_matrix would report as bad input.
     """
     for name, value in values.items():
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise NumericalError(f"{name} is not finite; the inputs overflow float64")
 
 

@@ -222,7 +222,7 @@ def predict(model: RrrModel, y) -> np.ndarray:
         raise InputError(
             f"y must be a vector of length {model.a_hat.shape[1]}"
         )
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise InputError("y contains non-finite entries")
     return model.a_hat @ vec
 
@@ -361,8 +361,12 @@ def model_from_dict(doc: dict) -> RrrModel:
     W_A A_hat W_y must be defined for x and y of W_x's and W_y's column
     counts, as predict and the MSEs need.  A document that fails this
     check, or lacks or garbles an entry, raises InputError "malformed
-    model document: ...".
+    model document: ...", and so does a document that is not a JSON object.
     """
+    if not isinstance(doc, dict):
+        raise InputError(
+            f"malformed model document: expected an object, got {type(doc).__name__}"
+        )
     if doc.get("schema") != "glra/1":
         raise InputError(f"unsupported model schema: {doc.get('schema')!r}")
     try:

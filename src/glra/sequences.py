@@ -333,11 +333,15 @@ def approximate_minimizers(
         x_eps = x_0 + eps * x_d
         _require_finite(x_eps=x_eps)
         y_eps = ((f_vecs + eps * directions) * lambdas) @ e_vecs.T
+        # a float64 square, which a huge M overflows into inf, not OverflowError
+        with np.errstate(over="ignore"):
+            deviation_sq = np.float64(hs_norm(target_y - y_eps)) ** 2
+        _require_finite(deviation_sq=deviation_sq)
         steps.append(
             ApproxStep(
                 x=x_eps,
                 objective=objective(p, x_eps),
-                deviation_sq=hs_norm(target_y - y_eps) ** 2,
+                deviation_sq=float(deviation_sq),
                 epsilon=float(eps),
             )
         )
@@ -507,7 +511,9 @@ class LowerBoundResult:
     A sweep of this constant over truncation dimensions diagnoses the
     limit: decay to zero means the limiting minimiser is unbounded, a
     uniform lower bound means it stays bounded.  ``subspace_dim`` = 0
-    flags the empty-intersection convention (constant 0).
+    flags the empty-intersection convention (constant 0).  The constant
+    is located by bisection to the rounding of C's relative spectrum, so
+    it agrees with an SVD of C on the intersection within check_bound.
     """
 
     constant: float
@@ -532,18 +538,67 @@ def _lower_bound(fc: SvdFactors, z: np.ndarray, tol: Tolerances) -> LowerBoundRe
     """lower_bound_constant from the rank-cut factors of C, whose domain is R^n.
 
     With V_C the basis of ker(C)-perp and R one of ker(Z)-perp, the
-    intersection is V_C y over the null vectors y of R^T V_C, whose
-    singular values are the sines of the principal angles between
-    ker(C)-perp and ker(Z) (Bjorck & Golub, Math. Comp. 1973).  The matrix
-    is only rank(Z) x rank(C); its full V is needed only when it is wide.
-    A sine is cut by the rank rule at scale 1, because V_C and R are
-    orthonormal.  As C V_C y = U_C S_C y, the constant is the
-    smallest singular value of S_C y.
+    singular values of the k x rho matrix R^T V_C are the sines of the
+    principal angles between ker(C)-perp and ker(Z) (Bjorck & Golub, Math.
+    Comp. 1973).  A sine is cut by the rank rule at scale 1, because V_C
+    and R are orthonormal; the k' right vectors W of the sines kept span
+    the part of ker(C)-perp's coordinates y that Z sees, so the
+    intersection is V_C y over y orthogonal to W, of dimension rho - k'.
+    As C V_C y = U_C S_C y, the constant is the square root of the
+    smallest eigenvalue of S_C^2 restricted to W-perp, a problem of
+    codimension k' (Golub, SIAM Review 1973).
+
+    By Haynsworth's inertia additivity, the restricted eigenvalues below
+    s^2 number #{sigma_j < s} + n_+(F(s)) - k', where F(s) is the k' x k'
+    secular matrix W^T diag(1/((sigma_j - s)(sigma_j + s))) W.  Cauchy
+    interlacing brackets the constant in [sigma_rho, sigma_(rho-k')].  Each
+    round counts on a grid strictly inside the bracket and keeps the cell
+    where the count leaves zero, until no grid point falls inside.  A grid
+    point costs O(rho k'^2 + k'^3), against the O(rho^3) of an SVD of C on
+    the intersection.  The bisection runs on sigma / sigma_1, from which the
+    scale of C cancels, so the result, sigma_1 times the bracket's top,
+    cannot overflow.
     """
+    rho = fc.sigma.size
     sines = rank_factors(z, tol).v.T @ fc.v
-    _, s, vh = np.linalg.svd(sines, full_matrices=sines.shape[0] < sines.shape[1])
-    y = vh[np.count_nonzero(s > _cutoff(1.0, fc.v.shape[0], tol)):].T
-    if y.shape[1] == 0:
+    _, s, vh = np.linalg.svd(sines, full_matrices=False)
+    kept = int(np.count_nonzero(s > _cutoff(1.0, fc.v.shape[0], tol)))
+    if kept == rho:
         return LowerBoundResult(constant=0.0, subspace_dim=0)
-    s = np.linalg.svd(fc.sigma[:, None] * y, compute_uv=False)
-    return LowerBoundResult(constant=float(s[-1]), subspace_dim=int(y.shape[1]))
+    rel = fc.sigma / fc.sigma[0]
+    lo, hi = float(rel[-1]), float(rel[-1 - kept])
+    if not lo < hi:
+        # Z sees nothing (k' = 0), or sigma_rho = sigma_(rho-k') pins the constant
+        return LowerBoundResult(constant=float(fc.sigma[-1]), subspace_dim=rho - kept)
+    w = vh[:kept].T
+    squares = w[:, 0] ** 2  # F for k' = 1 is the scalar sum of w_j^2 d_j
+    # 64 points a round while a point costs O(rho); fewer once the k' x k'
+    # eigenvalue problems dominate, which also bounds a round's memory by O(rho)
+    points = min(64, max(1, 256 // kept**2))
+    fractions = np.arange(1, points + 1) / (points + 1)
+    ascending, column = rel[::-1], rel[:, None]
+    while True:
+        t = lo + (hi - lo) * fractions
+        below = ascending.searchsorted(t)
+        # points on some sigma_j, where F has a pole, are dropped, and so are
+        # points that round onto the bracket's ends; once none is left, the
+        # bracket can shrink no more
+        keep = (ascending[below] != t) & (lo < t) & (t < hi)
+        t, below = t[keep], below[keep]
+        if not t.size:
+            break
+        # s^2 F(s): the inertia of F, with terms bounded by 2/eps however close s is
+        d = (t / (column - t)) * (t / (column + t))
+        if kept == 1:
+            # n_+ is F's sign: no LAPACK call
+            positive = squares @ d > 0.0
+        else:
+            f = np.matmul(w.T * d.T[:, None, :], w)
+            positive = np.count_nonzero(np.linalg.eigvalsh(f) > 0.0, axis=1)
+        hit = below + positive > kept
+        first = int(hit.argmax())
+        if hit[first]:
+            lo, hi = (float(t[first - 1]) if first else lo), float(t[first])
+        else:
+            lo = float(t[-1])
+    return LowerBoundResult(constant=float(fc.sigma[0] * hi), subspace_dim=rho - kept)

@@ -237,7 +237,7 @@ def objective(p: GlraProblem, x) -> float:
     # an overflow (or inf - inf) is reported below as NumericalError, not as numpy's warning
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         residual = p.m - p.b @ xa @ p.c
-    value = hs_norm(residual) if np.all(np.isfinite(residual)) else np.inf
+    value = hs_norm(residual) if np.isfinite(residual).all() else np.inf
     _require_finite(objective=value)
     return value
 

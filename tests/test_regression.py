@@ -461,6 +461,18 @@ class TestInputErrors:
                 r"malformed model document: model expects dimensions \(4, 2\), "
                 r"data have \(4, 6\)",
             ),
+            (
+                lambda: model_from_dict([]),
+                "malformed model document: expected an object, got list",
+            ),
+            (
+                lambda: model_from_dict("x"),
+                "malformed model document: expected an object, got str",
+            ),
+            (
+                lambda: model_from_dict(3),
+                "malformed model document: expected an object, got int",
+            ),
         ],
         ids=[
             "c-x-not-square",
@@ -473,6 +485,9 @@ class TestInputErrors:
             "kernel-check-dimensions",
             "monte-carlo-a-hat-shape",
             "model-document-a-hat-shape",
+            "model-document-list",
+            "model-document-string",
+            "model-document-number",
         ],
     )
     def test_rejected(self, call, fragment):

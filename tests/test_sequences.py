@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -215,6 +218,20 @@ class TestApproximateMinimizersOverflow:
             with pytest.raises(NumericalError, match="objective"):
                 approximate_minimizers(p, [0.5, 0.0])
 
+    def test_huge_m_deviation_is_numerical(self):
+        # ||Y - Y_eps|| ~ 1e160 is finite and its square is not; no warning escapes
+        g = np.random.default_rng(1)
+        p = GlraProblem(
+            m=1e160 * g.standard_normal((4, 5)),
+            b=g.standard_normal((4, 4)),
+            c=g.standard_normal((4, 5)),
+            r=2,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="deviation_sq is not finite"):
+                approximate_minimizers(p, [0.5])
+
 
 class TestOuterInverseChain:
     def test_single_step_full_chain_is_pinv(self):
@@ -369,6 +386,36 @@ class TestLowerBoundConstant:
         with pytest.raises(InputError):
             lower_bound_constant(np.eye(3), np.eye(2))
 
+    def test_zero_c(self):
+        # ker(C)-perp is {0}, so the intersection is empty
+        z = np.random.default_rng(2).standard_normal((2, 4))
+        res = lower_bound_constant(np.zeros((3, 4)), z)
+        assert res.constant == 0.0
+        assert res.subspace_dim == 0
+
+    def test_zero_z_rank_deficient_c(self):
+        # ker(Z) is everything, so the constant is C's smallest nonzero singular value
+        c = low_rank(np.random.default_rng(3), 6, 5, 3)
+        res = lower_bound_constant(c, np.zeros((2, 5)))
+        sigma = rank_factors(c).sigma
+        assert res.subspace_dim == sigma.size == 3
+        assert res.constant == sigma[-1]
+
+    @pytest.mark.parametrize("zero_at", [0, 3])
+    def test_rank_one_z_with_deflated_coordinate(self, zero_at):
+        # e_(zero_at) lies in ker(Z) and is a right vector of C, so the
+        # secular matrix has no weight on it
+        c = np.diag([1.0, 0.5, 0.25, 0.125])
+        z = np.ones((1, 4))
+        z[0, zero_at] = 0.0
+        want, want_dim = reference_lower_bound(c, z)
+        res = lower_bound_constant(c, z)
+        assert res.subspace_dim == want_dim == 3
+        assert abs(res.constant - want) <= check_bound(4, hs_norm(c))
+        if zero_at == 3:
+            # the bottom axis is in the intersection, so sigma_4 is attained
+            assert abs(res.constant - 0.125) <= check_bound(4, hs_norm(c))
+
 
 def reference_lower_bound(c, z, rank_rel=DEFAULT_TOL.rank_rel):
     """The constant by principal angles from ker(Z)'s side, in numpy alone.
@@ -433,6 +480,68 @@ class TestLowerBoundEquivalence:
         assert abs(res.constant - want) <= check_bound(c.shape[1], hs_norm(c))
 
 
+def stress_case(g):
+    """A seeded (C, Z) with rank(C) < 30: ties, a deflated axis, k' from 0 to rank(C).
+
+    The spectrum of C may tie at the bottom and inside.  With a deflated
+    axis, e_1 is a right singular vector of C and lies in ker(Z).  Rank(Z)
+    runs from 0 to the column count, and C is scaled by 1e-250, 1 or 1e250.
+    """
+    n = int(g.integers(2, 30))
+    rho = int(g.integers(1, n + 1))
+    sigma = np.sort(g.uniform(0.05, 1.0, rho))[::-1]
+    if rho > 1 and g.random() < 0.3:
+        sigma[-1] = sigma[-2]
+    if rho > 2 and g.random() < 0.3:
+        i = int(g.integers(0, rho - 1))
+        sigma[i + 1] = sigma[i]
+    deflate = g.random() < 0.3
+    basis = g.standard_normal((n, n))
+    if deflate:
+        basis[:, 0] = np.eye(n)[:, 0]
+    v = np.linalg.qr(basis)[0][:, :rho]
+    u = np.linalg.qr(g.standard_normal((rho + int(g.integers(0, 3)), rho)))[0]
+    c = (u * sigma) @ v.T * 10.0 ** float(g.choice([-250, 0, 250]))
+    k = int(g.integers(0, n + 1))
+    z = g.standard_normal((max(k, 1), n)) * (k > 0)
+    if deflate:
+        z[:, 0] = 0.0
+    return c, z
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lower_bound_stress_matches_kernel_side_reference(seed):
+    g = np.random.default_rng(1000 + seed)
+    for _ in range(500):
+        c, z = stress_case(g)
+        want, want_dim = reference_lower_bound(c, z)
+        res = lower_bound_constant(c, z)
+        assert res.subspace_dim == want_dim
+        assert abs(res.constant - want) <= check_bound(c.shape[1], hs_norm(c))
+
+
+def svd_route_lower_bound(c, z):
+    """The constant by an SVD of S_C Y over the null vectors Y of the sines R^T V_C."""
+    fc = rank_factors(c)
+    sines = rank_factors(z).v.T @ fc.v
+    _, s, vh = np.linalg.svd(sines, full_matrices=True)
+    y = vh[np.count_nonzero(s > DEFAULT_TOL.rank_rel * c.shape[1]):].T
+    return float(np.linalg.svd(fc.sigma[:, None] * y, compute_uv=False)[-1])
+
+
+@pytest.mark.parametrize("gamma_exp", [2.0, 4.0])
+def test_sweep_lower_bounds_match_svd_route(gamma_exp):
+    # the tied sweep takes the same lower bound and skips the solver's
+    # cross-check, which the default rank cut fails at N = 400, gamma = 4
+    n_values = [10, 50, 200, 400]
+    spec = diag_spec(gamma_exponent=gamma_exp, mu_head=(1.0, 1.0))
+    sweep = unboundedness_sweep(spec, n_values, [5])
+    for n in n_values:
+        inst = build_instance(replace(spec, n=n))
+        want = svd_route_lower_bound(inst.problem.c, inst.mu[0] * inst.f_basis[:, :1].T)
+        assert sweep.lower_bounds[n] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 class TestThinBases:
     """Factor counts and the absence of dense projectors."""
 
@@ -465,8 +574,9 @@ class TestThinBases:
         ]
         assert svd_calls and not full_tall
 
-    # the core (untied only), Z, the sines matrix and the lower bound
-    @pytest.mark.parametrize("mu_head, count", [((1.0, 0.5), 4), ((1.0, 1.0), 3)])
+    # the core (untied only), Z and the sines matrix; the lower bound itself
+    # is a bisection with no SVD
+    @pytest.mark.parametrize("mu_head, count", [((1.0, 0.5), 3), ((1.0, 1.0), 2)])
     def test_sweep_step_svd_count(self, svd_calls, mu_head, count):
         unboundedness_sweep(diag_spec(mu_head=mu_head, n=20), [20], [5])
         assert len(svd_calls) == count
