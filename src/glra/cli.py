@@ -28,6 +28,7 @@ from .linalg import (
     NumericalError,
     Tolerances,
     _check_rank_bound,
+    _require_finite,
     check_bound,
     hs_norm,
 )
@@ -180,7 +181,12 @@ def cmd_outer_approx(args: argparse.Namespace, tol: Tolerances) -> Result:
             # for contrast
             y_n = step.outer.y_basis
             x_alt = result.solution.x_hat @ y_n @ y_n.T
-            alt_tails.append(hs_norm(g_r - problem.b @ x_alt @ problem.c) ** 2)
+            # x_hat P_n is not bounded by (G)_r, so its tail can overflow where
+            # delta does not: a float64 square turns that into inf, not OverflowError
+            with np.errstate(over="ignore"):
+                alt_tail = np.float64(hs_norm(g_r - problem.b @ x_alt @ problem.c)) ** 2
+            _require_finite(alternative_tail=alt_tail)
+            alt_tails.append(float(alt_tail))
             row.append(alt_tails[-1])
         rows.append(row)
     write_matrix(args.out, np.array(rows))

@@ -49,6 +49,8 @@ def _parse_error(path: str, exc: ValueError) -> str:
     into loadtxt without keeping them.  Each line goes through loadtxt on
     its own, the same grammar; the rows loadtxt reports are not used, as
     they count only non-blank lines and differ in base between its errors.
+    When no single line explains the failure, or the file cannot be read
+    a second time (a drained pipe reads empty), loadtxt's own reason is kept.
     """
     width = None
     # a non-ASCII byte becomes a backslash escape, which no float contains

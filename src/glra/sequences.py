@@ -359,35 +359,6 @@ class SubspaceChain:
             raise InputError("a subspace chain needs at least one step")
 
 
-def _validate_chain(chain: SubspaceChain, fc: SvdFactors) -> None:
-    # fc are the rank-cut factors of C, whose rows live in R^dim
-    dim = fc.u.shape[0]
-    prev: np.ndarray | None = None
-    for i, y in enumerate(chain.bases):
-        ya = as_matrix(y, f"chain step {i + 1}")
-        if ya.shape[0] != dim:
-            raise InputError(
-                f"chain step {i + 1} lives in dimension {ya.shape[0]}, expected {dim}"
-            )
-        # columns of unit norm, so orthonormality and nesting have unit scale
-        if np.max(np.abs(ya.T @ ya - np.eye(ya.shape[1]))) > check_bound(dim, 1.0):
-            raise InputError(f"chain step {i + 1} columns are not orthonormal")
-        # the k-th direction of ran(C) is known to the angle eps ||C|| / sigma_k,
-        # which a step weights by its coefficients in C^+ Y; the scale has
-        # degree 0 in C, so it is taken from sigma / sigma_1, which the rank
-        # cut keeps finite and nonzero however tiny or huge C is
-        coef = fc.u.T @ ya
-        rel = fc.sigma / fc.sigma[0] if fc.sigma.size else fc.sigma
-        escape_scale = np.linalg.norm(rel) * np.linalg.norm(coef / rel[:, None])
-        # "not <=" also rejects a NaN
-        if not np.max(np.abs(ya - fc.u @ coef)) <= check_bound(dim, escape_scale):
-            raise InputError(f"chain step {i + 1} escapes ran(C)")
-        if prev is not None:
-            if np.max(np.abs(prev - ya @ (ya.T @ prev))) > check_bound(dim, 1.0):
-                raise InputError(f"chain step {i + 1} does not contain step {i}")
-        prev = ya
-
-
 def full_chain(c, tol: Tolerances = DEFAULT_TOL) -> SubspaceChain:
     """The one-step chain spanning all of ran(C)."""
     return SubspaceChain(bases=(rank_factors(c, tol).u,))
@@ -428,7 +399,11 @@ def canonical_chain(c, counts: list[int]) -> SubspaceChain:
 
 @dataclass(frozen=True, eq=False)
 class OuterInverseStep:
-    """One finite-rank outer inverse: inverts P_n C on X_n, zero on Y_n-perp."""
+    """One finite-rank outer inverse: inverts P_n C on X_n, zero on Y_n-perp.
+
+    ``x_basis`` is an orthonormal basis V_C Q of X_n = span(C^T Y_n), built
+    in C's coordinates (see _outer_inverse_chain).
+    """
 
     c_sharp: np.ndarray
     y_basis: np.ndarray
@@ -442,27 +417,53 @@ def outer_inverse_chain(
 
     Each step satisfies C# C C# = C# and agrees with Q_n C^+ where Q_n
     projects onto X_n = span(C^T Y_n); once the chain spans ran(C) the
-    outer inverse coincides with C^+.
+    outer inverse coincides with C^+.  C is factorised once, and each step
+    is built from its rank-cut factors with no factorisation of its own.
     """
-    ca = as_matrix(c, "C")
-    return _outer_inverse_chain(ca, rank_factors(ca, tol), chain, tol)
+    return _outer_inverse_chain(rank_factors(as_matrix(c, "C"), tol), chain)
 
 
-def _outer_inverse_chain(
-    ca: np.ndarray, fc: SvdFactors, chain: SubspaceChain, tol: Tolerances
-) -> list[OuterInverseStep]:
-    # outer_inverse_chain with C validated and factorised by the caller
-    _validate_chain(chain, fc)
+def _outer_inverse_chain(fc: SvdFactors, chain: SubspaceChain) -> list[OuterInverseStep]:
+    """outer_inverse_chain from the rank-cut factors C = U_C S_C V_C^T.
+
+    Each step is checked and then built from its coordinates A_n = U_C^T Y_n
+    in ran(C), which have orthonormal columns once the step lies inside
+    ran(C).  Then C^T Y_n = V_C S_C A_n, and the QR S_C A_n = Q R gives
+    X_n = V_C Q and Y_n^T C X_n = R^T, so C_n# = X_n R^-T Y_n^T.  As
+    R^T R = A_n^T S_C^2 A_n, no singular value of R lies below sigma_rho,
+    which C's rank cut has kept: a step takes one rho x k QR and one k x k
+    solve, and makes no rank decision of its own.
+    """
+    # C's rows, and so the chain's columns, live in R^dim
+    dim = fc.u.shape[0]
+    rel = fc.sigma / fc.sigma[0] if fc.sigma.size else fc.sigma
     steps: list[OuterInverseStep] = []
-    for y in chain.bases:
-        x_basis = rank_factors(ca.T @ y, tol).u
-        if x_basis.shape[1] != y.shape[1]:
-            raise InputError(
-                "chain step degenerates under C^T; its span is not inside ran(C)"
-            )
-        restricted = y.T @ ca @ x_basis
-        c_sharp = x_basis @ np.linalg.solve(restricted, y.T)
-        steps.append(OuterInverseStep(c_sharp=c_sharp, y_basis=y, x_basis=x_basis))
+    for i, y in enumerate(chain.bases, 1):
+        ya = as_matrix(y, f"chain step {i}")
+        if ya.shape[0] != dim:
+            raise InputError(f"chain step {i} lives in dimension {ya.shape[0]}, expected {dim}")
+        # columns of unit norm, so orthonormality and nesting have unit scale
+        if np.max(np.abs(ya.T @ ya - np.eye(ya.shape[1]))) > check_bound(dim, 1.0):
+            raise InputError(f"chain step {i} columns are not orthonormal")
+        # the k-th direction of ran(C) is known to the angle eps ||C|| / sigma_k,
+        # which a step weights by its coefficients in C^+ Y; the scale has
+        # degree 0 in C, so it is taken from sigma / sigma_1, which the rank
+        # cut keeps finite and nonzero however tiny or huge C is
+        coef = fc.u.T @ ya
+        escape_scale = np.linalg.norm(rel) * np.linalg.norm(coef / rel[:, None])
+        residual = np.max(np.abs(ya - fc.u @ coef))
+        # more than rank C orthonormal columns escape however loose the scale
+        # is; "not <=" also rejects a NaN
+        if ya.shape[1] > rel.size or not residual <= check_bound(dim, escape_scale):
+            raise InputError(f"chain step {i} escapes ran(C)")
+        if steps:
+            prev = steps[-1].y_basis
+            if np.max(np.abs(prev - ya @ (ya.T @ prev))) > check_bound(dim, 1.0):
+                raise InputError(f"chain step {i} does not contain step {i - 1}")
+        q, r = np.linalg.qr(fc.sigma[:, None] * coef)
+        x_basis = fc.v @ q
+        c_sharp = x_basis @ np.linalg.solve(r.T, ya.T)
+        steps.append(OuterInverseStep(c_sharp=c_sharp, y_basis=ya, x_basis=x_basis))
     return steps
 
 
@@ -497,7 +498,7 @@ def bounded_approximation_sequence(p: GlraProblem, chain: SubspaceChain) -> Boun
         prefix = sol.x_hat @ p.c
     _require_finite(**{"x_hat C": prefix})
     steps: list[BoundedApproxStep] = []
-    for outer in _outer_inverse_chain(p.c, _reduce(p)[1], chain, p.tol):
+    for outer in _outer_inverse_chain(_reduce(p)[1], chain):
         x_n = prefix @ outer.c_sharp
         tail = hs_norm(g_r - p.b @ x_n @ p.c) ** 2
         steps.append(BoundedApproxStep(x=x_n, tail_error=tail, outer=outer))

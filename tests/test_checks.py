@@ -113,13 +113,12 @@ def test_exhaustive_step_sees_a_wrong_rank_cut(rank_cut_one_short):
 
 def test_seq_factorises_each_c_once(svd_calls):
     # each trial's chain, bounded sequence and step minimality defects share
-    # solver._reduce's factors of B and C, and the reference C^+ takes one
-    # SVD of its own; with minimality_defect factorising B and C at each of
-    # the 3 steps, the same two trials make 38 SVDs, and 40 with the chain
-    # factorising C again; each trial's sweep factorises its core, Z and the
-    # sines, and finds the lower bound by bisection
+    # solver._reduce's factors of B, C and the core (3 SVDs), and the chain's
+    # 3 steps are built from C's factors with none of their own; the reference
+    # C^+ takes one SVD, the sweep factorises its core, Z and the sines (3)
+    # and approximate_minimizers reduces its rescaled problem (3): 10 a trial
     checks.check_seq(trials=2, seed=0, tol=DEFAULT_TOL)
-    assert len(svd_calls) == 26
+    assert len(svd_calls) == 20
 
 
 @pytest.mark.parametrize("suite", [checks.check_glra, checks.check_seq])

@@ -94,6 +94,20 @@ class TestMatrixRoundTrip:
         with pytest.raises(InputError, match=r"bad\.csv:2: .*'3,oops'"):
             read_matrix(str(path))
 
+    def test_parse_error_of_a_file_read_once(self):
+        # a drained pipe reads empty the second time, so the line-by-line
+        # rescan finds no bad line and the error keeps loadtxt's own reason
+        r, w = os.pipe()
+        os.write(w, b"1,2\n3,x\n")
+        os.close(w)
+        path = f"/proc/self/fd/{r}"
+        try:
+            with pytest.raises(InputError) as err:
+                read_matrix(path)
+        finally:
+            os.close(r)
+        assert str(err.value).startswith(f"{path}: could not convert string 'x'")
+
     def test_missing_file_names_path(self, tmp_path):
         with pytest.raises(InputError, match="absent.csv"):
             read_matrix(str(tmp_path / "absent.csv"))
@@ -644,6 +658,26 @@ class TestOuterApprox:
         assert code == 3
         assert captured.out == ""
         assert "x_hat C is not finite" in captured.err
+
+    def test_overflowing_alternative_tail_is_numerical(self, capsys, tmp_path):
+        # x_hat P_n is not bounded by (G)_r, so the alternative tail's square
+        # overflows where delta's does not: exit 3 from finite input, not 4
+        g = np.random.default_rng(1)
+        mats = {"M": 1e150 * g.standard_normal((6, 6)), "B": g.standard_normal((6, 6))}
+        u, _ = np.linalg.qr(g.standard_normal((6, 6)))
+        v, _ = np.linalg.qr(g.standard_normal((6, 6)))
+        mats["C"] = (u * np.logspace(0, -9, 6)) @ v.T
+        argv = ["outer-approx", "--rank", "2", "--alternative", "--no-timestamp"]
+        for name, mat in mats.items():
+            write_matrix(str(tmp_path / f"{name}.csv"), mat)
+            argv += [f"--{name}", str(tmp_path / f"{name}.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv + ["--out", str(tmp_path / "o.csv")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "numerical failure: alternative_tail is not finite" in captured.err
 
 
 class TestRegressCommand:

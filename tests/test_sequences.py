@@ -290,6 +290,47 @@ class TestOuterInverseChain:
         with pytest.raises(InputError, match="escapes ran"):
             outer_inverse_chain(c, SubspaceChain(bases=(escaping / np.linalg.norm(escaping),)))
 
+    def test_more_columns_than_rank_escape(self):
+        # under rank_rel = 1e-16 the kept sigma = 1e-14 loosens the escape
+        # scale past 1, but three orthonormal columns never lie in a range of rank 2
+        c = np.diag([1.0, 1e-14, 0.0])
+        with pytest.raises(InputError, match="chain step 1 escapes ran"):
+            outer_inverse_chain(c, SubspaceChain(bases=(np.eye(3),)), Tolerances(rank_rel=1e-16))
+
+    @pytest.mark.parametrize("n, seed", [(3, 30), (5, 104), (5, 221)])
+    @pytest.mark.parametrize("kind", ["full", "nested"])
+    def test_near_cut_chain_reaches_pinv(self, n, seed, kind):
+        # C's smallest kept sigma lies within 0.1% of the cutoff 1e-12 * n, where
+        # a rank decision on C^T Y_n of its own could disagree with C's cut
+        g = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(g.standard_normal((n, n)))
+        v, _ = np.linalg.qr(g.standard_normal((n, n)))
+        s = np.ones(n)
+        s[-1] = 1e-12 * n * (1.0 + g.uniform(-1e-3, 1e-3))
+        c = (u * s) @ v.T
+        chain = full_chain(c) if kind == "full" else nested_chain(c, 3, seed=seed)
+        # the premise: C's cut keeps all n singular values
+        assert chain.bases[-1].shape[1] == n
+        steps = outer_inverse_chain(c, chain)
+        c_pinv = np.linalg.pinv(c, rcond=1e-13)
+        assert hs_norm(steps[-1].c_sharp - c_pinv) <= check_bound(
+            n, hs_norm(c_pinv) ** 2 * hs_norm(c)
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_the_svd_route(self, seed):
+        # the step built in C's coordinates against X_n from an SVD of C^T Y_n
+        # and C_n# = X_n (Y_n^T C X_n)^-1 Y_n^T, on C of rank 4 in 7 x 6
+        g = np.random.default_rng(seed)
+        c = g.standard_normal((7, 4)) @ g.standard_normal((4, 6))
+        for st in outer_inverse_chain(c, nested_chain(c, 3, seed=seed)):
+            y = st.y_basis
+            x = np.linalg.svd(c.T @ y, full_matrices=False)[0]
+            want = x @ np.linalg.solve(y.T @ c @ x, y.T)
+            scale = hs_norm(want) * hs_norm(c)
+            assert hs_norm(st.c_sharp - want) <= check_bound(7, hs_norm(want) * scale)
+            assert hs_norm(st.x_basis @ st.x_basis.T - x @ x.T) <= check_bound(7, scale)
+
 
 class TestBoundedApproximation:
     def test_exhaustive_single_step(self):
@@ -609,8 +650,9 @@ class TestThinBases:
         chain = nested_chain(p.c, 5, seed=4)
         res = bounded_approximation_sequence(p, chain)
         assert len(res.steps) == 5
-        # C once for the chain and once for the solve, B, the core, one per step
-        assert len(svd_calls) == 9
+        # C once for the chain and once for the solve, B and the core; the
+        # steps are built from C's factors with no SVD of their own
+        assert len(svd_calls) == 4
 
     def test_no_dense_projectors(self, no_projectors):
         p = self.problem()

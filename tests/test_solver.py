@@ -565,12 +565,12 @@ class TestFactorOnce:
         z = np.zeros(p.x_shape)
         solution_set_sample(sol, p, z, z)
         bounded = bounded_approximation_sequence(p, chain)
-        # B, C and K once; one SVD per chain step; the three error variants
-        assert calls == {"svd": 3 + len(chain.bases), "eig": 3}
+        # B, C and K once, which the chain's steps share; the three error variants
+        assert calls == {"svd": 3, "eig": 3}
         assert np.any(sol.x_hat[2])
         np.testing.assert_array_equal(bounded.solution.x_hat, sol.x_hat)
         assert not np.any(solve(replace(p, tol=Tolerances())).x_hat[2])
-        assert calls["svd"] == 6 + len(chain.bases)
+        assert calls["svd"] == 6
 
     def test_known_factors_skip_their_factorisation(self, monkeypatch):
         # B = I comes with its factors: only C and K are factorised, and the
@@ -834,3 +834,24 @@ def test_rank_factors_only_in_the_reduction():
                 if name == "rank_factors":
                     callers.add(getattr(top, "name", "<module>"))
     assert callers == {"_reduce"}
+
+
+def test_sequences_cuts_only_its_operands():
+    # sequences factorises only the matrices a caller hands it, C and the
+    # lower bound's Z; a chain step is built from C's factors and makes no
+    # rank decision of its own
+    callers = set()
+    path = Path(glra.sequences.__file__)
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "rank_factors":
+                    callers.add(getattr(top, "name", "<module>"))
+    assert callers == {
+        "full_chain",
+        "nested_chain",
+        "outer_inverse_chain",
+        "lower_bound_constant",
+        "_lower_bound",
+    }
