@@ -11,10 +11,11 @@ The references the invariants compare the library with are written in
 numpy alone and share no factorisation or rank cutoff with the library
 they check: the oracle (``als_oracle``) is a brute-force search,
 ``_ref_projectors`` gives P_ran(A) and P_ker(A)-perp from the bases of
-one numpy SVD, and ``_pinv_stack`` gives A^+ (the C^+ that the seq
-suite compares its outer inverses with) from another.  All three cut at
-ORACLE_RANK_REL, written out here, so a wrong rank decision in the
-library does not pass by checking it against itself.
+one numpy SVD, ``_pinv_stack`` gives A^+ (the C^+ that the seq suite
+compares its outer inverses with) from another, and ``_ref_lower_bound``
+gives the seq suite's lower-bound constant from ker(Z)'s side.  All of
+them cut at ORACLE_RANK_REL, written out here, so a wrong rank decision
+in the library does not pass by checking it against itself.
 """
 
 from __future__ import annotations
@@ -133,6 +134,28 @@ def _pinv_stack(a: np.ndarray) -> np.ndarray:
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=_ref_keep(s, a.shape))
     return (np.swapaxes(vh, -1, -2) * inv[..., None, :]) @ np.swapaxes(u, -1, -2)
+
+
+def _ref_lower_bound(c: np.ndarray, z: np.ndarray) -> tuple[float, int]:
+    """The smallest singular value of C on ker(Z) int ker(C)-perp, and its dimension.
+
+    By principal angles from ker(Z)'s side, where the library works from
+    ker(C)-perp's: with K a basis of ker(Z) and R one of ker(C)-perp, the
+    intersection is K y over the null vectors y of K - R R^T K, whose
+    singular values are the sines of the angles between ker(Z) and
+    ker(C)-perp.  Those sines, of unit scale, are cut at
+    ORACLE_RANK_REL * max(shape); an empty intersection gives (0, 0).
+    """
+    _, s_z, vh_z = np.linalg.svd(z, full_matrices=True)
+    ker_z = vh_z[np.count_nonzero(_ref_keep(s_z, z.shape)):].T
+    _, s_c, vh_c = np.linalg.svd(c, full_matrices=False)
+    row_c = vh_c[: np.count_nonzero(_ref_keep(s_c, c.shape))].T
+    sines = ker_z - row_c @ (row_c.T @ ker_z)
+    _, s, vh = np.linalg.svd(sines, full_matrices=False)
+    w = ker_z @ vh[np.count_nonzero(s > ORACLE_RANK_REL * max(sines.shape)):].T
+    if w.shape[1] == 0:
+        return 0.0, 0
+    return float(np.linalg.svd(c @ w, compute_uv=False)[-1]), w.shape[1]
 
 
 def als_oracle(
@@ -330,6 +353,7 @@ def check_glra(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]
 def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
     rng = np.random.default_rng(seed)
     growth = InvariantResult("sweep_matches_growth_law")
+    lower_bound = InvariantResult("lower_bound_matches_reference")
     outer = InvariantResult("outer_inverse_identity")
     agrees = InvariantResult("outer_inverse_equals_projected_pinv")
     exhaustive = InvariantResult("exhaustive_outer_inverse_is_pinv")
@@ -355,6 +379,9 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
         c_pinv = _pinv_stack(prob.c)
         # the probe columns of x_hat carry C^+ applied to M
         growth.record(worst, check_bound(n, hs_norm(prob.m) * hs_norm(c_pinv)))
+        # the sweep's truncation mu_1 f1 f1^T has the kernel of mu_1 f1^T
+        want = _ref_lower_bound(prob.c, inst.mu[0] * inst.f_basis[:, :1].T)[0]
+        lower_bound.record(abs(sweep.lower_bounds[n] - want), check_bound(n, c_norm))
         # the chain shares the library's factors of C with the bounded sequence
         chain = sequences._nested_chain(solver._reduce(prob)[1].u, 3, seed + k)
         bounded = sequences.bounded_approximation_sequence(prob, chain)
@@ -409,8 +436,8 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
                 check_bound(n, target_sq),
             )
     return [
-        growth, outer, agrees, exhaustive, tail_mono, bxc_ident, step_min, family, member_opt,
-        approx_bound,
+        growth, lower_bound, outer, agrees, exhaustive, tail_mono, bxc_ident, step_min, family,
+        member_opt, approx_bound,
     ]
 
 

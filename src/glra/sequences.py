@@ -13,6 +13,7 @@ as divergence of probe norms under a stated law, never as a boolean.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -115,15 +116,27 @@ class SequenceSpec:
 
 @dataclass(frozen=True, eq=False)
 class SequenceInstance:
-    """One truncated instance: the problem (B = I, C diagonal) plus its raw pieces."""
+    """One truncated instance: its raw pieces, and the problem they define.
+
+    The problem (M = F diag(mu) F^T, B = I, C = diag(gamma)) is built and
+    validated on first read, so a caller that needs only the pieces, such
+    as a tied sweep step, forms no n x n product.
+    """
 
     spec: SequenceSpec
-    problem: GlraProblem
     w: np.ndarray
     f_basis: np.ndarray
     gamma: np.ndarray
     alpha: np.ndarray
     mu: np.ndarray
+
+    @cached_property
+    def problem(self) -> GlraProblem:
+        f = self.f_basis
+        m = (f * self.mu) @ f.T
+        m = (m + m.T) / 2.0
+        n = self.spec.n
+        return GlraProblem(m=m, b=np.eye(n), c=np.diag(self.gamma), r=self.spec.r)
 
 
 def _complete_basis(cols: list[np.ndarray], n: int) -> np.ndarray:
@@ -140,11 +153,12 @@ def _complete_basis(cols: list[np.ndarray], n: int) -> np.ndarray:
 
 
 def build_instance(spec: SequenceSpec) -> SequenceInstance:
-    """Materialise the construction at dimension spec.n.
+    """Materialise the construction's pieces at dimension spec.n.
 
     w carries alpha_k * gamma_k for k >= 2 (zero in the first slot); the
     target is M = F diag(mu) F^T with F the orthonormal completion of
-    f1 = w/||w||, f2 = e1; B is the identity and C = diag(gamma).
+    f1 = w/||w||, f2 = e1; B is the identity and C = diag(gamma).  The
+    problem itself is built when ``problem`` is first read.
     """
     n = spec.n
     idx = np.arange(1, n + 1, dtype=float)
@@ -157,12 +171,7 @@ def build_instance(spec: SequenceSpec) -> SequenceInstance:
     f2 = np.zeros(n)
     f2[0] = 1.0
     f = _complete_basis([f1, f2], n)
-    m = (f * mu) @ f.T
-    m = (m + m.T) / 2.0
-    problem = GlraProblem(m=m, b=np.eye(n), c=np.diag(gamma), r=spec.r)
-    return SequenceInstance(
-        spec=spec, problem=problem, w=w, f_basis=f, gamma=gamma, alpha=alpha, mu=mu
-    )
+    return SequenceInstance(spec=spec, w=w, f_basis=f, gamma=gamma, alpha=alpha, mu=mu)
 
 
 @dataclass(frozen=True)
@@ -513,8 +522,10 @@ class LowerBoundResult:
     limit: decay to zero means the limiting minimiser is unbounded, a
     uniform lower bound means it stays bounded.  ``subspace_dim`` = 0
     flags the empty-intersection convention (constant 0).  The constant
-    is located by bisection to the rounding of C's relative spectrum, so
-    it agrees with an SVD of C on the intersection within check_bound.
+    is the root of a secular equation, found by Newton's method when Z
+    sees one direction of ker(C)-perp and by bisection when it sees more,
+    to the rounding of C's relative spectrum, so it agrees with an SVD of
+    C on the intersection within check_bound.
     """
 
     constant: float
@@ -547,16 +558,18 @@ def _lower_bound(fc: SvdFactors, z: np.ndarray, tol: Tolerances) -> LowerBoundRe
     intersection is V_C y over y orthogonal to W, of dimension rho - k'.
     As C V_C y = U_C S_C y, the constant is the square root of the
     smallest eigenvalue of S_C^2 restricted to W-perp, a problem of
-    codimension k' (Golub, SIAM Review 1973).
+    codimension k' (Golub, SIAM Review 1973).  Cauchy interlacing brackets
+    it in [sigma_rho, sigma_(rho-k')].
 
-    By Haynsworth's inertia additivity, the restricted eigenvalues below
-    s^2 number #{sigma_j < s} + n_+(F(s)) - k', where F(s) is the k' x k'
-    secular matrix W^T diag(1/((sigma_j - s)(sigma_j + s))) W.  Cauchy
-    interlacing brackets the constant in [sigma_rho, sigma_(rho-k')].  Each
-    round counts on a grid strictly inside the bracket and keeps the cell
-    where the count leaves zero, until no grid point falls inside.  A grid
-    point costs O(rho k'^2 + k'^3), against the O(rho^3) of an SVD of C on
-    the intersection.  The bisection runs on sigma / sigma_1, from which the
+    For k' = 1 it is the smallest root of a secular equation, which
+    _secular_newton finds.  For k' > 1, by Haynsworth's inertia
+    additivity, the restricted eigenvalues below s^2 number
+    #{sigma_j < s} + n_+(F(s)) - k', where F(s) is the k' x k' secular
+    matrix W^T diag(1/((sigma_j - s)(sigma_j + s))) W.  Each round counts
+    on a grid strictly inside the bracket and keeps the cell where the
+    count leaves zero, until no grid point falls inside.  A grid point
+    costs O(rho k'^2 + k'^3), against the O(rho^3) of an SVD of C on the
+    intersection.  The bisection runs on sigma / sigma_1, from which the
     scale of C cancels, so the result, sigma_1 times the bracket's top,
     cannot overflow.
     """
@@ -571,10 +584,14 @@ def _lower_bound(fc: SvdFactors, z: np.ndarray, tol: Tolerances) -> LowerBoundRe
     if not lo < hi:
         # Z sees nothing (k' = 0), or sigma_rho = sigma_(rho-k') pins the constant
         return LowerBoundResult(constant=float(fc.sigma[-1]), subspace_dim=rho - kept)
+    if kept == 1:
+        tau = _secular_newton(fc.sigma / fc.sigma[-1], vh[0])
+        return LowerBoundResult(
+            constant=float(fc.sigma[-1] * np.sqrt(1.0 + tau)), subspace_dim=rho - 1
+        )
     w = vh[:kept].T
-    squares = w[:, 0] ** 2  # F for k' = 1 is the scalar sum of w_j^2 d_j
-    # 64 points a round while a point costs O(rho); fewer once the k' x k'
-    # eigenvalue problems dominate, which also bounds a round's memory by O(rho)
+    # 64 points a round for k' = 2, fewer once the k' x k' eigenvalue
+    # problems dominate, which also bounds a round's memory by O(rho)
     points = min(64, max(1, 256 // kept**2))
     fractions = np.arange(1, points + 1) / (points + 1)
     ascending, column = rel[::-1], rel[:, None]
@@ -590,16 +607,57 @@ def _lower_bound(fc: SvdFactors, z: np.ndarray, tol: Tolerances) -> LowerBoundRe
             break
         # s^2 F(s): the inertia of F, with terms bounded by 2/eps however close s is
         d = (t / (column - t)) * (t / (column + t))
-        if kept == 1:
-            # n_+ is F's sign: no LAPACK call
-            positive = squares @ d > 0.0
-        else:
-            f = np.matmul(w.T * d.T[:, None, :], w)
-            positive = np.count_nonzero(np.linalg.eigvalsh(f) > 0.0, axis=1)
-        hit = below + positive > kept
+        f = np.matmul(w.T * d.T[:, None, :], w)
+        hit = below + np.count_nonzero(np.linalg.eigvalsh(f) > 0.0, axis=1) > kept
         first = int(hit.argmax())
         if hit[first]:
             lo, hi = (float(t[first - 1]) if first else lo), float(t[first])
         else:
             lo = float(t[-1])
     return LowerBoundResult(constant=float(fc.sigma[0] * hi), subspace_dim=rho - kept)
+
+
+def _secular_newton(x: np.ndarray, w: np.ndarray) -> float:
+    """The k' = 1 constant as sigma_rho sqrt(1 + tau): tau from x = sigma / sigma_rho and W = w.
+
+    The restricted eigenvalues lambda of S_C^2 on w-perp are the roots of
+    sum_j w_j^2 / (sigma_j^2 - lambda) = 0 (Golub, SIAM Review 1973).  In
+    units of sigma_rho^2, with lambda = 1 + tau and the poles
+    d_j = (x_j - 1)(x_j + 1) formed so that nothing cancels, the smallest
+    is the root in [0, d_(rho-1)] of h(tau) = tau psi(tau) - w_rho^2,
+    psi(tau) = sum_(j<rho) w_j^2 / (d_j - tau).  Each term of h is
+    increasing and convex there, so Newton's method started where h > 0
+    falls monotonically onto the root; it stops once h or the step no
+    longer moves it down.  The start is below every live pole and above
+    the root: by the term of any one pole j alone, h > 0 from
+    d_j w_rho^2 / (w_j^2 + w_rho^2) on.
+
+    Units of sigma_rho, not sigma_1, give tau = 0 for sigma_rho bit for
+    bit, and no ratio's square underflows.  A pole whose weight squares to
+    zero is deflated (Bunch, Nielsen & Sorensen, Numer. Math. 1978): its
+    axis lies in w-perp, and d_(rho-1) caps the root instead.  A w_rho
+    whose square is zero puts the bottom axis in w-perp, and the start,
+    tau = 0, is the root.  Requires x_(rho-1) > 1, which the caller's
+    bracket test gives.
+    """
+    d = (x[:-1] - 1.0) * (x[:-1] + 1.0)
+    weights = w[:-1] ** 2
+    bottom = w[-1] ** 2
+    top = d[-1]
+    live = weights > 0.0
+    d, weights = d[live], weights[live]
+    tau = min(
+        top,
+        float(np.nextafter(d.min(initial=np.inf), 0.0)),
+        float((d * bottom / (weights + bottom)).min(initial=np.inf)),
+    )
+    while True:
+        inv = 1.0 / (d - tau)
+        psi = weights @ inv
+        h = tau * psi - bottom
+        if not h > 0.0:
+            return tau
+        step = h / (psi + tau * (weights @ inv**2))
+        if not tau - step < tau:
+            return tau
+        tau -= step

@@ -115,10 +115,28 @@ def test_seq_factorises_each_c_once(svd_calls):
     # each trial's chain, bounded sequence and step minimality defects share
     # solver._reduce's factors of B, C and the core (3 SVDs), and the chain's
     # 3 steps are built from C's factors with none of their own; the reference
-    # C^+ takes one SVD, the sweep factorises its core, Z and the sines (3)
-    # and approximate_minimizers reduces its rescaled problem (3): 10 a trial
+    # C^+ takes one SVD, the sweep factorises its core, Z and the sines (3),
+    # the reference lower bound Z, C, its sines and C on the intersection (4)
+    # and approximate_minimizers reduces its rescaled problem (3): 14 a trial
     checks.check_seq(trials=2, seed=0, tol=DEFAULT_TOL)
-    assert len(svd_calls) == 20
+    assert len(svd_calls) == 28
+
+
+def test_seq_sees_a_wrong_lower_bound(monkeypatch):
+    # the bracket's bottom sigma_rho in place of the constant: the sweep
+    # runs, and only the reference lower bound tells
+    real = sequences._lower_bound
+
+    def bracket_bottom(fc, z, tol):
+        return replace(real(fc, z, tol), constant=float(fc.sigma[-1]))
+
+    monkeypatch.setattr(sequences, "_lower_bound", bracket_bottom)
+    report = checks.run_suites(list(checks.SUITE_NAMES), trials=25, seed=0)
+    failed = {
+        res.name: res.failures for results in report.suites.values()
+        for res in results if res.failures
+    }
+    assert failed == {"lower_bound_matches_reference": 25}
 
 
 @pytest.mark.parametrize("suite", [checks.check_glra, checks.check_seq])

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from glra.checks import _ref_projectors
+from glra import sequences
+from glra.checks import _ref_lower_bound, _ref_projectors
 from glra.linalg import (
     DEFAULT_TOL,
     InputError,
@@ -449,35 +450,13 @@ class TestLowerBoundConstant:
         c = np.diag([1.0, 0.5, 0.25, 0.125])
         z = np.ones((1, 4))
         z[0, zero_at] = 0.0
-        want, want_dim = reference_lower_bound(c, z)
+        want, want_dim = _ref_lower_bound(c, z)
         res = lower_bound_constant(c, z)
         assert res.subspace_dim == want_dim == 3
         assert abs(res.constant - want) <= check_bound(4, hs_norm(c))
         if zero_at == 3:
             # the bottom axis is in the intersection, so sigma_4 is attained
             assert abs(res.constant - 0.125) <= check_bound(4, hs_norm(c))
-
-
-def reference_lower_bound(c, z, rank_rel=DEFAULT_TOL.rank_rel):
-    """The constant by principal angles from ker(Z)'s side, in numpy alone.
-
-    With K a basis of ker(Z) and R one of ker(C)-perp, the intersection is
-    K y over the null vectors y of K - R R^T K.
-    """
-
-    def rank(s, shape):
-        return np.count_nonzero(s > rank_rel * (s[0] if s.size else 0.0) * max(shape))
-
-    _, s_z, vh_z = np.linalg.svd(z, full_matrices=True)
-    ker_z = vh_z[rank(s_z, z.shape):].T
-    _, s_c, vh_c = np.linalg.svd(c, full_matrices=False)
-    row_c = vh_c[: rank(s_c, c.shape)].T
-    sines = ker_z - row_c @ (row_c.T @ ker_z)
-    _, s, vh = np.linalg.svd(sines, full_matrices=False)
-    w = ker_z @ vh[np.count_nonzero(s > rank_rel * max(sines.shape)):].T
-    if w.shape[1] == 0:
-        return 0.0, 0
-    return float(np.linalg.svd(c @ w, compute_uv=False)[-1]), w.shape[1]
 
 
 def low_rank(g, rows, cols, rank):
@@ -515,7 +494,7 @@ class TestLowerBoundEquivalence:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_matches_kernel_side_reference(self, name):
         c, z, dim = self.CASES[name]
-        want, want_dim = reference_lower_bound(c, z)
+        want, want_dim = _ref_lower_bound(c, z)
         res = lower_bound_constant(c, z)
         assert res.subspace_dim == want_dim == dim
         assert abs(res.constant - want) <= check_bound(c.shape[1], hs_norm(c))
@@ -555,7 +534,7 @@ def test_lower_bound_stress_matches_kernel_side_reference(seed):
     g = np.random.default_rng(1000 + seed)
     for _ in range(500):
         c, z = stress_case(g)
-        want, want_dim = reference_lower_bound(c, z)
+        want, want_dim = _ref_lower_bound(c, z)
         res = lower_bound_constant(c, z)
         assert res.subspace_dim == want_dim
         assert abs(res.constant - want) <= check_bound(c.shape[1], hs_norm(c))
@@ -581,6 +560,79 @@ def test_sweep_lower_bounds_match_svd_route(gamma_exp):
         inst = build_instance(replace(spec, n=n))
         want = svd_route_lower_bound(inst.problem.c, inst.mu[0] * inst.f_basis[:, :1].T)
         assert sweep.lower_bounds[n] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def secular_case(rho, case, scale, rotated):
+    """(C, Z) with rank(C) = rho in R^7 and Z = (V_C w)^T, so that W = w (k' = 1).
+
+    ``case`` zeroes w_rho or w_(rho-1), makes w_rho 1e-300, or ties
+    sigma_rho to sigma_(rho-1).  V_C is the leading axes, or the leading
+    columns of a seeded orthogonal matrix.
+    """
+    n = 7
+    g = np.random.default_rng(rho)
+    sigma = np.array([1.0, 0.7, 0.45, 0.3, 0.2])[:rho]
+    w = g.uniform(0.3, 1.0, rho) * g.choice([-1.0, 1.0], rho)
+    if case == "w_rho_zero":
+        w[-1] = 0.0
+    elif case == "w_next_zero":
+        w[-2] = 0.0
+    elif case == "w_rho_1e-300":
+        w[-1] = 1e-300
+    elif case == "tie":
+        sigma[-1] = sigma[-2]
+    w /= np.linalg.norm(w)
+    basis = np.linalg.qr(g.standard_normal((n, n)))[0] if rotated else np.eye(n)
+    v = basis[:, :rho]
+    c = (np.linalg.qr(g.standard_normal((rho, rho)))[0] * sigma) @ v.T * scale
+    return c, (v @ w)[None, :]
+
+
+class TestSecularNewton:
+    """The k' = 1 constant at the secular equation's deflations, ties and scales."""
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["axes", "rotated"])
+    @pytest.mark.parametrize("scale", [1e-250, 1.0, 1e250])
+    @pytest.mark.parametrize(
+        "rho, case",
+        [
+            (5, "generic"),
+            (5, "w_rho_zero"),
+            (5, "w_next_zero"),
+            (5, "w_rho_1e-300"),
+            (5, "tie"),
+            (2, "generic"),
+            (2, "w_rho_zero"),
+            (2, "w_next_zero"),
+        ],
+    )
+    def test_matches_kernel_side_reference(self, rho, case, scale, rotated):
+        c, z = secular_case(rho, case, scale, rotated)
+        want, want_dim = _ref_lower_bound(c, z)
+        res = lower_bound_constant(c, z)
+        assert res.subspace_dim == want_dim == rho - 1
+        assert abs(res.constant - want) <= check_bound(c.shape[1], hs_norm(c))
+        if case in ("w_rho_zero", "w_rho_1e-300", "tie") and not rotated:
+            # the bottom axis lies in the intersection: sigma_rho, bit for bit
+            assert res.constant == rank_factors(c).sigma[-1]
+        if case == "w_next_zero" and not rotated:
+            # the next axis lies in the intersection and caps the constant
+            assert res.constant <= rank_factors(c).sigma[-2]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_far_from_both_ends(self, seed):
+        # the root well inside [sigma_rho, sigma_(rho-1)]: a start on the wrong
+        # side of it, or a stop short of convergence, shows here
+        g = np.random.default_rng(seed)
+        rho = int(g.integers(3, 40))
+        sigma = np.sort(10.0 ** g.uniform(-6, 0, rho))[::-1]
+        w = g.standard_normal(rho)
+        w[-2] *= 1e-3
+        c = np.diag(sigma)
+        want, _ = _ref_lower_bound(c, w[None, :])
+        res = lower_bound_constant(c, w[None, :])
+        assert res.constant == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert sigma[-1] * (1.0 + 1e-6) < res.constant < sigma[-2]
 
 
 class TestThinBases:
@@ -615,12 +667,43 @@ class TestThinBases:
         ]
         assert svd_calls and not full_tall
 
-    # the core (untied only), Z and the sines matrix; the lower bound itself
-    # is a bisection with no SVD
+    # the core (untied only), Z and the sines matrix; Z sees one direction of
+    # ker(C)-perp, so the lower bound itself is Newton's method on the
+    # secular equation, with no SVD
     @pytest.mark.parametrize("mu_head, count", [((1.0, 0.5), 3), ((1.0, 1.0), 2)])
     def test_sweep_step_svd_count(self, svd_calls, mu_head, count):
         unboundedness_sweep(diag_spec(mu_head=mu_head, n=20), [20], [5])
         assert len(svd_calls) == count
+
+    # the untied step builds the instance's problem and its copy at the
+    # sweep's tolerances for the cross-check; the tied step reads only the
+    # construction's pieces and builds none
+    @pytest.mark.parametrize("mu_head, count", [((1.0, 0.5), 2), ((1.0, 1.0), 0)])
+    def test_sweep_step_problem_count(self, monkeypatch, mu_head, count):
+        built = []
+
+        class Counting(GlraProblem):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(sequences, "GlraProblem", Counting)
+        unboundedness_sweep(diag_spec(mu_head=mu_head, n=20), [20], [5])
+        assert len(built) == count
+
+    def test_rank_one_view_takes_no_other_factorisation(self, svd_calls, monkeypatch):
+        # k' = 1: the SVDs of Z and of the sines, then no LAPACK call at all
+        inst = build_instance(diag_spec(n=200))
+        fc = _diagonal_factors(inst.gamma, DEFAULT_TOL)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("factorisation beyond the SVDs of Z and the sines")
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh", "qr", "solve", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        res = sequences._lower_bound(fc, inst.mu[0] * inst.f_basis[:, :1].T, DEFAULT_TOL)
+        assert res.subspace_dim == 199
+        assert len(svd_calls) == 2
 
     @pytest.mark.parametrize("mu_head", [(1.0, 0.5), (1.0, 1.0)])
     def test_sweep_never_factorises_b_or_c(self, monkeypatch, mu_head):
