@@ -233,6 +233,8 @@ def unboundedness_sweep(
     """
     if spec.r != 1:
         raise InputError("the growth sweep is defined for rank bound r = 1")
+    if not n_values or not probes:
+        raise InputError("a sweep needs at least one dimension and one probe index")
     if min(probes) < 1:
         raise InputError("probe indices must be >= 1")
     if max(probes) > max(n_values):
@@ -320,6 +322,8 @@ def approximate_minimizers(
     the solver's minimiser of the core triplets, and the same formula with
     the left vectors u_i replaced by U_B^T d_i.
     """
+    if not np.isfinite(epsilons).all():
+        raise InputError("epsilons must be finite")
     fb, fc, _, t = _reduce(p)
     tsvd = _lift(fb, fc, t)
     k = tsvd.effective_count
@@ -521,11 +525,10 @@ class LowerBoundResult:
     A sweep of this constant over truncation dimensions diagnoses the
     limit: decay to zero means the limiting minimiser is unbounded, a
     uniform lower bound means it stays bounded.  ``subspace_dim`` = 0
-    flags the empty-intersection convention (constant 0).  The constant
-    is the root of a secular equation, found by Newton's method when Z
-    sees one direction of ker(C)-perp and by bisection when it sees more,
-    to the rounding of C's relative spectrum, so it agrees with an SVD of
-    C on the intersection within check_bound.
+    flags the empty-intersection convention (constant 0).  When Z sees
+    one direction of ker(C)-perp the constant is the root of a secular
+    equation, found by Newton's method, which agrees with an SVD of C on
+    the intersection within check_bound; when Z sees more, it is that SVD.
     """
 
     constant: float
@@ -556,22 +559,14 @@ def _lower_bound(fc: SvdFactors, z: np.ndarray, tol: Tolerances) -> LowerBoundRe
     and R are orthonormal; the k' right vectors W of the sines kept span
     the part of ker(C)-perp's coordinates y that Z sees, so the
     intersection is V_C y over y orthogonal to W, of dimension rho - k'.
-    As C V_C y = U_C S_C y, the constant is the square root of the
-    smallest eigenvalue of S_C^2 restricted to W-perp, a problem of
-    codimension k' (Golub, SIAM Review 1973).  Cauchy interlacing brackets
-    it in [sigma_rho, sigma_(rho-k')].
+    As C V_C y = U_C S_C y, the constant is the smallest singular value of
+    S_C restricted to W-perp (Golub, SIAM Review 1973), which Cauchy
+    interlacing brackets in [sigma_rho, sigma_(rho-k')].
 
     For k' = 1 it is the smallest root of a secular equation, which
-    _secular_newton finds.  For k' > 1, by Haynsworth's inertia
-    additivity, the restricted eigenvalues below s^2 number
-    #{sigma_j < s} + n_+(F(s)) - k', where F(s) is the k' x k' secular
-    matrix W^T diag(1/((sigma_j - s)(sigma_j + s))) W.  Each round counts
-    on a grid strictly inside the bracket and keeps the cell where the
-    count leaves zero, until no grid point falls inside.  A grid point
-    costs O(rho k'^2 + k'^3), against the O(rho^3) of an SVD of C on the
-    intersection.  The bisection runs on sigma / sigma_1, from which the
-    scale of C cancels, so the result, sigma_1 times the bracket's top,
-    cannot overflow.
+    _secular_newton finds.  For k' > 1 the complement Y of W comes from
+    one complete QR of W, and the constant is the smallest singular value
+    of S_C Y.
     """
     rho = fc.sigma.size
     sines = rank_factors(z, tol).v.T @ fc.v
@@ -579,9 +574,7 @@ def _lower_bound(fc: SvdFactors, z: np.ndarray, tol: Tolerances) -> LowerBoundRe
     kept = int(np.count_nonzero(s > _cutoff(1.0, fc.v.shape[0], tol)))
     if kept == rho:
         return LowerBoundResult(constant=0.0, subspace_dim=0)
-    rel = fc.sigma / fc.sigma[0]
-    lo, hi = float(rel[-1]), float(rel[-1 - kept])
-    if not lo < hi:
+    if not fc.sigma[-1] < fc.sigma[-1 - kept]:
         # Z sees nothing (k' = 0), or sigma_rho = sigma_(rho-k') pins the constant
         return LowerBoundResult(constant=float(fc.sigma[-1]), subspace_dim=rho - kept)
     if kept == 1:
@@ -589,32 +582,9 @@ def _lower_bound(fc: SvdFactors, z: np.ndarray, tol: Tolerances) -> LowerBoundRe
         return LowerBoundResult(
             constant=float(fc.sigma[-1] * np.sqrt(1.0 + tau)), subspace_dim=rho - 1
         )
-    w = vh[:kept].T
-    # 64 points a round for k' = 2, fewer once the k' x k' eigenvalue
-    # problems dominate, which also bounds a round's memory by O(rho)
-    points = min(64, max(1, 256 // kept**2))
-    fractions = np.arange(1, points + 1) / (points + 1)
-    ascending, column = rel[::-1], rel[:, None]
-    while True:
-        t = lo + (hi - lo) * fractions
-        below = ascending.searchsorted(t)
-        # points on some sigma_j, where F has a pole, are dropped, and so are
-        # points that round onto the bracket's ends; once none is left, the
-        # bracket can shrink no more
-        keep = (ascending[below] != t) & (lo < t) & (t < hi)
-        t, below = t[keep], below[keep]
-        if not t.size:
-            break
-        # s^2 F(s): the inertia of F, with terms bounded by 2/eps however close s is
-        d = (t / (column - t)) * (t / (column + t))
-        f = np.matmul(w.T * d.T[:, None, :], w)
-        hit = below + np.count_nonzero(np.linalg.eigvalsh(f) > 0.0, axis=1) > kept
-        first = int(hit.argmax())
-        if hit[first]:
-            lo, hi = (float(t[first - 1]) if first else lo), float(t[first])
-        else:
-            lo = float(t[-1])
-    return LowerBoundResult(constant=float(fc.sigma[0] * hi), subspace_dim=rho - kept)
+    q, _ = np.linalg.qr(vh[:kept].T, mode="complete")
+    s = np.linalg.svd(fc.sigma[:, None] * q[:, kept:], compute_uv=False)
+    return LowerBoundResult(constant=float(s[-1]), subspace_dim=rho - kept)
 
 
 def _secular_newton(x: np.ndarray, w: np.ndarray) -> float:

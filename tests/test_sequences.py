@@ -195,6 +195,13 @@ class TestApproximateMinimizers:
         assert np.array_equal(seq.steps[1].x, sol.x_hat)
         assert seq.steps[1].objective == sol.objective
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+    def test_non_finite_epsilon_is_an_input_error(self, eps):
+        # a bad epsilon is no overflow of finite inputs
+        inst = build_instance(diag_spec(n=10))
+        with pytest.raises(InputError, match="epsilons must be finite"):
+            approximate_minimizers(inst.problem, [0.5, eps])
+
 
 class TestApproximateMinimizersOverflow:
     # the minimiser 1e150 I is finite, although S_B^-1 Sigma_K = 1e350 is not
@@ -483,6 +490,11 @@ def lower_bound_cases():
     for n in (10, 50, 200):
         inst = build_instance(diag_spec(n=n))
         cases[f"diagonal_{n}"] = (inst.problem.c, inst.mu[0] * inst.f_basis[:, :1].T, n - 1)
+    # k' = 5 and 20 at rank C = 200 and 400, above the stress set's rank C < 30
+    for n in (200, 400):
+        c = np.diag(np.arange(1.0, n + 1) ** -2.0)
+        for k in (5, 20):
+            cases[f"diagonal_{n}_z{k}"] = (c, g.standard_normal((k, n)), n - k)
     return cases
 
 
@@ -792,6 +804,14 @@ class TestInputErrors:
                 lambda: unboundedness_sweep(diag_spec(n=10), [10], [0, 2]),
                 "probe indices must be >= 1",
             ),
+            (
+                lambda: unboundedness_sweep(diag_spec(n=10), [], [5]),
+                "at least one dimension and one probe index",
+            ),
+            (
+                lambda: unboundedness_sweep(diag_spec(n=10), [20], []),
+                "at least one dimension and one probe index",
+            ),
             (lambda: SubspaceChain(bases=()), "chain needs at least one step"),
             (
                 lambda: outer_inverse_chain(np.eye(3), SubspaceChain(bases=(np.eye(4)[:, :1],))),
@@ -813,6 +833,8 @@ class TestInputErrors:
             "gamma-exponent-zero",
             "empty-mu-head",
             "probe-zero",
+            "no-dimensions",
+            "no-probes",
             "empty-chain",
             "step-dimension",
             "step-not-orthonormal",
