@@ -90,6 +90,14 @@ class SequenceSpec:
     r: int = 1
 
     def __post_init__(self) -> None:
+        # NaN passes every comparison below, and an infinite exponent
+        # overflows the construction, so finiteness is judged first
+        for name in ("gamma_exponent", "alpha_exponent", "mu_tail_exponent"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value}")
+        if not np.isfinite(self.mu_head).all():
+            raise InputError(f"mu_head must be finite, got {self.mu_head}")
         if self.gamma_exponent <= 0:
             raise InputError("gamma_exponent must be positive")
         if not self.gamma_exponent - self.alpha_exponent > 0.5:
@@ -133,8 +141,12 @@ class SequenceInstance:
     @cached_property
     def problem(self) -> GlraProblem:
         f = self.f_basis
-        m = (f * self.mu) @ f.T
-        m = (m + m.T) / 2.0
+        # a mu near the float range overflows M, which is reported as
+        # NumericalError, so numpy prints no warning for it
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = (f * self.mu) @ f.T
+            m = (m + m.T) / 2.0
+        _require_finite(M=m)
         n = self.spec.n
         return GlraProblem(m=m, b=np.eye(n), c=np.diag(self.gamma), r=self.spec.r)
 
@@ -211,10 +223,16 @@ def _pinv_row(fc: SvdFactors, f: np.ndarray) -> np.ndarray:
 def _probe_rows(
     n: int, probes: list[int], x: np.ndarray, predicted: Callable[[int], float]
 ) -> list[SweepRow]:
-    """The rows ||X e_m|| of the probe columns m of X at dimension n, against the law."""
-    return [
-        SweepRow(n, m, float(np.linalg.norm(x[:, m - 1])), float(predicted(m))) for m in probes
-    ]
+    """The rows ||X e_m|| of the probe columns m of X at dimension n, against the law.
+
+    A column's norm is hs_norm's, which neither underflows nor overflows
+    while the norm itself is representable; a norm or a law that overflows
+    is reported as NumericalError, so numpy prints no warning for it.
+    """
+    with np.errstate(over="ignore"):
+        rows = [SweepRow(n, m, hs_norm(x[:, m - 1 : m]), float(predicted(m))) for m in probes]
+    _require_finite(**{"probe norm": [(row.norm, row.predicted_norm) for row in rows]})
+    return rows
 
 
 def unboundedness_sweep(
@@ -253,14 +271,23 @@ def unboundedness_sweep(
         live_probes = [m for m in probes if m <= n]
         w_norm = float(np.linalg.norm(inst.w))
         w_norms[n] = w_norm
-        # B = I and C = diag(gamma) come with their factors: the minimiser,
-        # the rows f^T C^+ and the lower bound take them from the construction
+        # B = I and C = diag(gamma) come with their factors: the core of the
+        # cross-check, the minimiser, the rows f^T C^+ and the lower bound
+        # take them from the construction
         fc = _diagonal_factors(inst.gamma, tol)
         f1 = inst.f_basis[:, 0]
-        x_a = inst.mu[0] * np.outer(f1, _pinv_row(fc, f1))
+        # a mu near the float range overflows the assembled minimiser, which
+        # is reported as NumericalError, so numpy prints no warning for it
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_a = inst.mu[0] * np.outer(f1, _pinv_row(fc, f1))
+        _require_finite(x_a=x_a)
         if not tie:
+            p = replace(inst.problem, tol=tol)
             fb = _diagonal_factors(np.ones(n), tol)
-            _, _, _, t = _reduce(replace(inst.problem, tol=tol), fb, fc)
+            # B's factors are the identity and C's keep its leading axes, so
+            # the core U_B^T M V_C is M's leading rank(C) columns: a view,
+            # with the bits of the identity products it replaces
+            _, _, _, t = _reduce(p, fb, fc, core=p.m[:, : fc.sigma.size])
             x_hat = _minimiser(fb, fc, t.factors)[0]
             residual = hs_norm(x_hat - x_a)
             if residual > check_bound(n, hs_norm(x_hat)):

@@ -946,9 +946,24 @@ class TestArgumentErrors:
             (["demo-unbounded", "--N", "10,x"], "integer list, got '10,x'"),
             (["demo-unbounded", "--probes", ","], "expected at least one integer"),
             (["demo-unbounded", "--mu", "1,x"], "--mu: expected a comma-separated float list"),
+            (["demo-unbounded", "--mu", "nan,1"], "mu_head must be finite"),
+            (["demo-unbounded", "--mu", "1,nan"], "mu_head must be finite"),
+            (["demo-unbounded", "--mu", "inf,1"], "mu_head must be finite"),
+            (["demo-unbounded", "--mu-tail-exp", "nan"], "mu_tail_exponent must be finite"),
+            (["demo-unbounded", "--gamma-exp", "inf"], "gamma_exponent must be finite"),
             (["outer-approx", "--chain", "auto:x"], "bad chain spec 'auto:x'"),
         ],
-        ids=["N-not-integer", "probes-empty", "mu-not-float", "chain-steps-not-integer"],
+        ids=[
+            "N-not-integer",
+            "probes-empty",
+            "mu-not-float",
+            "mu-head-nan",
+            "mu-second-nan",
+            "mu-head-inf",
+            "mu-tail-exp-nan",
+            "gamma-exp-inf",
+            "chain-steps-not-integer",
+        ],
     )
     def test_rejected(self, capsys, tmp_path, monkeypatch, fixture_files, argv, fragment):
         monkeypatch.chdir(tmp_path)
@@ -970,10 +985,13 @@ LADDER_COMMANDS = {
     "outer-auto": ["outer-approx", "--chain", "auto:3"],
     "outer-full-alternative": ["outer-approx", "--chain", "full", "--alternative"],
 }
-# each problem command on each operand version, and regress on the samples
-LADDER_CASES = [
-    (command, version) for command in LADDER_COMMANDS for version in ("full", "deficient")
-] + [("regress", "samples")]
+# each problem command on each operand version, regress on the samples, and
+# the growth sweep over its target's spectrum, with and without a tie
+LADDER_CASES = (
+    [(command, version) for command in LADDER_COMMANDS for version in ("full", "deficient")]
+    + [("regress", "samples")]
+    + [("demo-unbounded", version) for version in ("untied", "tied")]
+)
 
 
 @pytest.fixture(scope="module")
@@ -1006,6 +1024,17 @@ def ladder_files(tmp_path_factory):
 
 def _ladder_argvs(command, version, files, out):
     """Every invocation of one ladder case: a command over all scales of its operands."""
+    if command == "demo-unbounded":
+        for s in LADDER_SCALES + (1e-200, 1e200):
+            second = s if version == "tied" else s / 2
+            yield [
+                "demo-unbounded",
+                "--N", "20,50",
+                "--probes", "2,5",
+                "--mu", f"{s!r},{second!r}",
+                "--out", out,
+            ]
+        return
     if command == "regress":
         for s_x, s_y in product(LADDER_SCALES, repeat=2):
             yield [
@@ -1041,4 +1070,10 @@ def test_scale_ladder_exits_cleanly(capsys, tmp_path, ladder_files, command, ver
             bad.append((argv, code, "exit code"))
         elif code == 0 and not np.all(np.isfinite(report_numbers(json.loads(out)))):
             bad.append((argv, code, "non-finite report"))
+        elif code == 0 and command == "demo-unbounded":
+            # the sweep tables: N, m, probe norm and its law, to rounding
+            for path in json.loads(out)["outputs"]["files"].values():
+                for n, _, norm, law in read_matrix(path):
+                    if not abs(norm - law) <= check_bound(int(n), law):
+                        bad.append((argv, code, f"probe norm {norm} against {law}"))
     assert bad == []

@@ -66,6 +66,28 @@ class TestSpec:
         mu = diag_spec(mu_head=(2.0, 1.0), mu_tail_exponent=1.0).mu_values(6)
         np.testing.assert_allclose(mu, [2.0, 1.0, 2 / 3, 0.5, 0.4, 1 / 3])
 
+    # NaN passes every comparison of the other checks, and an infinite value
+    # overflows the construction; each is named before anything is built
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(mu_head=(np.nan, 1.0)), "mu_head"),
+            (dict(mu_head=(1.0, np.nan)), "mu_head"),
+            (dict(mu_head=(np.inf, 1.0)), "mu_head"),
+            (dict(mu_tail_exponent=np.nan), "mu_tail_exponent"),
+            (dict(mu_tail_exponent=-np.inf), "mu_tail_exponent"),
+            (dict(gamma_exponent=np.inf), "gamma_exponent"),
+            (dict(gamma_exponent=np.nan), "gamma_exponent"),
+            (dict(alpha_exponent=np.nan), "alpha_exponent"),
+            (dict(alpha_exponent=-np.inf), "alpha_exponent"),
+        ],
+    )
+    def test_non_finite_parameter_is_named(self, kwargs, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=f"{name} must be finite"):
+                diag_spec(**kwargs)
+
 
 class TestBuildInstance:
     def test_weight_vector_finite_sum(self):
@@ -123,6 +145,46 @@ class TestUnboundednessSweep:
     def test_probe_beyond_largest_dimension_rejected(self):
         with pytest.raises(InputError):
             unboundedness_sweep(diag_spec(n=20), [10, 20], [25])
+
+    # the probe norms 2.6e-300 and 2.6e300 are representable, although the
+    # squares of their columns' entries are not
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_probe_norms_follow_the_law_at_extreme_scales(self, scale, tied):
+        spec = diag_spec(mu_head=(scale, scale if tied else scale / 2), n=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = unboundedness_sweep(spec, [20, 50], [2, 5])
+        assert sweep.tie is tied and len(sweep.bounded_rows) == (4 if tied else 0)
+        for row in sweep.rows + sweep.bounded_rows:
+            assert abs(row.norm - row.predicted_norm) <= check_bound(row.n, row.predicted_norm)
+        assert all(row.norm > 0 for row in sweep.rows)
+
+    # the assembled minimiser leaves the float range, or only the norm of
+    # probe column 50 and its law, 1.9e308, do
+    @pytest.mark.parametrize(
+        "mu_head, probes, name",
+        [
+            ((1e308, 1e307), [2, 5], "x_a"),
+            ((1e308, 1e308), [2, 5], "x_a"),
+            ((1.7e308, 1e308), [2, 5], "x_a"),
+            ((3e306, 1e306), [2, 50], "probe norm"),
+            ((3e306, 3e306), [2, 50], "probe norm"),
+        ],
+    )
+    def test_overflow_is_numerical_without_warning(self, mu_head, probes, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"{name} is not finite"):
+                unboundedness_sweep(diag_spec(mu_head=mu_head, n=50), [20, 50], probes)
+
+    def test_overflowing_target_is_numerical(self):
+        # M's symmetrisation overflows, whatever the sweep does with it
+        inst = build_instance(diag_spec(mu_head=(1.7e308, 1e308), n=20))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="M is not finite"):
+                inst.problem
 
     def test_sampled_members_dominate_canonical_probes(self):
         inst = build_instance(diag_spec(n=15, mu_head=(2.0, 1.0)))
@@ -777,6 +839,41 @@ class TestKnownFactors:
         d = np.arange(1, 301, dtype=float) ** -4.0
         assert _diagonal_factors(d, DEFAULT_TOL).sigma.size == 240
         assert _diagonal_factors(d, Tolerances(rank_rel=1e-14)).sigma.size == 300
+
+    # the untied step's core is M's leading rank(C) columns, a view that
+    # truncates to the bits of the identity products U_B^T M V_C; gamma = 4
+    # at N = 300 is the rank-cut case, whose cross-check then fails
+    @pytest.mark.parametrize("gamma_exp, cut", [(2.0, False), (4.0, True)])
+    def test_sweep_core_is_a_view_of_m(self, monkeypatch, gamma_exp, cut):
+        real_reduce = sequences._reduce
+        reduced = []
+
+        def recording(p, *args, **kwargs):
+            reduced.append(p)
+            return real_reduce(p, *args, **kwargs)
+
+        monkeypatch.setattr(sequences, "_reduce", recording)
+        spec = diag_spec(gamma_exponent=gamma_exp, n=300)
+        if cut:
+            with pytest.raises(NumericalError, match="deviates from assembled form"):
+                unboundedness_sweep(spec, [300], [10, 50])
+        else:
+            unboundedness_sweep(spec, [300], [10, 50])
+        [p] = reduced
+        fb, fc, core, t = p._reduction
+        assert fc.sigma.size == (240 if cut else 300)
+        assert core.shape == (300, fc.sigma.size) and np.shares_memory(core, p.m)
+        # the same problem, reduced afresh from the same factors without a core
+        _, _, want_core, want = real_reduce(replace(p), fb, fc)
+        assert np.ascontiguousarray(core).tobytes() == want_core.tobytes()
+        for a, b in zip(
+            (t.factors.u, t.factors.sigma, t.factors.v),
+            (want.factors.u, want.factors.sigma, want.factors.v),
+        ):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert (t.r, t.discarded_head, t.numerical_rank, t.uniqueness) == (
+            want.r, want.discarded_head, want.numerical_rank, want.uniqueness
+        )
 
     @pytest.mark.parametrize("n", [10, 50, 200])
     def test_sweep_norms_equal_the_solvers(self, n):
