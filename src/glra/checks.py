@@ -132,8 +132,8 @@ def _pinv_stack(a: np.ndarray) -> np.ndarray:
     Singular values that _ref_keep drops count as zero.
     """
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=_ref_keep(s, a.shape))
-    return (np.swapaxes(vh, -1, -2) * inv[..., None, :]) @ np.swapaxes(u, -1, -2)
+    inv = np.divide(1.0, s, out=np.zeros(s.shape), where=_ref_keep(s, a.shape))
+    return (vh.swapaxes(-1, -2) * inv[..., None, :]) @ u.swapaxes(-1, -2)
 
 
 def _ref_lower_bound(c: np.ndarray, z: np.ndarray) -> tuple[float, int]:
@@ -167,9 +167,14 @@ def als_oracle(
     V (q x r) are updated by exact least-squares steps,
     U = B^+ M (V^T C)^+ and V^T = (B U)^+ M C^+, from ``restarts`` seeded
     random initialisations (U_0, V_0, U_1, V_1, ... drawn in that order),
-    all run at once as one stack.  It runs on M / ||M||, so the result is
-    degree 1 in M; a restart stops, frozen, once its objective moves by at
-    most ORACLE_STOP_REL * objective + eps * max(M.shape) there, or after
+    all run at once as one stack.  The stack holds the images L = B U
+    (R x m x r) and A = V^T C (R x r x n), not U and V: with P = B B^+ M
+    and N = M C^+ C formed once, the steps are L = P A^+ and A = L^+ N
+    and the objective is ||M - L A||, the same iterates in exact
+    arithmetic, as B U = B B^+ M (V^T C)^+ and V^T C = (B U)^+ M C^+ C.
+    It runs on M / ||M||, so the result is degree 1 in M; a restart stops,
+    frozen, once its objective moves by at most
+    ORACLE_STOP_REL * objective + eps * max(M.shape) there, or after
     ``iters`` steps.  Deterministic for a fixed seed.
     """
     if restarts < 1 or iters < 1:
@@ -185,22 +190,22 @@ def als_oracle(
     for k in range(restarts):
         rng.standard_normal((pp, r))  # U_k keeps the draw order; the first step replaces it
         v[k] = rng.standard_normal((qq, r))
-    b_pinv_m = _pinv_stack(p.b) @ m
-    m_c_pinv = m @ _pinv_stack(p.c)
+    proj_m = p.b @ (_pinv_stack(p.b) @ m)
+    m_proj = (m @ _pinv_stack(p.c)) @ p.c
+    a = v.swapaxes(-1, -2) @ p.c
     floor = float(np.finfo(float).eps) * max(m.shape)
     prev = np.full(restarts, np.inf)
     obj = np.empty(restarts)
+    # the restarts still running; a stopped one leaves only its objective
     active = np.arange(restarts)
     for _ in range(iters):
-        u = b_pinv_m @ _pinv_stack(np.swapaxes(v[active], -1, -2) @ p.c)
-        lhs = p.b @ u
-        vt = _pinv_stack(lhs) @ m_c_pinv
-        cur = np.linalg.norm(m - lhs @ vt @ p.c, axis=(-2, -1))
-        v[active] = np.swapaxes(vt, -1, -2)
+        lhs = proj_m @ _pinv_stack(a)
+        a = _pinv_stack(lhs) @ m_proj
+        res = m - lhs @ a
+        cur = np.sqrt(np.einsum("kij,kij->k", res, res))
         obj[active] = cur
-        done = np.abs(prev[active] - cur) <= ORACLE_STOP_REL * cur + floor
-        prev[active] = cur
-        active = active[~done]
+        done = np.abs(prev - cur) <= ORACLE_STOP_REL * cur + floor
+        active, a, prev = active[~done], a[~done], cur[~done]
         if not active.size:
             break
     return scale * float(np.min(obj))

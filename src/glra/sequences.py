@@ -174,12 +174,20 @@ def build_instance(spec: SequenceSpec) -> SequenceInstance:
     """
     n = spec.n
     idx = np.arange(1, n + 1, dtype=float)
-    gamma = idx ** (-spec.gamma_exponent)
-    alpha = idx**spec.alpha_exponent
     mu = spec.mu_values(n)
-    w = alpha * gamma
+    # extreme exponents overflow alpha_k (and inf * 0 is NaN) or underflow
+    # every gamma_k, k >= 2, to 0; both are reported as NumericalError, so
+    # numpy prints no warning for them
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = idx ** (-spec.gamma_exponent)
+        alpha = idx**spec.alpha_exponent
+        w = alpha * gamma
     w[0] = 0.0
-    f1 = w / np.linalg.norm(w)
+    _require_finite(w=w)
+    w_norm = np.linalg.norm(w)
+    if w_norm == 0.0:
+        raise NumericalError("w is zero: alpha_k * gamma_k underflows float64 for every k >= 2")
+    f1 = w / w_norm
     f2 = np.zeros(n)
     f2[0] = 1.0
     f = _complete_basis([f1, f2], n)

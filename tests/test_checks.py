@@ -206,6 +206,31 @@ class TestAlsOracle:
         )
         assert worst <= 1e-12
 
+    def test_equals_one_restart_at_a_time_on_the_rrr_suite(self, monkeypatch):
+        # the transposed problems of regression._transposed_problem, as
+        # check_rrr makes them, with the seeds it hands the oracle
+        calls = []
+
+        def recording(p, *args, **kwargs):
+            calls.append((p, kwargs["seed"]))
+            return als_oracle(p, *args, **kwargs)
+
+        monkeypatch.setattr(checks, "als_oracle", recording)
+        checks.check_rrr(trials=25, seed=0, tol=DEFAULT_TOL)
+        worst = max(
+            abs(als_oracle(p, 6, 80, k) - _loop_oracle(p, 6, 80, k)) / hs_norm(p.m)
+            for p, k in calls
+        )
+        assert len(calls) == 25
+        assert worst <= 1e-12
+
+    def test_takes_two_stacked_svds_a_step(self, svd_calls):
+        # B^+ and C^+ once, then per step one SVD of the stack A = V^T C and
+        # one of L = B U; draw 1 runs all six restarts through three steps
+        als_oracle(_suite_draws(2)[1], restarts=6, iters=3)
+        assert len(svd_calls) == 2 + 2 * 3
+        assert [shape[0] for shape, _, _ in svd_calls[2:]] == [6] * (2 * 3)
+
     # draws 1 and 30 stop early under the rule 1e-13 (1 + obj) at s = 1e-8,
     # by 1e5 and 5e6 times the bound
     @pytest.mark.parametrize("draw", [1, 30])

@@ -1077,3 +1077,22 @@ def test_scale_ladder_exits_cleanly(capsys, tmp_path, ladder_files, command, ver
                     if not abs(norm - law) <= check_bound(int(n), law):
                         bad.append((argv, code, f"probe norm {norm} against {law}"))
     assert bad == []
+
+
+@pytest.mark.parametrize(
+    "gamma_exp, alpha_exp, fragment",
+    [("2000", "1", "w is zero"), ("400", "399", "w is not finite")],
+    ids=["gamma-underflows", "alpha-overflows"],
+)
+def test_scale_ladder_extreme_exponents_exit_3(capsys, tmp_path, gamma_exp, alpha_exp, fragment):
+    # finite exponents at the ends of the float range: gamma_k = k^-2000
+    # underflows to 0 for every k >= 2, so w = 0, and alpha_k = k^399
+    # overflows; each is exit 3 before numpy can print a warning
+    argv = ["demo-unbounded", "--gamma-exp", gamma_exp, "--alpha-exp", alpha_exp]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv + ["--out", str(tmp_path / "out.csv"), "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert fragment in captured.err
