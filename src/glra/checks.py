@@ -15,17 +15,19 @@ one numpy SVD, ``_pinv_stack`` gives A^+ (the C^+ that the seq suite
 compares its outer inverses with) from another, and ``_ref_lower_bound``
 gives the seq suite's lower-bound constant from ker(Z)'s side.  All of
 them cut at ORACLE_RANK_REL, written out here, so a wrong rank decision
-in the library does not pass by checking it against itself.
+in the library does not pass by checking it against itself.  The library
+runs at DEFAULT_TOL, the tolerances these references are written against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import linalg, regression, sequences, solver
-from .linalg import DEFAULT_TOL, Tolerances, check_bound, hs_norm
+from .linalg import DEFAULT_TOL, check_bound, hs_norm
 
 __all__ = [
     "CheckReport",
@@ -224,14 +226,14 @@ def _moore_penrose_checks(a: np.ndarray, a_pinv: np.ndarray) -> list[tuple[float
     ]
 
 
-def check_mp(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
+def check_mp(trials: int, seed: int) -> list[InvariantResult]:
     rng = np.random.default_rng(seed)
     eq = [InvariantResult(f"moore_penrose_eq{i}") for i in range(1, 5)]
     proj = InvariantResult("projector_consistency")
     dual = InvariantResult("kernel_range_duality")
     for k in range(trials):
         a = random_matrix(rng, deficient=(k % 3 == 0))
-        a_pinv = linalg.pinv(a, tol)
+        a_pinv = linalg.pinv(a)
         mp_checks = _moore_penrose_checks(a, a_pinv)
         for eq_k, pair in zip(eq, mp_checks):
             eq_k.record(*pair)
@@ -240,12 +242,12 @@ def check_mp(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
         pr, pk = _ref_projectors(a)
         proj.record_all([(hs_norm(pk - a_pinv @ a), proj_bound), (hs_norm(pr @ a - a), a_bound)])
         # ran(A^T) = ker(A)-perp: the library's basis of the one against the reference
-        u = linalg.rank_factors(a.T, tol).u
+        u = linalg.rank_factors(a.T).u
         dual.record(hs_norm(u @ u.T - pk), proj_bound)
     return eq + [proj, dual]
 
 
-def check_svd(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
+def check_svd(trials: int, seed: int) -> list[InvariantResult]:
     rng = np.random.default_rng(seed)
     recon = InvariantResult("svd_reconstruction")
     residual = InvariantResult("truncation_residual_identity")
@@ -260,7 +262,7 @@ def check_svd(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
         recon.record(hs_norm(f.reconstruct() - a), check_bound(dim, a_norm))
         r = int(rng.integers(1, 4))
         # (A)_r is the truncation of the B = I, C = I problem
-        prob = solver.GlraProblem(m=a, b=np.eye(a.shape[0]), c=np.eye(a.shape[1]), r=r, tol=tol)
+        prob = solver.GlraProblem(m=a, b=np.eye(a.shape[0]), c=np.eye(a.shape[1]), r=r)
         a_r = solver.solve(prob).truncation.matrix()
         sigma = np.linalg.svd(a, compute_uv=False)
         residual.record(
@@ -272,9 +274,9 @@ def check_svd(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
         # rank(T A) <= rank(A): the reference's rank of T A against the library's of A
         ta = rng.standard_normal((int(rng.integers(1, 7)), a.shape[0])) @ a
         ref_rank = np.count_nonzero(_ref_keep(np.linalg.svd(ta, compute_uv=False), ta.shape))
-        rank_comp.record(float(ref_rank - linalg.rank_factors(a, tol).sigma.size), 0.0)
+        rank_comp.record(float(ref_rank - linalg.rank_factors(a).sigma.size), 0.0)
         gram = a.T @ a
-        s = linalg.psd_sqrt(gram, tol)
+        s = linalg.psd_sqrt(gram)
         sqrt_check.record(hs_norm(s @ s - gram), check_bound(dim, hs_norm(gram)))
     return [recon, residual, eckart, rank_comp, sqrt_check]
 
@@ -291,7 +293,27 @@ def _member_optimality(
     return abs(solver.objective(p, member) - sol.objective), check_bound(dim, scale)
 
 
-def check_glra(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
+def _scale_mismatches(p: solver.GlraProblem, sol: solver.GlraSolution, exps: np.ndarray) -> int:
+    """How many outputs of solving (2^a M, 2^b B, 2^c C) miss the exact scaling law.
+
+    The law is x_hat 2^(a-b-c), objective 2^a and the same uniqueness, bit
+    for bit: scaling by a power of two is exact, and so are the rank and
+    tie rules of a scale-aware library, so this needs no tolerance.  The
+    count is over x_hat's entries, the objective and the uniqueness flag.
+    """
+    a, b, c = (int(e) for e in exps)
+    scaled = solver.solve(
+        solver.GlraProblem(m=np.ldexp(p.m, a), b=np.ldexp(p.b, b), c=np.ldexp(p.c, c), r=p.r)
+    )
+    want = np.ldexp(sol.x_hat, a - b - c)
+    return (
+        int(np.count_nonzero(scaled.x_hat.view(np.uint64) != want.view(np.uint64)))
+        + (scaled.objective != math.ldexp(sol.objective, a))
+        + (scaled.uniqueness != sol.uniqueness)
+    )
+
+
+def check_glra(trials: int, seed: int) -> list[InvariantResult]:
     rng = np.random.default_rng(seed)
     projected = InvariantResult("projected_problem_identity")
     charact = InvariantResult("solution_reconstructs_truncation")
@@ -301,8 +323,11 @@ def check_glra(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]
     member_opt = InvariantResult("solution_set_member_is_optimal")
     adjoint = InvariantResult("adjoint_objective_equality")
     err_consist = InvariantResult("optimal_error_consistency")
+    scaling = InvariantResult("scale_equivariance_exact")
+    # the exponents have a generator of their own, so the other draws keep theirs
+    exp_rng = np.random.default_rng([seed, 1])
     for k in range(trials):
-        p = replace(random_problem(rng, deficient=(k % 3 == 0)), tol=tol)
+        p = random_problem(rng, deficient=(k % 3 == 0))
         dim = max(p.m.shape + p.b.shape + p.c.shape)
         sol = solver.solve(p)
         m_norm = hs_norm(p.m)
@@ -352,10 +377,13 @@ def check_glra(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]
             max(spread, abs(sol.objective**2 + opt.delta - hs_norm(p.m) ** 2)),
             check_bound(dim, m_norm**2),
         )
-    return [projected, charact, optimal, minimal, round_trip, member_opt, adjoint, err_consist]
+        scaling.record(float(_scale_mismatches(p, sol, exp_rng.integers(-300, 300, size=3))), 0.0)
+    return [
+        projected, charact, optimal, minimal, round_trip, member_opt, adjoint, err_consist, scaling,
+    ]
 
 
-def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
+def check_seq(trials: int, seed: int) -> list[InvariantResult]:
     rng = np.random.default_rng(seed)
     growth = InvariantResult("sweep_matches_growth_law")
     lower_bound = InvariantResult("lower_bound_matches_reference")
@@ -372,10 +400,8 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
     for k in range(trials):
         n = int(rng.integers(8, 20))
         inst = sequences.build_instance(replace(spec, n=n))
-        prob = replace(inst.problem, tol=tol)
-        sweep = sequences.unboundedness_sweep(
-            replace(spec, n=n), [n], [2, max(2, n // 2)], tol
-        )
+        prob = inst.problem
+        sweep = sequences.unboundedness_sweep(replace(spec, n=n), [n], [2, max(2, n // 2)])
         worst = max(
             abs(row.norm - row.predicted_norm) for row in sweep.rows
         )
@@ -446,7 +472,7 @@ def check_seq(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
     ]
 
 
-def check_rrr(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
+def check_rrr(trials: int, seed: int) -> list[InvariantResult]:
     rng = np.random.default_rng(seed)
     factor = InvariantResult("cross_covariance_factorisation")
     range_id = InvariantResult("half_power_range_identity")
@@ -467,10 +493,10 @@ def check_rrr(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
         samples = regression.SampleSet(xs=xs, ys=ys)
         cov = regression.empirical_covariances(samples)
         dim = dim_f + dim_g
-        c_y_half = linalg.psd_sqrt(cov.c_y, tol)
-        c_x_half = linalg.psd_sqrt(cov.c_x, tol)
-        c_y_half_pinv = linalg.pinv(c_y_half, tol)
-        c_x_half_pinv = linalg.pinv(c_x_half, tol)
+        c_y_half = linalg.psd_sqrt(cov.c_y)
+        c_x_half = linalg.psd_sqrt(cov.c_x)
+        c_y_half_pinv = linalg.pinv(c_y_half)
+        c_x_half_pinv = linalg.pinv(c_x_half)
         yx_norm = hs_norm(cov.c_yx)
         u = c_y_half_pinv @ cov.c_yx @ c_x_half_pinv
         op_norm = float(np.linalg.svd(u, compute_uv=False)[0]) if u.size else 0.0
@@ -485,11 +511,11 @@ def check_rrr(trials: int, seed: int, tol: Tolerances) -> list[InvariantResult]:
             check_bound(dim, hs_norm(c_y_half) * hs_norm(c_y_half_pinv) * yx_norm),
         )
         r = int(rng.integers(1, min(dim_f, dim_g) + 1))
-        model = regression.fit(cov, r, tol=tol)
+        model = regression.fit(cov, r)
         # the residual of projecting orthonormal vectors has unit scale
         contain.record(model.fit_report.containment_residual, check_bound(dim, 1.0))
         prob = regression._transposed_problem(
-            cov, r, np.eye(dim_f), np.eye(dim_f), np.eye(dim_g), tol
+            cov, r, np.eye(dim_f), np.eye(dim_f), np.eye(dim_g), DEFAULT_TOL
         )[0]
         oracle_obj = als_oracle(prob, restarts=6, iters=80, seed=seed + k)
         c_half_norm = hs_norm(c_x_half)
@@ -525,16 +551,14 @@ _SUITE_FUNCS = {
 }
 
 
-def run_suites(
-    names: list[str], trials: int, seed: int, tol: Tolerances = DEFAULT_TOL
-) -> CheckReport:
+def run_suites(names: list[str], trials: int, seed: int) -> CheckReport:
     if trials < 1:
         raise linalg.InputError(f"trials must be >= 1, got {trials}")
     results: dict[str, list[InvariantResult]] = {}
     for name in names:
         if name not in _SUITE_FUNCS:
             raise linalg.InputError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-        results[name] = _SUITE_FUNCS[name](trials, seed, tol)
+        results[name] = _SUITE_FUNCS[name](trials, seed)
     return CheckReport(suites=results)
 
 

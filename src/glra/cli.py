@@ -5,8 +5,9 @@ report (schema "glra/1") to stdout and exits 0 on success, 2 on input
 errors (bad arguments, unreadable or unparsable input files, unwritable
 output paths), 3 when a numerical invariant fails, and 4 on internal
 errors.  Each ``cmd_*`` function only reads, computes and writes; main()
-wraps what it returns in the report.  Reports are byte-reproducible for
-fixed inputs and seed when --no-timestamp is passed.
+wraps what it returns in the report.  With --no-timestamp, reports are
+byte-reproducible for fixed inputs and seed on one BLAS build at one
+thread count.  Every command but ``check`` takes --rank-rel and --tie-rel.
 """
 
 from __future__ import annotations
@@ -57,7 +58,13 @@ def _number_list(option: str, text: str, kind: type = int) -> list:
     return values
 
 
-def _load_problem(args: argparse.Namespace, tol: Tolerances) -> solver.GlraProblem:
+def _tolerances(args: argparse.Namespace) -> Tolerances:
+    """The --rank-rel and --tie-rel of a command that takes them."""
+    return Tolerances(rank_rel=args.rank_rel, tie_rel=args.tie_rel)
+
+
+def _load_problem(args: argparse.Namespace) -> solver.GlraProblem:
+    tol = _tolerances(args)
     # a bad rank bound is no fault of the files, so it is judged before them
     _check_rank_bound(args.rank)
     m = read_matrix(args.M)
@@ -71,8 +78,8 @@ def _load_problem(args: argparse.Namespace, tol: Tolerances) -> solver.GlraProbl
         ) from exc
 
 
-def cmd_solve(args: argparse.Namespace, tol: Tolerances) -> Result:
-    problem = _load_problem(args, tol)
+def cmd_solve(args: argparse.Namespace) -> Result:
+    problem = _load_problem(args)
     sol = (solver.solve_adjoint if args.adjoint else solver.solve)(problem)
     write_matrix(args.out, sol.x_hat)
     return (
@@ -83,8 +90,8 @@ def cmd_solve(args: argparse.Namespace, tol: Tolerances) -> Result:
     )
 
 
-def cmd_error(args: argparse.Namespace, tol: Tolerances) -> Result:
-    problem = _load_problem(args, tol)
+def cmd_error(args: argparse.Namespace) -> Result:
+    problem = _load_problem(args)
     err = solver.optimal_error(problem)
     variants = (err.delta,) + err.delta_variants
     spread = max(abs(a - b) for a in variants for b in variants)
@@ -100,7 +107,8 @@ def _write_sweep(path: str, rows: list[sequences.SweepRow]) -> None:
     write_matrix(path, np.array([[r.n, r.m, r.norm, r.predicted_norm] for r in rows]))
 
 
-def cmd_demo_unbounded(args: argparse.Namespace, tol: Tolerances) -> Result:
+def cmd_demo_unbounded(args: argparse.Namespace) -> Result:
+    tol = _tolerances(args)
     n_values = _number_list("--N", args.N)
     probes = _number_list("--probes", args.probes)
     spec = sequences.SequenceSpec(
@@ -159,8 +167,8 @@ def _nonincreasing(values: list[float], slack: float) -> bool:
     return all(later <= earlier + slack for earlier, later in zip(values, values[1:]))
 
 
-def cmd_outer_approx(args: argparse.Namespace, tol: Tolerances) -> Result:
-    problem = _load_problem(args, tol)
+def cmd_outer_approx(args: argparse.Namespace) -> Result:
+    problem = _load_problem(args)
     chain = _build_chain(args.chain, problem, args.seed)
     result = sequences.bounded_approximation_sequence(problem, chain)
     rows = []
@@ -219,7 +227,10 @@ def cmd_outer_approx(args: argparse.Namespace, tol: Tolerances) -> Result:
     )
 
 
-def cmd_regress(args: argparse.Namespace, tol: Tolerances) -> Result:
+def cmd_regress(args: argparse.Namespace) -> Result:
+    tol = _tolerances(args)
+    # as in _load_problem, a bad rank bound is judged before the files
+    _check_rank_bound(args.rank)
     xs = read_matrix(args.x)
     ys = read_matrix(args.y)
     if args.center:
@@ -279,9 +290,9 @@ def _invariant_doc(res: checks.InvariantResult) -> dict:
     }
 
 
-def cmd_check(args: argparse.Namespace, tol: Tolerances) -> Result:
+def cmd_check(args: argparse.Namespace) -> Result:
     names = list(checks.SUITE_NAMES) if args.suite == "all" else [args.suite]
-    report = checks.run_suites(names, trials=args.trials, seed=args.seed, tol=tol)
+    report = checks.run_suites(names, trials=args.trials, seed=args.seed)
     suites_doc = {
         name: [_invariant_doc(res) for res in results]
         for name, results in report.suites.items()
@@ -305,17 +316,12 @@ def cmd_check(args: argparse.Namespace, tol: Tolerances) -> Result:
     )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_tolerances(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--rank-rel", type=float, default=DEFAULT_TOL.rank_rel, help="numerical rank cutoff"
     )
     parser.add_argument(
         "--tie-rel", type=float, default=DEFAULT_TOL.tie_rel, help="singular-value tie gap"
-    )
-    parser.add_argument(
-        "--no-timestamp",
-        action="store_true",
-        help="omit timing/timestamp for byte-reproducible reports",
     )
 
 
@@ -337,12 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_args(p_solve)
     p_solve.add_argument("--adjoint", action="store_true", help="solve the transposed problem")
     p_solve.add_argument("--out", default="xhat.csv", help="where to write X_hat")
-    _add_common(p_solve)
+    _add_tolerances(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_error = sub.add_parser("error", help="optimal error and its redundant recomputations")
     _add_problem_args(p_error)
-    _add_common(p_error)
+    _add_tolerances(p_error)
     p_error.set_defaults(func=cmd_error)
 
     p_demo = sub.add_parser(
@@ -356,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--mu-tail-exp", type=float, default=1.0)
     p_demo.add_argument("--probes", default="10,50,100", help="probe column indices")
     p_demo.add_argument("--out", default="sweep.csv", help="sweep table CSV (N,m,norm,predicted)")
-    _add_common(p_demo)
+    _add_tolerances(p_demo)
     p_demo.set_defaults(func=cmd_demo_unbounded)
 
     p_outer = sub.add_parser(
@@ -375,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also tabulate the rejected C^+ P_n construction (no convergence guarantee)",
     )
     p_outer.add_argument("--out", default="outer.csv", help="per-step CSV")
-    _add_common(p_outer)
+    _add_tolerances(p_outer)
     p_outer.set_defaults(func=cmd_outer_approx)
 
     p_reg = sub.add_parser("regress", help="reduced-rank regression on sampled data")
@@ -389,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--model-out", default=None, help="persist the fitted model JSON")
     p_reg.add_argument("--trials", type=int, default=20, help="maximal-kernel trials")
     p_reg.add_argument("--seed", type=int, default=0)
-    _add_common(p_reg)
+    _add_tolerances(p_reg)
     p_reg.set_defaults(func=cmd_regress)
 
     p_check = sub.add_parser("check", help="run the seeded invariant suites")
@@ -403,8 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="directory with a.csv/a_pinv.csv to verify as a stored pair",
     )
-    _add_common(p_check)
     p_check.set_defaults(func=cmd_check)
+    # every command takes --no-timestamp, as its last option
+    for command in sub.choices.values():
+        command.add_argument(
+            "--no-timestamp",
+            action="store_true",
+            help="omit timing/timestamp: byte-reproducible on one BLAS build and thread count",
+        )
     return parser
 
 
@@ -412,8 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        tol = Tolerances(rank_rel=args.rank_rel, tie_rel=args.tie_rel)
-        inputs, outputs, diagnostics, code = args.func(args, tol)
+        inputs, outputs, diagnostics, code = args.func(args)
         report = {
             "schema": "glra/1",
             "command": args.command,

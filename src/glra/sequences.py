@@ -28,7 +28,9 @@ from .linalg import (
     _cutoff,
     _diagonal_factors,
     _require_finite,
+    _svd,
     _tied,
+    _truncate,
     as_matrix,
     check_bound,
     hs_norm,
@@ -290,12 +292,11 @@ def unboundedness_sweep(
             x_a = inst.mu[0] * np.outer(f1, _pinv_row(fc, f1))
         _require_finite(x_a=x_a)
         if not tie:
-            p = replace(inst.problem, tol=tol)
             fb = _diagonal_factors(np.ones(n), tol)
             # B's factors are the identity and C's keep its leading axes, so
             # the core U_B^T M V_C is M's leading rank(C) columns: a view,
-            # with the bits of the identity products it replaces
-            _, _, _, t = _reduce(p, fb, fc, core=p.m[:, : fc.sigma.size])
+            # truncated as G with the bits of solver._reduce on the problem
+            t = _truncate(_svd(inst.problem.m[:, : fc.sigma.size]), 1, (n, n), tol)
             x_hat = _minimiser(fb, fc, t.factors)[0]
             residual = hs_norm(x_hat - x_a)
             if residual > check_bound(n, hs_norm(x_hat)):

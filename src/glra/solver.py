@@ -17,17 +17,16 @@ A problem carries the ``Tolerances`` it is solved with and keeps its one
 reduction (the factors of B and C, K and its truncation), so ``solve``,
 ``optimal_error`` and ``solution_set_sample`` on one problem factorise
 each operand once between them and cut it at one rank.  Every
-truncation is cut in that reduction (``_reduce``), at its own problem's
-tolerances; a caller that already knows the rank-cut factors of B or C
-(the identity and diagonal operands of a growth sweep, or of an
-identity-weight regression fit) passes them to it, and the growth sweep
-passes the core as well.  ``rank_factors`` is called there and nowhere
+truncation of a problem is cut in that reduction (``_reduce``), at the
+problem's tolerances; a caller that already knows the rank-cut factors
+of B or C (the identity and C_y^(1/2) of an identity-weight regression
+fit) passes them to it.  ``rank_factors`` is called there and nowhere
 else in this module: ``canonicalize`` and ``minimality_defect`` take V_B
-and U_C from the problem too.  ``solve``
-is the only builder of a ``GlraSolution``, and ``_minimiser`` the one
-builder of x_hat and its factors.  ``solve_adjoint`` builds the
-transposed problem, which factorises C^T and B^T itself.  A problem holds
-read-only views of its inputs, which must not change after construction.
+and U_C from the problem too.  ``solve`` is the only builder of a
+``GlraSolution``, and ``_minimiser`` the one builder of x_hat and its
+factors.  ``solve_adjoint`` builds the transposed problem, which
+factorises C^T and B^T itself.  A problem holds read-only views of its
+inputs, which must not change after construction.
 """
 
 from __future__ import annotations
@@ -130,10 +129,7 @@ class GlraSolution:
 
 
 def _reduce(
-    p: GlraProblem,
-    fb: SvdFactors | None = None,
-    fc: SvdFactors | None = None,
-    core: np.ndarray | None = None,
+    p: GlraProblem, fb: SvdFactors | None = None, fc: SvdFactors | None = None
 ) -> tuple[SvdFactors, SvdFactors, np.ndarray, TruncatedSvd]:
     """Factor B and C once and truncate the core K = U_B^T M V_C.
 
@@ -142,17 +138,14 @@ def _reduce(
     values of G, whose shape is M's, so its rank is decided with G's
     cutoff.  A caller that already holds the rank-cut factors of B or C
     (a diagonal operand, say) passes them as fb or fc, and only the other
-    operand is factorised.  A caller that also holds K itself (M's leading
-    columns, when B's factors are the identity and C's are coordinate
-    axes) passes it as core, which must equal U_B^T M V_C bit for bit.
-    The first call stores the result on p and every later one returns the
-    stored one, so factors or a core passed to a problem that is already
-    reduced are not used.
+    operand is factorised.  The first call stores the result on p and
+    every later one returns the stored one, so factors passed to a
+    problem that is already reduced are not used.
     """
     if p._reduction is None:
         fb = rank_factors(p.b, p.tol) if fb is None else fb
         fc = rank_factors(p.c, p.tol) if fc is None else fc
-        core = fb.u.T @ p.m @ fc.v if core is None else core
+        core = fb.u.T @ p.m @ fc.v
         t = _truncate(_svd(core), p.r, p.m.shape, p.tol)
         object.__setattr__(p, "_reduction", (fb, fc, core, t))
     return p._reduction

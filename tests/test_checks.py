@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -71,7 +72,7 @@ def test_approx_minimizer_bound_is_lambda_squared(monkeypatch):
         return replace(res, steps=steps)
 
     monkeypatch.setattr(sequences, "approximate_minimizers", inflated)
-    results = {res.name: res for res in checks.check_seq(trials=2, seed=0, tol=DEFAULT_TOL)}
+    results = {res.name: res for res in checks.check_seq(trials=2, seed=0)}
     bound = results["approx_minimizer_deviation_bound"]
     assert bound.trials > 0
     assert bound.failures == bound.trials
@@ -94,20 +95,20 @@ def rank_cut_one_short(monkeypatch):
 def test_duality_sees_a_wrong_rank_cut(rank_cut_one_short):
     # a library rank cut one short must fail against the reference, which
     # shares no factorisation or cutoff with rank_factors
-    results = {res.name: res for res in checks.check_mp(trials=25, seed=0, tol=DEFAULT_TOL)}
+    results = {res.name: res for res in checks.check_mp(trials=25, seed=0)}
     assert results["kernel_range_duality"].failures > 0
 
 
 def test_rank_composition_sees_a_wrong_rank_cut(rank_cut_one_short):
     # rank(T A) comes from the reference, rank(A) from the library
-    results = {res.name: res for res in checks.check_svd(trials=25, seed=0, tol=DEFAULT_TOL)}
+    results = {res.name: res for res in checks.check_svd(trials=25, seed=0)}
     assert results["rank_composition"].failures > 0
 
 
 def test_exhaustive_step_sees_a_wrong_rank_cut(rank_cut_one_short):
     # the solver's factors of C, one triplet short, give a chain whose last
     # step misses a direction of ran(C) that the reference C^+ keeps
-    results = {res.name: res for res in checks.check_seq(trials=25, seed=0, tol=DEFAULT_TOL)}
+    results = {res.name: res for res in checks.check_seq(trials=25, seed=0)}
     assert results["exhaustive_outer_inverse_is_pinv"].failures == 25
 
 
@@ -118,7 +119,7 @@ def test_seq_factorises_each_c_once(svd_calls):
     # C^+ takes one SVD, the sweep factorises its core, Z and the sines (3),
     # the reference lower bound Z, C, its sines and C on the intersection (4)
     # and approximate_minimizers reduces its rescaled problem (3): 14 a trial
-    checks.check_seq(trials=2, seed=0, tol=DEFAULT_TOL)
+    checks.check_seq(trials=2, seed=0)
     assert len(svd_calls) == 28
 
 
@@ -139,11 +140,37 @@ def test_seq_sees_a_wrong_lower_bound(monkeypatch):
     assert failed == {"lower_bound_matches_reference": 25}
 
 
+@pytest.mark.parametrize(
+    "func",
+    [checks.run_suites, checks.check_mp, checks.check_svd, checks.check_glra, checks.check_seq,
+     checks.check_rrr],
+)
+def test_suites_take_no_tolerances(func):
+    # the library runs at DEFAULT_TOL, which the references are written against
+    assert "tol" not in inspect.signature(func).parameters
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_scale_law_holds_bit_for_bit(seed):
+    results = {res.name: res for res in checks.check_glra(trials=25, seed=seed)}
+    law = results["scale_equivariance_exact"]
+    assert (law.trials, law.failures, law.max_residual) == (25, 0, 0.0)
+
+
+def test_scale_law_sees_a_scale_blind_cutoff(monkeypatch):
+    # a cutoff rank_rel * dim, without sigma_1, cuts (2^a M, 2^b B, 2^c C)
+    # where it does not cut (M, B, C); no other invariant of the suite
+    # scales its inputs, so the exact law alone tells
+    monkeypatch.setattr(linalg, "_cutoff", lambda scale, dim, tol: tol.rank_rel * dim)
+    failed = {res.name for res in checks.check_glra(trials=25, seed=0) if res.failures}
+    assert failed == {"scale_equivariance_exact"}
+
+
 @pytest.mark.parametrize("suite", [checks.check_glra, checks.check_seq])
 def test_member_optimality_sees_a_wrong_rank_cut(rank_cut_one_short, suite):
     # a member sampled with B and C cut one short misses the optimum, which
     # objective computes without a rank decision
-    results = {res.name: res for res in suite(trials=25, seed=0, tol=DEFAULT_TOL)}
+    results = {res.name: res for res in suite(trials=25, seed=0)}
     assert results["solution_set_member_is_optimal"].failures == 25
 
 
@@ -161,7 +188,7 @@ def test_member_optimality_sees_a_wrong_cut_of_the_identity(monkeypatch):
 
     for module in (linalg, solver):
         monkeypatch.setattr(module, "rank_factors", identity_one_short)
-    results = {res.name: res for res in checks.check_seq(trials=25, seed=0, tol=DEFAULT_TOL)}
+    results = {res.name: res for res in checks.check_seq(trials=25, seed=0)}
     assert results["solution_set_member_is_optimal"].failures == 25
     assert results["exhaustive_outer_inverse_is_pinv"].failures == 0
 
@@ -216,7 +243,7 @@ class TestAlsOracle:
             return als_oracle(p, *args, **kwargs)
 
         monkeypatch.setattr(checks, "als_oracle", recording)
-        checks.check_rrr(trials=25, seed=0, tol=DEFAULT_TOL)
+        checks.check_rrr(trials=25, seed=0)
         worst = max(
             abs(als_oracle(p, 6, 80, k) - _loop_oracle(p, 6, 80, k)) / hs_norm(p.m)
             for p, k in calls

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -230,15 +232,33 @@ class TestSolveCommand:
         assert code == 2
         assert "badB.csv" in captured.err
 
-    @pytest.mark.parametrize("command", ["solve", "error", "outer-approx"])
-    def test_bad_rank_is_judged_before_the_files(self, capsys, fixture_files, command):
+    @pytest.mark.parametrize("command", ["solve", "error", "outer-approx", "regress"])
+    def test_bad_rank_is_judged_before_the_files(self, capsys, tmp_path, fixture_files, command):
         argv = [command, "--rank", "0"]
-        for name in ("M", "B", "C"):
-            argv += [f"--{name}", fixture_files[name]]
+        if command == "regress":
+            # samples that do not exist
+            argv += ["--x", str(tmp_path / "nope.csv"), "--y", str(tmp_path / "nope.csv")]
+        else:
+            for name in ("M", "B", "C"):
+                argv += [f"--{name}", fixture_files[name]]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "rank bound must be >= 1, got 0" in err
         assert "incompatible" not in err and fixture_files["M"] not in err
+        assert "nope.csv" not in err
+
+    # sigma_2 - sigma_3 = 2e-6 is a gap at the default tie_rel * sigma_1 = 3e-9
+    # and a tie at 1e-5 * sigma_1 = 3e-5
+    @pytest.mark.parametrize("tie_rel, uniqueness", [([], "UniqueByGap"), (["1e-5"], "NonUnique")])
+    def test_tie_rel_decides_a_near_tie(self, capsys, tmp_path, tie_rel, uniqueness):
+        argv = ["solve", "--rank", "2", "--out", str(tmp_path / "x.csv"), "--no-timestamp"]
+        m = np.diag([3.0, 2.0, 2.0 - 2e-6, 1.0])
+        for name, a in (("M", m), ("B", np.eye(4)), ("C", np.eye(4))):
+            write_matrix(str(tmp_path / f"{name}.csv"), a)
+            argv += [f"--{name}", str(tmp_path / f"{name}.csv")]
+        code, doc = run(capsys, argv + [arg for value in tie_rel for arg in ("--tie-rel", value)])
+        assert code == 0
+        assert doc["diagnostics"]["uniqueness"] == uniqueness
 
     def test_shape_error_names_the_three_files(self, capsys, tmp_path, fixture_files):
         write_matrix(str(tmp_path / "badB.csv"), np.eye(3))
@@ -500,6 +520,25 @@ class TestDemoUnbounded:
         )
         assert code == 3
         assert "deviates from assembled form" in capsys.readouterr().err
+
+    def test_a_finer_rank_cut_keeps_every_axis(self, capsys, tmp_path):
+        # at rank_rel = 1e-14 the cutoff 3e-12 keeps 300^-4 = 1.2e-10, so the
+        # solver keeps every axis and agrees with the assembled minimiser
+        code, doc = run(
+            capsys,
+            [
+                "demo-unbounded",
+                "--N", "300",
+                "--gamma-exp", "4",
+                "--alpha-exp", "1",
+                "--probes", "10,50",
+                "--rank-rel", "1e-14",
+                "--out", str(tmp_path / "sweep.csv"),
+                "--no-timestamp",
+            ],
+        )
+        assert code == 0
+        assert doc["diagnostics"]["max_abs_norm_mismatch"] < 1e-10
 
 
 class TestOuterApprox:
@@ -938,6 +977,15 @@ class TestCheckCommand:
         assert code == 3
         assert doc["diagnostics"]["passed"] is False
 
+    # the suites run the library at DEFAULT_TOL, the tolerances their
+    # references are written against
+    @pytest.mark.parametrize("option", ["--rank-rel", "--tie-rel"])
+    def test_tolerances_are_not_options(self, capsys, option):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["check", option, "1e-9"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {option} 1e-9" in capsys.readouterr().err
+
 
 class TestArgumentErrors:
     @pytest.mark.parametrize(
@@ -952,6 +1000,8 @@ class TestArgumentErrors:
             (["demo-unbounded", "--mu-tail-exp", "nan"], "mu_tail_exponent must be finite"),
             (["demo-unbounded", "--gamma-exp", "inf"], "gamma_exponent must be finite"),
             (["outer-approx", "--chain", "auto:x"], "bad chain spec 'auto:x'"),
+            (["demo-unbounded", "--rank-rel", "0"], "tolerance rank_rel must be strictly positive"),
+            (["outer-approx", "--tie-rel", "0"], "tolerance tie_rel must be strictly positive"),
         ],
         ids=[
             "N-not-integer",
@@ -963,6 +1013,8 @@ class TestArgumentErrors:
             "mu-tail-exp-nan",
             "gamma-exp-inf",
             "chain-steps-not-integer",
+            "rank-rel-zero",
+            "tie-rel-zero",
         ],
     )
     def test_rejected(self, capsys, tmp_path, monkeypatch, fixture_files, argv, fragment):
@@ -975,6 +1027,22 @@ class TestArgumentErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and fragment in captured.err
+
+
+def test_every_option_is_quoted_in_a_test():
+    # an option that no test passes can stop working unseen
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        opt
+        for command in sub.choices.values()
+        for action in command._actions
+        for opt in action.option_strings
+        if opt not in ("-h", "--help")
+    }
+    tests = pathlib.Path(__file__).resolve().parent
+    text = "".join(path.read_text(encoding="utf-8") for path in sorted(tests.rglob("*.py")))
+    assert sorted(o for o in options if f'"{o}"' not in text and f"'{o}'" not in text) == []
 
 
 LADDER_SCALES = (1e-300, 1e-150, 1.0, 1e150, 1e300)

@@ -358,13 +358,13 @@ def test_rejected_input(call, error, fragment):
 
 def test_tolerances_are_read_by_the_two_rules_only():
     # every rank and tie decision goes through linalg._cutoff and linalg._tied;
-    # cli only turns its options into a Tolerances
+    # cli only declares its options and turns them into a Tolerances
     allowed = {
         ("linalg", "_cutoff"),
         ("linalg", "_tied"),
         ("linalg", "Tolerances"),
-        ("cli", "_add_common"),
-        ("cli", "main"),
+        ("cli", "_add_tolerances"),
+        ("cli", "_tolerances"),
     }
     readers = set()
     for path in sorted(Path(linalg.__file__).parent.glob("*.py")):

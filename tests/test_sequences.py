@@ -30,7 +30,7 @@ from glra.sequences import (
     outer_inverse_chain,
     unboundedness_sweep,
 )
-from glra.solver import GlraProblem, objective, solution_set_sample, solve
+from glra.solver import GlraProblem, _reduce, objective, solution_set_sample, solve
 
 ATOL = 1e-10
 
@@ -749,10 +749,10 @@ class TestThinBases:
         unboundedness_sweep(diag_spec(mu_head=mu_head, n=20), [20], [5])
         assert len(svd_calls) == count
 
-    # the untied step builds the instance's problem and its copy at the
-    # sweep's tolerances for the cross-check; the tied step reads only the
-    # construction's pieces and builds none
-    @pytest.mark.parametrize("mu_head, count", [((1.0, 0.5), 2), ((1.0, 1.0), 0)])
+    # the untied step builds the instance's problem, whose M it truncates
+    # for the cross-check; the tied step reads only the construction's
+    # pieces and builds none
+    @pytest.mark.parametrize("mu_head, count", [((1.0, 0.5), 1), ((1.0, 1.0), 0)])
     def test_sweep_step_problem_count(self, monkeypatch, mu_head, count):
         built = []
 
@@ -841,30 +841,46 @@ class TestKnownFactors:
         assert _diagonal_factors(d, Tolerances(rank_rel=1e-14)).sigma.size == 300
 
     # the untied step's core is M's leading rank(C) columns, a view that
-    # truncates to the bits of the identity products U_B^T M V_C; gamma = 4
-    # at N = 300 is the rank-cut case, whose cross-check then fails
+    # truncates to the bits of solver._reduce on the instance's problem,
+    # which forms the identity products U_B^T M V_C; gamma = 4 at N = 300
+    # is the rank-cut case, whose cross-check then fails
     @pytest.mark.parametrize("gamma_exp, cut", [(2.0, False), (4.0, True)])
     def test_sweep_core_is_a_view_of_m(self, monkeypatch, gamma_exp, cut):
-        real_reduce = sequences._reduce
-        reduced = []
+        real_build, real_svd, real_truncate = (
+            sequences.build_instance, sequences._svd, sequences._truncate
+        )
+        seen = {"instance": [], "core": [], "truncation": []}
 
-        def recording(p, *args, **kwargs):
-            reduced.append(p)
-            return real_reduce(p, *args, **kwargs)
+        def building(spec):
+            seen["instance"].append(real_build(spec))
+            return seen["instance"][-1]
 
-        monkeypatch.setattr(sequences, "_reduce", recording)
+        def factorising(a):
+            seen["core"].append(a)
+            return real_svd(a)
+
+        def truncating(*args):
+            seen["truncation"].append(real_truncate(*args))
+            return seen["truncation"][-1]
+
+        monkeypatch.setattr(sequences, "build_instance", building)
+        monkeypatch.setattr(sequences, "_svd", factorising)
+        monkeypatch.setattr(sequences, "_truncate", truncating)
         spec = diag_spec(gamma_exponent=gamma_exp, n=300)
         if cut:
             with pytest.raises(NumericalError, match="deviates from assembled form"):
                 unboundedness_sweep(spec, [300], [10, 50])
         else:
             unboundedness_sweep(spec, [300], [10, 50])
-        [p] = reduced
-        fb, fc, core, t = p._reduction
+        [inst], [core], [t] = seen["instance"], seen["core"], seen["truncation"]
+        p = inst.problem
+        fb = _diagonal_factors(np.ones(300), DEFAULT_TOL)
+        fc = _diagonal_factors(inst.gamma, DEFAULT_TOL)
         assert fc.sigma.size == (240 if cut else 300)
         assert core.shape == (300, fc.sigma.size) and np.shares_memory(core, p.m)
-        # the same problem, reduced afresh from the same factors without a core
-        _, _, want_core, want = real_reduce(replace(p), fb, fc)
+        # the instance's problem, reduced from the same factors by the solver
+        assert p._reduction is None
+        _, _, want_core, want = _reduce(p, fb, fc)
         assert np.ascontiguousarray(core).tobytes() == want_core.tobytes()
         for a, b in zip(
             (t.factors.u, t.factors.sigma, t.factors.v),

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -809,8 +810,9 @@ class TestInputErrors:
 
 
 def test_one_truncation_and_one_solution_builder():
-    # every truncation is cut in solver._reduce, at its own problem's
-    # tolerances, and solver.solve builds every GlraSolution
+    # every truncation of a problem is cut in solver._reduce, at its
+    # tolerances; the growth sweep's untied step truncates its core, a view
+    # of M, as _reduce would.  solver.solve builds every GlraSolution
     callers = {"_truncate": set(), "GlraSolution": set()}
     for path in sorted(Path(glra.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -819,7 +821,15 @@ def test_one_truncation_and_one_solution_builder():
                     name = getattr(node.func, "id", getattr(node.func, "attr", None))
                     if name in callers:
                         callers[name].add((path.stem, getattr(top, "name", "<module>")))
-    assert callers == {"_truncate": {("solver", "_reduce")}, "GlraSolution": {("solver", "solve")}}
+    assert callers == {
+        "_truncate": {("solver", "_reduce"), ("sequences", "unboundedness_sweep")},
+        "GlraSolution": {("solver", "solve")},
+    }
+
+
+def test_reduce_takes_known_factors_only():
+    # a caller may hand over the factors of B or C, never the core
+    assert list(inspect.signature(glra.solver._reduce).parameters) == ["p", "fb", "fc"]
 
 
 def test_rank_factors_only_in_the_reduction():
