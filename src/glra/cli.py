@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from datetime import datetime, timezone
@@ -42,6 +43,9 @@ EXIT_INTERNAL = 4
 
 # what a command hands to main: inputs, outputs, diagnostics and exit code
 Result = tuple[dict, dict, dict, int]
+
+# a negative decimal number, with or without an exponent
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def _number_list(option: str, text: str, kind: type = int) -> list:
@@ -175,24 +179,27 @@ def cmd_outer_approx(args: argparse.Namespace) -> Result:
     alt_tails = []
     if args.alternative:
         g_r = result.solution.truncation.matrix()
+        left, right = result.solution._factors
     for i, step in enumerate(result.steps):
         c_sharp = step.outer.c_sharp
-        row = [
-            float(i + 1),
-            float(step.outer.x_basis.shape[1]),
-            step.tail_error,
-            hs_norm(c_sharp @ problem.c @ c_sharp - c_sharp),
-        ]
+        # C# (C C#), whose middle factor is q x q; an overflow is reported
+        # below as NumericalError, so numpy prints no warning for it
+        with np.errstate(over="ignore", invalid="ignore"):
+            identity = c_sharp @ (problem.c @ c_sharp) - c_sharp
+        _require_finite(outer_identity_residual=identity)
+        row = [float(i + 1), float(step.outer.x_basis.shape[1]), step.tail_error, hs_norm(identity)]
         if args.alternative:
-            # rejected construction: approximate C^+ by C^+ P_n, i.e. x_hat P_n;
-            # its tail has no monotone-convergence guarantee and is shown only
-            # for contrast
+            # rejected construction: approximate C^+ by C^+ P_n, i.e. x_hat P_n
+            # = L (R^T Y_n) Y_n^T; its tail has no monotone-convergence
+            # guarantee and is shown only for contrast
             y_n = step.outer.y_basis
-            x_alt = result.solution.x_hat @ y_n @ y_n.T
+            tail = solver._residual_norm(
+                g_r, problem.b, left, right.T, y_n, y_n.T, problem.c, name="alternative_tail"
+            )
             # x_hat P_n is not bounded by (G)_r, so its tail can overflow where
             # delta does not: a float64 square turns that into inf, not OverflowError
             with np.errstate(over="ignore"):
-                alt_tail = np.float64(hs_norm(g_r - problem.b @ x_alt @ problem.c)) ** 2
+                alt_tail = np.float64(tail) ** 2
             _require_finite(alternative_tail=alt_tail)
             alt_tails.append(float(alt_tail))
             row.append(alt_tails[-1])
@@ -410,8 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory with a.csv/a_pinv.csv to verify as a stored pair",
     )
     p_check.set_defaults(func=cmd_check)
-    # every command takes --no-timestamp, as its last option
+    # every command takes --no-timestamp, as its last option; and an
+    # argument such as -1e-9, whose exponent argparse's own pattern for
+    # negative numbers misses, is a value, not an unknown option
     for command in sub.choices.values():
+        command._negative_number_matcher = _NEGATIVE_NUMBER
         command.add_argument(
             "--no-timestamp",
             action="store_true",

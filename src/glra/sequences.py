@@ -42,7 +42,7 @@ from .solver import (
     _lift,
     _minimiser,
     _reduce,
-    objective,
+    _residual_norm,
     solve,
 )
 
@@ -356,7 +356,10 @@ def approximate_minimizers(
     every step retains the minimality property exactly.  As f_i = U_B u_i
     and d_i both lie in ran(B), X_eps = B^+ Y_eps C^+ is X_0 + eps X_D:
     the solver's minimiser of the core triplets, and the same formula with
-    the left vectors u_i replaced by U_B^T d_i.
+    the left vectors u_i replaced by U_B^T d_i.  Both share the right
+    factor R, so X_eps = (L_0 + eps L_D) R^T, and a step's objective is
+    taken from those factors, as solve's is: at eps = 0 it is solve's bit
+    for bit.
     """
     if not np.isfinite(epsilons).all():
         raise InputError("epsilons must be finite")
@@ -374,12 +377,16 @@ def approximate_minimizers(
         cols.append(d / np.linalg.norm(d))
     directions = np.column_stack(cols) if cols else np.zeros((p.m.shape[0], 0))
     core = SvdFactors(u=t.factors.u[:, :k], sigma=lambdas, v=t.factors.v[:, :k])
-    x_0 = _minimiser(fb, fc, core)[0]
-    x_d = _minimiser(fb, fc, replace(core, u=fb.u.T @ directions))[0]
+    x_0, left_0, right = _minimiser(fb, fc, core)
+    x_d, left_d, _ = _minimiser(fb, fc, replace(core, u=fb.u.T @ directions))
     target_y = tsvd.matrix()
     steps: list[ApproxStep] = []
     for eps in epsilons:
-        x_eps = x_0 + eps * x_d
+        # an eps that overflows a step is reported as NumericalError, so
+        # numpy prints no warning for it
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_eps = x_0 + eps * x_d
+            left = left_0 + eps * left_d
         _require_finite(x_eps=x_eps)
         y_eps = ((f_vecs + eps * directions) * lambdas) @ e_vecs.T
         # a float64 square, which a huge M overflows into inf, not OverflowError
@@ -389,7 +396,7 @@ def approximate_minimizers(
         steps.append(
             ApproxStep(
                 x=x_eps,
-                objective=objective(p, x_eps),
+                objective=_residual_norm(p.m, p.b, left, right.T, p.c),
                 deviation_sq=float(deviation_sq),
                 epsilon=float(eps),
             )
@@ -538,18 +545,27 @@ def bounded_approximation_sequence(p: GlraProblem, chain: SubspaceChain) -> Boun
     B X_n C = (G)_r Q_n, so the squared distance of B X_n C from the
     optimum is the tail sum of ||(G)_r e_i||^2 over directions of
     ker(C)-perp not yet covered; it reaches zero for exhaustive chains.
+
+    B^+ (G)_r = x_hat C, because the rows of (G)_r lie in ker(C)-perp, and
+    x_hat = L R^T, so X_n = L W_n with the r-row W_n = (R^T C) C_n#; the
+    tail is ||(G)_r - (B L)(W_n C)||^2.  Neither x_hat C nor B X_n C is
+    formed, so a representable X_n whose x_hat C would overflow is still
+    found.
     """
     sol = solve(p)
     g_r = sol.truncation.matrix()
-    # B^+ (G)_r = x_hat C, because the rows of (G)_r lie in ker(C)-perp; a
-    # huge x_hat can overflow it, which is reported below as NumericalError
+    left, right = sol._factors
+    # an overflow leaves a non-finite X_n, reported below as NumericalError,
+    # so numpy prints no warning for it
     with np.errstate(over="ignore", invalid="ignore"):
-        prefix = sol.x_hat @ p.c
-    _require_finite(**{"x_hat C": prefix})
+        w = right.T @ p.c
     steps: list[BoundedApproxStep] = []
     for outer in _outer_inverse_chain(_reduce(p)[1], chain):
-        x_n = prefix @ outer.c_sharp
-        tail = hs_norm(g_r - p.b @ x_n @ p.c) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_n = w @ outer.c_sharp
+            x_n = left @ w_n
+        _require_finite(x_n=x_n)
+        tail = _residual_norm(g_r, p.b, left, w_n, p.c, name="tail_error") ** 2
         steps.append(BoundedApproxStep(x=x_n, tail_error=tail, outer=outer))
     return BoundedApproxResult(solution=sol, steps=steps)
 

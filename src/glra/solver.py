@@ -27,11 +27,20 @@ and U_C from the problem too.  ``solve`` is the only builder of a
 factors.  ``solve_adjoint`` builds the transposed problem, which
 factorises C^T and B^T itself.  A problem holds read-only views of its
 inputs, which must not change after construction.
+
+``_residual_norm`` is the one evaluation of ||M - B X C||_HS.  A dense
+candidate goes through it as (X, C), which ``objective`` does; a rank-r
+answer goes through it as its factors, (L, R^T, C) for x_hat = L R^T,
+so ``solve``, the approximate minimisers, the bounded sequence and
+``glra outer-approx`` meet B and C with r-column factors only, at
+O(r(mp + qn + mn)) instead of O(mpq + mqn), and form neither B x_hat nor
+x_hat C.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -117,7 +126,10 @@ class GlraSolution:
 
     ``truncation`` is the chosen rank-r truncation (G)_r of the projected
     matrix G in full coordinates; its matrix is the image ``B x_hat C``
-    and ``objective**2 + delta`` recovers ``||M||_HS**2``.
+    and ``objective**2 + delta`` recovers ``||M||_HS**2``.  ``_factors``
+    holds the rank-r factors (L, R) of x_hat = L R^T that _minimiser
+    built, so a caller that multiplies x_hat through B or C does so at
+    rank r.
     """
 
     x_hat: np.ndarray
@@ -126,6 +138,7 @@ class GlraSolution:
     uniqueness: Uniqueness
     minimality_defect: float
     truncation: TruncatedSvd
+    _factors: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
 
 def _reduce(
@@ -164,17 +177,19 @@ def _minimiser(
 
     L = V_B S_B^-1 U_K and R = U_C S_C^-1 V_K, one of them scaled by
     Sigma_K, where f holds the core factors U_K, Sigma_K and V_K in the
-    coordinates of ran(B) and ker(C)-perp.  Sigma_K scales L unless L's
-    largest entry times sigma_1 leaves the float range (a tiny B with a
-    huge C); then it scales R, so a representable x_hat does not overflow
-    in S_B^-1 Sigma_K.  An x_hat that does overflow is reported by
-    _require_finite as NumericalError, so numpy prints no warning for it.
+    coordinates of ran(B) and ker(C)-perp.  Sigma_K scales L unless
+    sigma_1 / sigma_min(B), which bounds L's entries times sigma_1, leaves
+    the float range (a tiny B with a huge C); then it scales R, so a
+    representable x_hat does not overflow in S_B^-1 Sigma_K.  The rule
+    reads only B's and the core's singular values, so every f with the
+    same Sigma_K puts it on the same side.  An x_hat that does overflow is
+    reported by _require_finite as NumericalError, so numpy prints no
+    warning for it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         left = (fb.v / fb.sigma) @ f.u
         right = (fc.u / fc.sigma) @ f.v
-        head = float(f.sigma[0]) if f.sigma.size else 0.0
-        if head > 1.0 and np.max(np.abs(left), initial=0.0) > np.finfo(float).max / head:
+        if f.sigma.size and f.sigma[0] / fb.sigma[-1] > np.finfo(float).max:
             right = right * f.sigma
         else:
             left = left * f.sigma
@@ -201,7 +216,8 @@ def solve(p: GlraProblem) -> GlraSolution:
     defect ||x_hat - P_ker(B)-perp x_hat P_ran(C)|| is taken at x_hat's
     rank: with x_hat = L R^T, the projected matrix is
     (V_B V_B^T L)(U_C U_C^T R)^T, so no p x q product beyond x_hat's own
-    is formed.
+    is formed.  The objective is taken at that rank too, as
+    ||M - (B L)(R^T C)||, and L and R stay on the solution.
     """
     fb, fc, _, t = _reduce(p)
     x_hat, left, right = _minimiser(fb, fc, t.factors)
@@ -210,11 +226,12 @@ def solve(p: GlraProblem) -> GlraSolution:
     minimal = (fb.v @ (fb.v.T @ left)) @ (fc.u @ (fc.u.T @ right)).T
     return GlraSolution(
         x_hat=x_hat,
-        objective=objective(p, x_hat),
+        objective=_residual_norm(p.m, p.b, left, right.T, p.c),
         delta=delta,
         uniqueness=t.uniqueness,
         minimality_defect=hs_norm(x_hat - minimal),
         truncation=_lift(fb, fc, t),
+        _factors=(left, right),
     )
 
 
@@ -233,12 +250,28 @@ def objective(p: GlraProblem, x) -> float:
     were finite, so this is a numerical failure, not bad input.  A finite
     residual whose squares overflow still has its norm (see hs_norm).
     """
-    xa = _candidate(p, x)
-    # an overflow (or inf - inf) is reported below as NumericalError, not as numpy's warning
+    return _residual_norm(p.m, p.b, _candidate(p, x), p.c)
+
+
+def _residual_norm(
+    target: np.ndarray, b: np.ndarray, left: np.ndarray, *rights: np.ndarray,
+    name: str = "objective",
+) -> float:
+    """||target - (B left) (R_1 R_2 ...)||_HS, the one evaluation of a residual of B X C.
+
+    X = left R_1 ... with the last right factor C's: a dense candidate
+    passes (X, C), the product objective has always formed, and a rank-r
+    answer L R^T passes (L, R^T, C), so B and C meet r-column factors
+    only.  The right factors are multiplied first, left to right.  An
+    overflow (or inf - inf) anywhere on the way leaves a non-finite
+    residual, reported as NumericalError under ``name``, not as numpy's
+    warning; a finite residual whose squares overflow still has its norm
+    (see hs_norm).
+    """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        residual = p.m - p.b @ xa @ p.c
+        residual = target - (b @ left) @ reduce(np.matmul, rights)
     value = hs_norm(residual) if np.isfinite(residual).all() else np.inf
-    _require_finite(objective=value)
+    _require_finite(**{name: value})
     return value
 
 

@@ -86,3 +86,40 @@ def identity_truncation(a, r):
     a = np.asarray(a, dtype=float)
     p = GlraProblem(m=a, b=np.eye(a.shape[0]), c=np.eye(a.shape[1]), r=r)
     return glra.solve(p).truncation
+
+
+def _conditioned(g, rows, cols, cond, rank):
+    """A rows x cols matrix with singular values logspaced from 1 to 1/cond, cut to rank."""
+    u, _ = np.linalg.qr(g.standard_normal((rows, rows)))
+    v, _ = np.linalg.qr(g.standard_normal((cols, cols)))
+    k = min(rows, cols)
+    s = np.logspace(0.0, -np.log10(cond), k)
+    s[rank:] = 0.0
+    return (u[:, :k] * s) @ v[:, :k].T
+
+
+# the kinds of conditioned_problem, picked by seed % 4
+CONDITIONED_KINDS = ("full-rank", "deficient", "tiny-b-huge-c", "r-beyond-rank-k")
+
+
+def conditioned_problem(seed):
+    """A seeded problem of dimensions 2-11 whose B and C have condition up to 1e8.
+
+    seed % 4 picks the kind (CONDITIONED_KINDS): full rank, rank-deficient
+    B and C, B scaled by 1e-100 and C by 1e100, or a rank bound beyond the
+    core's rank.
+    """
+    g = np.random.default_rng(seed)
+    m_rows, n_cols, p_cols, q_rows = (int(d) for d in g.integers(2, 12, size=4))
+    kind = seed % 4
+    cond_b, cond_c = 10.0 ** g.uniform(0.0, 8.0, size=2)
+    rank_b, rank_c = min(m_rows, p_cols), min(q_rows, n_cols)
+    if kind == 1:
+        rank_b, rank_c = int(g.integers(1, rank_b + 1)), int(g.integers(1, rank_c + 1))
+    b = _conditioned(g, m_rows, p_cols, cond_b, rank_b)
+    c = _conditioned(g, q_rows, n_cols, cond_c, rank_c)
+    m = g.standard_normal((m_rows, n_cols))
+    if kind == 2:
+        b, c = 1e-100 * b, 1e100 * c
+    r = int(g.integers(1, 4)) if kind != 3 else min(rank_b, rank_c) + 2
+    return GlraProblem(m=m, b=b, c=c, r=r)

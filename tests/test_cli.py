@@ -11,7 +11,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import identity_truncation
+from conftest import CONDITIONED_KINDS, conditioned_problem, identity_truncation
 from glra import cli
 from glra.linalg import InputError, check_bound, hs_norm, pinv
 from glra.matio import read_matrix, write_matrix
@@ -644,9 +644,34 @@ class TestOuterApprox:
         table = read_matrix(str(out))
         np.testing.assert_array_equal(table[:, 1], [s.outer.x_basis.shape[1] for s in steps])
         np.testing.assert_array_equal(table[:, 2], [s.tail_error for s in steps])
-        residuals = [hs_norm(s.outer.c_sharp @ c @ s.outer.c_sharp - s.outer.c_sharp) for s in steps]
+        residuals = [hs_norm(s.outer.c_sharp @ (c @ s.outer.c_sharp) - s.outer.c_sharp) for s in steps]
         np.testing.assert_array_equal(table[:, 3], residuals)
         assert doc["outputs"]["final_tail_error"] == steps[-1].tail_error
+
+    @pytest.mark.parametrize("kind", range(4), ids=CONDITIONED_KINDS)
+    def test_alternative_column_matches_the_dense_formula(self, capsys, tmp_path, kind):
+        # the tail of x_hat P_n, taken from (B L)(R^T Y_n Y_n^T C), against
+        # ||(G)_r - B (x_hat Y_n Y_n^T) C|| on B and C of condition up to 1e8
+        from glra.sequences import nested_chain
+        from glra.solver import solve
+
+        for seed in range(kind, 40, 4):
+            p = conditioned_problem(seed)
+            argv = ["outer-approx", "--rank", str(p.r), "--chain", "auto:3", "--seed", str(seed)]
+            for name, mat in (("M", p.m), ("B", p.b), ("C", p.c)):
+                write_matrix(str(tmp_path / f"{name}.csv"), mat)
+                argv += [f"--{name}", str(tmp_path / f"{name}.csv")]
+            out = tmp_path / "outer.csv"
+            code, _ = run(capsys, argv + ["--alternative", "--out", str(out), "--no-timestamp"])
+            assert code == 0
+            sol = solve(p)
+            g_r = sol.truncation.matrix()
+            dim = max(p.m.shape + p.b.shape + p.c.shape)
+            scale = hs_norm(g_r) + hs_norm(p.b) * hs_norm(sol.x_hat) * hs_norm(p.c)
+            chain = nested_chain(p.c, 3, seed=seed)
+            for row, y_n in zip(read_matrix(str(out)), chain.bases):
+                dense = hs_norm(g_r - p.b @ (sol.x_hat @ y_n @ y_n.T) @ p.c)
+                assert abs(np.sqrt(row[4]) - dense) <= check_bound(dim, scale)
 
     def test_csv_chain_of_generators_in_range(self, capsys, tmp_path):
         g = np.random.default_rng(10)
@@ -679,14 +704,18 @@ class TestOuterApprox:
         assert doc["outputs"]["final_tail_error"] <= 1e-10
         assert doc["diagnostics"]["tail_nonincreasing"] is True
 
-    def test_overflowing_minimiser_is_numerical(self, capsys, tmp_path):
-        # x_hat ~ 1e300 is finite, as solve reports, but x_hat C overflows:
-        # a numerical failure from finite input, not bad input
+    def test_minimiser_whose_product_with_c_overflows(self, capsys, tmp_path):
+        # x_hat ~ 4e299 is finite, but x_hat C would overflow; the steps take
+        # X_n = L (R^T C) C_n# and their tails from B L, so they are found
+        from glra.solver import GlraProblem, solve
+
         g = np.random.default_rng(1)
+        mats = {}
         for name, shape, scale in (
             ("M", (4, 5), 1e100), ("B", (4, 4), 1e-300), ("C", (4, 5), 1e100)
         ):
-            write_matrix(str(tmp_path / f"{name}.csv"), scale * g.standard_normal(shape))
+            mats[name] = scale * g.standard_normal(shape)
+            write_matrix(str(tmp_path / f"{name}.csv"), mats[name])
         argv = ["outer-approx", "--rank", "2", "--out", str(tmp_path / "o.csv"), "--no-timestamp"]
         for name in ("M", "B", "C"):
             argv += [f"--{name}", str(tmp_path / f"{name}.csv")]
@@ -694,9 +723,40 @@ class TestOuterApprox:
             warnings.simplefilter("error")
             code = cli.main(argv)
         captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        doc = json.loads(captured.out)
+        assert np.all(np.isfinite(report_numbers(doc)))
+        # the chain exhausts ran(C), so the last tail (1.8e172) is rounding of delta (5.6e200)
+        delta = solve(GlraProblem(m=mats["M"], b=mats["B"], c=mats["C"], r=2)).delta
+        assert 0.0 <= doc["outputs"]["final_tail_error"] <= check_bound(5, delta)
+
+    @pytest.mark.parametrize(
+        "m, b, chain, name",
+        [
+            # M C^+ holds 1e299 / 1e-10
+            (np.diag([1e300, 1e299]), np.eye(2), "full", "x_hat"),
+            # x_hat = diag(1e300, 0) is finite, but the step along the
+            # generator (1e-10, 1) maps e_1 to about 5e309 e_2
+            (np.diag([1e150, 0.0]), 1e-150 * np.eye(2), "gens", "x_n"),
+        ],
+        ids=["x_hat", "x_n"],
+    )
+    def test_overflowing_minimiser_is_numerical(self, capsys, tmp_path, m, b, chain, name):
+        mats = {"M": m, "B": b, "C": np.diag([1.0, 1e-10]), "gens": np.array([[1e-10], [1.0]])}
+        for key, mat in mats.items():
+            write_matrix(str(tmp_path / f"{key}.csv"), mat)
+        if chain == "gens":
+            chain = str(tmp_path / "gens.csv")
+        argv = ["outer-approx", "--rank", "2", "--chain", chain, "--no-timestamp"]
+        for key in ("M", "B", "C"):
+            argv += [f"--{key}", str(tmp_path / f"{key}.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv + ["--out", str(tmp_path / "o.csv")])
+        captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert "x_hat C is not finite" in captured.err
+        assert f"numerical failure: {name} is not finite" in captured.err
 
     def test_overflowing_alternative_tail_is_numerical(self, capsys, tmp_path):
         # x_hat P_n is not bounded by (G)_r, so the alternative tail's square
@@ -1002,6 +1062,9 @@ class TestArgumentErrors:
             (["outer-approx", "--chain", "auto:x"], "bad chain spec 'auto:x'"),
             (["demo-unbounded", "--rank-rel", "0"], "tolerance rank_rel must be strictly positive"),
             (["outer-approx", "--tie-rel", "0"], "tolerance tie_rel must be strictly positive"),
+            # argparse's own pattern for negative numbers has no exponent
+            (["demo-unbounded", "--rank-rel", "-1e-9"], "tolerance rank_rel must be strictly positive"),
+            (["outer-approx", "--tie-rel", "-1e-9"], "tolerance tie_rel must be strictly positive"),
         ],
         ids=[
             "N-not-integer",
@@ -1015,6 +1078,8 @@ class TestArgumentErrors:
             "chain-steps-not-integer",
             "rank-rel-zero",
             "tie-rel-zero",
+            "rank-rel-negative-exponent",
+            "tie-rel-negative-exponent",
         ],
     )
     def test_rejected(self, capsys, tmp_path, monkeypatch, fixture_files, argv, fragment):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import CONDITIONED_KINDS, conditioned_problem
 from glra import sequences
 from glra.checks import _ref_lower_bound, _ref_projectors
 from glra.linalg import (
@@ -278,15 +279,22 @@ class TestApproximateMinimizersOverflow:
             assert np.isfinite(step.objective) and np.isfinite(step.deviation_sq)
         assert np.array_equal(seq.steps[1].x, solve(p).x_hat)
 
-    def test_huge_b_tiny_c_objective_is_numerical(self):
-        # the minimiser 1e150 I is finite, but B X overflows before C scales it back
+    def test_huge_b_tiny_c_steps_come_from_the_factors(self):
+        # the minimiser 1e150 I is finite, but B X overflows before C scales
+        # it back; the steps' objectives take B L and R^T C instead
         m, c, b = self.TINY_B_HUGE_C
         p = GlraProblem(m=m, b=b, c=c, r=2)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="objective"):
                 objective(p, 1e150 * np.eye(2))
-            with pytest.raises(NumericalError, match="objective"):
-                approximate_minimizers(p, [0.5, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seq = approximate_minimizers(p, [0.5, 0.0])
+        for step in seq.steps:
+            assert np.all(np.isfinite(step.x)) and np.isfinite(step.objective)
+        sol = solve(p)
+        assert np.array_equal(seq.steps[1].x, sol.x_hat)
+        assert seq.steps[1].objective == sol.objective
 
     def test_huge_m_deviation_is_numerical(self):
         # ||Y - Y_eps|| ~ 1e160 is finite and its square is not; no warning escapes
@@ -403,6 +411,25 @@ class TestOuterInverseChain:
 
 
 class TestBoundedApproximation:
+    @pytest.mark.parametrize("kind", range(4), ids=CONDITIONED_KINDS)
+    def test_factored_steps_match_the_dense_formulas(self, kind):
+        # X_n = L (R^T C) C_n# against (x_hat C) C_n#, and the tail from
+        # (B L)(W_n C) against ||(G)_r - B X_n C||, on B and C of condition
+        # up to 1e8 (see conftest.conditioned_problem)
+        for seed in range(kind, 80, 4):
+            p = conditioned_problem(seed)
+            dim = max(p.m.shape + p.b.shape + p.c.shape)
+            res = bounded_approximation_sequence(p, nested_chain(p.c, 3, seed=seed))
+            x_hat = res.solution.x_hat
+            g_r = res.solution.truncation.matrix()
+            for st in res.steps:
+                c_sharp = st.outer.c_sharp
+                x_scale = hs_norm(x_hat) * hs_norm(p.c) * hs_norm(c_sharp)
+                assert hs_norm(st.x - (x_hat @ p.c) @ c_sharp) <= check_bound(dim, x_scale)
+                dense_tail = hs_norm(g_r - p.b @ st.x @ p.c)
+                tail_scale = hs_norm(g_r) + hs_norm(p.b) * hs_norm(st.x) * hs_norm(p.c)
+                assert abs(np.sqrt(st.tail_error) - dense_tail) <= check_bound(dim, tail_scale)
+
     def test_exhaustive_single_step(self):
         g = np.random.default_rng(6)
         p = GlraProblem(

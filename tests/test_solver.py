@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glra
-from conftest import branch_member, identity_truncation
+from conftest import CONDITIONED_KINDS, branch_member, conditioned_problem, identity_truncation
 from glra.linalg import (
     InputError,
     NumericalError,
@@ -172,6 +172,28 @@ class TestSolutionMinimalityDefect:
         self.assert_agrees(
             GlraProblem(m=1e150 * np.eye(2), b=1e-200 * np.eye(2), c=1e200 * np.eye(2), r=r)
         )
+
+
+class TestFactoredObjective:
+    """solve's objective, from x_hat's factors L and R, against the dense objective(p, x_hat)."""
+
+    @staticmethod
+    def assert_agrees(p):
+        sol = solve(p)
+        dim = max(p.m.shape + p.b.shape + p.c.shape)
+        scale = hs_norm(p.m) + hs_norm(p.b) * hs_norm(sol.x_hat) * hs_norm(p.c)
+        assert abs(sol.objective - objective(p, sol.x_hat)) <= check_bound(dim, scale)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_deficient_problems(self, seed, r):
+        self.assert_agrees(deficient_problem(seed, r))
+
+    @pytest.mark.parametrize("kind", range(4), ids=CONDITIONED_KINDS)
+    def test_conditioned_draws(self, kind):
+        # B and C of condition up to 1e8; see conftest.conditioned_problem
+        for seed in range(kind, 160, 4):
+            self.assert_agrees(conditioned_problem(seed))
 
 
 class TestRecordsCompareByIdentity:
@@ -644,13 +666,21 @@ class TestOverflow:
         [
             # finite inputs whose minimiser M C^+ holds 1e299 / 1e-10
             (np.diag([1e300, 1e299]), np.eye(2), np.diag([1.0, 1e-10]), "x_hat"),
-            # the minimiser 1e150 I is finite, but B x_hat overflows before C scales it back
-            (1e150 * np.eye(2), 1e200 * np.eye(2), 1e-200 * np.eye(2), "objective"),
         ],
     )
     def test_overflowing_minimiser_is_numerical(self, m, b, c, name):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match=name):
             solve(GlraProblem(m=m, b=b, c=c, r=2))
+
+    def test_huge_b_tiny_c_objective_from_the_factors(self):
+        # B x_hat = 1e350 would overflow, but the objective takes B L = 1e150 I
+        # and R^T C = I from the factors of the minimiser 1e150 I
+        p = GlraProblem(m=1e150 * np.eye(2), b=1e200 * np.eye(2), c=1e-200 * np.eye(2), r=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(p)
+        np.testing.assert_allclose(sol.x_hat, 1e150 * np.eye(2), rtol=1e-14, atol=0.0)
+        assert sol.objective == 0.0
 
     def test_overflowing_objective_warns_nothing(self):
         p = GlraProblem(m=np.eye(2), b=1e200 * np.eye(2), c=1e200 * np.eye(2), r=1)
