@@ -5,11 +5,14 @@ exact arithmetic (Moore-Penrose equations, projector algebra, truncation
 residuals, solver optimality against the alternating-least-squares
 oracle, covariance factorisations).  Results are per-invariant pass
 counts with the worst residual seen, so a report is reproducible from
-the same seed.
+the same seed.  The svd, glra and rrr suites hold their trials' oracle
+searches and run them as one zero-padded stack (``als_oracles``), at
+most ORACLE_BATCH trials at a time, recording the oracle invariants
+from its answers; every other invariant is recorded as its trial runs.
 
 The references the invariants compare the library with are written in
 numpy alone and share no factorisation or rank cutoff with the library
-they check: the oracle (``als_oracle``) is a brute-force search,
+they check: the oracle (``als_oracles``) is a brute-force search,
 ``_ref_projectors`` gives P_ran(A) and P_ker(A)-perp from the bases of
 one numpy SVD, ``_pinv_stack`` gives A^+ (the C^+ that the seq suite
 compares its outer inverses with) from another, and ``_ref_lower_bound``
@@ -22,6 +25,7 @@ runs at DEFAULT_TOL, the tolerances these references are written against.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,6 +38,7 @@ __all__ = [
     "InvariantResult",
     "SUITE_NAMES",
     "als_oracle",
+    "als_oracles",
     "check_fixture_pair",
     "run_suites",
 ]
@@ -48,6 +53,9 @@ ORACLE_RANK_REL = 1e-12
 # floor is the rounding of one objective evaluation, so an exact fit,
 # whose objective is rounding noise, stops as soon as the noise settles.
 ORACLE_STOP_REL = 1e-13
+# A suite hands the oracle at most this many trials' problems at once, so
+# the stack's memory does not grow with the trial count.
+ORACLE_BATCH = 64
 
 
 @dataclass
@@ -108,12 +116,14 @@ def random_problem(
     )
 
 
-def _ref_keep(s: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def _ref_keep(s: np.ndarray, dim: int | np.ndarray) -> np.ndarray:
     """Which singular values of a matrix, or of each matrix in a stack, count as nonzero.
 
-    Those above ORACLE_RANK_REL * sigma_1 * max(shape) of their own matrix.
+    Those above ORACLE_RANK_REL * sigma_1 * dim of their own matrix, where
+    dim is max(shape): one number, or one per member of a stack, shaped
+    (..., 1), when the members are zero-padded matrices of other shapes.
     """
-    return s > ORACLE_RANK_REL * max(shape[-2:]) * s[..., :1]
+    return s > ORACLE_RANK_REL * dim * s[..., :1]
 
 
 def _ref_projectors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,18 +133,18 @@ def _ref_projectors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ker(A)-perp that the singular vectors kept by _ref_keep form.
     """
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    k = int(np.count_nonzero(_ref_keep(s, a.shape)))
+    k = int(np.count_nonzero(_ref_keep(s, max(a.shape))))
     u, vh = u[:, :k], vh[:k]
     return u @ u.T, vh.T @ vh
 
 
-def _pinv_stack(a: np.ndarray) -> np.ndarray:
+def _pinv_stack(a: np.ndarray, dim: int | np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of a matrix or of each matrix in a stack, from one SVD.
 
-    Singular values that _ref_keep drops count as zero.
+    Singular values that _ref_keep drops at dim count as zero.
     """
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    inv = np.divide(1.0, s, out=np.zeros(s.shape), where=_ref_keep(s, a.shape))
+    inv = np.divide(1.0, s, out=np.zeros(s.shape), where=_ref_keep(s, dim))
     return (vh.swapaxes(-1, -2) * inv[..., None, :]) @ u.swapaxes(-1, -2)
 
 
@@ -149,9 +159,9 @@ def _ref_lower_bound(c: np.ndarray, z: np.ndarray) -> tuple[float, int]:
     ORACLE_RANK_REL * max(shape); an empty intersection gives (0, 0).
     """
     _, s_z, vh_z = np.linalg.svd(z, full_matrices=True)
-    ker_z = vh_z[np.count_nonzero(_ref_keep(s_z, z.shape)):].T
+    ker_z = vh_z[np.count_nonzero(_ref_keep(s_z, max(z.shape))):].T
     _, s_c, vh_c = np.linalg.svd(c, full_matrices=False)
-    row_c = vh_c[: np.count_nonzero(_ref_keep(s_c, c.shape))].T
+    row_c = vh_c[: np.count_nonzero(_ref_keep(s_c, max(c.shape)))].T
     sines = ker_z - row_c @ (row_c.T @ ker_z)
     _, s, vh = np.linalg.svd(sines, full_matrices=False)
     w = ker_z @ vh[np.count_nonzero(s > ORACLE_RANK_REL * max(sines.shape)):].T
@@ -160,57 +170,116 @@ def _ref_lower_bound(c: np.ndarray, z: np.ndarray) -> tuple[float, int]:
     return float(np.linalg.svd(c @ w, compute_uv=False)[-1]), w.shape[1]
 
 
-def als_oracle(
-    p: solver.GlraProblem, restarts: int = 20, iters: int = 200, seed: int = 0
-) -> float:
-    """Best objective found by alternating least squares over X = U V^T.
+def als_oracles(
+    problems: Sequence[solver.GlraProblem], restarts: int, iters: int, seeds: Sequence[int]
+) -> list[float]:
+    """Best objective found by alternating least squares over X = U V^T, for each problem.
 
     A brute-force reference for the closed-form solver: U (p x r) and
     V (q x r) are updated by exact least-squares steps,
-    U = B^+ M (V^T C)^+ and V^T = (B U)^+ M C^+, from ``restarts`` seeded
-    random initialisations (U_0, V_0, U_1, V_1, ... drawn in that order),
-    all run at once as one stack.  The stack holds the images L = B U
-    (R x m x r) and A = V^T C (R x r x n), not U and V: with P = B B^+ M
+    U = B^+ M (V^T C)^+ and V^T = (B U)^+ M C^+, from ``restarts`` random
+    initialisations per problem, drawn from ``default_rng`` of its seed
+    (U_0, V_0, U_1, V_1, ... in that order).  The iterates are the images
+    L = B U (m x r) and A = V^T C (r x n), not U and V: with P = B B^+ M
     and N = M C^+ C formed once, the steps are L = P A^+ and A = L^+ N
     and the objective is ||M - L A||, the same iterates in exact
     arithmetic, as B U = B B^+ M (V^T C)^+ and V^T C = (B U)^+ M C^+ C.
-    It runs on M / ||M||, so the result is degree 1 in M; a restart stops,
-    frozen, once its objective moves by at most
+    Each problem runs on M / ||M||, so its result is degree 1 in M; a
+    restart stops, frozen, once its objective moves by at most
     ORACLE_STOP_REL * objective + eps * max(M.shape) there, or after
-    ``iters`` steps.  Deterministic for a fixed seed.
+    ``iters`` steps.  Deterministic for fixed seeds.
+
+    Every restart of every problem runs in one stack, two SVD calls a
+    step.  M / ||M||, B, C and the V_0 are zero-padded to the problems'
+    largest shapes, with r = min(r, p, q) each; the padding stays exactly
+    zero through every step.  Each member keeps its own rules: B, C, L
+    and A are cut by _ref_keep at its own max(shape), which drops the
+    padding's zero singular values, and it stops at its own floor.  A
+    problem with M = 0 gives 0 and does not enter the stack.
     """
     if restarts < 1 or iters < 1:
         raise linalg.InputError("restarts and iters must be >= 1")
-    scale = hs_norm(p.m)
-    if scale == 0.0:
-        return 0.0
-    m = p.m / scale
-    rng = np.random.default_rng(seed)
-    pp, qq = p.x_shape
-    r = min(p.r, pp, qq)
-    v = np.empty((restarts, qq, r))
-    for k in range(restarts):
-        rng.standard_normal((pp, r))  # U_k keeps the draw order; the first step replaces it
-        v[k] = rng.standard_normal((qq, r))
-    proj_m = p.b @ (_pinv_stack(p.b) @ m)
-    m_proj = (m @ _pinv_stack(p.c)) @ p.c
-    a = v.swapaxes(-1, -2) @ p.c
-    floor = float(np.finfo(float).eps) * max(m.shape)
-    prev = np.full(restarts, np.inf)
-    obj = np.empty(restarts)
-    # the restarts still running; a stopped one leaves only its objective
-    active = np.arange(restarts)
+    scales = [hs_norm(p.m) for p in problems]
+    held = [(p, scale, seed) for p, scale, seed in zip(problems, scales, seeds) if scale != 0.0]
+    if not held:
+        return [0.0] * len(problems)
+    dims = np.array([(*p.m.shape, *p.x_shape, min(p.r, *p.x_shape)) for p, _, _ in held])
+    # each (held, 1): M is rows x cols, B rows x pp, C qq x cols, U pp x r, V qq x r
+    rows, cols, pp, qq, r = dims.T[..., None]
+    big_rows, big_cols, big_pp, big_qq, big_r = dims.max(axis=0)
+    m = _padded([p.m / scale for p, scale, _ in held], (big_rows, big_cols))
+    b = _padded([p.b for p, _, _ in held], (big_rows, big_pp))
+    c = _padded([p.c for p, _, _ in held], (big_qq, big_cols))
+    v = np.zeros((len(held), restarts, big_qq, big_r))
+    for v_i, (_, _, seed), (_, _, pp_i, qq_i, r_i) in zip(v, held, dims):
+        rng = np.random.default_rng(seed)
+        for k in range(restarts):
+            rng.standard_normal((pp_i, r_i))  # U_k keeps the draw order; the first step replaces it
+            v_i[k, :qq_i, :r_i] = rng.standard_normal((qq_i, r_i))
+    proj_m = b @ (_pinv_stack(b, np.maximum(rows, pp)) @ m)
+    m_proj = (m @ _pinv_stack(c, np.maximum(qq, cols))) @ c
+    a = (v.swapaxes(-1, -2) @ c[:, None]).reshape(-1, big_r, big_cols)
+    floor = float(np.finfo(float).eps) * np.maximum(rows, cols)[:, 0]
+    prev = np.full(len(a), np.inf)
+    obj = np.empty(len(a))
+    # the members still running, restart k of held problem j at j * restarts + k;
+    # a stopped one leaves only its objective
+    active = np.arange(len(a))
     for _ in range(iters):
-        lhs = proj_m @ _pinv_stack(a)
-        a = _pinv_stack(lhs) @ m_proj
-        res = m - lhs @ a
+        own = active // restarts
+        lhs = proj_m[own] @ _pinv_stack(a, np.maximum(r, cols)[own])
+        a = _pinv_stack(lhs, np.maximum(rows, r)[own]) @ m_proj[own]
+        res = m[own] - lhs @ a
         cur = np.sqrt(np.einsum("kij,kij->k", res, res))
         obj[active] = cur
-        done = np.abs(prev - cur) <= ORACLE_STOP_REL * cur + floor
+        done = np.abs(prev - cur) <= ORACLE_STOP_REL * cur + floor[own]
         active, a, prev = active[~done], a[~done], cur[~done]
         if not active.size:
             break
-    return scale * float(np.min(obj))
+    lows = iter(obj.reshape(len(held), restarts).min(axis=1))
+    return [0.0 if scale == 0.0 else scale * float(next(lows)) for scale in scales]
+
+
+def _padded(mats: list[np.ndarray], shape: tuple[int, int]) -> np.ndarray:
+    """The matrices as one stack, each zero-padded to shape."""
+    out = np.zeros((len(mats), *shape))
+    for o, mat in zip(out, mats):
+        o[: mat.shape[0], : mat.shape[1]] = mat
+    return out
+
+
+def als_oracle(
+    p: solver.GlraProblem, restarts: int = 20, iters: int = 200, seed: int = 0
+) -> float:
+    """Best objective found by alternating least squares for one problem (see als_oracles)."""
+    return als_oracles([p], restarts, iters, [seed])[0]
+
+
+class _OracleGaps:
+    """One invariant's gaps to the ALS oracle, searched ORACLE_BATCH trials at a time.
+
+    A trial adds its problem, the oracle's seed, its gap as a function of
+    the oracle's value, and the bound; the held searches run as one
+    als_oracles stack once ORACLE_BATCH are held and at flush, and each
+    gap is recorded then.  Recording order does not move a result.
+    """
+
+    def __init__(self, result: InvariantResult, restarts: int, iters: int) -> None:
+        self.result, self.restarts, self.iters = result, restarts, iters
+        self.held: list[tuple[solver.GlraProblem, int, Callable[[float], float], float]] = []
+
+    def add(
+        self, p: solver.GlraProblem, seed: int, gap: Callable[[float], float], bound: float
+    ) -> None:
+        self.held.append((p, seed, gap, bound))
+        if len(self.held) == ORACLE_BATCH:
+            self.flush()
+
+    def flush(self) -> None:
+        held, self.held = self.held, []
+        values = als_oracles([h[0] for h in held], self.restarts, self.iters, [h[1] for h in held])
+        for (_, _, gap, bound), value in zip(held, values):
+            self.result.record(gap(value), bound)
 
 
 def _moore_penrose_checks(a: np.ndarray, a_pinv: np.ndarray) -> list[tuple[float, float]]:
@@ -254,6 +323,7 @@ def check_svd(trials: int, seed: int) -> list[InvariantResult]:
     eckart = InvariantResult("eckart_young_vs_oracle")
     rank_comp = InvariantResult("rank_composition")
     sqrt_check = InvariantResult("psd_sqrt_squares_back")
+    eckart_gaps = _OracleGaps(eckart, restarts=4, iters=60)
     for k in range(trials):
         a = random_matrix(rng, max_dim=8, deficient=(k % 4 == 0))
         dim = max(a.shape)
@@ -265,19 +335,21 @@ def check_svd(trials: int, seed: int) -> list[InvariantResult]:
         prob = solver.GlraProblem(m=a, b=np.eye(a.shape[0]), c=np.eye(a.shape[1]), r=r)
         a_r = solver.solve(prob).truncation.matrix()
         sigma = np.linalg.svd(a, compute_uv=False)
+        err = hs_norm(a - a_r)
         residual.record(
-            abs(hs_norm(a - a_r) ** 2 - float(np.sum(sigma[r:] ** 2))),
-            check_bound(dim, a_norm**2),
+            abs(err**2 - float(np.sum(sigma[r:] ** 2))), check_bound(dim, a_norm**2)
         )
-        oracle = als_oracle(prob, restarts=4, iters=60, seed=seed + k)
-        eckart.record(hs_norm(a - a_r) - oracle, check_bound(dim, a_norm))
+        eckart_gaps.add(
+            prob, seed + k, lambda oracle, err=err: err - oracle, check_bound(dim, a_norm)
+        )
         # rank(T A) <= rank(A): the reference's rank of T A against the library's of A
         ta = rng.standard_normal((int(rng.integers(1, 7)), a.shape[0])) @ a
-        ref_rank = np.count_nonzero(_ref_keep(np.linalg.svd(ta, compute_uv=False), ta.shape))
+        ref_rank = np.count_nonzero(_ref_keep(np.linalg.svd(ta, compute_uv=False), max(ta.shape)))
         rank_comp.record(float(ref_rank - linalg.rank_factors(a).sigma.size), 0.0)
         gram = a.T @ a
         s = linalg.psd_sqrt(gram)
         sqrt_check.record(hs_norm(s @ s - gram), check_bound(dim, hs_norm(gram)))
+    eckart_gaps.flush()
     return [recon, residual, eckart, rank_comp, sqrt_check]
 
 
@@ -326,6 +398,7 @@ def check_glra(trials: int, seed: int) -> list[InvariantResult]:
     scaling = InvariantResult("scale_equivariance_exact")
     # the exponents have a generator of their own, so the other draws keep theirs
     exp_rng = np.random.default_rng([seed, 1])
+    optimal_gaps = _OracleGaps(optimal, restarts=6, iters=80)
     for k in range(trials):
         p = random_problem(rng, deficient=(k % 3 == 0))
         dim = max(p.m.shape + p.b.shape + p.c.shape)
@@ -353,8 +426,9 @@ def check_glra(trials: int, seed: int) -> list[InvariantResult]:
             hs_norm(p.b @ sol.x_hat @ p.c - sol.truncation.matrix()),
             check_bound(dim, op_scale),
         )
-        oracle = als_oracle(p, restarts=6, iters=80, seed=seed + k)
-        optimal.record(sol.objective - oracle, check_bound(dim, op_scale))
+        optimal_gaps.add(
+            p, seed + k, lambda oracle, obj=sol.objective: obj - oracle, check_bound(dim, op_scale)
+        )
         t = rng.standard_normal(p.x_shape)
         s = rng.standard_normal(p.x_shape)
         member = solver.solution_set_sample(sol, p, t, s)
@@ -378,6 +452,7 @@ def check_glra(trials: int, seed: int) -> list[InvariantResult]:
             check_bound(dim, m_norm**2),
         )
         scaling.record(float(_scale_mismatches(p, sol, exp_rng.integers(-300, 300, size=3))), 0.0)
+    optimal_gaps.flush()
     return [
         projected, charact, optimal, minimal, round_trip, member_opt, adjoint, err_consist, scaling,
     ]
@@ -407,7 +482,7 @@ def check_seq(trials: int, seed: int) -> list[InvariantResult]:
         )
         c_norm = hs_norm(prob.c)
         # the reference C^+, which shares no factorisation or rank cut with the library
-        c_pinv = _pinv_stack(prob.c)
+        c_pinv = _pinv_stack(prob.c, max(prob.c.shape))
         # the probe columns of x_hat carry C^+ applied to M
         growth.record(worst, check_bound(n, hs_norm(prob.m) * hs_norm(c_pinv)))
         # the sweep's truncation mu_1 f1 f1^T has the kernel of mu_1 f1^T
@@ -480,6 +555,7 @@ def check_rrr(trials: int, seed: int) -> list[InvariantResult]:
     optimal = InvariantResult("fit_beats_als_oracle")
     kernels = InvariantResult("kernel_of_half_power")
     agree = InvariantResult("trace_equals_monte_carlo")
+    optimal_gaps = _OracleGaps(optimal, restarts=6, iters=80)
     for k in range(trials):
         dim_f = int(rng.integers(2, 6))
         dim_g = int(rng.integers(2, 6))
@@ -517,13 +593,13 @@ def check_rrr(trials: int, seed: int) -> list[InvariantResult]:
         prob = regression._transposed_problem(
             cov, r, np.eye(dim_f), np.eye(dim_f), np.eye(dim_g), DEFAULT_TOL
         )[0]
-        oracle_obj = als_oracle(prob, restarts=6, iters=80, seed=seed + k)
         c_half_norm = hs_norm(c_x_half)
         const = c_half_norm**2 - hs_norm(prob.m) ** 2
         # the traces of the MSE: tr(C_x) and tr(A C_y A^T) up to rounding
         mse_scale = hs_norm(cov.c_x) + hs_norm(model.a_hat) ** 2 * hs_norm(cov.c_y)
-        optimal.record(
-            model.fit_report.objective_mse - (const + oracle_obj**2),
+        mse = model.fit_report.objective_mse
+        optimal_gaps.add(
+            prob, seed + k, lambda oracle, mse=mse, const=const: mse - (const + oracle**2),
             check_bound(dim, mse_scale),
         )
         # both kernels are known to the angle eps ||C_y|| ||C_y^+||, and
@@ -539,6 +615,7 @@ def check_rrr(trials: int, seed: int) -> list[InvariantResult]:
             ),
             check_bound(dim, mse_scale),
         )
+    optimal_gaps.flush()
     return [factor, range_id, contain, optimal, kernels, agree]
 
 

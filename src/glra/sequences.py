@@ -293,6 +293,11 @@ def unboundedness_sweep(
         _require_finite(x_a=x_a)
         if not tie:
             fb = _diagonal_factors(np.ones(n), tol)
+            if fb.sigma.size != n:
+                raise NumericalError(
+                    f"B's factors keep {fb.sigma.size} of the identity's {n} axes; "
+                    "the sweep's core needs all of them"
+                )
             # B's factors are the identity and C's keep its leading axes, so
             # the core U_B^T M V_C is M's leading rank(C) columns: a view,
             # truncated as G with the bits of solver._reduce on the problem

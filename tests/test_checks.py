@@ -235,15 +235,17 @@ class TestAlsOracle:
 
     def test_equals_one_restart_at_a_time_on_the_rrr_suite(self, monkeypatch):
         # the transposed problems of regression._transposed_problem, as
-        # check_rrr makes them, with the seeds it hands the oracle
+        # check_rrr hands them to the batch, with their seeds
         calls = []
+        real = checks.als_oracles
 
-        def recording(p, *args, **kwargs):
-            calls.append((p, kwargs["seed"]))
-            return als_oracle(p, *args, **kwargs)
+        def recording(problems, restarts, iters, seeds):
+            calls.extend(zip(problems, seeds))
+            return real(problems, restarts, iters, seeds)
 
-        monkeypatch.setattr(checks, "als_oracle", recording)
+        monkeypatch.setattr(checks, "als_oracles", recording)
         checks.check_rrr(trials=25, seed=0)
+        monkeypatch.undo()
         worst = max(
             abs(als_oracle(p, 6, 80, k) - _loop_oracle(p, 6, 80, k)) / hs_norm(p.m)
             for p, k in calls
@@ -251,12 +253,60 @@ class TestAlsOracle:
         assert len(calls) == 25
         assert worst <= 1e-12
 
-    def test_takes_two_stacked_svds_a_step(self, svd_calls):
+    @pytest.mark.parametrize("suite", [checks.check_svd, checks.check_glra, checks.check_rrr])
+    def test_suites_hand_over_bounded_batches(self, monkeypatch, suite):
+        # memory does not grow with the trial count: ten trials go as 4, 4
+        # and 2 problems, and the report is that of a single batch, up to
+        # the rounding of the padding
+        whole = suite(trials=10, seed=0)
+        sizes = []
+        real = checks.als_oracles
+
+        def recording(problems, *args):
+            sizes.append(len(problems))
+            return real(problems, *args)
+
+        monkeypatch.setattr(checks, "als_oracles", recording)
+        monkeypatch.setattr(checks, "ORACLE_BATCH", 4)
+        parts = suite(trials=10, seed=0)
+        assert sizes == [4, 4, 2]
+        assert [(r.name, r.trials, r.failures) for r in parts] == [
+            (r.name, r.trials, r.failures) for r in whole
+        ]
+        assert [r.max_residual for r in parts] == pytest.approx(
+            [r.max_residual for r in whole], rel=1e-3, abs=1e-15
+        )
+
+    def test_batch_equals_each_problem_alone(self):
+        # every member is zero-padded to the batch's largest shapes, and cut
+        # and stopped by the rules of its own
+        draws = _suite_draws(40)
+        batch = checks.als_oracles(draws, 6, 80, list(range(40)))
+        worst = max(
+            abs(value - als_oracle(p, 6, 80, k)) / hs_norm(p.m)
+            for k, (p, value) in enumerate(zip(draws, batch))
+        )
+        assert worst <= 1e-12
+
+    def test_zero_member_leaves_its_neighbours(self):
+        draws = _suite_draws(3)
+        zero = solver.GlraProblem(m=np.zeros((7, 2)), b=np.ones((7, 3)), c=np.eye(2), r=2)
+        alone = checks.als_oracles(draws, 6, 80, [0, 1, 2])
+        assert checks.als_oracles([draws[0], zero, *draws[1:]], 6, 80, [0, 9, 1, 2]) == [
+            alone[0], 0.0, *alone[1:]
+        ]
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_takes_two_stacked_svds_a_step(self, svd_calls, count):
         # B^+ and C^+ once, then per step one SVD of the stack A = V^T C and
-        # one of L = B U; draw 1 runs all six restarts through three steps
-        als_oracle(_suite_draws(2)[1], restarts=6, iters=3)
+        # one of L = B U, however many problems the batch holds; draws 1, 4,
+        # 7 and 8, seeded with their index, run all six restarts through
+        # three steps
+        picks = [1, 4, 7, 8][:count]
+        draws = _suite_draws(9)
+        checks.als_oracles([draws[k] for k in picks], 6, 3, picks)
         assert len(svd_calls) == 2 + 2 * 3
-        assert [shape[0] for shape, _, _ in svd_calls[2:]] == [6] * (2 * 3)
+        assert [shape[0] for shape, _, _ in svd_calls] == [count] * 2 + [6 * count] * (2 * 3)
 
     # draws 1 and 30 stop early under the rule 1e-13 (1 + obj) at s = 1e-8,
     # by 1e5 and 5e6 times the bound
@@ -282,8 +332,9 @@ class TestAlsOracle:
         assert als_oracle(p) == 0.0
 
     def test_needs_no_library_factorisation(self, monkeypatch):
-        p = _suite_draws(1)[0]
-        expected = als_oracle(p, restarts=6, iters=80)
+        draws = _suite_draws(4)
+        expected = checks.als_oracles(draws, 6, 80, [0, 1, 2, 3])
+        alone = als_oracle(draws[0], restarts=6, iters=80)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle called the library")
@@ -292,7 +343,8 @@ class TestAlsOracle:
             for name in ("pinv", "rank_factors"):
                 if hasattr(owner, name):
                     monkeypatch.setattr(owner, name, refuse)
-        assert als_oracle(p, restarts=6, iters=80) == expected
+        assert checks.als_oracles(draws, 6, 80, [0, 1, 2, 3]) == expected
+        assert als_oracle(draws[0], restarts=6, iters=80) == alone
 
     @pytest.mark.parametrize("restarts, iters", [(0, 5), (3, 0)])
     def test_rejects_empty_search(self, restarts, iters):

@@ -1047,6 +1047,26 @@ class TestCheckCommand:
         assert f"unrecognized arguments: {option} 1e-9" in capsys.readouterr().err
 
 
+
+class TestLastResort:
+    """main's handler of last resort and the console entry point."""
+
+    def test_unexpected_error_exits_internal(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_check", broken)
+        assert cli.main(["check", "--suite", "mp", "--trials", "1"]) == cli.EXIT_INTERNAL == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "internal error: boom\n"
+
+    def test_entrypoint_exits_with_mains_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["glra", "check", "--suite", "mp", "--trials", "0"])
+        with pytest.raises(SystemExit) as info:
+            cli.entrypoint()
+        assert info.value.code == cli.EXIT_INPUT == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
+
 class TestArgumentErrors:
     @pytest.mark.parametrize(
         "argv, fragment",

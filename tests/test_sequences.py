@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import CONDITIONED_KINDS, conditioned_problem
-from glra import sequences
+from glra import checks, linalg, sequences
 from glra.checks import _ref_lower_bound, _ref_projectors
 from glra.linalg import (
     DEFAULT_TOL,
@@ -917,6 +917,17 @@ class TestKnownFactors:
         assert (t.r, t.discarded_head, t.numerical_rank, t.uniqueness) == (
             want.r, want.discarded_head, want.numerical_rank, want.uniqueness
         )
+
+    def test_sweep_core_needs_every_axis_of_b(self, monkeypatch):
+        # a rank rule one short cuts the identity B to n - 1 axes; the core
+        # M[:, :rank C] then has one row too many, which must be a
+        # NumericalError naming B's factors, not numpy's shape mismatch
+        real = linalg._rank
+        monkeypatch.setattr(linalg, "_rank", lambda *args: real(*args) - 1)
+        with pytest.raises(NumericalError, match="B's factors keep 19 of the identity's 20 axes"):
+            unboundedness_sweep(diag_spec(n=20), [20], [2, 10])
+        with pytest.raises(NumericalError, match="B's factors keep"):
+            checks.check_seq(trials=1, seed=0)
 
     @pytest.mark.parametrize("n", [10, 50, 200])
     def test_sweep_norms_equal_the_solvers(self, n):
