@@ -80,6 +80,9 @@ CHECK_C = 20.0
 # Below this norm numpy's sum of squares is subnormal or zero (see hs_norm).
 _SQRT_TINY = math.sqrt(float(np.finfo(float).tiny))
 
+_EPS = float(np.finfo(float).eps)
+_FLOAT = np.dtype(float)
+
 
 def check_bound(dim: int, scale: float) -> float:
     """Largest residual an identity may show in floating point: c * eps * dim * scale.
@@ -90,7 +93,7 @@ def check_bound(dim: int, scale: float) -> float:
     residual.  This is the backward-error form of Higham, Accuracy and
     Stability of Numerical Algorithms (SIAM 2002).
     """
-    return CHECK_C * float(np.finfo(float).eps) * dim * scale
+    return CHECK_C * _EPS * dim * scale
 
 
 class Uniqueness(str, enum.Enum):
@@ -155,7 +158,7 @@ def _require_finite(**values: float | np.ndarray) -> None:
     For intermediates of finite inputs, which as_matrix would report as bad input.
     """
     for name, value in values.items():
-        if not np.isfinite(value).all():
+        if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
             raise NumericalError(f"{name} is not finite; the inputs overflow float64")
 
 
@@ -182,10 +185,13 @@ def _svd(arr: np.ndarray) -> SvdFactors:
     u, s, vh = np.linalg.svd(arr, full_matrices=False)
     v = vh.T
     if u.size:
-        # the first nonzero of each left vector (row 0 for a zero column);
-        # a product with -1.0 is an exact negation and one with 1.0 keeps
-        # every bit, signed zeros included
-        first = u[np.argmax(u != 0.0, axis=0), np.arange(u.shape[1])]
+        # the first nonzero of each left vector (row 0 for a zero column),
+        # searched for only when row 0 has a zero; a product with -1.0 is
+        # an exact negation and one with 1.0 keeps every bit, signed zeros
+        # included
+        first = u[0]
+        if not first.all():
+            first = u[np.argmax(u != 0.0, axis=0), np.arange(u.shape[1])]
         sign = np.where(first < 0.0, -1.0, 1.0)
         u *= sign
         v *= sign
@@ -336,18 +342,26 @@ def _psd_factors(a, tol: Tolerances) -> tuple[SvdFactors, np.ndarray]:
 def hs_norm(a) -> float:
     """Hilbert-Schmidt (Frobenius) norm: sqrt of the sum of squared entries.
 
-    numpy sums unscaled squares, which overflow for entries near 1e154 and
-    above and lose digits once the sum falls below the smallest normal
-    float; only then is the sum redone on the matrix scaled by its largest
-    entry, so every other input keeps numpy's bits.  The zero matrix stays 0.
-    The first pass ignores numpy's overflow and underflow warnings, which
-    the rescale answers.
+    The sum of squares is the dot product of the entries in memory order,
+    numpy's own sum for np.linalg.norm, so the bits are numpy's.  A finite
+    sum at or above the smallest normal float proves every entry finite and
+    is the answer.  Only otherwise does the matrix go through as_matrix,
+    which rejects non-finite entries, and a sum that overflowed (entries
+    near 1e154 and above) or fell below the smallest normal float is redone
+    on the matrix scaled by its largest entry, after Blue (ACM TOMS 1978).
+    The zero matrix stays 0.  The dot product reads no floating-point
+    flags, so an overflow of the unscaled sum raises no numpy warning.
     """
-    arr = as_matrix(a)
-    with np.errstate(over="ignore", under="ignore"):
-        norm = float(np.linalg.norm(arr))
-    if math.isinf(norm) or norm < _SQRT_TINY:
-        scale = float(np.max(np.abs(arr)))
-        if scale > 0.0:
-            norm = scale * float(np.linalg.norm(arr / scale))
+    if type(a) is np.ndarray and a.ndim == 2 and a.dtype is _FLOAT:
+        arr = a
+    else:
+        arr = as_matrix(a)
+    flat = arr.ravel(order="K")
+    norm = math.sqrt(np.vdot(flat, flat))
+    if _SQRT_TINY <= norm < math.inf:
+        return norm
+    arr = as_matrix(arr)
+    scale = float(np.max(np.abs(arr)))
+    if scale > 0.0:
+        norm = scale * float(np.linalg.norm(arr / scale))
     return norm

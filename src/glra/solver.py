@@ -270,7 +270,10 @@ def _residual_norm(
     """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         residual = target - (b @ left) @ reduce(np.matmul, rights)
-    value = hs_norm(residual) if np.isfinite(residual).all() else np.inf
+    try:
+        value = hs_norm(residual)
+    except InputError:  # residual is a non-empty matrix, so its entries overflowed
+        value = np.inf
     _require_finite(**{name: value})
     return value
 

@@ -18,6 +18,24 @@ from glra.linalg import (
 )
 
 
+class TestInvariantResult:
+    @pytest.mark.parametrize(
+        "residuals", [[np.nan, 1e-16], [1e-16, np.nan]], ids=["nan-first", "nan-last"]
+    )
+    def test_nan_residual_is_the_maximum(self, residuals):
+        res = checks.InvariantResult("x")
+        for r in residuals:
+            res.record(r, 1.0)
+        assert res.trials == 2 and res.failures == 1
+        assert np.isnan(res.max_residual)
+
+    def test_nan_inside_one_trial(self):
+        res = checks.InvariantResult("x")
+        res.record_all([(1e-16, 1.0), (np.nan, 1.0), (1e-15, 1.0)])
+        res.record(1e-14, 1.0)
+        assert res.failures == 1 and np.isnan(res.max_residual)
+
+
 class TestFixturePair:
     """The Moore-Penrose bounds scale with the stored pair, not with its units."""
 

@@ -116,6 +116,18 @@ class TestSignRule:
         assert np.array_equal(np.signbit(f.v), np.signbit(v))
         assert f.u.shape == u.shape and f.v.shape == v.shape
 
+    def test_zero_in_row_0_takes_the_argmax_search(self):
+        a = block_diagonal()
+        u0, s, vh = np.linalg.svd(a, full_matrices=False)
+        assert not u0[0].all()  # so _svd cannot read every sign off row 0
+        cols = np.arange(u0.shape[1])
+        sign = np.where(u0[np.argmax(u0 != 0.0, axis=0), cols] < 0.0, -1.0, 1.0)
+        f = linalg._svd(a.copy())
+        assert np.array_equal(f.u, u0 * sign) and np.array_equal(f.v, vh.T * sign)
+        assert np.array_equal(np.signbit(f.u), np.signbit(u0 * sign))
+        assert np.array_equal(f.sigma, s)
+        assert (f.u[np.argmax(f.u != 0.0, axis=0), cols] >= 0.0).all()
+
 
 class TestRankFactors:
     def test_cut_at_numerical_rank(self):
@@ -302,6 +314,36 @@ class TestHsOps:
             assert hs_norm(np.zeros((2, 3))) == 0.0
 
 
+def _layouts(a):
+    """a in C order, in Fortran order, transposed and as a strided view.
+
+    The strided view of its first row ravels to a strided vector, not a copy.
+    """
+    big = np.zeros((2 * a.shape[0], 3 * a.shape[1]))
+    big[::2, ::3] = a
+    return {"C": a, "F": np.asfortranarray(a), "T": a.T, "strided": big[::2, ::3],
+            "strided-row": big[:1, ::3]}
+
+
+class TestHsNormContract:
+    """hs_norm keeps numpy's bits in every layout and rescales silently."""
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 300])
+    def test_bit_equal_to_numpy(self, n):
+        a = rng(40 + n).standard_normal((n, n))
+        for layout, view in _layouts(a).items():
+            assert hs_norm(view) == float(np.linalg.norm(view)), layout
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_rescale_is_silent_and_unchanged(self, scale):
+        a = scale * np.ones((4, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = hs_norm(a)
+        top = float(np.max(np.abs(a)))
+        assert norm == top * float(np.linalg.norm(a / top))
+
+
 class TestRankDecisions:
     def test_rank_composition(self):
         s = rng(13).standard_normal((5, 2)) @ rng(14).standard_normal((2, 6))
@@ -348,8 +390,16 @@ def test_truncation_never_exceeds_rank_bound(a, r):
             r"Z must be a 2-D matrix, got shape \(3,\)",
         ),
         (lambda: psd_sqrt(np.ones((2, 3))), DomainError, r"needs a square matrix, got \(2, 3\)"),
+        (lambda: hs_norm(np.array([[1.0, np.nan]])), InputError, "non-finite"),
+        (lambda: hs_norm(np.array([[np.inf, -np.inf]])), InputError, "non-finite"),
+        (lambda: hs_norm(np.array([[np.nan, 1e200]])), InputError, "non-finite"),
+        (lambda: hs_norm(np.ones(3)), InputError, r"2-D matrix, got shape \(3,\)"),
+        (lambda: hs_norm(np.zeros((0, 3))), InputError, r"2-D matrix, got shape \(0, 3\)"),
     ],
-    ids=["as-matrix-1d", "psd-sqrt-non-square"],
+    ids=[
+        "as-matrix-1d", "psd-sqrt-non-square", "hs-norm-nan", "hs-norm-inf-minus-inf",
+        "hs-norm-nan-beside-1e200", "hs-norm-1d", "hs-norm-empty",
+    ],
 )
 def test_rejected_input(call, error, fragment):
     with pytest.raises(error, match=fragment):
