@@ -491,8 +491,9 @@ def check_seq(trials: int, seed: int) -> list[InvariantResult]:
         # the sweep's truncation mu_1 f1 f1^T has the kernel of mu_1 f1^T
         want = _ref_lower_bound(prob.c, inst.mu[0] * inst.f_basis[:, :1].T)[0]
         lower_bound.record(abs(sweep.lower_bounds[n] - want), check_bound(n, c_norm))
-        # the chain shares the library's factors of C with the bounded sequence
-        chain = sequences._nested_chain(solver._reduce(prob)[1].u, 3, seed + k)
+        # the chain is drawn from the problem's own C, so it lends the bounded
+        # sequence its factors of C
+        chain = sequences.nested_chain(prob.c, 3, seed + k)
         bounded = sequences.bounded_approximation_sequence(prob, chain)
         g_r = bounded.solution.truncation.matrix()
         for st in bounded.steps:

@@ -148,17 +148,30 @@ def cmd_demo_unbounded(args: argparse.Namespace) -> Result:
     )
 
 
-def _build_chain(spec: str, problem: solver.GlraProblem, seed: int) -> sequences.SubspaceChain:
-    # full_chain and nested_chain on the problem's own factors of C, which
-    # bounded_approximation_sequence reuses, so C is factorised once
-    if spec == "full":
-        return sequences.SubspaceChain(bases=(solver._reduce(problem)[1].u,))
-    if spec.startswith("auto:"):
+def _auto_steps(spec: str) -> int:
+    """The step count k >= 1 of a chain spec auto:<k>."""
+    try:
+        steps = int(spec.split(":", 1)[1])
+    except ValueError:
+        steps = 0
+    if steps < 1:
+        raise InputError(f"bad chain spec {spec!r}; expected auto:<steps> with steps >= 1")
+    return steps
+
+
+def _build_chain(args: argparse.Namespace, problem: solver.GlraProblem) -> sequences.SubspaceChain:
+    # full_chain and nested_chain drawn from the problem's own view of C,
+    # whose factors bounded_approximation_sequence then borrows, so C is
+    # factorised once
+    spec = args.chain
+    if spec == "full" or spec.startswith("auto:"):
+        steps = None if spec == "full" else _auto_steps(spec)
         try:
-            steps = int(spec.split(":", 1)[1])
-        except ValueError as exc:
-            raise InputError(f"bad chain spec {spec!r}; expected auto:<steps>") from exc
-        return sequences._nested_chain(solver._reduce(problem)[1].u, steps, seed)
+            if steps is None:
+                return sequences.full_chain(problem.c, problem.tol)
+            return sequences.nested_chain(problem.c, steps, args.seed, problem.tol)
+        except InputError as exc:  # the step count is valid, so C has rank 0
+            raise InputError(f"{args.C}: {exc}") from exc
     generators = read_matrix(spec)
     # the leading k columns of one QR span the first k generators
     q, _ = np.linalg.qr(generators)
@@ -173,7 +186,7 @@ def _nonincreasing(values: list[float], slack: float) -> bool:
 
 def cmd_outer_approx(args: argparse.Namespace) -> Result:
     problem = _load_problem(args)
-    chain = _build_chain(args.chain, problem, args.seed)
+    chain = _build_chain(args, problem)
     result = sequences.bounded_approximation_sequence(problem, chain)
     rows = []
     alt_tails = []

@@ -12,7 +12,7 @@ as divergence of probe norms under a stated law, never as a boolean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -128,9 +128,11 @@ class SequenceSpec:
 class SequenceInstance:
     """One truncated instance: its raw pieces, and the problem they define.
 
-    The problem (M = F diag(mu) F^T, B = I, C = diag(gamma)) is built and
-    validated on first read, so a caller that needs only the pieces, such
-    as a tied sweep step, forms no n x n product.
+    The target M = F diag(mu) F^T and the problem (M, B = I,
+    C = diag(gamma)) are each built and validated on first read, so a
+    caller that needs only the pieces, such as a tied sweep step, forms no
+    n x n product, and one that needs only M, such as an untied sweep
+    step, builds no problem.
     """
 
     spec: SequenceSpec
@@ -141,7 +143,8 @@ class SequenceInstance:
     mu: np.ndarray
 
     @cached_property
-    def problem(self) -> GlraProblem:
+    def m(self) -> np.ndarray:
+        """The symmetrised target M, read-only, as it is shared with ``problem``."""
         f = self.f_basis
         # a mu near the float range overflows M, which is reported as
         # NumericalError, so numpy prints no warning for it
@@ -149,8 +152,13 @@ class SequenceInstance:
             m = (f * self.mu) @ f.T
             m = (m + m.T) / 2.0
         _require_finite(M=m)
+        m.flags.writeable = False
+        return m
+
+    @cached_property
+    def problem(self) -> GlraProblem:
         n = self.spec.n
-        return GlraProblem(m=m, b=np.eye(n), c=np.diag(self.gamma), r=self.spec.r)
+        return GlraProblem(m=self.m, b=np.eye(n), c=np.diag(self.gamma), r=self.spec.r)
 
 
 def _complete_basis(cols: list[np.ndarray], n: int) -> np.ndarray:
@@ -222,12 +230,18 @@ class UnboundednessSweep:
 
 
 def _pinv_row(fc: SvdFactors, f: np.ndarray) -> np.ndarray:
-    """The row f^T C^+ = (f^T (V_C / S_C)) U_C^T, without forming C^+.
+    """The row f^T C^+ of a diagonal C, from the axis factors of _diagonal_factors.
 
-    V_C / S_C is C^+'s own left factor, so a diagonal C, whose singular
-    vectors are exact, gives the bits of f^T C^+.
+    Requires U_C = V_C = the leading k coordinate axes, so f^T C^+ is
+    f_j fl(1/sigma_j) for j <= k and zero beyond.  These are the bits of
+    (f^T (V_C / S_C)) U_C^T, whose sums start at +0 and add only zeros
+    besides that product, so a product -0 comes out +0; "+ 0.0" does the
+    same.
     """
-    return (f @ (fc.v / fc.sigma)) @ fc.u.T
+    row = np.zeros_like(f)
+    k = fc.sigma.size
+    row[:k] = f[:k] * (1.0 / fc.sigma) + 0.0
+    return row
 
 
 def _probe_rows(
@@ -300,8 +314,9 @@ def unboundedness_sweep(
                 )
             # B's factors are the identity and C's keep its leading axes, so
             # the core U_B^T M V_C is M's leading rank(C) columns: a view,
-            # truncated as G with the bits of solver._reduce on the problem
-            t = _truncate(_svd(inst.problem.m[:, : fc.sigma.size]), 1, (n, n), tol)
+            # truncated as G with the bits of solver._reduce on the problem,
+            # which is not built
+            t = _truncate(_svd(inst.m[:, : fc.sigma.size]), 1, (n, n), tol)
             x_hat = _minimiser(fb, fc, t.factors)[0]
             residual = hs_norm(x_hat - x_a)
             if residual > check_bound(n, hs_norm(x_hat)):
@@ -411,35 +426,80 @@ def approximate_minimizers(
 
 @dataclass(frozen=True, eq=False)
 class SubspaceChain:
-    """Nested orthonormal-column bases Y_1 subset Y_2 subset ... inside ran(C)."""
+    """Nested orthonormal-column bases Y_1 subset Y_2 subset ... inside ran(C).
+
+    A chain that full_chain or nested_chain drew from C also keeps, out of
+    its init arguments and repr, that C object, the tolerances and C's
+    rank-cut factors at them.  outer_inverse_chain and
+    bounded_approximation_sequence take C's factors from the chain when
+    they are handed that very object at equal tolerances (a problem's own
+    view ``p.c``, say), and factorise C themselves otherwise.  Like a
+    GlraProblem, such a chain relies on C not changing after it is built.
+    """
 
     bases: tuple[np.ndarray, ...]
+    # (C, tol, C's rank-cut factors at tol) of a drawn chain; see _lent_factors
+    _drawn_from: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.bases:
             raise InputError("a subspace chain needs at least one step")
 
 
+def _drawn_chain(c, tol: Tolerances, fc: SvdFactors, bases: tuple) -> SubspaceChain:
+    """The chain of the given bases, drawn from C, whose rank-cut factors at tol are fc.
+
+    A C of rank 0 holds no chain, which is an InputError: its one basis
+    would have no column.
+    """
+    if fc.sigma.size == 0:
+        raise InputError("C has rank 0, and ran(C) = {0} holds no chain")
+    chain = SubspaceChain(bases=bases)
+    object.__setattr__(chain, "_drawn_from", (c, tol, fc))
+    return chain
+
+
+def _lent_factors(chain: SubspaceChain, c, tol: Tolerances) -> SvdFactors | None:
+    """C's rank-cut factors at tol from the chain, or None.
+
+    They are lent only when the chain was drawn from this very C object
+    at equal tolerances: identity, not equal values, is what the rule that
+    C does not change after construction makes safe, and it costs no scan.
+    """
+    drawn = chain._drawn_from
+    if drawn is not None and drawn[0] is c and drawn[1] == tol:
+        return drawn[2]
+    return None
+
+
 def full_chain(c, tol: Tolerances = DEFAULT_TOL) -> SubspaceChain:
-    """The one-step chain spanning all of ran(C)."""
-    return SubspaceChain(bases=(rank_factors(c, tol).u,))
+    """The one-step chain spanning all of ran(C), U_C of C's rank-cut factors.
+
+    The chain keeps C and those factors (see SubspaceChain), so the
+    outer inverses along it do not factorise C again.  A C of rank 0
+    holds no chain, which is an InputError.
+    """
+    fc = rank_factors(c, tol)
+    return _drawn_chain(c, tol, fc, (fc.u,))
 
 
 def nested_chain(c, steps: int, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> SubspaceChain:
-    """A seeded random nested chain exhausting ran(C) in ``steps`` steps."""
-    return _nested_chain(rank_factors(c, tol).u, steps, seed)
+    """A seeded random nested chain exhausting ran(C) in ``steps`` steps.
 
-
-def _nested_chain(basis: np.ndarray, steps: int, seed: int) -> SubspaceChain:
-    """nested_chain from an orthonormal basis of ran(C), such as U_C of C's factors."""
+    U_C of C's rank-cut factors is mixed by the Q of a seeded Gaussian
+    square, and the steps are its leading columns.  The chain keeps C and
+    those factors, as full_chain's does.  A C of rank 0 holds no chain,
+    which is an InputError.
+    """
     if steps < 1:
         raise InputError("steps must be >= 1")
-    d = basis.shape[1]
+    fc = rank_factors(c, tol)
+    d = fc.sigma.size
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    mixed = basis @ q
+    mixed = fc.u @ q
     cuts = sorted(set(int(np.ceil(d * (k + 1) / steps)) for k in range(steps)))
-    return SubspaceChain(bases=tuple(mixed[:, :cut] for cut in cuts))
+    return _drawn_chain(c, tol, fc, tuple(mixed[:, :cut] for cut in cuts))
 
 
 def canonical_chain(c, counts: list[int]) -> SubspaceChain:
@@ -480,8 +540,13 @@ def outer_inverse_chain(
     projects onto X_n = span(C^T Y_n); once the chain spans ran(C) the
     outer inverse coincides with C^+.  C is factorised once, and each step
     is built from its rank-cut factors with no factorisation of its own.
+    A chain that full_chain or nested_chain drew from this very C object
+    at tol lends those factors, and C is not factorised at all.
     """
-    return _outer_inverse_chain(rank_factors(as_matrix(c, "C"), tol), chain)
+    fc = _lent_factors(chain, c, tol)
+    if fc is None:
+        fc = rank_factors(as_matrix(c, "C"), tol)
+    return _outer_inverse_chain(fc, chain)
 
 
 def _outer_inverse_chain(fc: SvdFactors, chain: SubspaceChain) -> list[OuterInverseStep]:
@@ -556,7 +621,14 @@ def bounded_approximation_sequence(p: GlraProblem, chain: SubspaceChain) -> Boun
     tail is ||(G)_r - (B L)(W_n C)||^2.  Neither x_hat C nor B X_n C is
     formed, so a representable X_n whose x_hat C would overflow is still
     found.
+
+    The steps are built from the factors of C in p's one reduction.  When
+    p is not yet reduced and the chain was drawn from p's own view ``p.c``
+    at ``p.tol`` (see SubspaceChain), the reduction takes them from the
+    chain, so C is factorised once; p's rule that its inputs do not change
+    after construction makes them C's factors.
     """
+    fc = _reduce(p, fc=_lent_factors(chain, p.c, p.tol))[1]
     sol = solve(p)
     g_r = sol.truncation.matrix()
     left, right = sol._factors
@@ -565,7 +637,7 @@ def bounded_approximation_sequence(p: GlraProblem, chain: SubspaceChain) -> Boun
     with np.errstate(over="ignore", invalid="ignore"):
         w = right.T @ p.c
     steps: list[BoundedApproxStep] = []
-    for outer in _outer_inverse_chain(_reduce(p)[1], chain):
+    for outer in _outer_inverse_chain(fc, chain):
         with np.errstate(over="ignore", invalid="ignore"):
             w_n = w @ outer.c_sharp
             x_n = left @ w_n

@@ -98,7 +98,7 @@ def test_approx_minimizer_bound_is_lambda_squared(monkeypatch):
 
 @pytest.fixture
 def rank_cut_one_short(monkeypatch):
-    """rank_factors, as checks and the solver call it, dropping its smallest kept triplet."""
+    """rank_factors, as checks, the solver and the chain builders call it, one triplet short."""
     real = linalg.rank_factors
 
     def one_short(a, tol=DEFAULT_TOL):
@@ -106,7 +106,7 @@ def rank_cut_one_short(monkeypatch):
         k = max(f.sigma.size - 1, 0)
         return SvdFactors(u=f.u[:, :k], sigma=f.sigma[:k], v=f.v[:, :k])
 
-    for module in (linalg, solver):
+    for module in (linalg, solver, sequences):
         monkeypatch.setattr(module, "rank_factors", one_short)
 
 
@@ -124,7 +124,7 @@ def test_rank_composition_sees_a_wrong_rank_cut(rank_cut_one_short):
 
 
 def test_exhaustive_step_sees_a_wrong_rank_cut(rank_cut_one_short):
-    # the solver's factors of C, one triplet short, give a chain whose last
+    # the library's factors of C, one triplet short, give a chain whose last
     # step misses a direction of ran(C) that the reference C^+ keeps
     results = {res.name: res for res in checks.check_seq(trials=25, seed=0)}
     assert results["exhaustive_outer_inverse_is_pinv"].failures == 25

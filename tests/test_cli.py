@@ -778,6 +778,45 @@ class TestOuterApprox:
         assert captured.out == ""
         assert "numerical failure: alternative_tail is not finite" in captured.err
 
+    @pytest.mark.parametrize("chain", ["full", "auto:1", "auto:3"])
+    def test_makes_three_svds(self, capsys, tmp_path, svd_calls, chain):
+        # C for the chain, then B and the core, three as for solve: the chain
+        # is drawn from the problem's own view of C and lends its factors
+        # to the bounded sequence
+        g = np.random.default_rng(13)
+        argv = ["outer-approx", "--rank", "2", "--chain", chain, "--no-timestamp"]
+        for name, shape in (("M", (6, 9)), ("B", (6, 4)), ("C", (5, 9))):
+            write_matrix(str(tmp_path / f"{name}.csv"), g.standard_normal(shape))
+            argv += [f"--{name}", str(tmp_path / f"{name}.csv")]
+        code, _ = run(capsys, argv + ["--out", str(tmp_path / "outer.csv")])
+        assert code == 0
+        assert [shape for shape, _, _ in svd_calls] == [(5, 9), (6, 4), (4, 5)]
+
+    @pytest.mark.parametrize("chain", ["full", "auto:3"])
+    def test_zero_c_names_the_c_file(self, capsys, tmp_path, chain):
+        g = np.random.default_rng(14)
+        mats = {
+            "M": g.standard_normal((4, 30)),
+            "B": g.standard_normal((4, 3)),
+            "C": np.zeros((5, 30)),
+        }
+        files = []
+        for name, mat in mats.items():
+            write_matrix(str(tmp_path / f"{name}.csv"), mat)
+            files += [f"--{name}", str(tmp_path / f"{name}.csv")]
+        common = files + ["--rank", "1", "--no-timestamp"]
+        # solve has an answer, x_hat = 0; a chain in ran(C) = {0} has no step
+        assert cli.main(["solve", *common, "--out", str(tmp_path / "x.csv")]) == 0
+        capsys.readouterr()
+        argv = ["outer-approx", *common, "--chain", chain, "--out", str(tmp_path / "o.csv")]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {tmp_path / 'C.csv'}: C has rank 0, and ran(C) = {{0}} holds no chain\n"
+        )
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestRegressCommand:
     def test_self_reconstruction(self, capsys, tmp_path):
@@ -1080,6 +1119,7 @@ class TestArgumentErrors:
             (["demo-unbounded", "--mu-tail-exp", "nan"], "mu_tail_exponent must be finite"),
             (["demo-unbounded", "--gamma-exp", "inf"], "gamma_exponent must be finite"),
             (["outer-approx", "--chain", "auto:x"], "bad chain spec 'auto:x'"),
+            (["outer-approx", "--chain", "auto:0"], "bad chain spec 'auto:0'"),
             (["demo-unbounded", "--rank-rel", "0"], "tolerance rank_rel must be strictly positive"),
             (["outer-approx", "--tie-rel", "0"], "tolerance tie_rel must be strictly positive"),
             # argparse's own pattern for negative numbers has no exponent
@@ -1096,6 +1136,7 @@ class TestArgumentErrors:
             "mu-tail-exp-nan",
             "gamma-exp-inf",
             "chain-steps-not-integer",
+            "chain-steps-zero",
             "rank-rel-zero",
             "tie-rel-zero",
             "rank-rel-negative-exponent",

@@ -103,6 +103,13 @@ class TestBuildInstance:
         inst = build_instance(diag_spec(n=6))
         np.testing.assert_allclose(inst.f_basis[:, 1], np.eye(6)[:, 0])
 
+    def test_target_is_read_only_and_shared_with_the_problem(self):
+        inst = build_instance(diag_spec(n=7))
+        m = inst.m
+        # M alone builds no problem; the problem's M is a view of it
+        assert not m.flags.writeable and "problem" not in vars(inst)
+        assert np.shares_memory(inst.problem.m, m) and inst.problem.m.tobytes() == m.tobytes()
+
     def test_target_spectrum(self):
         inst = build_instance(diag_spec(n=7, mu_head=(2.0, 1.0)))
         evals = np.sort(np.linalg.eigvalsh(inst.problem.m))[::-1]
@@ -776,11 +783,11 @@ class TestThinBases:
         unboundedness_sweep(diag_spec(mu_head=mu_head, n=20), [20], [5])
         assert len(svd_calls) == count
 
-    # the untied step builds the instance's problem, whose M it truncates
-    # for the cross-check; the tied step reads only the construction's
-    # pieces and builds none
-    @pytest.mark.parametrize("mu_head, count", [((1.0, 0.5), 1), ((1.0, 1.0), 0)])
-    def test_sweep_step_problem_count(self, monkeypatch, mu_head, count):
+    # the untied step truncates the instance's M for the cross-check and
+    # the tied step reads only the construction's pieces: neither builds a
+    # problem
+    @pytest.mark.parametrize("mu_head", [(1.0, 0.5), (1.0, 1.0)])
+    def test_sweep_step_problem_count(self, monkeypatch, mu_head):
         built = []
 
         class Counting(GlraProblem):
@@ -790,7 +797,7 @@ class TestThinBases:
 
         monkeypatch.setattr(sequences, "GlraProblem", Counting)
         unboundedness_sweep(diag_spec(mu_head=mu_head, n=20), [20], [5])
-        assert len(built) == count
+        assert built == []
 
     def test_rank_one_view_takes_no_other_factorisation(self, svd_calls, monkeypatch):
         # k' = 1: the SVDs of Z and of the sines, then no LAPACK call at all
@@ -834,9 +841,9 @@ class TestThinBases:
         chain = nested_chain(p.c, 5, seed=4)
         res = bounded_approximation_sequence(p, chain)
         assert len(res.steps) == 5
-        # C once for the chain and once for the solve, B and the core; the
-        # steps are built from C's factors with no SVD of their own
-        assert len(svd_calls) == 4
+        # C once for the chain, which lends its factors to the solve, B and
+        # the core; the steps are built from C's factors with no SVD of their own
+        assert len(svd_calls) == 3
 
     def test_no_dense_projectors(self, no_projectors):
         p = self.problem()
@@ -939,6 +946,131 @@ class TestKnownFactors:
         assert [row.norm for row in sweep.rows] == want
 
 
+def _reference_nested_bases(basis, steps, seed):
+    """nested_chain's bases from an orthonormal basis of ran(C), written out."""
+    d = basis.shape[1]
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    mixed = basis @ q
+    cuts = sorted(set(int(np.ceil(d * (k + 1) / steps)) for k in range(steps)))
+    return tuple(mixed[:, :cut] for cut in cuts)
+
+
+def _bounded_bits(res):
+    """Every array and number of a bounded sequence, as uint64 words."""
+    arrays = [res.solution.x_hat, np.float64(res.solution.objective)]
+    for st in res.steps:
+        o = st.outer
+        arrays += [st.x, np.float64(st.tail_error), o.c_sharp, o.y_basis, o.x_basis]
+    return [np.ascontiguousarray(a).reshape(-1).view(np.uint64).tolist() for a in arrays]
+
+
+class TestChainLendsFactors:
+    """A chain drawn from p.c at p.tol lends C's factors; any other is used as before."""
+
+    # C (9 x 12) of rank 6 whose sixth singular value, 1e-10 of the first,
+    # is kept at the default rank_rel 1e-12 (cutoff 1.2e-11) and cut at
+    # rank_rel 1e-10 (cutoff 1.2e-9)
+    LOOSE = Tolerances(rank_rel=1e-10)
+
+    @staticmethod
+    def arrays():
+        g = np.random.default_rng(31)
+        u, _ = np.linalg.qr(g.standard_normal((9, 6)))
+        v, _ = np.linalg.qr(g.standard_normal((12, 6)))
+        c = (u * np.array([1.0, 0.7, 0.4, 0.2, 0.1, 1e-10])) @ v.T
+        return g.standard_normal((8, 12)), g.standard_normal((8, 5)), c
+
+    def unlent_route(self, bases_of):
+        """bounded_approximation_sequence after _reduce(p), along a plain chain of its U_C."""
+        m, b, c = self.arrays()
+        p = GlraProblem(m=m, b=b, c=c, r=2)
+        fc = _reduce(p)[1]
+        return bounded_approximation_sequence(p, SubspaceChain(bases=bases_of(fc.u)))
+
+    @pytest.mark.parametrize("steps", [None, 1, 4])
+    def test_chain_of_p_c_lends_its_factors(self, svd_calls, steps):
+        m, b, c = self.arrays()
+        p = GlraProblem(m=m, b=b, c=c, r=2)
+        chain = full_chain(p.c) if steps is None else nested_chain(p.c, steps, seed=2)
+        res = bounded_approximation_sequence(p, chain)
+        # C for the chain, then B and the core: C is not factorised again
+        assert [shape for shape, _, _ in svd_calls] == [(9, 12), (8, 5), (5, 6)]
+        assert p._reduction[1] is chain._drawn_from[2]
+        want = self.unlent_route(
+            (lambda u: (u,)) if steps is None else (lambda u: _reference_nested_bases(u, steps, 2))
+        )
+        assert _bounded_bits(res) == _bounded_bits(want)
+
+    @pytest.mark.parametrize("case", ["other-tol", "equal-copy", "array-not-view"])
+    def test_other_chains_factorise_c_afresh(self, svd_calls, case):
+        m, b, c = self.arrays()
+        p = GlraProblem(m=m, b=b, c=c, r=2)
+        if case == "other-tol":
+            # the chain's factors keep five axes, p's tolerances six
+            chain = nested_chain(p.c, 3, seed=5, tol=self.LOOSE)
+            assert chain.bases[-1].shape[1] == 5
+        else:
+            chain = nested_chain(p.c.copy() if case == "equal-copy" else c, 3, seed=5)
+        res = bounded_approximation_sequence(p, chain)
+        assert [shape for shape, _, _ in svd_calls] == [(9, 12), (8, 5), (9, 12), (5, 6)]
+        assert p._reduction[1].sigma.size == 6
+        assert _bounded_bits(res) == _bounded_bits(self.unlent_route(lambda u: chain.bases))
+
+    def test_solved_problem_keeps_its_reduction(self, svd_calls):
+        m, b, c = self.arrays()
+        p = GlraProblem(m=m, b=b, c=c, r=2)
+        solve(p)
+        reduction = p._reduction
+        svd_calls.clear()
+        chain = nested_chain(p.c, 3, seed=5)
+        res = bounded_approximation_sequence(p, chain)
+        # only the chain's SVD of C; the steps use the stored factors
+        assert [shape for shape, _, _ in svd_calls] == [(9, 12)]
+        assert p._reduction is reduction and reduction[1] is not chain._drawn_from[2]
+        assert _bounded_bits(res) == _bounded_bits(self.unlent_route(lambda u: chain.bases))
+
+    def test_outer_inverse_chain_borrows_under_the_same_rule(self, svd_calls):
+        _, _, c = self.arrays()
+        chain = nested_chain(c, 4, seed=1)
+        lent = outer_inverse_chain(c, chain)
+        assert len(svd_calls) == 1
+        # a plain chain of the same bases, a copy of C and a chain drawn at
+        # another tol (one SVD of its own) make C factorised again
+        plain = outer_inverse_chain(c, SubspaceChain(bases=chain.bases))
+        outer_inverse_chain(c.copy(), chain)
+        outer_inverse_chain(c, nested_chain(c, 4, seed=1, tol=self.LOOSE))
+        assert len(svd_calls) == 5
+        for a, b in zip(lent, plain):
+            for x, y in ((a.c_sharp, b.c_sharp), (a.x_basis, b.x_basis)):
+                assert x.tobytes() == y.tobytes()
+
+    def test_record_is_private(self):
+        chain = full_chain(np.eye(3))
+        assert "_drawn_from" not in repr(chain)
+        with pytest.raises(TypeError):
+            SubspaceChain(bases=chain.bases, _drawn_from=chain._drawn_from)
+        assert SubspaceChain(bases=chain.bases)._drawn_from is None
+        assert canonical_chain(np.eye(3), [1, 3])._drawn_from is None
+
+
+class TestPinvRow:
+    """The sweep's rows f^T C^+ keep the bits of (f^T (V_C / S_C)) U_C^T."""
+
+    @pytest.mark.parametrize(
+        "tol", [DEFAULT_TOL, Tolerances(rank_rel=1e-14)], ids=["default", "rank_rel_1e-14"]
+    )
+    @pytest.mark.parametrize("gamma_exp", [1.5, 2.0, 3.0, 4.0, 8.0])
+    def test_equals_the_matrix_products(self, gamma_exp, tol):
+        for n in (3, 5, 10, 20, 50, 100, 200, 400, 600):
+            inst = build_instance(diag_spec(gamma_exponent=gamma_exp, alpha_exponent=0.5, n=n))
+            fc = _diagonal_factors(inst.gamma, tol)
+            f1, f2 = inst.f_basis[:, 0], inst.f_basis[:, 1]
+            for f in (f1, f2, -f1):
+                got = sequences._pinv_row(fc, f)
+                want = (f @ (fc.v / fc.sigma)) @ fc.u.T
+                assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 E1, E2 = np.eye(3)[:, :1], np.eye(3)[:, 1:2]
 
 
@@ -977,6 +1109,8 @@ class TestInputErrors:
                 "chain step 2 does not contain step 1",
             ),
             (lambda: nested_chain(np.eye(3), steps=0), "steps must be >= 1"),
+            (lambda: full_chain(np.zeros((30, 20))), r"C has rank 0, and ran\(C\) = \{0\}"),
+            (lambda: nested_chain(np.zeros((30, 20)), 3), r"C has rank 0, and ran\(C\) = \{0\}"),
             (lambda: canonical_chain(np.eye(3), [1, 4]), r"chain size 4 out of range 1\.\.3"),
             (lambda: canonical_chain(np.eye(3), [0]), r"chain size 0 out of range 1\.\.3"),
         ],
@@ -991,6 +1125,8 @@ class TestInputErrors:
             "step-not-orthonormal",
             "step-not-nested",
             "nested-chain-no-steps",
+            "full-chain-zero-c",
+            "nested-chain-zero-c",
             "canonical-count-above",
             "canonical-count-zero",
         ],

@@ -895,3 +895,11 @@ def test_sequences_cuts_only_its_operands():
         "lower_bound_constant",
         "_lower_bound",
     }
+
+
+def test_front_ends_leave_the_reduction_to_the_library():
+    # cli and checks draw their chains with full_chain and nested_chain,
+    # which lend C's factors to the bounded sequence themselves
+    for name in ("cli.py", "checks.py"):
+        tree = ast.parse((Path(glra.__file__).parent / name).read_text())
+        assert "_reduce" not in {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
