@@ -28,7 +28,6 @@ from .regression import (
     SampleSet,
     empirical_covariances,
     fit,
-    load_model,
     maximal_kernel_check,
     mse_monte_carlo,
     mse_trace,
@@ -41,7 +40,6 @@ from .sequences import (
     approximate_minimizers,
     bounded_approximation_sequence,
     build_instance,
-    canonical_chain,
     full_chain,
     lower_bound_constant,
     nested_chain,

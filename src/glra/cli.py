@@ -89,7 +89,7 @@ def cmd_solve(args: argparse.Namespace) -> Result:
     return (
         {"M": args.M, "B": args.B, "C": args.C, "rank": args.rank, "adjoint": bool(args.adjoint)},
         {"x_hat": args.out, "objective": sol.objective, "delta": sol.delta},
-        {"uniqueness": sol.uniqueness.value, "minimality_defect": sol.minimality_defect},
+        {"uniqueness": sol.uniqueness.value},
         EXIT_OK,
     )
 
@@ -273,7 +273,6 @@ def cmd_regress(args: argparse.Namespace) -> Result:
         outputs["model"] = args.model_out
     diagnostics = {
         "uniqueness": model.fit_report.uniqueness.value,
-        "minimality_defect": model.fit_report.minimality_defect,
         "containment_residual": model.fit_report.containment_residual,
     }
     if weights is None:

@@ -142,9 +142,27 @@ class TruncatedSvd:
         return min(self.numerical_rank, int(self.factors.sigma.size))
 
 
+def _real_array(a, name: str) -> np.ndarray:
+    """a as a float64 array, or InputError naming it.
+
+    A float64 ndarray is returned as it is, with no copy.  Complex entries
+    are refused, not cast to their real parts, and so is anything numpy
+    cannot read as real numbers (strings, ragged nestings).
+    """
+    if type(a) is np.ndarray and a.dtype is _FLOAT:
+        return a
+    try:
+        arr = np.asarray(a)
+        if arr.dtype.kind == "c":
+            raise TypeError("complex entries are not supported")
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} is not a real numeric array: {exc}") from exc
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float array, raising InputError otherwise."""
-    arr = np.asarray(a, dtype=float)
+    arr = _real_array(a, name)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise InputError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():

@@ -16,9 +16,10 @@ identity-weight case.  A model keeps the ``Tolerances`` it was fitted
 with, and the maximal-kernel check cuts ker(C_y) with them, so it sees
 the rank the fit used.  Evaluating a model on data (``mse_trace``,
 ``mse_monte_carlo``, ``maximal_kernel_check``) first checks its
-dimensions against the data's, as one InputError naming both shapes;
-a loaded weighted model is checked the same way against its own weights.
+dimensions against the data's, as one InputError naming both shapes.
 A covariance that overflows float64 is a NumericalError naming it.
+``save_model`` writes a model as a JSON document (``model_to_dict``);
+nothing in glra reads one back.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .linalg import (
     _diagonal_factors,
     _pinv,
     _psd_factors,
+    _real_array,
     _require_finite,
     as_matrix,
     check_bound,
@@ -53,9 +55,7 @@ __all__ = [
     "SampleSet",
     "empirical_covariances",
     "fit",
-    "load_model",
     "maximal_kernel_check",
-    "model_from_dict",
     "model_to_dict",
     "mse_monte_carlo",
     "mse_trace",
@@ -122,7 +122,6 @@ def empirical_covariances(samples: SampleSet) -> CovarianceBundle:
 @dataclass(frozen=True)
 class FitReport:
     objective_mse: float
-    minimality_defect: float
     uniqueness: Uniqueness
     containment_residual: float
 
@@ -134,8 +133,7 @@ class RrrModel:
     ``weights`` is None for the identity-weight fit, else the (W_x, W_A,
     W_y) triple used; in the weighted case A_hat maps the W_y input space
     into the W_A input space.  ``tol`` holds the tolerances of the fit;
-    the model document does not store them, so a loaded model has the
-    default ones.
+    the model document does not store them.
     """
 
     a_hat: np.ndarray
@@ -207,8 +205,6 @@ def fit(
     containment = hs_norm(u_r - fb.u @ (fb.u.T @ u_r)) if u_r.size else 0.0
     report = FitReport(
         objective_mse=_mse_from_traces(a_hat, cov, w_x, w_a, w_y),
-        # the defect of A_hat^T for the transposed problem is A_hat's own
-        minimality_defect=sol.minimality_defect,
         uniqueness=sol.uniqueness,
         containment_residual=containment,
     )
@@ -217,7 +213,7 @@ def fit(
 
 def predict(model: RrrModel, y) -> np.ndarray:
     """Reconstruct x as A_hat y; weights enter the fit, not prediction."""
-    vec = np.asarray(y, dtype=float)
+    vec = _real_array(y, "y")
     if vec.ndim != 1 or vec.shape[0] != model.a_hat.shape[1]:
         raise InputError(
             f"y must be a vector of length {model.a_hat.shape[1]}"
@@ -342,7 +338,6 @@ def model_to_dict(model: RrrModel) -> dict:
         "A_hat": [float(v) for v in model.a_hat.ravel()],
         "fit_report": {
             "objective_mse": model.fit_report.objective_mse,
-            "minimality_defect": model.fit_report.minimality_defect,
             "uniqueness": model.fit_report.uniqueness.value,
             "containment_residual": model.fit_report.containment_residual,
         },
@@ -355,47 +350,6 @@ def model_to_dict(model: RrrModel) -> dict:
     return doc
 
 
-def model_from_dict(doc: dict) -> RrrModel:
-    """The model a document describes; a weighted model's shapes are checked.
-
-    W_A A_hat W_y must be defined for x and y of W_x's and W_y's column
-    counts, as predict and the MSEs need.  A document that fails this
-    check, or lacks or garbles an entry, raises InputError "malformed
-    model document: ...", and so does a document that is not a JSON object.
-    """
-    if not isinstance(doc, dict):
-        raise InputError(
-            f"malformed model document: expected an object, got {type(doc).__name__}"
-        )
-    if doc.get("schema") != "glra/1":
-        raise InputError(f"unsupported model schema: {doc.get('schema')!r}")
-    try:
-        dims = doc["dims"]
-        a_hat = np.array(doc["A_hat"], dtype=float).reshape(dims["rows"], dims["cols"])
-        weights = None
-        if "weights" in doc:
-            mats = []
-            for name in ("W_x", "W_A", "W_y"):
-                wd = doc["weights"][name]
-                mats.append(
-                    np.array(wd["entries"], dtype=float).reshape(wd["rows"], wd["cols"])
-                )
-            weights = tuple(mats)
-        rep = doc["fit_report"]
-        report = FitReport(
-            objective_mse=float(rep["objective_mse"]),
-            minimality_defect=float(rep["minimality_defect"]),
-            uniqueness=Uniqueness(rep["uniqueness"]),
-            containment_residual=float(rep["containment_residual"]),
-        )
-        model = RrrModel(a_hat=a_hat, r=int(doc["r"]), weights=weights, fit_report=report)
-        if weights is not None:
-            _model_weights(model, (weights[0].shape[1], weights[2].shape[1]))
-        return model
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed model document: {exc}") from exc
-
-
 def save_model(path: str, model: RrrModel) -> None:
     try:
         with open(path, "w", encoding="ascii") as fh:
@@ -403,12 +357,3 @@ def save_model(path: str, model: RrrModel) -> None:
             fh.write("\n")
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
-
-
-def load_model(path: str) -> RrrModel:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    return model_from_dict(doc)

@@ -61,7 +61,6 @@ __all__ = [
     "approximate_minimizers",
     "bounded_approximation_sequence",
     "build_instance",
-    "canonical_chain",
     "full_chain",
     "lower_bound_constant",
     "nested_chain",
@@ -500,22 +499,6 @@ def nested_chain(c, steps: int, seed: int = 0, tol: Tolerances = DEFAULT_TOL) ->
     mixed = fc.u @ q
     cuts = sorted(set(int(np.ceil(d * (k + 1) / steps)) for k in range(steps)))
     return _drawn_chain(c, tol, fc, tuple(mixed[:, :cut] for cut in cuts))
-
-
-def canonical_chain(c, counts: list[int]) -> SubspaceChain:
-    """Chain of spans of leading canonical basis vectors (diagonal-C instances).
-
-    Only C's row count is read: the chain is checked against C where it
-    is used (outer_inverse_chain, bounded_approximation_sequence).
-    """
-    n_rows = as_matrix(c, "C").shape[0]
-    eye = np.eye(n_rows)
-    bases = []
-    for k in counts:
-        if not 1 <= k <= n_rows:
-            raise InputError(f"chain size {k} out of range 1..{n_rows}")
-        bases.append(eye[:, :k].copy())
-    return SubspaceChain(bases=tuple(bases))
 
 
 @dataclass(frozen=True, eq=False)

@@ -65,7 +65,6 @@ __all__ = [
     "GlraProblem",
     "GlraSolution",
     "OptimalError",
-    "adjoint_problem",
     "canonicalize",
     "minimality_defect",
     "objective",
@@ -125,6 +124,9 @@ class GlraProblem:
 class GlraSolution:
     """A solved problem: the minimiser, its image, and diagnostics.
 
+    x_hat satisfies the minimality property by construction (its factors
+    lie in span V_B and span U_C), so the solution reports no defect of
+    it; ``minimality_defect(x, p)`` measures that of any other candidate.
     ``truncation`` is the chosen rank-r truncation (G)_r of the projected
     matrix G in full coordinates; its matrix is the image ``B x_hat C``
     and ``objective**2 + delta`` recovers ``||M||_HS**2``.  ``_factors``
@@ -137,7 +139,6 @@ class GlraSolution:
     objective: float
     delta: float
     uniqueness: Uniqueness
-    minimality_defect: float
     truncation: TruncatedSvd
     _factors: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
@@ -213,24 +214,19 @@ def solve(p: GlraProblem) -> GlraSolution:
     """Closed-form minimiser of ||M - B X C||_HS over rank(X) <= r.
 
     When the truncation is not unique the deterministic canonical one is
-    used and the solution is flagged ``NON_UNIQUE``.  The minimality
-    defect ||x_hat - P_ker(B)-perp x_hat P_ran(C)|| is taken at x_hat's
-    rank: with x_hat = L R^T, the projected matrix is
-    (V_B V_B^T L)(U_C U_C^T R)^T, so no p x q product beyond x_hat's own
-    is formed.  The objective is taken at that rank too, as
-    ||M - (B L)(R^T C)||, and L and R stay on the solution.
+    used and the solution is flagged ``NON_UNIQUE``.  With x_hat = L R^T,
+    the objective is taken at x_hat's rank, as ||M - (B L)(R^T C)||, and
+    L and R stay on the solution.
     """
     fb, fc, _, t = _reduce(p)
     x_hat, left, right = _minimiser(fb, fc, t.factors)
     delta = _delta(t)
     _require_finite(delta=delta)
-    minimal = (fb.v @ (fb.v.T @ left)) @ (fc.u @ (fc.u.T @ right)).T
     return GlraSolution(
         x_hat=x_hat,
         objective=_residual_norm(p.m, p.b, left, right.T, p.c),
         delta=delta,
         uniqueness=t.uniqueness,
-        minimality_defect=hs_norm(x_hat - minimal),
         truncation=_lift(fb, fc, t),
         _factors=(left, right),
     )
@@ -367,20 +363,13 @@ def optimal_error(p: GlraProblem) -> OptimalError:
     return OptimalError(error=error, delta=delta, delta_variants=(v1, v2, v3))
 
 
-def adjoint_problem(p: GlraProblem) -> GlraProblem:
-    """The transposed problem min ||M^T - C^T X B^T|| with B and C swapped.
-
-    It is a new problem, with p's tolerances, and factorises its own operands.
-    """
-    return GlraProblem(m=p.m.T, b=p.c.T, c=p.b.T, r=p.r, tol=p.tol)
-
-
 def solve_adjoint(p: GlraProblem) -> GlraSolution:
-    """Solve the adjoint problem; its objective equals the primal one.
+    """Solve the adjoint problem min ||M^T - C^T X B^T||; its objective equals the primal one.
 
     The returned minimiser X (shape q x p) satisfies the transposed
-    minimality property P_ran(C) X P_ker(B)-perp = X.  C^T and B^T are
-    factorised afresh, not taken from p's factors, so the objective is an
+    minimality property P_ran(C) X P_ker(B)-perp = X.  The transposed
+    problem is a new one, with p's tolerances: C^T and B^T are factorised
+    afresh, not taken from p's factors, so the objective is an
     independent recomputation of the primal one.
     """
-    return solve(adjoint_problem(p))
+    return solve(GlraProblem(m=p.m.T, b=p.c.T, c=p.b.T, r=p.r, tol=p.tol))

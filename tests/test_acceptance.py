@@ -23,10 +23,10 @@ from glra.regression import (
 )
 from glra.sequences import (
     SequenceSpec,
+    SubspaceChain,
     approximate_minimizers,
     bounded_approximation_sequence,
     build_instance,
-    canonical_chain,
     outer_inverse_chain,
     unboundedness_sweep,
 )
@@ -178,7 +178,7 @@ def test_06_outer_inverse_convergence():
         gamma_exponent=2.0, alpha_exponent=1.0, mu_head=(2.0, 1.0), n=50, r=1
     )
     inst = build_instance(spec)
-    chain = canonical_chain(inst.problem.c, list(range(1, 51)))
+    chain = SubspaceChain(bases=tuple(np.eye(50)[:, :k] for k in range(1, 51)))
     outer = outer_inverse_chain(inst.problem.c, chain)
     worst_outer = max(
         hs_norm(st.c_sharp @ inst.problem.c @ st.c_sharp - st.c_sharp) for st in outer

@@ -389,6 +389,26 @@ def test_truncation_never_exceeds_rank_bound(a, r):
             InputError,
             r"Z must be a 2-D matrix, got shape \(3,\)",
         ),
+        (
+            lambda: linalg.as_matrix((1 + 1j) * np.eye(2), "Z"),
+            InputError,
+            "Z is not a real numeric array: complex entries are not supported",
+        ),
+        (
+            lambda: linalg.as_matrix([[1 + 1j]], "Z"),
+            InputError,
+            "Z is not a real numeric array: complex entries are not supported",
+        ),
+        (
+            lambda: linalg.as_matrix([["a"]], "Z"),
+            InputError,
+            "Z is not a real numeric array: could not convert string to float",
+        ),
+        (
+            lambda: linalg.as_matrix([[1, 2], [3]], "Z"),
+            InputError,
+            "Z is not a real numeric array: .*inhomogeneous",
+        ),
         (lambda: psd_sqrt(np.ones((2, 3))), DomainError, r"needs a square matrix, got \(2, 3\)"),
         (lambda: hs_norm(np.array([[1.0, np.nan]])), InputError, "non-finite"),
         (lambda: hs_norm(np.array([[np.inf, -np.inf]])), InputError, "non-finite"),
@@ -397,13 +417,24 @@ def test_truncation_never_exceeds_rank_bound(a, r):
         (lambda: hs_norm(np.zeros((0, 3))), InputError, r"2-D matrix, got shape \(0, 3\)"),
     ],
     ids=[
-        "as-matrix-1d", "psd-sqrt-non-square", "hs-norm-nan", "hs-norm-inf-minus-inf",
+        "as-matrix-1d", "as-matrix-complex-array", "as-matrix-complex-list",
+        "as-matrix-string", "as-matrix-ragged", "psd-sqrt-non-square", "hs-norm-nan", "hs-norm-inf-minus-inf",
         "hs-norm-nan-beside-1e200", "hs-norm-1d", "hs-norm-empty",
     ],
 )
 def test_rejected_input(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()
+
+
+def test_as_matrix_takes_a_float_array_as_it_is():
+    # a float64 ndarray is not copied; other real input is converted to float64
+    a = np.eye(3)
+    assert linalg.as_matrix(a) is a
+    for other in (np.eye(3, dtype=np.float32), np.eye(3, dtype=int), [[1, 0], [0, 1]]):
+        converted = linalg.as_matrix(other)
+        assert converted.dtype == np.float64
+        assert np.array_equal(converted, np.asarray(other, dtype=float))
 
 
 def test_tolerances_are_read_by_the_two_rules_only():

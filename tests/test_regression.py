@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -21,9 +22,7 @@ from glra.regression import (
     SampleSet,
     empirical_covariances,
     fit,
-    load_model,
     maximal_kernel_check,
-    model_from_dict,
     model_to_dict,
     mse_monte_carlo,
     mse_trace,
@@ -31,6 +30,7 @@ from glra.regression import (
     save_model,
 )
 from glra import regression
+from glra.solver import minimality_defect
 
 ATOL = 1e-10
 
@@ -117,7 +117,9 @@ class TestFit:
         )
         direct = pinv(w_a) @ (pinv(b_op) @ identity_truncation(target, r).matrix()).T
         np.testing.assert_allclose(model.a_hat, direct, atol=1e-10)
-        assert model.fit_report.minimality_defect < ATOL
+        # A_hat^T is minimal for the transposed problem the fit solves
+        prob, _ = regression._transposed_problem(cov, r, w_x, w_a, w_y, DEFAULT_TOL)
+        assert minimality_defect(model.a_hat.T, prob) < ATOL
         assert model.fit_report.containment_residual < ATOL
 
     def test_fit_beats_rank_constrained_oracle(self):
@@ -367,11 +369,13 @@ class TestPersistence:
         model = fit(cov, r=2)
         path = tmp_path / "model.json"
         save_model(str(path), model)
-        loaded = load_model(str(path))
-        assert np.array_equal(loaded.a_hat, model.a_hat)
-        assert loaded.r == model.r
-        assert loaded.fit_report.uniqueness is model.fit_report.uniqueness
-        assert loaded.fit_report.objective_mse == model.fit_report.objective_mse
+        with open(path, encoding="ascii") as fh:
+            doc = json.load(fh)
+        a_hat = np.array(doc["A_hat"]).reshape(doc["dims"]["rows"], doc["dims"]["cols"])
+        assert np.array_equal(a_hat, model.a_hat)
+        assert doc["r"] == model.r
+        assert doc["fit_report"]["uniqueness"] == model.fit_report.uniqueness.value
+        assert doc["fit_report"]["objective_mse"] == model.fit_report.objective_mse
 
     def test_weighted_round_trip(self, tmp_path):
         cov = empirical_covariances(gaussian_samples(29, dim_f=3, dim_g=3))
@@ -380,13 +384,10 @@ class TestPersistence:
         )
         model = fit(cov, r=1, weights=weights)
         doc = model_to_dict(model)
-        loaded = model_from_dict(doc)
-        for orig, back in zip(model.weights, loaded.weights):
+        for orig, name in zip(model.weights, ("W_x", "W_A", "W_y")):
+            entry = doc["weights"][name]
+            back = np.array(entry["entries"]).reshape(entry["rows"], entry["cols"])
             assert np.array_equal(orig, back)
-
-    def test_rejects_bad_schema(self):
-        with pytest.raises(InputError):
-            model_from_dict({"schema": "other/9"})
 
 
 def small_cov():
@@ -418,10 +419,16 @@ class TestInputErrors:
                 "y contains non-finite entries",
             ),
             (
-                lambda: model_from_dict(
-                    {k: v for k, v in model_to_dict(fit(small_cov(), 1)).items() if k != "r"}
-                ),
-                "malformed model document: 'r'",
+                lambda: predict(fit(small_cov(), 1), np.array([1j, 0, 0, 0, 0])),
+                "y is not a real numeric array: complex entries",
+            ),
+            (
+                lambda: predict(fit(small_cov(), 1), ["a", "0", "0", "0", "0"]),
+                "y is not a real numeric array",
+            ),
+            (
+                lambda: predict(fit(small_cov(), 1), [[1.0], 0, 0, 0, 0]),
+                "y is not a real numeric array",
             ),
             (
                 lambda: mse_trace(
@@ -436,7 +443,7 @@ class TestInputErrors:
                 r"model expects dimensions \(4, 5\), data have \(3, 5\)",
             ),
             (
-                # a model document may carry an A_hat that W_A A_hat W_y cannot hold
+                # a model may carry an A_hat that W_A A_hat W_y cannot hold
                 lambda: mse_monte_carlo(
                     replace(
                         fit(small_cov(), 1, weights=(np.eye(4), np.eye(4), np.eye(5))),
@@ -446,33 +453,6 @@ class TestInputErrors:
                 ),
                 r"model expects dimensions \(4, 2\), data have \(4, 5\)",
             ),
-            (
-                # W_A A_hat W_y is undefined, so predict would use an A_hat
-                # that the document's weights cannot hold
-                lambda: model_from_dict(
-                    model_to_dict(
-                        replace(
-                            fit(small_cov(), 1),
-                            a_hat=np.zeros((4, 2)),
-                            weights=(np.ones((4, 5)), np.eye(4), np.eye(6)),
-                        )
-                    )
-                ),
-                r"malformed model document: model expects dimensions \(4, 2\), "
-                r"data have \(4, 6\)",
-            ),
-            (
-                lambda: model_from_dict([]),
-                "malformed model document: expected an object, got list",
-            ),
-            (
-                lambda: model_from_dict("x"),
-                "malformed model document: expected an object, got str",
-            ),
-            (
-                lambda: model_from_dict(3),
-                "malformed model document: expected an object, got int",
-            ),
         ],
         ids=[
             "c-x-not-square",
@@ -480,20 +460,14 @@ class TestInputErrors:
             "w-y-columns",
             "w-a-rows",
             "predict-non-finite",
-            "model-missing-key",
+            "predict-complex",
+            "predict-string",
+            "predict-ragged",
             "mse-trace-dimensions",
             "kernel-check-dimensions",
             "monte-carlo-a-hat-shape",
-            "model-document-a-hat-shape",
-            "model-document-list",
-            "model-document-string",
-            "model-document-number",
         ],
     )
     def test_rejected(self, call, fragment):
         with pytest.raises(InputError, match=fragment):
             call()
-
-    def test_load_missing_model_names_path(self, tmp_path):
-        with pytest.raises(InputError, match="absent.json"):
-            load_model(str(tmp_path / "absent.json"))

@@ -24,7 +24,6 @@ from glra.sequences import (
     approximate_minimizers,
     bounded_approximation_sequence,
     build_instance,
-    canonical_chain,
     full_chain,
     lower_bound_constant,
     nested_chain,
@@ -327,7 +326,7 @@ class TestOuterInverseChain:
 
     def test_diagonal_fixture(self):
         c = np.diag([1.0, 0.5, 1.0 / 3.0])
-        steps = outer_inverse_chain(c, canonical_chain(c, [1, 2]))
+        steps = outer_inverse_chain(c, SubspaceChain(bases=(np.eye(3)[:, :1], np.eye(3)[:, :2])))
         np.testing.assert_allclose(steps[0].c_sharp, np.diag([1.0, 0.0, 0.0]), atol=ATOL)
         np.testing.assert_allclose(steps[1].c_sharp, np.diag([1.0, 2.0, 0.0]), atol=ATOL)
 
@@ -452,7 +451,7 @@ class TestBoundedApproximation:
 
     def test_diagonal_instance_tail_decreases_to_zero(self):
         inst = build_instance(diag_spec(n=50, mu_head=(2.0, 1.0)))
-        chain = canonical_chain(inst.problem.c, list(range(1, 51)))
+        chain = SubspaceChain(bases=tuple(np.eye(50)[:, :k] for k in range(1, 51)))
         res = bounded_approximation_sequence(inst.problem, chain)
         tails = [s.tail_error for s in res.steps]
         assert all(tails[i + 1] <= tails[i] + ATOL for i in range(len(tails) - 1))
@@ -1050,7 +1049,7 @@ class TestChainLendsFactors:
         with pytest.raises(TypeError):
             SubspaceChain(bases=chain.bases, _drawn_from=chain._drawn_from)
         assert SubspaceChain(bases=chain.bases)._drawn_from is None
-        assert canonical_chain(np.eye(3), [1, 3])._drawn_from is None
+        assert SubspaceChain(bases=(np.eye(3)[:, :1], np.eye(3)))._drawn_from is None
 
 
 class TestPinvRow:
@@ -1111,8 +1110,6 @@ class TestInputErrors:
             (lambda: nested_chain(np.eye(3), steps=0), "steps must be >= 1"),
             (lambda: full_chain(np.zeros((30, 20))), r"C has rank 0, and ran\(C\) = \{0\}"),
             (lambda: nested_chain(np.zeros((30, 20)), 3), r"C has rank 0, and ran\(C\) = \{0\}"),
-            (lambda: canonical_chain(np.eye(3), [1, 4]), r"chain size 4 out of range 1\.\.3"),
-            (lambda: canonical_chain(np.eye(3), [0]), r"chain size 0 out of range 1\.\.3"),
         ],
         ids=[
             "gamma-exponent-zero",
@@ -1127,15 +1124,8 @@ class TestInputErrors:
             "nested-chain-no-steps",
             "full-chain-zero-c",
             "nested-chain-zero-c",
-            "canonical-count-above",
-            "canonical-count-zero",
         ],
     )
     def test_rejected(self, call, fragment):
         with pytest.raises(InputError, match=fragment):
             call()
-
-    def test_canonical_chain_factorises_nothing(self, svd_calls):
-        # the chain is checked against C where it is used, not where it is built
-        canonical_chain(np.diag([1.0, 0.5, 0.0]), [1, 2, 3])
-        assert svd_calls == []
