@@ -271,10 +271,7 @@ def cmd_regress(args: argparse.Namespace) -> Result:
     if args.model_out:
         regression.save_model(args.model_out, model)
         outputs["model"] = args.model_out
-    diagnostics = {
-        "uniqueness": model.fit_report.uniqueness.value,
-        "containment_residual": model.fit_report.containment_residual,
-    }
+    diagnostics = {"uniqueness": model.fit_report.uniqueness.value}
     if weights is None:
         kernel = regression.maximal_kernel_check(model, cov, trials=args.trials, seed=args.seed)
         diagnostics["maximal_kernel"] = {

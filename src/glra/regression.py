@@ -10,13 +10,17 @@ solutions.  C_y is factorised once per call: one eigendecomposition gives
 C_y^(1/2), its pseudo-inverse and, with identity weights, the factors of
 B.  The fit then passes those and the factors of C = I to the solver's
 reduction as known factors, so the solve itself only takes the SVD of
-its core, and ``solve`` builds the solution.  The returned
-minimiser annihilates ker(C_y) (maximal-kernel property) in the
-identity-weight case.  A model keeps the ``Tolerances`` it was fitted
-with, and the maximal-kernel check cuts ker(C_y) with them, so it sees
-the rank the fit used.  Evaluating a model on data (``mse_trace``,
-``mse_monte_carlo``, ``maximal_kernel_check``) first checks its
-dimensions against the data's, as one InputError naming both shapes.
+its core, and ``solve`` builds the solution.  ``fit`` is the one
+builder of the transposed problem.  Its report holds the mean squared
+error and the uniqueness flag: the truncation's left vectors U_B U_K lie
+in span U_B by construction, so a residual of that containment could
+read only rounding.  The returned minimiser annihilates ker(C_y)
+(maximal-kernel property) in the identity-weight case.  A model keeps
+the ``Tolerances`` it was fitted with, and the maximal-kernel check cuts
+ker(C_y) with them, so it sees the rank the fit used.  Evaluating a
+model on data (``mse_trace``, ``mse_monte_carlo``,
+``maximal_kernel_check``) first checks its dimensions against the
+data's, as one InputError naming both shapes.
 A covariance that overflows float64 is a NumericalError naming it.
 ``save_model`` writes a model as a JSON document (``model_to_dict``);
 nothing in glra reads one back.
@@ -32,7 +36,6 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     InputError,
-    SvdFactors,
     Tolerances,
     Uniqueness,
     _check_rank_bound,
@@ -123,7 +126,6 @@ def empirical_covariances(samples: SampleSet) -> CovarianceBundle:
 class FitReport:
     objective_mse: float
     uniqueness: Uniqueness
-    containment_residual: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,24 +166,6 @@ def _weight_triplet(
     return w_x, w_a, w_y
 
 
-def _transposed_problem(
-    cov: CovarianceBundle,
-    r: int,
-    w_x: np.ndarray,
-    w_a: np.ndarray,
-    w_y: np.ndarray,
-    tol: Tolerances,
-) -> tuple[GlraProblem, SvdFactors]:
-    """The transposed problem (M, B, C, r), under tol, and the rank-cut factors of C_y^(1/2).
-
-    C_y^(1/2) and its pseudo-inverse both come from the one
-    eigendecomposition of C_y.
-    """
-    half = _psd_factors(cov.c_y, tol)[0]
-    m_op = _pinv(half) @ cov.c_yx @ w_x.T
-    return GlraProblem(m=m_op, b=half.reconstruct() @ w_y.T, c=w_a.T, r=r, tol=tol), half
-
-
 def fit(
     cov: CovarianceBundle,
     r: int,
@@ -195,18 +179,20 @@ def fit(
     """
     _check_rank_bound(r)
     w_x, w_a, w_y = _weight_triplet(cov.c_x.shape[0], cov.c_y.shape[0], weights)
-    prob, half = _transposed_problem(cov, r, w_x, w_a, w_y, tol)
-    # with identity weights B = C_y^(1/2) and C = I come with their factors
-    known = (half, _diagonal_factors(np.ones(w_a.shape[0]), tol)) if weights is None else ()
-    fb = _reduce(prob, *known)[0]
+    # the transposed problem: C_y^(1/2) and its pseudo-inverse both come from
+    # the one eigendecomposition of C_y
+    half = _psd_factors(cov.c_y, tol)[0]
+    prob = GlraProblem(
+        m=_pinv(half) @ cov.c_yx @ w_x.T, b=half.reconstruct() @ w_y.T, c=w_a.T, r=r, tol=tol
+    )
+    if weights is None:
+        # with identity weights B = C_y^(1/2) and C = I come with their factors
+        _reduce(prob, half, _diagonal_factors(np.ones(w_a.shape[0]), tol))
     sol = solve(prob)
     a_hat = sol.x_hat.T
-    u_r = sol.truncation.factors.u[:, : sol.truncation.effective_count]
-    containment = hs_norm(u_r - fb.u @ (fb.u.T @ u_r)) if u_r.size else 0.0
     report = FitReport(
         objective_mse=_mse_from_traces(a_hat, cov, w_x, w_a, w_y),
         uniqueness=sol.uniqueness,
-        containment_residual=containment,
     )
     return RrrModel(a_hat=a_hat, r=r, weights=weights, fit_report=report, tol=tol)
 
@@ -339,7 +325,6 @@ def model_to_dict(model: RrrModel) -> dict:
         "fit_report": {
             "objective_mse": model.fit_report.objective_mse,
             "uniqueness": model.fit_report.uniqueness.value,
-            "containment_residual": model.fit_report.containment_residual,
         },
     }
     if model.weights is not None:

@@ -39,8 +39,7 @@ from glra.solver import (
     solve,
     solve_adjoint,
 )
-from glra import regression
-from glra.linalg import DEFAULT_TOL, psd_sqrt
+from glra.linalg import psd_sqrt
 
 
 def _verdict(num, text, ok):
@@ -259,15 +258,14 @@ def test_08_regression_identities():
         worst_agree = max(
             worst_agree, abs(mse_trace(model, cov) - mse_monte_carlo(model, samples))
         )
-        prob = regression._transposed_problem(
-            cov, r, np.eye(dim_f), np.eye(dim_f), np.eye(dim_g), DEFAULT_TOL
-        )[0]
+        half = psd_sqrt(cov.c_y)
+        # the transposed problem the identity-weight fit solves
+        prob = GlraProblem(m=pinv(half) @ cov.c_yx, b=half, c=np.eye(dim_f), r=r)
         oracle = als_oracle(prob, restarts=20, iters=200, seed=800 + k)
         const = hs_norm(psd_sqrt(cov.c_x)) ** 2 - hs_norm(prob.m) ** 2
         worst_gap = max(
             worst_gap, model.fit_report.objective_mse - (const + oracle**2)
         )
-        half = psd_sqrt(cov.c_y)
         target = _ref_projectors(half)[0] @ pinv(half) @ cov.c_yx
         direct = (pinv(half) @ identity_truncation(target, r).matrix()).T
         weighted = fit(

@@ -131,8 +131,8 @@ def test_exhaustive_step_sees_a_wrong_rank_cut(rank_cut_one_short):
 
 
 def test_seq_factorises_each_c_once(svd_calls):
-    # each trial's chain, bounded sequence and step minimality defects share
-    # solver._reduce's factors of B, C and the core (3 SVDs), and the chain's
+    # each trial's chain and bounded sequence share solver._reduce's factors
+    # of B, C and the core (3 SVDs), and the chain's
     # 3 steps are built from C's factors with none of their own; the reference
     # C^+ takes one SVD, the sweep factorises its core, Z and the sines (3),
     # the reference lower bound Z, C, its sines and C on the intersection (4)
@@ -252,8 +252,8 @@ class TestAlsOracle:
         assert worst <= 1e-12
 
     def test_equals_one_restart_at_a_time_on_the_rrr_suite(self, monkeypatch):
-        # the transposed problems of regression._transposed_problem, as
-        # check_rrr hands them to the batch, with their seeds
+        # the transposed problems of the identity-weight fits, as check_rrr
+        # hands them to the batch, with their seeds
         calls = []
         real = checks.als_oracles
 

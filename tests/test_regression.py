@@ -30,9 +30,17 @@ from glra.regression import (
     save_model,
 )
 from glra import regression
-from glra.solver import minimality_defect
+from glra.solver import GlraProblem, minimality_defect
 
 ATOL = 1e-10
+
+
+def transposed_problem(cov, r, w_x, w_a, w_y, tol=DEFAULT_TOL):
+    """The problem (M, B, C, r) that fit solves for A_hat^T, from psd_sqrt and pinv."""
+    half = psd_sqrt(cov.c_y, tol)
+    return GlraProblem(
+        m=pinv(half, tol) @ cov.c_yx @ w_x.T, b=half @ w_y.T, c=w_a.T, r=r, tol=tol
+    )
 
 
 def gaussian_samples(seed, count=200, dim_f=4, dim_g=5, noise=0.2, deficient_y=False):
@@ -118,16 +126,13 @@ class TestFit:
         direct = pinv(w_a) @ (pinv(b_op) @ identity_truncation(target, r).matrix()).T
         np.testing.assert_allclose(model.a_hat, direct, atol=1e-10)
         # A_hat^T is minimal for the transposed problem the fit solves
-        prob, _ = regression._transposed_problem(cov, r, w_x, w_a, w_y, DEFAULT_TOL)
+        prob = transposed_problem(cov, r, w_x, w_a, w_y)
         assert minimality_defect(model.a_hat.T, prob) < ATOL
-        assert model.fit_report.containment_residual < ATOL
 
     def test_fit_beats_rank_constrained_oracle(self):
         cov = empirical_covariances(gaussian_samples(7, dim_f=3, dim_g=4))
         model = fit(cov, r=1)
-        prob = regression._transposed_problem(
-            cov, 1, np.eye(3), np.eye(3), np.eye(4), DEFAULT_TOL
-        )[0]
+        prob = transposed_problem(cov, 1, np.eye(3), np.eye(3), np.eye(4))
         oracle = als_oracle(prob, restarts=20, iters=200, seed=8)
         const = hs_norm(psd_sqrt(cov.c_x)) ** 2 - hs_norm(prob.m) ** 2
         assert model.fit_report.objective_mse <= const + oracle**2 + 1e-6
@@ -185,7 +190,7 @@ class TestPredict:
 def mse_via_residual(model, cov, tol=DEFAULT_TOL):
     """Same quantity as mse_trace, via c + ||M - B A^T C||_HS^2."""
     w_x, w_a, w_y = regression._weight_triplet(cov.c_x.shape[0], cov.c_y.shape[0], model.weights)
-    prob = regression._transposed_problem(cov, model.r, w_x, w_a, w_y, tol)[0]
+    prob = transposed_problem(cov, model.r, w_x, w_a, w_y, tol)
     const = hs_norm(w_x @ psd_sqrt(cov.c_x, tol)) ** 2 - hs_norm(prob.m) ** 2
     return const + hs_norm(prob.m - prob.b @ model.a_hat.T @ prob.c) ** 2
 

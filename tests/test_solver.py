@@ -909,7 +909,22 @@ def test_sequences_cuts_only_its_operands():
 
 def test_front_ends_leave_the_reduction_to_the_library():
     # cli and checks draw their chains with full_chain and nested_chain,
-    # which lend C's factors to the bounded sequence themselves
+    # which lend C's factors to the bounded sequence themselves; and they
+    # build no regression problem of their own, so they read no private
+    # name of regression
     for name in ("cli.py", "checks.py"):
         tree = ast.parse((Path(glra.__file__).parent / name).read_text())
-        assert "_reduce" not in {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        attributes = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+        assert "_reduce" not in {n.attr for n in attributes}
+        private = [
+            n.attr for n in attributes
+            if isinstance(n.value, ast.Name) and n.value.id == "regression"
+            and n.attr.startswith("_")
+        ]
+        assert private == []
+        imported = [
+            alias.name for n in ast.walk(tree)
+            if isinstance(n, ast.ImportFrom) and (n.module or "").endswith("regression")
+            for alias in n.names if alias.name.startswith("_")
+        ]
+        assert imported == []
