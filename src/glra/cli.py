@@ -5,7 +5,11 @@ report (schema "glra/1") to stdout and exits 0 on success, 2 on input
 errors (bad arguments, unreadable or unparsable input files, unwritable
 output paths), 3 when a numerical invariant fails, and 4 on internal
 errors.  Each ``cmd_*`` function only reads, computes and writes; main()
-wraps what it returns in the report.  With --no-timestamp, reports are
+wraps the outputs and diagnostics it returns in the report.  The
+report's ``inputs`` are the parsed command line: every option of the
+command but --no-timestamp, defaults included, under its argparse name
+(``rank_rel`` for --rank-rel) with its parsed value, so a list option
+such as --N appears as typed.  With --no-timestamp, reports are
 byte-reproducible for fixed inputs and seed on one BLAS build at one
 thread count.  Every command but ``check`` takes --rank-rel and --tie-rel.
 """
@@ -41,8 +45,11 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
 
-# what a command hands to main: inputs, outputs, diagnostics and exit code
-Result = tuple[dict, dict, dict, int]
+# what a command hands to main: outputs, diagnostics and exit code
+Result = tuple[dict, dict, int]
+
+# the parsed arguments that are not options of the command itself
+_NOT_INPUTS = ("command", "func", "no_timestamp")
 
 # a negative decimal number, with or without an exponent
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -87,7 +94,6 @@ def cmd_solve(args: argparse.Namespace) -> Result:
     sol = (solver.solve_adjoint if args.adjoint else solver.solve)(problem)
     write_matrix(args.out, sol.x_hat)
     return (
-        {"M": args.M, "B": args.B, "C": args.C, "rank": args.rank, "adjoint": bool(args.adjoint)},
         {"x_hat": args.out, "objective": sol.objective, "delta": sol.delta},
         {"uniqueness": sol.uniqueness.value},
         EXIT_OK,
@@ -100,7 +106,6 @@ def cmd_error(args: argparse.Namespace) -> Result:
     variants = (err.delta,) + err.delta_variants
     spread = max(abs(a - b) for a in variants for b in variants)
     return (
-        {"M": args.M, "B": args.B, "C": args.C, "rank": args.rank},
         {"error": err.error, "delta": err.delta, "delta_variants": list(err.delta_variants)},
         {"max_delta_discrepancy": spread},
         EXIT_OK,
@@ -130,14 +135,6 @@ def cmd_demo_unbounded(args: argparse.Namespace) -> Result:
         _write_sweep(files["bounded_branch"], sweep.bounded_rows)
     mismatch = max(abs(row.norm - row.predicted_norm) for row in sweep.rows)
     return (
-        {
-            "N": n_values,
-            "gamma_exp": args.gamma_exp,
-            "alpha_exp": args.alpha_exp,
-            "mu": args.mu,
-            "mu_tail_exp": args.mu_tail_exp,
-            "probes": probes,
-        },
         {
             "files": files,
             "w_norms": {str(n): v for n, v in sweep.w_norms.items()},
@@ -229,15 +226,6 @@ def cmd_outer_approx(args: argparse.Namespace) -> Result:
         diagnostics["alternative_tail_nonincreasing"] = _nonincreasing(alt_tails, slack)
     return (
         {
-            "M": args.M,
-            "B": args.B,
-            "C": args.C,
-            "rank": args.rank,
-            "chain": args.chain,
-            "seed": args.seed,
-            "alternative": bool(args.alternative),
-        },
-        {
             "steps": args.out,
             "final_tail_error": tails[-1],
             "objective": result.solution.objective,
@@ -277,24 +265,9 @@ def cmd_regress(args: argparse.Namespace) -> Result:
         diagnostics["maximal_kernel"] = {
             "passed": kernel.passed,
             "kernel_dim": kernel.kernel_dim,
-            "annihilation_residual": kernel.annihilation_residual,
             "max_mse_deviation": kernel.max_mse_deviation,
         }
-    return (
-        {
-            "x": args.x,
-            "y": args.y,
-            "rank": args.rank,
-            "center": bool(args.center),
-            "weights": {"W_x": args.wx, "W_A": args.wa, "W_y": args.wy}
-            if weights is not None
-            else None,
-            "seed": args.seed,
-        },
-        outputs,
-        diagnostics,
-        EXIT_OK,
-    )
+    return outputs, diagnostics, EXIT_OK
 
 
 def _invariant_doc(res: checks.InvariantResult) -> dict:
@@ -324,12 +297,7 @@ def cmd_check(args: argparse.Namespace) -> Result:
             raise InputError(f"{pinv_path}: {exc}") from exc
         suites_doc["fixture"] = [_invariant_doc(fixture_result)]
         passed = passed and fixture_result.failures == 0
-    return (
-        {"suite": args.suite, "trials": args.trials, "seed": args.seed},
-        {"suites": suites_doc},
-        {"passed": passed},
-        EXIT_OK if passed else EXIT_NUMERICAL,
-    )
+    return {"suites": suites_doc}, {"passed": passed}, EXIT_OK if passed else EXIT_NUMERICAL
 
 
 def _add_tolerances(parser: argparse.ArgumentParser) -> None:
@@ -443,11 +411,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        inputs, outputs, diagnostics, code = args.func(args)
+        outputs, diagnostics, code = args.func(args)
         report = {
             "schema": "glra/1",
             "command": args.command,
-            "inputs": inputs,
+            "inputs": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
             "outputs": outputs,
             "diagnostics": diagnostics,
         }

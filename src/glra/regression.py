@@ -265,7 +265,6 @@ class MaximalKernelReport:
     annihilation_residual: float
     max_mse_deviation: float
     min_shrink_norm: float
-    trials: int
 
 
 def maximal_kernel_check(
@@ -312,7 +311,6 @@ def maximal_kernel_check(
         annihilation_residual=annihilation,
         max_mse_deviation=max_dev,
         min_shrink_norm=float(min_shrink) if np.isfinite(min_shrink) else 0.0,
-        trials=trials,
     )
 
 

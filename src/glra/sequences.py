@@ -429,11 +429,11 @@ class SubspaceChain:
 
     A chain that full_chain or nested_chain drew from C also keeps, out of
     its init arguments and repr, that C object, the tolerances and C's
-    rank-cut factors at them.  outer_inverse_chain and
-    bounded_approximation_sequence take C's factors from the chain when
-    they are handed that very object at equal tolerances (a problem's own
-    view ``p.c``, say), and factorise C themselves otherwise.  Like a
-    GlraProblem, such a chain relies on C not changing after it is built.
+    rank-cut factors at them.  bounded_approximation_sequence takes C's
+    factors from the chain when its problem's own view ``p.c`` is that very
+    object and its tolerances are equal, and factorises C itself otherwise.
+    Like a GlraProblem, such a chain relies on C not changing after it is
+    built.
     """
 
     bases: tuple[np.ndarray, ...]
@@ -474,9 +474,9 @@ def _lent_factors(chain: SubspaceChain, c, tol: Tolerances) -> SvdFactors | None
 def full_chain(c, tol: Tolerances = DEFAULT_TOL) -> SubspaceChain:
     """The one-step chain spanning all of ran(C), U_C of C's rank-cut factors.
 
-    The chain keeps C and those factors (see SubspaceChain), so the
-    outer inverses along it do not factorise C again.  A C of rank 0
-    holds no chain, which is an InputError.
+    The chain keeps C and those factors (see SubspaceChain), so a bounded
+    sequence along it does not factorise C again.  A C of rank 0 holds no
+    chain, which is an InputError.
     """
     fc = rank_factors(c, tol)
     return _drawn_chain(c, tol, fc, (fc.u,))
@@ -523,13 +523,8 @@ def outer_inverse_chain(
     projects onto X_n = span(C^T Y_n); once the chain spans ran(C) the
     outer inverse coincides with C^+.  C is factorised once, and each step
     is built from its rank-cut factors with no factorisation of its own.
-    A chain that full_chain or nested_chain drew from this very C object
-    at tol lends those factors, and C is not factorised at all.
     """
-    fc = _lent_factors(chain, c, tol)
-    if fc is None:
-        fc = rank_factors(as_matrix(c, "C"), tol)
-    return _outer_inverse_chain(fc, chain)
+    return _outer_inverse_chain(rank_factors(as_matrix(c, "C"), tol), chain)
 
 
 def _outer_inverse_chain(fc: SvdFactors, chain: SubspaceChain) -> list[OuterInverseStep]:

@@ -1,7 +1,7 @@
 """A mutation matrix for ``glra check``: named faults and the invariants that see them.
 
 Each row of MUTANTS is a fault put into the library by monkeypatching
-one private function, and the kills it must show when every suite runs
+one of its functions, and the kills it must show when every suite runs
 at TRIALS trials from seed 0: an invariant that fails at least once, as
 "suite.invariant", or a suite that raises, as "suite raises <exception>".
 A row lists every kill its mutant has, so an invariant that leaves a
@@ -33,7 +33,7 @@ NUDGE = 1.0 + 1e-6
 def _swap(monkeypatch, name: str, make: Callable[[Callable], Callable]) -> None:
     """Put make(real) for the function ``name`` in every glra module that holds it."""
     real = next(
-        getattr(m, name) for m in (linalg, solver, sequences) if hasattr(m, name)
+        getattr(m, name) for m in (linalg, solver, sequences, regression) if hasattr(m, name)
     )
     fake = make(real)
     for module in (linalg, solver, sequences, regression, checks, cli):
@@ -75,12 +75,47 @@ def pinv_nudged(real):
     return lambda f: real(f) * NUDGE
 
 
+def pinv_plus_off_range(real):
+    # + (V S^-1 1) n^T with n, the part of e_1 outside ran(A), in ker(A^T):
+    # A A^+ loses its symmetry, and the other three equations still hold
+    def mutant(f):
+        n = np.eye(f.u.shape[0])[0] - f.u @ f.u[0]
+        return real(f) + np.outer(f.v @ (1.0 / f.sigma), n)
+
+    return mutant
+
+
+def pinv_plus_in_kernel(real):
+    # + n' (U S^-1 1)^T with n', the part of e_1 outside ker(A)-perp, in
+    # ker(A): A^+ A loses its symmetry, and the other three equations still hold
+    def mutant(f):
+        n = np.eye(f.v.shape[0])[0] - f.v @ f.v[0]
+        return real(f) + np.outer(n, f.u @ (1.0 / f.sigma))
+
+    return mutant
+
+
+def svd_first_left_vector_flipped(real):
+    # the right vector is left as it is, so U S V^T is no longer A
+    def mutant(arr):
+        f = real(arr)
+        u = f.u.copy()
+        u[:, :1] *= -1.0
+        return replace(f, u=u)
+
+    return mutant
+
+
 def delta_unsquared(real):
     return lambda t: float(np.sum(t.factors.sigma))
 
 
 def residual_norm_nudged(real):
     return lambda *args, **kwargs: real(*args, **kwargs) * NUDGE
+
+
+def probe_reads_next_column(real):
+    return lambda n, probes, x, predicted: real(n, probes, x[:, 1:], predicted)
 
 
 def canonicalize_nudged(real):
@@ -101,6 +136,33 @@ def outer_inverses_nudged(real):
     return lambda fc, chain: [
         replace(step, c_sharp=step.c_sharp * NUDGE) for step in real(fc, chain)
     ]
+
+
+def first_two_steps_swapped(real):
+    def mutant(fc, chain):
+        steps = real(fc, chain)
+        return steps[1::-1] + steps[2:]
+
+    return mutant
+
+
+def mse_monte_carlo_nudged(real):
+    return lambda model, samples: real(model, samples) * NUDGE
+
+
+def approximate_at_one_and_a_half_eps(real):
+    # the steps are taken at 1.5 eps and labelled eps
+    def mutant(p, epsilons, seed=0):
+        seq = real(p, [1.5 * eps for eps in epsilons], seed)
+        return replace(
+            seq, steps=[replace(st, epsilon=float(eps)) for st, eps in zip(seq.steps, epsilons)]
+        )
+
+    return mutant
+
+
+def adjoint_at_rank_one(real):
+    return lambda p: real(replace(p, r=1))
 
 
 def lower_bound_at_sigma_rho(real):
@@ -141,6 +203,19 @@ MUTANTS = [
     _m("pinv-nudged", "_pinv", pinv_nudged,
        "mp.moore_penrose_eq1", "mp.moore_penrose_eq2", "mp.projector_consistency",
        "rrr.half_power_range_identity", "rrr.fit_beats_als_oracle"),
+    _m("pinv-plus-off-range", "_pinv", pinv_plus_off_range,
+       "mp.moore_penrose_eq3"),
+    _m("pinv-plus-in-kernel", "_pinv", pinv_plus_in_kernel,
+       "mp.moore_penrose_eq4", "mp.projector_consistency",
+       "rrr.cross_covariance_factorisation"),
+    _m("svd-first-left-vector-flipped", "_svd", svd_first_left_vector_flipped,
+       "mp.moore_penrose_eq1", "mp.moore_penrose_eq2", "mp.projector_consistency",
+       "svd.svd_reconstruction", "svd.truncation_residual_identity",
+       "svd.eckart_young_vs_oracle",
+       "glra.solution_reconstructs_truncation", "glra.solve_beats_als_oracle",
+       "glra.optimal_error_consistency",
+       "seq raises NumericalError",
+       "rrr.half_power_range_identity", "rrr.fit_beats_als_oracle"),
     _m("delta-unsquared", "_delta", delta_unsquared,
        "glra.optimal_error_consistency"),
     _m("residual-norm-nudged", "_residual_norm", residual_norm_nudged,
@@ -148,6 +223,10 @@ MUTANTS = [
        "glra.optimal_error_consistency"),
     _m("canonicalize-nudged", "canonicalize", canonicalize_nudged,
        "glra.canonicalize_round_trip"),
+    _m("adjoint-at-rank-one", "solve_adjoint", adjoint_at_rank_one,
+       "glra.adjoint_objective_equality"),
+    _m("probe-reads-next-column", "_probe_rows", probe_reads_next_column,
+       "seq.sweep_matches_growth_law"),
     _m("sample-inside-ker-b-perp", "solution_set_sample", sample_inside_ker_b_perp,
        "glra.minimality_within_family", "glra.canonicalize_round_trip",
        "glra.solution_set_member_is_optimal", "seq.sampled_solutions_dominate_canonical",
@@ -155,22 +234,20 @@ MUTANTS = [
     _m("outer-inverses-nudged", "_outer_inverse_chain", outer_inverses_nudged,
        "seq.outer_inverse_identity", "seq.outer_inverse_equals_projected_pinv",
        "seq.exhaustive_outer_inverse_is_pinv", "seq.bounded_step_product_identity"),
+    _m("first-two-steps-swapped", "_outer_inverse_chain", first_two_steps_swapped,
+       "seq.tail_error_monotone"),
+    _m("approximate-at-one-and-a-half-eps", "approximate_minimizers",
+       approximate_at_one_and_a_half_eps,
+       "seq.approx_minimizer_deviation_bound"),
     _m("lower-bound-at-sigma-rho", "_lower_bound", lower_bound_at_sigma_rho,
        "seq.lower_bound_matches_reference"),
+    _m("mse-monte-carlo-nudged", "mse_monte_carlo", mse_monte_carlo_nudged,
+       "rrr.trace_equals_monte_carlo"),
 ]
 
 # The invariants that no row kills: the first candidates for removal,
-# or for a mutant of their own.  Some are killed elsewhere in the tests
-# (approx_minimizer_deviation_bound by an inflated deviation in
-# test_checks.py).
-UNKILLED = frozenset({
-    "mp.moore_penrose_eq3", "mp.moore_penrose_eq4",
-    "svd.svd_reconstruction",
-    "glra.adjoint_objective_equality",
-    "seq.sweep_matches_growth_law", "seq.tail_error_monotone",
-    "seq.approx_minimizer_deviation_bound",
-    "rrr.cross_covariance_factorisation", "rrr.trace_equals_monte_carlo",
-})
+# or for a mutant of their own.  Every invariant has a kill now.
+UNKILLED: frozenset[str] = frozenset()
 
 SURVIVORS = {
     "tied-always": (

@@ -1,5 +1,6 @@
 import argparse
 import importlib.util
+import json
 import warnings
 from pathlib import Path
 
@@ -44,6 +45,25 @@ def test_case_exits_as_declared(capsys, monkeypatch, tmp_path, inputs, case):
     captured = capsys.readouterr()
     assert code == case.code, captured.err
     assert (captured.err == "") == (code == 0)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [c for c in reportdiff.CORPUS if c.code == 0],
+    ids=[c.name for c in reportdiff.CORPUS if c.code == 0],
+)
+def test_report_inputs_are_the_parsed_command_line(capsys, monkeypatch, tmp_path, inputs, case):
+    # a report that leaves out an option, such as a tolerance, cannot be rerun from itself
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {
+        action.dest
+        for action in sub.choices[case.argv[0]]._actions
+        if action.dest not in ("help", "no_timestamp")
+    }
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(reportdiff.case_argv(case, inputs)) == 0
+    assert set(json.loads(capsys.readouterr().out)["inputs"]) == dests
 
 
 def test_json_leaves_go_by_invariant_name():

@@ -1028,21 +1028,6 @@ class TestChainLendsFactors:
         assert p._reduction is reduction and reduction[1] is not chain._drawn_from[2]
         assert _bounded_bits(res) == _bounded_bits(self.unlent_route(lambda u: chain.bases))
 
-    def test_outer_inverse_chain_borrows_under_the_same_rule(self, svd_calls):
-        _, _, c = self.arrays()
-        chain = nested_chain(c, 4, seed=1)
-        lent = outer_inverse_chain(c, chain)
-        assert len(svd_calls) == 1
-        # a plain chain of the same bases, a copy of C and a chain drawn at
-        # another tol (one SVD of its own) make C factorised again
-        plain = outer_inverse_chain(c, SubspaceChain(bases=chain.bases))
-        outer_inverse_chain(c.copy(), chain)
-        outer_inverse_chain(c, nested_chain(c, 4, seed=1, tol=self.LOOSE))
-        assert len(svd_calls) == 5
-        for a, b in zip(lent, plain):
-            for x, y in ((a.c_sharp, b.c_sharp), (a.x_basis, b.x_basis)):
-                assert x.tobytes() == y.tobytes()
-
     def test_record_is_private(self):
         chain = full_chain(np.eye(3))
         assert "_drawn_from" not in repr(chain)
