@@ -118,13 +118,14 @@ class SvdFactors:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedSvd:
-    """The first ``r`` singular triplets of a matrix plus tie diagnostics.
+    """The rank-r truncation of a matrix: its kept triplets plus tie diagnostics.
 
-    ``discarded_head`` is the first singular value left out (0 when none
-    remain), ``numerical_rank`` counts singular values above the rank
-    cutoff, and ``uniqueness`` classifies whether another valid rank-r
-    truncation exists.  Triplets beyond ``numerical_rank`` carry zero
-    weight; their vectors are arbitrary and should not be interpreted.
+    ``factors`` are the kept triplets, the first min(r, numerical_rank),
+    so every kept singular value lies above the rank cutoff.
+    ``discarded_head`` is sigma_{r+1}, the first singular value beyond r
+    (0 when none remain), ``numerical_rank`` counts singular values above
+    the rank cutoff, and ``uniqueness`` classifies whether another valid
+    rank-r truncation exists.
     """
 
     factors: SvdFactors
@@ -135,11 +136,6 @@ class TruncatedSvd:
 
     def matrix(self) -> np.ndarray:
         return self.factors.reconstruct()
-
-    @property
-    def effective_count(self) -> int:
-        """Number of retained triplets that actually carry weight."""
-        return min(self.numerical_rank, int(self.factors.sigma.size))
 
 
 def _real_array(a, name: str) -> np.ndarray:
@@ -237,7 +233,10 @@ def _tied(upper: float, lower: float, top: float, tol: Tolerances) -> bool:
 
 
 def _rank(sigma: np.ndarray, shape: tuple[int, int], tol: Tolerances) -> int:
+    # numpy returns sigma_1 = inf for some finite matrices; at an inf cutoff
+    # nothing would be kept, so that is an overflow, not rank 0
     top = float(sigma[0]) if sigma.size else 0.0
+    _require_finite(sigma_1=top)
     return int(np.count_nonzero(sigma > _cutoff(top, max(shape), tol)))
 
 
@@ -274,18 +273,20 @@ def _truncate(
 
     The best rank-r approximation under the deterministic SVD order: when
     it is ambiguous the canonical one (ties broken by the SVD's ordering)
-    is still returned, flagged ``NON_UNIQUE``.  The shape sets the rank
-    cutoff, so a reduced core that carries the nonzero singular values of
-    a larger matrix is cut as that matrix.  The head's V is a copy in V's
-    own layout, so a kept truncation does not hold all of f.v.  Its U stays
-    a view: as a contiguous copy, a single left vector sends B^+'s product
-    with it down numpy's matrix-vector path and moves the last bits of the
-    minimiser.
+    is still returned, flagged ``NON_UNIQUE``.  Only the triplets above
+    the rank cutoff are kept, so for r beyond the numerical rank the
+    truncation is the rank-cut matrix itself, and no sub-cutoff noise
+    enters it.  The shape sets the rank cutoff, so a reduced core that
+    carries the nonzero singular values of a larger matrix is cut as that
+    matrix.  The head's V is a copy in V's own layout, so a kept
+    truncation does not hold all of f.v.  Its U stays a view: as a
+    contiguous copy, a single left vector sends B^+'s product with it down
+    numpy's matrix-vector path and moves the last bits of the minimiser.
     """
-    k = min(r, f.sigma.size)
+    rank = _rank(f.sigma, shape, tol)
+    k = min(r, rank)
     head = SvdFactors(u=f.u[:, :k], sigma=f.sigma[:k], v=f.v[:, :k].copy("K"))
     discarded = float(f.sigma[r]) if r < f.sigma.size else 0.0
-    rank = _rank(f.sigma, shape, tol)
     if rank <= r:
         flag = Uniqueness.UNIQUE_BY_RANK
     elif _tied(f.sigma[r - 1], f.sigma[r], f.sigma[0], tol):
@@ -347,9 +348,12 @@ def _psd_factors(a, tol: Tolerances) -> tuple[SvdFactors, np.ndarray]:
     asym = float(np.max(np.abs(arr - arr.T)))
     if asym > check_bound(arr.shape[0], hs_norm(arr)):
         raise DomainError(f"psd_sqrt needs a symmetric matrix (asymmetry {asym:.3e})")
-    evals, q = np.linalg.eigh((arr + arr.T) / 2.0)
-    low = float(evals[0])
-    cutoff = _cutoff(max(-low, float(evals[-1])), arr.shape[0], tol)
+    # halved before the sum, which keeps every bit of a normal arr and
+    # cannot overflow
+    evals, q = np.linalg.eigh(arr / 2.0 + arr.T / 2.0)
+    low, top = float(evals[0]), float(np.max(np.abs(evals)))
+    _require_finite(lambda_max=top)
+    cutoff = _cutoff(top, arr.shape[0], tol)
     if low < -cutoff:
         raise DomainError(f"matrix is not positive semidefinite: eigenvalue {low:.6e}")
     evals, q = evals[::-1], q[:, ::-1]

@@ -384,33 +384,31 @@ def approximate_minimizers(
         raise InputError("epsilons must be finite")
     fb, fc, _, t = _reduce(p)
     tsvd = _lift(fb, fc, t)
-    k = tsvd.effective_count
-    lambdas = tsvd.factors.sigma[:k].copy()
-    f_vecs = tsvd.factors.u[:, :k]
-    e_vecs = tsvd.factors.v[:, :k]
+    lambdas = tsvd.factors.sigma.copy()
+    f_vecs, e_vecs = tsvd.factors.u, tsvd.factors.v
     rng = np.random.default_rng(seed)
     # a Gaussian projected onto ran(B) != {0} is nonzero with probability 1
     cols = []
-    for _ in range(k):
+    for _ in range(lambdas.size):
         d = fb.u @ (fb.u.T @ rng.standard_normal(p.m.shape[0]))
         cols.append(d / np.linalg.norm(d))
     directions = np.column_stack(cols) if cols else np.zeros((p.m.shape[0], 0))
-    core = SvdFactors(u=t.factors.u[:, :k], sigma=lambdas, v=t.factors.v[:, :k])
-    x_0, left_0, right = _minimiser(fb, fc, core)
-    x_d, left_d, _ = _minimiser(fb, fc, replace(core, u=fb.u.T @ directions))
+    x_0, left_0, right = _minimiser(fb, fc, t.factors)
+    x_d, left_d, _ = _minimiser(fb, fc, replace(t.factors, u=fb.u.T @ directions))
     target_y = tsvd.matrix()
     steps: list[ApproxStep] = []
     for eps in epsilons:
         # an eps that overflows a step is reported as NumericalError, so
-        # numpy prints no warning for it
+        # numpy prints no warning for it and hs_norm sees finite matrices only
         with np.errstate(over="ignore", invalid="ignore"):
             x_eps = x_0 + eps * x_d
             left = left_0 + eps * left_d
-        _require_finite(x_eps=x_eps)
-        y_eps = ((f_vecs + eps * directions) * lambdas) @ e_vecs.T
+            y_eps = ((f_vecs + eps * directions) * lambdas) @ e_vecs.T
+            deviation = target_y - y_eps
+        _require_finite(x_eps=x_eps, y_eps=y_eps, deviation=deviation)
         # a float64 square, which a huge M overflows into inf, not OverflowError
         with np.errstate(over="ignore"):
-            deviation_sq = np.float64(hs_norm(target_y - y_eps)) ** 2
+            deviation_sq = np.float64(hs_norm(deviation)) ** 2
         _require_finite(deviation_sq=deviation_sq)
         steps.append(
             ApproxStep(

@@ -35,7 +35,8 @@ answer goes through it as its factors, (L, R^T, C) for x_hat = L R^T,
 so ``solve``, the approximate minimisers, the bounded sequence and
 ``glra outer-approx`` meet B and C with r-column factors only, at
 O(r(mp + qn + mn)) instead of O(mpq + mqn), and form neither B x_hat nor
-x_hat C.
+x_hat C.  ``optimal_error`` passes (G)_r's factors, (U_B, U_K Sigma_K,
+(V_C V_K)^T).
 """
 
 from __future__ import annotations
@@ -259,11 +260,11 @@ def _residual_norm(
     X = left R_1 ... with the last right factor C's: a dense candidate
     passes (X, C), the product objective has always formed, and a rank-r
     answer L R^T passes (L, R^T, C), so B and C meet r-column factors
-    only.  The right factors are multiplied first, left to right.  An
-    overflow (or inf - inf) anywhere on the way leaves a non-finite
-    residual, reported as NumericalError under ``name``, not as numpy's
-    warning; a finite residual whose squares overflow still has its norm
-    (see hs_norm).
+    only.  (G)_r = U_B (U_K Sigma_K) (V_C V_K)^T passes U_B as B.  The
+    right factors are multiplied first, left to right.  An overflow (or
+    inf - inf) anywhere on the way leaves a non-finite residual, reported
+    as NumericalError under ``name``, not as numpy's warning; a finite
+    residual whose squares overflow still has its norm (see hs_norm).
     """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         residual = target - (b @ left) @ reduce(np.matmul, rights)
@@ -337,25 +338,29 @@ def _top_abs_eigvalsh_sum(gram: np.ndarray, r: int) -> float:
 def optimal_error(p: GlraProblem) -> OptimalError:
     """Optimal error and delta = sum of the r largest sigma_i(G)^2.
 
-    delta comes from the truncated core K = U_B^T M V_C.  The three
-    variants recompute it without that SVD.  The first two sum the r
-    largest |eigenvalues| (``eigvalsh``) of G G^T and of G^T G, both in
-    the bases of ran(B) and ker(C)-perp and symmetrised (K K^T and
-    K^T K).  The third sums the r largest real parts of the eigenvalues
-    (``eigvals``, a nonsymmetric solver, so it shares no code path with
-    the other two) of B^+ M C^+ C M^T B restricted to ker(B)-perp,
+    delta comes from the truncated core K = U_B^T M V_C, whose kept
+    values lie above the rank cutoff.  The three variants recompute it
+    without that SVD and without that cut, so a wrong rank cut shows as
+    their disagreement.  The first two sum the r largest |eigenvalues|
+    (``eigvalsh``) of G G^T and of G^T G, both in the bases of ran(B)
+    and ker(C)-perp and symmetrised (K K^T and K^T K).  The third sums
+    the r largest real parts of the eigenvalues (``eigvals``, a
+    nonsymmetric solver, so it shares no code path with the other two)
+    of B^+ M C^+ C M^T B restricted to ker(B)-perp,
     S_B^-1 K K^T S_B, formed as K K^T times the ratios sigma_j / sigma_i
     of B's kept singular values: the rank cut bounds those, so the
     similarity does not overflow where 1/sigma_i alone would.  All four
     agree to rounding.
-    ``error = ||M - (G)_r||_HS`` is the residual of the lifted truncation,
-    which equals sqrt(||M||^2 - delta) in exact arithmetic but, unlike
-    that difference, does not cancel when the fit is nearly exact.
+    ``error = ||M - (G)_r||_HS`` is the residual of the truncation, taken
+    by _residual_norm from its factors (U_B U_K Sigma_K)(V_C V_K)^T; it
+    equals sqrt(||M||^2 - delta) in exact arithmetic but, unlike that
+    difference, does not cancel when the fit is nearly exact.
     """
     fb, fc, core, t = _reduce(p)
     delta = _delta(t)
-    error = hs_norm(p.m - _lift(fb, fc, t).matrix())
-    _require_finite(error=error, delta=delta)
+    _require_finite(delta=delta)
+    f = t.factors
+    error = _residual_norm(p.m, fb.u, f.u * f.sigma, (fc.v @ f.v).T, name="error")
     gram = core @ core.T
     v1 = _top_abs_eigvalsh_sum(gram, p.r)
     v2 = _top_abs_eigvalsh_sum(core.T @ core, p.r)

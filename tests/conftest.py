@@ -123,3 +123,18 @@ def conditioned_problem(seed):
         b, c = 1e-100 * b, 1e100 * c
     r = int(g.integers(1, 4)) if kind != 3 else min(rank_b, rank_c) + 2
     return GlraProblem(m=m, b=b, c=c, r=r)
+
+
+def low_rank_target(seed):
+    """M = B X_0 C for Gaussian B, C and X_0 of rank k, with a rank bound r > k.
+
+    Dimensions are 2-8.  G has numerical rank at most k < r, so the
+    minimiser is B^+ G C^+, the answer at G's numerical rank.
+    """
+    g = np.random.default_rng(seed)
+    m_rows, n_cols, p_cols, q_rows = (int(d) for d in g.integers(2, 9, size=4))
+    k = int(g.integers(1, min(p_cols, q_rows) + 1))
+    b = g.standard_normal((m_rows, p_cols))
+    c = g.standard_normal((q_rows, n_cols))
+    x_0 = g.standard_normal((p_cols, k)) @ g.standard_normal((k, q_rows))
+    return GlraProblem(m=b @ x_0 @ c, b=b, c=c, r=k + int(g.integers(1, 4)))

@@ -14,6 +14,7 @@ from glra.checks import _ref_projectors
 from glra.linalg import (
     DomainError,
     InputError,
+    NumericalError,
     Tolerances,
     Uniqueness,
     hs_norm,
@@ -212,6 +213,8 @@ class TestTruncatedSvd:
         assert t.uniqueness is Uniqueness.UNIQUE_BY_RANK
         assert hs_norm(t.matrix() - a) < ATOL
         assert t.discarded_head < 1e-12
+        # only the two triplets above the rank cutoff are kept, not r = 3
+        assert t.factors.sigma.size == t.numerical_rank == 2
 
     def test_distinct_diagonal(self):
         t = identity_truncation(np.diag([3.0, 2.0, 1.0]), 2)
@@ -349,6 +352,32 @@ class TestRankDecisions:
         s = rng(13).standard_normal((5, 2)) @ rng(14).standard_normal((2, 6))
         t = rng(15).standard_normal((4, 5))
         assert rank_factors(t @ s).sigma.size <= rank_factors(s).sigma.size
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            # sigma_1 = 3e308 and lambda_max = 1.8e308 of finite matrices: at an
+            # inf cutoff no value was kept, so both read as rank 0
+            (lambda: rank_factors(np.full((2, 2), 1.5e308)), "sigma_1"),
+            (lambda: psd_sqrt(np.full((2, 2), 9.0e307)), "lambda_max"),
+            (lambda: psd_sqrt(np.full((2, 2), -1.5e308)), "lambda_max"),
+        ],
+        ids=["svd", "eigh", "eigh-negative"],
+    )
+    def test_overflowing_spectrum_is_numerical(self, call, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"{name} is not finite"):
+                call()
+
+    def test_psd_symmetrisation_keeps_every_bit(self):
+        # halving before the sum is exact for normal entries
+        g = rng(16).standard_normal((6, 6))
+        gram = g @ g.T
+        gram[0, 1] = np.nextafter(gram[1, 0], np.inf)
+        f = linalg._psd_factors(gram, linalg.DEFAULT_TOL)[0]
+        want = np.linalg.eigh((gram + gram.T) / 2.0)[0][::-1]
+        assert np.array_equal(f.sigma, np.sqrt(want[: f.sigma.size]))
 
     def test_tolerances_validate(self):
         with pytest.raises(InputError):

@@ -185,6 +185,7 @@ MUTANTS = [
        "mp.moore_penrose_eq1", "mp.projector_consistency", "mp.kernel_range_duality",
        "svd.truncation_residual_identity", "svd.eckart_young_vs_oracle", "svd.rank_composition",
        "glra.solve_beats_als_oracle", "glra.solution_set_member_is_optimal",
+       "glra.optimal_error_consistency",
        "seq raises NumericalError",
        "rrr.half_power_range_identity", "rrr.fit_beats_als_oracle"),
     _m("rank-one-long", "_rank", rank_one_long,

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from glra.checks import _ref_projectors, als_oracle
 from glra.linalg import (
     DEFAULT_TOL,
     InputError,
+    NumericalError,
     Tolerances,
     Uniqueness,
     hs_norm,
@@ -147,6 +149,31 @@ class TestFit:
         fit(cov, r=2, weights=weights)
         assert len(eigh_calls) == 1
         assert len(svd_calls) == svds
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_power_of_two_samples_scale_a_hat_exactly(self, seed):
+        # (2^a X, 2^b Y) -> A_hat 2^(a-b) bit for bit: every rank and tie
+        # decision is relative and every product scales by a power of two
+        s = gaussian_samples(seed, count=30, dim_f=3, dim_g=4)
+        ys = s.ys.copy()
+        if seed % 3 == 0:
+            ys[:, -1] = ys[:, 0]
+        r = seed % 3 + 1
+        base = fit(empirical_covariances(SampleSet(xs=s.xs, ys=ys)), r)
+        for a, b in [(1, 0), (0, 1), (-3, 5), (200, 0), (0, -200), (150, -150), (-200, 200)]:
+            scaled = SampleSet(xs=np.ldexp(s.xs, a), ys=np.ldexp(ys, b))
+            model = fit(empirical_covariances(scaled), r)
+            assert np.array_equal(model.a_hat, np.ldexp(base.a_hat, a - b)), (a, b)
+            assert model.fit_report.uniqueness is base.fit_report.uniqueness
+
+    def test_overflowing_covariance_spectrum_is_numerical(self):
+        # C_y = y y^T holds 9.0e307 and is finite, its eigenvalue 1.8e308 is
+        # not; a fit cut at an inf eigenvalue kept nothing and gave A_hat = 0
+        cov = empirical_covariances(SampleSet(xs=[[1.0]], ys=[[9.49e153, 9.49e153]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="lambda_max is not finite"):
+                fit(cov, r=1)
 
     def test_uniqueness_reported(self):
         cov = empirical_covariances(gaussian_samples(9))

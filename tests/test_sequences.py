@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import CONDITIONED_KINDS, conditioned_problem
+from conftest import CONDITIONED_KINDS, conditioned_problem, low_rank_target
 from glra import checks, linalg, sequences
 from glra.checks import _ref_lower_bound, _ref_projectors
 from glra.linalg import (
@@ -167,6 +167,24 @@ class TestUnboundednessSweep:
             assert abs(row.norm - row.predicted_norm) <= check_bound(row.n, row.predicted_norm)
         assert all(row.norm > 0 for row in sweep.rows)
 
+    @pytest.mark.parametrize("a", [-40, -3, 5, 100])
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_power_of_two_mu_scales_rows_exactly(self, a, tied):
+        # mu -> 2^a mu scales X, its probe norms and their law by 2^a, bit
+        # for bit, and leaves the lower bounds, which read only C, equal
+        mu_head = (1.0, 1.0 if tied else 0.5)
+        spec = diag_spec(mu_head=mu_head, n=40)
+        scaled = replace(spec, mu_head=tuple(np.ldexp(mu_head, a)))
+        base, moved = (unboundedness_sweep(s, [10, 40], [2, 7, 30]) for s in (spec, scaled))
+        assert moved.tie is base.tie is tied
+        assert len(moved.rows + moved.bounded_rows) == len(base.rows + base.bounded_rows)
+        for old, new in zip(base.rows + base.bounded_rows, moved.rows + moved.bounded_rows):
+            assert (new.n, new.m) == (old.n, old.m)
+            assert new.norm == np.ldexp(old.norm, a)
+            assert new.predicted_norm == np.ldexp(old.predicted_norm, a)
+        assert moved.lower_bounds == base.lower_bounds
+        assert moved.w_norms == base.w_norms
+
     # the assembled minimiser leaves the float range, or only the norm of
     # probe column 50 and its law, 1.9e308, do
     @pytest.mark.parametrize(
@@ -258,9 +276,17 @@ class TestApproximateMinimizers:
             r=int(g.integers(1, 4)),
         )
         sol = solve(p)
-        # every kept triplet carries weight, so no triplet is dropped
-        assert sol.truncation.effective_count == sol.truncation.factors.sigma.size
         seq = approximate_minimizers(p, [0.5, 0.0], seed=seed)
+        assert np.array_equal(seq.steps[1].x, sol.x_hat)
+        assert seq.steps[1].objective == sol.objective
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_zero_step_is_the_minimiser_beyond_the_core_rank(self, seed):
+        # r exceeds G's numerical rank, so solve keeps fewer than r triplets
+        p = low_rank_target(seed)
+        sol = solve(p)
+        seq = approximate_minimizers(p, [0.5, 0.0], seed=seed)
+        assert seq.lambdas.size == sol.truncation.numerical_rank < p.r
         assert np.array_equal(seq.steps[1].x, sol.x_hat)
         assert seq.steps[1].objective == sol.objective
 
@@ -315,6 +341,25 @@ class TestApproximateMinimizersOverflow:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="deviation_sq is not finite"):
                 approximate_minimizers(p, [0.5])
+
+
+    def test_overflowing_perturbed_target_is_numerical(self):
+        # X_eps = 1e10 (1 + 1e300 d) is finite, Y_eps = 1e20 (f + 1e300 d) is not
+        p = GlraProblem(m=1e20 * np.eye(3), b=1e10 * np.eye(3), c=1e10 * np.eye(3), r=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="y_eps is not finite"):
+                approximate_minimizers(p, [1e300])
+
+    @pytest.mark.parametrize("eps, name", [(2.0, "y_eps"), (-2.0, "deviation")])
+    def test_overflowing_deviation_is_numerical(self, eps, name):
+        # Y = 1e308 and the seed-0 direction d = 1: Y_eps = (1 + eps) 1e308
+        # overflows at eps = 2, and at eps = -2 it is finite, but Y - Y_eps is not
+        p = GlraProblem(m=[[1e308]], b=[[1e10]], c=[[1.0]], r=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"{name} is not finite"):
+                approximate_minimizers(p, [eps])
 
 
 class TestOuterInverseChain:

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glra
-from conftest import CONDITIONED_KINDS, branch_member, conditioned_problem, identity_truncation
+from conftest import (
+    CONDITIONED_KINDS,
+    _conditioned,
+    branch_member,
+    conditioned_problem,
+    identity_truncation,
+    low_rank_target,
+)
 from glra.linalg import (
     InputError,
     NumericalError,
@@ -307,6 +314,35 @@ class TestSolutionSet:
         )
         assert hs_norm(canonicalize(member, p) - sol.x_hat) < ATOL
         assert hs_norm(member) >= hs_norm(sol.x_hat) - ATOL
+
+
+class TestRankAboveCore:
+    """Beyond G's numerical rank the minimiser is B^+ G C^+, whatever r is."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_answer_is_the_one_at_the_numerical_rank(self, seed):
+        # a kept sub-cutoff triplet would enter x_hat amplified by B^+ and C^+
+        p = low_rank_target(seed)
+        sol = solve(p)
+        rank = sol.truncation.numerical_rank
+        assert 1 <= rank < p.r and sol.truncation.factors.sigma.size == rank
+        at_rank = solve(replace(p, r=rank))
+        assert np.array_equal(sol.x_hat, at_rank.x_hat)
+        assert sol.objective == at_rank.objective and sol.delta == at_rank.delta
+        assert sol.uniqueness is at_rank.uniqueness is Uniqueness.UNIQUE_BY_RANK
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_ill_conditioned_recovery_ignores_a_larger_rank(self, seed):
+        # M = B x_0 C with rank-one x_0 and B, C of condition 1e8: a second
+        # triplet of rounding noise once cost x_hat up to 0.26 relative error
+        g = rng(seed)
+        p_cols, q_rows = (int(d) for d in g.integers(2, 7, size=2))
+        b = _conditioned(g, p_cols + 2, p_cols, 1e8, p_cols)
+        c = _conditioned(g, q_rows, q_rows + 2, 1e8, q_rows)
+        x_0 = np.outer(g.standard_normal(p_cols), g.standard_normal(q_rows))
+        x_1, x_2 = (solve(GlraProblem(m=b @ x_0 @ c, b=b, c=c, r=r)).x_hat for r in (1, 2))
+        assert hs_norm(x_2 - x_0) == hs_norm(x_1 - x_0)
+        assert np.array_equal(x_2, x_1)
 
 
 class TestOptimalError:
@@ -687,6 +723,22 @@ class TestOverflow:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="objective"):
                 objective(p, np.eye(2))
+
+    @pytest.mark.parametrize(
+        "func, m, b",
+        [
+            # numpy returns sigma_1 = inf for these finite B and M; at an inf
+            # cutoff nothing was kept, and solve answered x_hat = 0
+            (solve, np.eye(2), np.full((2, 2), 1.5e308)),
+            (optimal_error, np.full((2, 2), 1.5e308), np.eye(2)),
+        ],
+        ids=["solve-huge-b", "optimal-error-huge-m"],
+    )
+    def test_overflowing_spectrum_is_numerical(self, func, m, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="sigma_1 is not finite"):
+                func(GlraProblem(m=m, b=b, c=np.eye(2), r=1))
 
     def test_objective_of_representable_residual(self):
         # the squares of the residual's entries overflow, its norm 3e300 does not

@@ -66,6 +66,7 @@ CORPUS = (
     _case("solve-tied", 0, "solve", *_problem("tie_", 1), "--out", "x_hat.csv"),
     _case("solve-scale-1e-150", 0, "solve", *_problem("small_"), "--out", "x_hat.csv"),
     _case("solve-scale-1e150", 0, "solve", *_problem("large_"), "--out", "x_hat.csv"),
+    _case("solve-rank-above-core", 0, "solve", *_problem("rank1_"), "--out", "x_hat.csv"),
     _case("error", 0, "error", *_problem("")),
     _case("error-tied", 0, "error", *_problem("tie_", 1)),
     _case("demo-unbounded", 0, "demo-unbounded", "--out", "sweep.csv"),
@@ -102,6 +103,10 @@ CORPUS = (
     _case("overflowing-delta-error", 3, "error", *_problem("huge_")),
     _case("overflowing-x-hat-outer-approx", 3, "outer-approx", *_problem("blowup_"),
           "--chain", "full", "--out", "outer.csv"),
+    _case("solve-overflowing-b", 3, "solve", *_problem("hugeb_", 1), "--out", "x_hat.csv"),
+    _case("error-overflowing-core", 3, "error", *_problem("hugem_", 1)),
+    _case("regress-overflowing-cy", 3, "regress", "--x", "{inp}/one_x.csv",
+          "--y", "{inp}/one_y.csv", "--rank", "1"),
     _case("rank-cut-n-300", 3, "demo-unbounded", "--N", "300", "--gamma-exp", "4",
           "--probes", "10,50", "--out", "sweep.csv"),
 )
@@ -146,6 +151,19 @@ def write_inputs(inp: str) -> None:
     a = g.standard_normal((5, 3))
     _save(os.path.join(inp, "fixture", "a.csv"), a)
     _save(os.path.join(inp, "fixture", "a_pinv.csv"), np.linalg.pinv(a))
+    # M = B x_0 C with rank-one x_0, solved at rank 2; and finite operands
+    # whose largest singular value or eigenvalue overflows
+    x_0 = np.outer(g.standard_normal(5), g.standard_normal(6))
+    huge = np.full((2, 2), 1.5e308)
+    for stem, mats in {
+        "rank1_": (b @ x_0 @ c, b, c),
+        "hugeb_": (np.eye(2), huge, np.eye(2)),
+        "hugem_": (huge, np.eye(2), np.eye(2)),
+    }.items():
+        for name, mat in zip("MBC", mats):
+            _save(os.path.join(inp, f"{stem}{name}.csv"), mat)
+    _save(os.path.join(inp, "one_x.csv"), np.array([[1.0]]))
+    _save(os.path.join(inp, "one_y.csv"), np.array([[9.49e153, 9.49e153]]))
 
 
 def case_argv(case: Case, inp: str) -> list[str]:
