@@ -256,9 +256,15 @@ def rank_factors(a, tol: Tolerances = DEFAULT_TOL) -> SvdFactors:
 def pinv(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse V diag(1/sigma) U^T of the rank-cut SVD.
 
-    The zero matrix maps to the zero matrix of transposed shape.
+    The zero matrix maps to the zero matrix of transposed shape.  A kept
+    sigma so small that the inverse leaves the float range, as for a
+    subnormal A, is reported as NumericalError, so numpy prints no warning
+    for it.
     """
-    return _pinv(rank_factors(a, tol))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _pinv(rank_factors(a, tol))
+    _require_finite(pinv=x)
+    return x
 
 
 def _pinv(f: SvdFactors) -> np.ndarray:
@@ -345,12 +351,15 @@ def _psd_factors(a, tol: Tolerances) -> tuple[SvdFactors, np.ndarray]:
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
         raise DomainError(f"psd_sqrt needs a square matrix, got {arr.shape}")
-    asym = float(np.max(np.abs(arr - arr.T)))
-    if asym > check_bound(arr.shape[0], hs_norm(arr)):
-        raise DomainError(f"psd_sqrt needs a symmetric matrix (asymmetry {asym:.3e})")
-    # halved before the sum, which keeps every bit of a normal arr and
-    # cannot overflow
-    evals, q = np.linalg.eigh(arr / 2.0 + arr.T / 2.0)
+    # halved before the difference and the sum, which keeps every bit of a
+    # normal arr and cannot overflow
+    half = arr / 2.0
+    half_asym = float(np.max(np.abs(half - half.T)))
+    if half_asym > check_bound(arr.shape[0], hs_norm(arr)) / 2.0:
+        raise DomainError(f"psd_sqrt needs a symmetric matrix (asymmetry {2.0 * half_asym:.3e})")
+    # summed in place, so no third n x n array is alive during eigh; numpy
+    # buffers the overlapping transpose, which keeps the bits of half + half.T
+    evals, q = np.linalg.eigh(np.add(half, half.T, out=half))
     low, top = float(evals[0]), float(np.max(np.abs(evals)))
     _require_finite(lambda_max=top)
     cutoff = _cutoff(top, arr.shape[0], tol)

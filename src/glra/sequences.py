@@ -128,10 +128,10 @@ class SequenceInstance:
     """One truncated instance: its raw pieces, and the problem they define.
 
     The target M = F diag(mu) F^T and the problem (M, B = I,
-    C = diag(gamma)) are each built and validated on first read, so a
-    caller that needs only the pieces, such as a tied sweep step, forms no
-    n x n product, and one that needs only M, such as an untied sweep
-    step, builds no problem.
+    C = diag(gamma)) are each built and validated on first read.  A caller
+    that needs only the pieces forms no n x n product: a tied sweep step
+    forms its two branches only up to its largest probe column.  One that
+    needs only M, such as an untied sweep step, builds no problem.
     """
 
     spec: SequenceSpec
@@ -228,21 +228,6 @@ class UnboundednessSweep:
     lower_bounds: dict[int, float]
 
 
-def _pinv_row(fc: SvdFactors, f: np.ndarray) -> np.ndarray:
-    """The row f^T C^+ of a diagonal C, from the axis factors of _diagonal_factors.
-
-    Requires U_C = V_C = the leading k coordinate axes, so f^T C^+ is
-    f_j fl(1/sigma_j) for j <= k and zero beyond.  These are the bits of
-    (f^T (V_C / S_C)) U_C^T, whose sums start at +0 and add only zeros
-    besides that product, so a product -0 comes out +0; "+ 0.0" does the
-    same.
-    """
-    row = np.zeros_like(f)
-    k = fc.sigma.size
-    row[:k] = f[:k] * (1.0 / fc.sigma) + 0.0
-    return row
-
-
 def _probe_rows(
     n: int, probes: list[int], x: np.ndarray, predicted: Callable[[int], float]
 ) -> list[SweepRow]:
@@ -266,9 +251,13 @@ def unboundedness_sweep(
 ) -> UnboundednessSweep:
     """Tabulate ||X e_m|| against the closed-form growth law over N.
 
-    Requires r = 1.  For mu_1 > mu_2 the solver's canonical minimiser is
-    cross-checked against the directly assembled one; at a tie both
-    canonical branches are assembled explicitly.  A probe index larger
+    Requires r = 1.  Each assembled branch is mu_j f_j (f_j^T C^+), its row
+    the product (f_j^T V_C S_C^-1) U_C^T.  For mu_1 > mu_2 the solver's
+    canonical minimiser is cross-checked against the whole assembled one.
+    At a tie both canonical branches are assembled, but only up to the
+    largest probe column the step tabulates, so an overflow beyond it is
+    never formed and the step's finite probe rows are returned; an overflow
+    within the columns formed is a NumericalError.  A probe index larger
     than some sweep dimension is tabulated only at the dimensions that
     contain it.
     """
@@ -298,11 +287,17 @@ def unboundedness_sweep(
         # cross-check, the minimiser, the rows f^T C^+ and the lower bound
         # take them from the construction
         fc = _diagonal_factors(inst.gamma, tol)
-        f1 = inst.f_basis[:, 0]
+        f1, f2 = inst.f_basis[:, 0], inst.f_basis[:, 1]
+        # a tied step reads its branches mu f (f^T C^+) only at the probe
+        # columns, so it forms them up to the largest of those; an untied
+        # step cross-checks the whole of x_a
+        width = max(live_probes, default=0) if tie else n
+        # the rows f1^T C^+ and f2^T C^+, both as (f^T V_C S_C^-1) U_C^T
+        pinv_rows = ((inst.f_basis[:, :2].T @ (fc.v / fc.sigma)) @ fc.u.T)[:, :width]
         # a mu near the float range overflows the assembled minimiser, which
         # is reported as NumericalError, so numpy prints no warning for it
         with np.errstate(over="ignore", invalid="ignore"):
-            x_a = inst.mu[0] * np.outer(f1, _pinv_row(fc, f1))
+            x_a = inst.mu[0] * np.outer(f1, pinv_rows[0])
         _require_finite(x_a=x_a)
         if not tie:
             fb = _diagonal_factors(np.ones(n), tol)
@@ -330,8 +325,7 @@ def unboundedness_sweep(
             lambda m: 0.0 if m == 1 else inst.mu[0] * inst.alpha[m - 1] / w_norm,
         )
         if tie:
-            f2 = inst.f_basis[:, 1]
-            x_b = inst.mu[1] * np.outer(f2, _pinv_row(fc, f2))
+            x_b = inst.mu[1] * np.outer(f2, pinv_rows[1])
             bounded_rows += _probe_rows(
                 n, live_probes, x_b, lambda m: inst.mu[1] / inst.gamma[0] if m == 1 else 0.0
             )

@@ -164,10 +164,20 @@ class TestPinv:
         if seed % 2:
             a[:, -1] = a[:, 0]
         ap = pinv(a)
+        # the finiteness guard keeps every bit of the factor product
+        want = linalg._pinv(rank_factors(a))
+        assert ap.view(np.uint64).tolist() == want.view(np.uint64).tolist()
         assert hs_norm(a @ ap @ a - a) < ATOL
         assert hs_norm(ap @ a @ ap - ap) < ATOL
         assert hs_norm((a @ ap) - (a @ ap).T) < ATOL
         assert hs_norm((ap @ a) - (ap @ a).T) < ATOL
+
+    def test_subnormal_input_is_numerical_without_warning(self):
+        # the rank cutoff of a subnormal A is subnormal too, so 1/sigma overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="pinv is not finite"):
+                pinv(1e-310 * np.eye(2))
 
 
 class TestProjectors:
@@ -251,8 +261,15 @@ class TestPsdSqrt:
         assert hs_norm(s - s.T) == 0.0
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"asymmetry 1\.000e\+00"):
             psd_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_rejects_strong_asymmetry_without_warning(self):
+        # A - A^T would overflow; its halves do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="needs a symmetric matrix"):
+                psd_sqrt(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
     def test_rejects_indefinite_naming_eigenvalue(self):
         with pytest.raises(DomainError, match="-1"):

@@ -203,6 +203,18 @@ class TestUnboundednessSweep:
             with pytest.raises(NumericalError, match=f"{name} is not finite"):
                 unboundedness_sweep(diag_spec(mu_head=mu_head, n=50), [20, 50], probes)
 
+    def test_tied_far_overflow_returns_the_probe_rows(self):
+        # mu_1 alpha_400 / ||w|| overflows column 400 of x_a, which no probe
+        # reads; the tied step forms only the columns up to probe 2
+        spec = diag_spec(mu_head=(5e307, 5e307), n=400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = unboundedness_sweep(spec, [50, 400], [2])
+        assert sweep.tie and len(sweep.rows) == len(sweep.bounded_rows) == 2
+        for row in sweep.rows + sweep.bounded_rows:
+            assert np.isfinite(row.norm)
+            assert abs(row.norm - row.predicted_norm) <= check_bound(row.n, row.predicted_norm)
+
     def test_overflowing_target_is_numerical(self):
         # M's symmetrisation overflows, whatever the sweep does with it
         inst = build_instance(diag_spec(mu_head=(1.7e308, 1e308), n=20))
@@ -843,6 +855,33 @@ class TestThinBases:
         unboundedness_sweep(diag_spec(mu_head=mu_head, n=20), [20], [5])
         assert built == []
 
+    # the tied branches are read only at the probe columns, so none is
+    # formed beyond a step's largest live probe, whatever N is; a step
+    # smaller than every probe forms empty branches
+    @pytest.mark.parametrize(
+        "n_values, probes, shapes",
+        [
+            ([400], [2, 10, 50], [(400, 50), (400, 50)]),
+            ([400], [2], [(400, 2), (400, 2)]),
+            ([20, 400], [50], [(20, 0), (20, 0), (400, 50), (400, 50)]),
+        ],
+        ids=["probes_2_10_50", "probe_2", "step_below_every_probe"],
+    )
+    def test_tied_step_forms_only_the_probe_columns(self, monkeypatch, n_values, probes, shapes):
+        outer = np.outer
+        recorded = []
+
+        def recording(a, b, *args, **kwargs):
+            out = outer(a, b, *args, **kwargs)
+            recorded.append(out.shape)
+            return out
+
+        monkeypatch.setattr(np, "outer", recording)
+        sweep = unboundedness_sweep(diag_spec(mu_head=(1.0, 1.0), n=400), n_values, probes)
+        live = sum(m <= n for n in n_values for m in probes)
+        assert sweep.tie and len(sweep.rows) == len(sweep.bounded_rows) == live
+        assert recorded == shapes
+
     def test_rank_one_view_takes_no_other_factorisation(self, svd_calls, monkeypatch):
         # k' = 1: the SVDs of Z and of the sines, then no LAPACK call at all
         inst = build_instance(diag_spec(n=200))
@@ -1082,22 +1121,28 @@ class TestChainLendsFactors:
         assert SubspaceChain(bases=(np.eye(3)[:, :1], np.eye(3)))._drawn_from is None
 
 
-class TestPinvRow:
-    """The sweep's rows f^T C^+ keep the bits of (f^T (V_C / S_C)) U_C^T."""
+class TestSweepRows:
+    """A tied sweep's rows against mu_j f_j (f_j^T C^+) with the general pinv of C."""
 
     @pytest.mark.parametrize(
         "tol", [DEFAULT_TOL, Tolerances(rank_rel=1e-14)], ids=["default", "rank_rel_1e-14"]
     )
     @pytest.mark.parametrize("gamma_exp", [1.5, 2.0, 3.0, 4.0, 8.0])
-    def test_equals_the_matrix_products(self, gamma_exp, tol):
-        for n in (3, 5, 10, 20, 50, 100, 200, 400, 600):
-            inst = build_instance(diag_spec(gamma_exponent=gamma_exp, alpha_exponent=0.5, n=n))
-            fc = _diagonal_factors(inst.gamma, tol)
-            f1, f2 = inst.f_basis[:, 0], inst.f_basis[:, 1]
-            for f in (f1, f2, -f1):
-                got = sequences._pinv_row(fc, f)
-                want = (f @ (fc.v / fc.sigma)) @ fc.u.T
-                assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    def test_probe_norms_match_the_pseudo_inverse(self, gamma_exp, tol):
+        n_values, probes = [3, 20, 100, 400], [1, 2, 3, 20, 100]
+        spec = diag_spec(gamma_exponent=gamma_exp, alpha_exponent=0.5, mu_head=(1.0, 1.0))
+        sweep = unboundedness_sweep(spec, n_values, probes, tol)
+        live = sum(m <= n for n in n_values for m in probes)
+        assert sweep.tie and len(sweep.rows) == len(sweep.bounded_rows) == live
+        for n in n_values:
+            inst = build_instance(replace(spec, n=n))
+            c_pinv = pinv(np.diag(inst.gamma), tol)
+            for j, rows in enumerate((sweep.rows, sweep.bounded_rows)):
+                f = inst.f_basis[:, j]
+                x = inst.mu[j] * np.outer(f, f @ c_pinv)
+                for row in (row for row in rows if row.n == n):
+                    col = hs_norm(x[:, row.m - 1 : row.m])
+                    assert abs(row.norm - col) <= check_bound(n, hs_norm(x))
 
 
 E1, E2 = np.eye(3)[:, :1], np.eye(3)[:, 1:2]

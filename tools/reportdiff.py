@@ -71,6 +71,9 @@ CORPUS = (
     _case("error-tied", 0, "error", *_problem("tie_", 1)),
     _case("demo-unbounded", 0, "demo-unbounded", "--out", "sweep.csv"),
     _case("demo-unbounded-tied", 0, "demo-unbounded", "--mu", "1,1", "--out", "sweep.csv"),
+    # x_a overflows at N = 400 only beyond probe 2, which a tied step never forms
+    _case("demo-unbounded-tied-far-overflow", 0, "demo-unbounded", "--N", "50,400",
+          "--mu", "5e307,5e307", "--probes", "2", "--out", "sweep.csv"),
     _case("outer-approx-full", 0, "outer-approx", *_problem(""), "--chain", "full",
           "--out", "outer.csv"),
     _case("outer-approx-auto-alternative", 0, "outer-approx", *_problem(""), "--chain", "auto:3",
