@@ -44,7 +44,6 @@ __all__ = [
     "CheckReport",
     "InvariantResult",
     "SUITE_NAMES",
-    "als_oracle",
     "als_oracles",
     "check_fixture_pair",
     "run_suites",
@@ -256,13 +255,6 @@ def _padded(mats: list[np.ndarray], shape: tuple[int, int]) -> np.ndarray:
     for o, mat in zip(out, mats):
         o[: mat.shape[0], : mat.shape[1]] = mat
     return out
-
-
-def als_oracle(
-    p: solver.GlraProblem, restarts: int = 20, iters: int = 200, seed: int = 0
-) -> float:
-    """Best objective found by alternating least squares for one problem (see als_oracles)."""
-    return als_oracles([p], restarts, iters, [seed])[0]
 
 
 class _OracleGaps:
@@ -497,9 +489,9 @@ def check_seq(trials: int, seed: int) -> list[InvariantResult]:
         # the sweep's truncation mu_1 f1 f1^T has the kernel of mu_1 f1^T
         want = _ref_lower_bound(prob.c, inst.mu[0] * inst.f_basis[:, :1].T)[0]
         lower_bound.record(abs(sweep.lower_bounds[n] - want), check_bound(n, c_norm))
-        # the chain is drawn from the problem's own C, so it lends the bounded
-        # sequence its factors of C
-        chain = sequences.nested_chain(prob.c, 3, seed + k)
+        # the chain is drawn from the problem, whose one reduction the bounded
+        # sequence then reads, so C is factorised once
+        chain = sequences.nested_chain(prob, 3, seed + k)
         bounded = sequences.bounded_approximation_sequence(prob, chain)
         g_r = bounded.solution.truncation.matrix()
         for st in bounded.steps:

@@ -157,16 +157,16 @@ def _auto_steps(spec: str) -> int:
 
 
 def _build_chain(args: argparse.Namespace, problem: solver.GlraProblem) -> sequences.SubspaceChain:
-    # full_chain and nested_chain drawn from the problem's own view of C,
-    # whose factors bounded_approximation_sequence then borrows, so C is
-    # factorised once
+    # full_chain and nested_chain drawn from the problem take U_C from its
+    # one reduction, which bounded_approximation_sequence then reads, so C
+    # is factorised once
     spec = args.chain
     if spec == "full" or spec.startswith("auto:"):
         steps = None if spec == "full" else _auto_steps(spec)
         try:
             if steps is None:
-                return sequences.full_chain(problem.c, problem.tol)
-            return sequences.nested_chain(problem.c, steps, args.seed, problem.tol)
+                return sequences.full_chain(problem)
+            return sequences.nested_chain(problem, steps, args.seed)
         except InputError as exc:  # the step count is valid, so C has rank 0
             raise InputError(f"{args.C}: {exc}") from exc
     generators = read_matrix(spec)
@@ -411,6 +411,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        # numpy's generators, which every command with --seed draws from,
+        # take no negative seed
+        if getattr(args, "seed", 0) < 0:
+            raise InputError(f"--seed must be >= 0, got {args.seed}")
         outputs, diagnostics, code = args.func(args)
         report = {
             "schema": "glra/1",

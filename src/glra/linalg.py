@@ -67,9 +67,10 @@ class Tolerances:
     tie_rel: float = 1e-9
 
     def __post_init__(self) -> None:
+        # an infinite cutoff keeps nothing and an infinite gap ties everything
         for name in ("rank_rel", "tie_rel"):
-            if not getattr(self, name) > 0.0:
-                raise InputError(f"tolerance {name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise InputError(f"tolerance {name} must be strictly positive and finite")
 
 
 DEFAULT_TOL = Tolerances()

@@ -12,7 +12,7 @@ as divergence of probe norms under a stated law, never as a boolean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -417,80 +417,63 @@ def approximate_minimizers(
 
 @dataclass(frozen=True, eq=False)
 class SubspaceChain:
-    """Nested orthonormal-column bases Y_1 subset Y_2 subset ... inside ran(C).
-
-    A chain that full_chain or nested_chain drew from C also keeps, out of
-    its init arguments and repr, that C object, the tolerances and C's
-    rank-cut factors at them.  bounded_approximation_sequence takes C's
-    factors from the chain when its problem's own view ``p.c`` is that very
-    object and its tolerances are equal, and factorises C itself otherwise.
-    Like a GlraProblem, such a chain relies on C not changing after it is
-    built.
-    """
+    """Nested orthonormal-column bases Y_1 subset Y_2 subset ... inside ran(C)."""
 
     bases: tuple[np.ndarray, ...]
-    # (C, tol, C's rank-cut factors at tol) of a drawn chain; see _lent_factors
-    _drawn_from: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.bases:
             raise InputError("a subspace chain needs at least one step")
 
 
-def _drawn_chain(c, tol: Tolerances, fc: SvdFactors, bases: tuple) -> SubspaceChain:
-    """The chain of the given bases, drawn from C, whose rank-cut factors at tol are fc.
+def _range_basis(source, tol: Tolerances | None) -> np.ndarray:
+    """U_C of C's rank-cut factors, from a GlraProblem or from a bare C.
 
-    A C of rank 0 holds no chain, which is an InputError: its one basis
-    would have no column.
+    A problem's C is cut at p.tol, in the problem's one reduction, so a
+    bounded sequence along the chain does not factorise C again; a tol
+    given with a problem must equal p.tol.  A bare C is factorised at tol,
+    DEFAULT_TOL when it is None.  A C of rank 0 holds no chain, which is
+    an InputError: its one basis would have no column.
     """
-    if fc.sigma.size == 0:
+    if isinstance(source, GlraProblem):
+        if tol not in (None, source.tol):
+            raise InputError(f"a chain of a problem is cut at the problem's tolerances, not {tol}")
+        u = _reduce(source)[1].u
+    else:
+        u = rank_factors(source, tol or DEFAULT_TOL).u
+    if u.shape[1] == 0:
         raise InputError("C has rank 0, and ran(C) = {0} holds no chain")
-    chain = SubspaceChain(bases=bases)
-    object.__setattr__(chain, "_drawn_from", (c, tol, fc))
-    return chain
+    return u
 
 
-def _lent_factors(chain: SubspaceChain, c, tol: Tolerances) -> SvdFactors | None:
-    """C's rank-cut factors at tol from the chain, or None.
-
-    They are lent only when the chain was drawn from this very C object
-    at equal tolerances: identity, not equal values, is what the rule that
-    C does not change after construction makes safe, and it costs no scan.
-    """
-    drawn = chain._drawn_from
-    if drawn is not None and drawn[0] is c and drawn[1] == tol:
-        return drawn[2]
-    return None
-
-
-def full_chain(c, tol: Tolerances = DEFAULT_TOL) -> SubspaceChain:
+def full_chain(source, tol: Tolerances | None = None) -> SubspaceChain:
     """The one-step chain spanning all of ran(C), U_C of C's rank-cut factors.
 
-    The chain keeps C and those factors (see SubspaceChain), so a bounded
-    sequence along it does not factorise C again.  A C of rank 0 holds no
-    chain, which is an InputError.
+    ``source`` is a GlraProblem, whose reduction supplies U_C, or a bare
+    C (see _range_basis).
     """
-    fc = rank_factors(c, tol)
-    return _drawn_chain(c, tol, fc, (fc.u,))
+    return SubspaceChain(bases=(_range_basis(source, tol),))
 
 
-def nested_chain(c, steps: int, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> SubspaceChain:
+def nested_chain(source, steps: int, seed: int = 0, tol: Tolerances | None = None) -> SubspaceChain:
     """A seeded random nested chain exhausting ran(C) in ``steps`` steps.
 
-    U_C of C's rank-cut factors is mixed by the Q of a seeded Gaussian
-    square, and the steps are its leading columns.  The chain keeps C and
-    those factors, as full_chain's does.  A C of rank 0 holds no chain,
-    which is an InputError.
+    U_C of C's rank-cut factors, from a GlraProblem or a bare C as for
+    full_chain, is mixed by the Q of a seeded Gaussian square, and the
+    steps are its leading columns.  A chain has at most rank C steps, so
+    a larger ``steps`` gives the chain of rank C steps.
     """
     if steps < 1:
         raise InputError("steps must be >= 1")
-    fc = rank_factors(c, tol)
-    d = fc.sigma.size
+    u = _range_basis(source, tol)
+    d = u.shape[1]
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    mixed = fc.u @ q
+    mixed = u @ q
+    # for steps >= d the cuts are 1 ... d, so no larger count is looped over
+    steps = min(steps, d)
     cuts = sorted(set(int(np.ceil(d * (k + 1) / steps)) for k in range(steps)))
-    return _drawn_chain(c, tol, fc, tuple(mixed[:, :cut] for cut in cuts))
+    return SubspaceChain(bases=tuple(mixed[:, :cut] for cut in cuts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -592,13 +575,11 @@ def bounded_approximation_sequence(p: GlraProblem, chain: SubspaceChain) -> Boun
     formed, so a representable X_n whose x_hat C would overflow is still
     found.
 
-    The steps are built from the factors of C in p's one reduction.  When
-    p is not yet reduced and the chain was drawn from p's own view ``p.c``
-    at ``p.tol`` (see SubspaceChain), the reduction takes them from the
-    chain, so C is factorised once; p's rule that its inputs do not change
-    after construction makes them C's factors.
+    The steps are built from the factors of C in p's one reduction, which
+    a chain drawn from p (see full_chain) has already made, so C is
+    factorised once.
     """
-    fc = _reduce(p, fc=_lent_factors(chain, p.c, p.tol))[1]
+    fc = _reduce(p)[1]
     sol = solve(p)
     g_r = sol.truncation.matrix()
     left, right = sol._factors

@@ -20,10 +20,10 @@ each operand once between them and cut it at one rank.  Every
 truncation of a problem is cut in that reduction (``_reduce``), at the
 problem's tolerances; a caller that already knows the rank-cut factors
 of B or C (the identity and C_y^(1/2) of an identity-weight regression
-fit, or C's factors that a chain drawn from p.c lends the bounded
-sequence) passes them to it.  ``rank_factors`` is called there and nowhere
-else in this module: ``canonicalize`` and ``minimality_defect`` take V_B
-and U_C from the problem too.  ``solve`` is the only builder of a
+fit) passes them to it, and a chain drawn from a problem takes U_C from
+it.  ``rank_factors`` is called there and nowhere else in this module:
+``canonicalize`` and ``minimality_defect`` take V_B and U_C from the
+problem too.  ``solve`` is the only builder of a
 ``GlraSolution``, and ``_minimiser`` the one builder of x_hat and its
 factors.  ``solve_adjoint`` builds the transposed problem, which
 factorises C^T and B^T itself.  A problem holds read-only views of its

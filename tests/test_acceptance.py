@@ -11,7 +11,7 @@ import numpy as np
 
 from conftest import branch_member, identity_truncation
 from glra import checks
-from glra.checks import _ref_projectors, als_oracle
+from glra.checks import _ref_projectors, als_oracles
 from glra.linalg import hs_norm, pinv
 from glra.regression import (
     SampleSet,
@@ -134,7 +134,7 @@ def test_04_oracle_optimality():
     for k in range(50):
         p = checks.random_problem(rng, max_dim=6, max_rank=2)
         sol = solve(p)
-        oracle = als_oracle(p, restarts=20, iters=200, seed=1000 + k)
+        oracle = als_oracles([p], 20, 200, [1000 + k])[0]
         worst_gap = max(worst_gap, sol.objective - oracle)
     worst_ey = 0.0
     for k in range(10):
@@ -261,7 +261,7 @@ def test_08_regression_identities():
         half = psd_sqrt(cov.c_y)
         # the transposed problem the identity-weight fit solves
         prob = GlraProblem(m=pinv(half) @ cov.c_yx, b=half, c=np.eye(dim_f), r=r)
-        oracle = als_oracle(prob, restarts=20, iters=200, seed=800 + k)
+        oracle = als_oracles([prob], 20, 200, [800 + k])[0]
         const = hs_norm(psd_sqrt(cov.c_x)) ** 2 - hs_norm(prob.m) ** 2
         worst_gap = max(
             worst_gap, model.fit_report.objective_mse - (const + oracle**2)

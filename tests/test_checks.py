@@ -6,7 +6,6 @@ import pytest
 
 import glra
 from glra import checks, linalg, sequences, solver
-from glra.checks import als_oracle
 from glra.linalg import (
     DEFAULT_TOL,
     InputError,
@@ -246,7 +245,7 @@ class TestAlsOracle:
 
     def test_equals_one_restart_at_a_time(self):
         worst = max(
-            abs(als_oracle(p, 6, 80, k) - _loop_oracle(p, 6, 80, k)) / hs_norm(p.m)
+            abs(checks.als_oracles([p], 6, 80, [k])[0] - _loop_oracle(p, 6, 80, k)) / hs_norm(p.m)
             for k, p in enumerate(_suite_draws())
         )
         assert worst <= 1e-12
@@ -265,7 +264,7 @@ class TestAlsOracle:
         checks.check_rrr(trials=25, seed=0)
         monkeypatch.undo()
         worst = max(
-            abs(als_oracle(p, 6, 80, k) - _loop_oracle(p, 6, 80, k)) / hs_norm(p.m)
+            abs(checks.als_oracles([p], 6, 80, [k])[0] - _loop_oracle(p, 6, 80, k)) / hs_norm(p.m)
             for p, k in calls
         )
         assert len(calls) == 25
@@ -301,7 +300,7 @@ class TestAlsOracle:
         draws = _suite_draws(40)
         batch = checks.als_oracles(draws, 6, 80, list(range(40)))
         worst = max(
-            abs(value - als_oracle(p, 6, 80, k)) / hs_norm(p.m)
+            abs(value - checks.als_oracles([p], 6, 80, [k])[0]) / hs_norm(p.m)
             for k, (p, value) in enumerate(zip(draws, batch))
         )
         assert worst <= 1e-12
@@ -336,23 +335,23 @@ class TestAlsOracle:
         sol = solver.solve(q)
         dim = max(q.m.shape + q.b.shape + q.c.shape)
         op_scale = hs_norm(q.m) + hs_norm(q.b) * hs_norm(sol.x_hat) * hs_norm(q.c)
-        gap = abs(als_oracle(q, restarts=6, iters=80, seed=draw) - sol.objective)
+        gap = abs(checks.als_oracles([q], 6, 80, [draw])[0] - sol.objective)
         assert gap <= check_bound(dim, op_scale)
 
     def test_tiny_target_does_not_underflow(self):
         p = solver.GlraProblem(m=1e-200 * np.eye(3), b=np.eye(3), c=np.eye(3), r=1)
-        assert als_oracle(p, restarts=4, iters=60) == pytest.approx(
+        assert checks.als_oracles([p], 4, 60, [0])[0] == pytest.approx(
             np.sqrt(2.0) * 1e-200, rel=1e-12, abs=0.0
         )
 
     def test_zero_target(self):
         p = solver.GlraProblem(m=np.zeros((3, 2)), b=np.eye(3), c=np.eye(2), r=1)
-        assert als_oracle(p) == 0.0
+        assert checks.als_oracles([p], 20, 200, [0])[0] == 0.0
 
     def test_needs_no_library_factorisation(self, monkeypatch):
         draws = _suite_draws(4)
         expected = checks.als_oracles(draws, 6, 80, [0, 1, 2, 3])
-        alone = als_oracle(draws[0], restarts=6, iters=80)
+        alone = checks.als_oracles([draws[0]], 6, 80, [0])[0]
 
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle called the library")
@@ -362,12 +361,12 @@ class TestAlsOracle:
                 if hasattr(owner, name):
                     monkeypatch.setattr(owner, name, refuse)
         assert checks.als_oracles(draws, 6, 80, [0, 1, 2, 3]) == expected
-        assert als_oracle(draws[0], restarts=6, iters=80) == alone
+        assert checks.als_oracles([draws[0]], 6, 80, [0])[0] == alone
 
     @pytest.mark.parametrize("restarts, iters", [(0, 5), (3, 0)])
     def test_rejects_empty_search(self, restarts, iters):
         with pytest.raises(InputError):
-            als_oracle(_suite_draws(1)[0], restarts=restarts, iters=iters)
+            checks.als_oracles([_suite_draws(1)[0]], restarts, iters, [0])[0]
 
 
 @pytest.mark.parametrize("trials", [0, -3])

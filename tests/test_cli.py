@@ -785,9 +785,9 @@ class TestOuterApprox:
 
     @pytest.mark.parametrize("chain", ["full", "auto:1", "auto:3"])
     def test_makes_three_svds(self, capsys, tmp_path, svd_calls, chain):
-        # C for the chain, then B and the core, three as for solve: the chain
-        # is drawn from the problem's own view of C and lends its factors
-        # to the bounded sequence
+        # B, C and the core, three as for solve and in _reduce's order: the
+        # chain is drawn from the problem's one reduction, which the bounded
+        # sequence then reads
         g = np.random.default_rng(13)
         argv = ["outer-approx", "--rank", "2", "--chain", chain, "--no-timestamp"]
         for name, shape in (("M", (6, 9)), ("B", (6, 4)), ("C", (5, 9))):
@@ -795,7 +795,21 @@ class TestOuterApprox:
             argv += [f"--{name}", str(tmp_path / f"{name}.csv")]
         code, _ = run(capsys, argv + ["--out", str(tmp_path / "outer.csv")])
         assert code == 0
-        assert [shape for shape, _, _ in svd_calls] == [(5, 9), (6, 4), (4, 5)]
+        assert [shape for shape, _, _ in svd_calls] == [(6, 4), (5, 9), (4, 5)]
+
+    def test_steps_beyond_the_rank_of_c(self, capsys, tmp_path, fixture_files):
+        # C has rank 2, so a billion steps give the two-step chain
+        argv = ["outer-approx", "--rank", "1", "--no-timestamp"]
+        for name in ("M", "B", "C"):
+            argv += [f"--{name}", fixture_files[name]]
+        tables = []
+        for steps in ("2", "1000000000"):
+            out = tmp_path / f"outer-{steps}.csv"
+            code, _ = run(capsys, argv + ["--chain", f"auto:{steps}", "--out", str(out)])
+            assert code == 0
+            tables.append(read_matrix(str(out)))
+        assert tables[0].shape[0] == 2
+        np.testing.assert_array_equal(tables[1], tables[0])
 
     @pytest.mark.parametrize("chain", ["full", "auto:3"])
     def test_zero_c_names_the_c_file(self, capsys, tmp_path, chain):
@@ -1186,6 +1200,15 @@ class TestArgumentErrors:
             # argparse's own pattern for negative numbers has no exponent
             (["demo-unbounded", "--rank-rel", "-1e-9"], "tolerance rank_rel must be strictly positive"),
             (["outer-approx", "--tie-rel", "-1e-9"], "tolerance tie_rel must be strictly positive"),
+            # an infinite cutoff keeps nothing and an infinite gap ties everything
+            (["outer-approx", "--rank-rel", "inf"], "rank_rel must be strictly positive and finite"),
+            (["demo-unbounded", "--tie-rel", "inf"], "tie_rel must be strictly positive and finite"),
+            (["demo-unbounded", "--rank-rel", "nan"], "rank_rel must be strictly positive and finite"),
+            # numpy's generators take no negative seed
+            (["check", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["outer-approx", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["regress", "--x", "x.csv", "--y", "y.csv", "--rank", "1", "--seed", "-1"],
+             "--seed must be >= 0, got -1"),
         ],
         ids=[
             "N-not-integer",
@@ -1202,6 +1225,12 @@ class TestArgumentErrors:
             "tie-rel-zero",
             "rank-rel-negative-exponent",
             "tie-rel-negative-exponent",
+            "rank-rel-inf",
+            "tie-rel-inf",
+            "rank-rel-nan",
+            "check-seed-negative",
+            "outer-approx-seed-negative",
+            "regress-seed-negative",
         ],
     )
     def test_rejected(self, capsys, tmp_path, monkeypatch, fixture_files, argv, fragment):

@@ -400,6 +400,15 @@ class TestRankDecisions:
         with pytest.raises(InputError):
             Tolerances(rank_rel=0.0)
 
+    @pytest.mark.parametrize("name", ["rank_rel", "tie_rel"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_tolerances_are_finite(self, name, value):
+        # an infinite cutoff keeps no singular value, and an infinite gap
+        # ties every pair
+        with pytest.raises(InputError, match=f"{name} must be strictly positive and finite"):
+            Tolerances(**{name: value})
+        assert getattr(Tolerances(**{name: np.finfo(float).max}), name) == np.finfo(float).max
+
 
 @settings(max_examples=40, deadline=None)
 @given(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import identity_truncation
-from glra.checks import _ref_projectors, als_oracle
+from glra.checks import _ref_projectors, als_oracles
 from glra.linalg import (
     DEFAULT_TOL,
     InputError,
@@ -135,7 +135,7 @@ class TestFit:
         cov = empirical_covariances(gaussian_samples(7, dim_f=3, dim_g=4))
         model = fit(cov, r=1)
         prob = transposed_problem(cov, 1, np.eye(3), np.eye(3), np.eye(4))
-        oracle = als_oracle(prob, restarts=20, iters=200, seed=8)
+        oracle = als_oracles([prob], 20, 200, [8])[0]
         const = hs_norm(psd_sqrt(cov.c_x)) ** 2 - hs_norm(prob.m) ** 2
         assert model.fit_report.objective_mse <= const + oracle**2 + 1e-6
 

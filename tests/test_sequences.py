@@ -921,11 +921,11 @@ class TestThinBases:
             c=g.standard_normal((24, 24)),
             r=3,
         )
-        chain = nested_chain(p.c, 5, seed=4)
+        chain = nested_chain(p, 5, seed=4)
         res = bounded_approximation_sequence(p, chain)
         assert len(res.steps) == 5
-        # C once for the chain, which lends its factors to the solve, B and
-        # the core; the steps are built from C's factors with no SVD of their own
+        # B, C and the core, in the reduction the chain is drawn from and the
+        # solve reads; the steps are built from C's factors with no SVD of their own
         assert len(svd_calls) == 3
 
     def test_no_dense_projectors(self, no_projectors):
@@ -1038,17 +1038,22 @@ def _reference_nested_bases(basis, steps, seed):
     return tuple(mixed[:, :cut] for cut in cuts)
 
 
+def _bits(arrays):
+    """Each array or number as uint64 words."""
+    return [np.ascontiguousarray(a).reshape(-1).view(np.uint64).tolist() for a in arrays]
+
+
 def _bounded_bits(res):
     """Every array and number of a bounded sequence, as uint64 words."""
     arrays = [res.solution.x_hat, np.float64(res.solution.objective)]
     for st in res.steps:
         o = st.outer
         arrays += [st.x, np.float64(st.tail_error), o.c_sharp, o.y_basis, o.x_basis]
-    return [np.ascontiguousarray(a).reshape(-1).view(np.uint64).tolist() for a in arrays]
+    return _bits(arrays)
 
 
-class TestChainLendsFactors:
-    """A chain drawn from p.c at p.tol lends C's factors; any other is used as before."""
+class TestChainsDrawnFromTheProblem:
+    """A chain drawn from p takes U_C from p's reduction; one drawn from a bare C factorises it."""
 
     # C (9 x 12) of rank 6 whose sixth singular value, 1e-10 of the first,
     # is kept at the default rank_rel 1e-12 (cutoff 1.2e-11) and cut at
@@ -1063,7 +1068,7 @@ class TestChainLendsFactors:
         c = (u * np.array([1.0, 0.7, 0.4, 0.2, 0.1, 1e-10])) @ v.T
         return g.standard_normal((8, 12)), g.standard_normal((8, 5)), c
 
-    def unlent_route(self, bases_of):
+    def reduced_route(self, bases_of):
         """bounded_approximation_sequence after _reduce(p), along a plain chain of its U_C."""
         m, b, c = self.arrays()
         p = GlraProblem(m=m, b=b, c=c, r=2)
@@ -1071,17 +1076,25 @@ class TestChainLendsFactors:
         return bounded_approximation_sequence(p, SubspaceChain(bases=bases_of(fc.u)))
 
     @pytest.mark.parametrize("steps", [None, 1, 4])
-    def test_chain_of_p_c_lends_its_factors(self, svd_calls, steps):
+    def test_chain_of_p_takes_three_svds(self, svd_calls, steps):
+        def draw(source):
+            return full_chain(source) if steps is None else nested_chain(source, steps, seed=2)
+
         m, b, c = self.arrays()
         p = GlraProblem(m=m, b=b, c=c, r=2)
-        chain = full_chain(p.c) if steps is None else nested_chain(p.c, steps, seed=2)
-        res = bounded_approximation_sequence(p, chain)
-        # C for the chain, then B and the core: C is not factorised again
-        assert [shape for shape, _, _ in svd_calls] == [(9, 12), (8, 5), (5, 6)]
-        assert p._reduction[1] is chain._drawn_from[2]
-        want = self.unlent_route(
+        res = bounded_approximation_sequence(p, draw(p))
+        # B, C and the core, once each, in p's one reduction
+        assert [shape for shape, _, _ in svd_calls] == [(8, 5), (9, 12), (5, 6)]
+        want = self.reduced_route(
             (lambda u: (u,)) if steps is None else (lambda u: _reference_nested_bases(u, steps, 2))
         )
+        assert _bounded_bits(res) == _bounded_bits(want)
+        # the same chain drawn from the bare p.c costs one more SVD of C, and
+        # keeps every bit
+        svd_calls.clear()
+        bare = GlraProblem(m=m, b=b, c=c, r=2)
+        res = bounded_approximation_sequence(bare, draw(bare.c))
+        assert [shape for shape, _, _ in svd_calls] == [(9, 12), (8, 5), (9, 12), (5, 6)]
         assert _bounded_bits(res) == _bounded_bits(want)
 
     @pytest.mark.parametrize("case", ["other-tol", "equal-copy", "array-not-view"])
@@ -1097,7 +1110,7 @@ class TestChainLendsFactors:
         res = bounded_approximation_sequence(p, chain)
         assert [shape for shape, _, _ in svd_calls] == [(9, 12), (8, 5), (9, 12), (5, 6)]
         assert p._reduction[1].sigma.size == 6
-        assert _bounded_bits(res) == _bounded_bits(self.unlent_route(lambda u: chain.bases))
+        assert _bounded_bits(res) == _bounded_bits(self.reduced_route(lambda u: chain.bases))
 
     def test_solved_problem_keeps_its_reduction(self, svd_calls):
         m, b, c = self.arrays()
@@ -1105,20 +1118,37 @@ class TestChainLendsFactors:
         solve(p)
         reduction = p._reduction
         svd_calls.clear()
-        chain = nested_chain(p.c, 3, seed=5)
+        chain = nested_chain(p, 3, seed=5)
         res = bounded_approximation_sequence(p, chain)
-        # only the chain's SVD of C; the steps use the stored factors
-        assert [shape for shape, _, _ in svd_calls] == [(9, 12)]
-        assert p._reduction is reduction and reduction[1] is not chain._drawn_from[2]
-        assert _bounded_bits(res) == _bounded_bits(self.unlent_route(lambda u: chain.bases))
+        # the chain and the steps both read the stored factors
+        assert svd_calls == []
+        assert p._reduction is reduction
+        assert _bits(chain.bases) == _bits(_reference_nested_bases(reduction[1].u, 3, 5))
+        assert _bounded_bits(res) == _bounded_bits(self.reduced_route(lambda u: chain.bases))
 
-    def test_record_is_private(self):
-        chain = full_chain(np.eye(3))
-        assert "_drawn_from" not in repr(chain)
-        with pytest.raises(TypeError):
-            SubspaceChain(bases=chain.bases, _drawn_from=chain._drawn_from)
-        assert SubspaceChain(bases=chain.bases)._drawn_from is None
-        assert SubspaceChain(bases=(np.eye(3)[:, :1], np.eye(3)))._drawn_from is None
+    def test_chain_is_cut_at_the_problems_tolerances(self):
+        m, b, c = self.arrays()
+        loose = GlraProblem(m=m, b=b, c=c, r=2, tol=self.LOOSE)
+        # tol=None means p.tol for a problem and DEFAULT_TOL for a bare C
+        assert nested_chain(loose, 3).bases[-1].shape[1] == 5
+        assert nested_chain(loose.c, 3).bases[-1].shape[1] == 6
+        assert full_chain(loose, self.LOOSE).bases[0].shape[1] == 5
+        p = GlraProblem(m=m, b=b, c=c, r=2)
+        for draw in (lambda: full_chain(p, self.LOOSE), lambda: nested_chain(p, 3, tol=self.LOOSE)):
+            with pytest.raises(InputError, match="cut at the problem's tolerances"):
+                draw()
+        with pytest.raises(InputError, match="cut at the problem's tolerances"):
+            nested_chain(loose, 3, tol=DEFAULT_TOL)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_steps_beyond_the_rank_give_the_rank_chain(self, seed):
+        # C has rank 6, so a chain of 10**18 steps is the chain of 6
+        m, b, c = self.arrays()
+        p = GlraProblem(m=m, b=b, c=c, r=2)
+        for source in (c, p):
+            want = nested_chain(source, 6, seed=seed)
+            assert _bits(nested_chain(source, 10**18, seed=seed).bases) == _bits(want.bases)
+            assert _bits(nested_chain(source, 7, seed=seed).bases) == _bits(want.bases)
 
 
 class TestSweepRows:

@@ -32,3 +32,16 @@ def test_prints_per_file_counts_and_total(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["5", "1", "6"]
     assert lines[-1].endswith("total")
+
+
+# the size budget of the library, in source lines as counted here
+SLOC_BUDGET = 1900
+
+
+def test_library_stays_within_its_budget():
+    src = Path(__file__).resolve().parents[1] / "src" / "glra"
+    total = sum(
+        sloc.count_source(Path(path).read_text(encoding="utf-8"))
+        for path in sloc._python_files(str(src))
+    )
+    assert total <= SLOC_BUDGET

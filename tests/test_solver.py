@@ -28,7 +28,7 @@ from glra.linalg import (
     hs_norm,
     pinv,
 )
-from glra.checks import _ref_projectors, als_oracle
+from glra.checks import _ref_projectors, als_oracles
 from glra.sequences import bounded_approximation_sequence, nested_chain
 from glra.solver import (
     GlraProblem,
@@ -93,7 +93,7 @@ class TestSolve:
     def test_objective_matches_oracle(self):
         p = random_problem(2)
         sol = solve(p)
-        oracle = als_oracle(p, restarts=20, iters=200, seed=5)
+        oracle = als_oracles([p], 20, 200, [5])[0]
         assert sol.objective <= oracle + 1e-6
 
     def test_solution_invariants(self):
@@ -425,7 +425,7 @@ class TestClassify:
 class TestAlsOracle:
     def test_eckart_young_value(self):
         p = GlraProblem(m=np.diag([3.0, 2.0, 1.0]), b=np.eye(3), c=np.eye(3), r=1)
-        assert als_oracle(p, restarts=10, iters=100, seed=0) == pytest.approx(
+        assert als_oracles([p], 10, 100, [0])[0] == pytest.approx(
             np.sqrt(5.0), abs=1e-6
         )
 
@@ -433,16 +433,16 @@ class TestAlsOracle:
         g = rng(8)
         m = g.standard_normal((3, 3))
         p = GlraProblem(m=m, b=g.standard_normal((3, 3)), c=g.standard_normal((3, 3)), r=3)
-        assert als_oracle(p, restarts=5, iters=100, seed=0) < 1e-6
+        assert als_oracles([p], 5, 100, [0])[0] < 1e-6
 
     def test_tied_fixture(self, tied_problem):
-        assert als_oracle(tied_problem, restarts=10, iters=100, seed=0) == pytest.approx(
+        assert als_oracles([tied_problem], 10, 100, [0])[0] == pytest.approx(
             1.0, abs=1e-6
         )
 
     def test_deterministic(self, tied_problem):
-        a = als_oracle(tied_problem, restarts=4, iters=30, seed=9)
-        b = als_oracle(tied_problem, restarts=4, iters=30, seed=9)
+        a = als_oracles([tied_problem], 4, 30, [9])[0]
+        b = als_oracles([tied_problem], 4, 30, [9])[0]
         assert a == b
 
 
@@ -939,8 +939,9 @@ def test_rank_factors_only_in_the_reduction():
 
 
 def test_sequences_cuts_only_its_operands():
-    # sequences factorises only the matrices a caller hands it, C and the
-    # lower bound's Z; a chain step is built from C's factors and makes no
+    # sequences factorises only the matrices a caller hands it, a bare C
+    # and the lower bound's Z, and takes a problem's C from its reduction;
+    # a chain step is built from C's factors and makes no
     # rank decision of its own
     callers = set()
     path = Path(glra.sequences.__file__)
@@ -951,8 +952,7 @@ def test_sequences_cuts_only_its_operands():
                 if name == "rank_factors":
                     callers.add(getattr(top, "name", "<module>"))
     assert callers == {
-        "full_chain",
-        "nested_chain",
+        "_range_basis",
         "outer_inverse_chain",
         "lower_bound_constant",
         "_lower_bound",
@@ -960,8 +960,8 @@ def test_sequences_cuts_only_its_operands():
 
 
 def test_front_ends_leave_the_reduction_to_the_library():
-    # cli and checks draw their chains with full_chain and nested_chain,
-    # which lend C's factors to the bounded sequence themselves; and they
+    # cli and checks draw their chains from the problem with full_chain and
+    # nested_chain, which take U_C from its reduction themselves; and they
     # build no regression problem of their own, so they read no private
     # name of regression
     for name in ("cli.py", "checks.py"):

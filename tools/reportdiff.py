@@ -100,6 +100,8 @@ CORPUS = (
     _case("partial-weights", 2, *_samples("--wx", "{inp}/wx.csv")),
     _case("unwritable-model-out", 2, *_samples("--model-out", "missing/model.json")),
     _case("trials-0", 2, "check", "--suite", "mp", "--trials", "0"),
+    _case("negative-seed", 2, "check", "--suite", "mp", "--trials", "1", "--seed", "-1"),
+    _case("rank-rel-inf", 2, "solve", *_problem(""), "--rank-rel", "inf", "--out", "x_hat.csv"),
     # exit 3: numerical failures from finite input
     _case("overflowing-objective", 3, "solve", *_problem("huge_"), "--out", "x_hat.csv"),
     _case("overflowing-x-hat-solve", 3, "solve", *_problem("blowup_"), "--out", "x_hat.csv"),
