@@ -631,7 +631,7 @@ def run_suites(names: list[str], trials: int, seed: int) -> CheckReport:
     for name in names:
         if name not in _SUITE_FUNCS:
             raise linalg.InputError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-        results[name] = _SUITE_FUNCS[name](trials, seed)
+        results[name] = _SUITE_FUNCS[name](trials, linalg._seed(seed))
     return CheckReport(suites=results)
 
 

@@ -189,7 +189,7 @@ def cmd_outer_approx(args: argparse.Namespace) -> Result:
     alt_tails = []
     if args.alternative:
         g_r = result.solution.truncation.matrix()
-        left, right = result.solution._factors
+        left, right = solver._sides(result.solution.factors)
     for i, step in enumerate(result.steps):
         c_sharp = step.outer.c_sharp
         # C# (C C#), whose middle factor is q x q; an overflow is reported
@@ -411,8 +411,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        # numpy's generators, which every command with --seed draws from,
-        # take no negative seed
+        # the seeded library functions reject a negative seed too, but
+        # outer-approx --chain full calls none of them, and would accept it
         if getattr(args, "seed", 0) < 0:
             raise InputError(f"--seed must be >= 0, got {args.seed}")
         outputs, diagnostics, code = args.func(args)

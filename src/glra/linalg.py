@@ -107,7 +107,12 @@ class Uniqueness(str, enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class SvdFactors:
-    """Economy SVD ``A = U diag(sigma) V^T`` with orthonormal columns."""
+    """A factorisation ``A = U diag(sigma) V^T`` with r columns in U and V.
+
+    From an (economy, rank-cut) SVD the columns of U and V are
+    orthonormal.  ``GlraSolution.factors`` uses the same record for
+    x_hat = L_0 Sigma_K R_0^T, whose L_0 and R_0 are not.
+    """
 
     u: np.ndarray
     sigma: np.ndarray
@@ -183,6 +188,13 @@ def _check_rank_bound(r) -> None:
         raise InputError(f"rank bound must be an integer, got {r!r}")
     if r < 1:
         raise InputError(f"rank bound must be >= 1, got {r}")
+
+
+def _seed(seed) -> int:
+    """A seed for numpy's default_rng, which takes only integers >= 0; else InputError."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InputError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
 
 
 def svd(a) -> SvdFactors:

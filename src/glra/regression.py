@@ -15,9 +15,9 @@ builder of the transposed problem.  Its report holds the mean squared
 error and the uniqueness flag: the truncation's left vectors U_B U_K lie
 in span U_B by construction, so a residual of that containment could
 read only rounding.  The returned minimiser annihilates ker(C_y)
-(maximal-kernel property) in the identity-weight case.  A model keeps
-the ``Tolerances`` it was fitted with, and the maximal-kernel check cuts
-ker(C_y) with them, so it sees the rank the fit used.  Evaluating a
+(maximal-kernel property) in the identity-weight case.  The fit is the
+one place ker(C_y) is cut: a model keeps that basis, from the same
+eigendecomposition, and the maximal-kernel check reads it.  Evaluating a
 model on data (``mse_trace``, ``mse_monte_carlo``,
 ``maximal_kernel_check``) first checks its dimensions against the
 data's, as one InputError naming both shapes.
@@ -44,6 +44,7 @@ from .linalg import (
     _psd_factors,
     _real_array,
     _require_finite,
+    _seed,
     as_matrix,
     check_bound,
     hs_norm,
@@ -134,15 +135,17 @@ class RrrModel:
 
     ``weights`` is None for the identity-weight fit, else the (W_x, W_A,
     W_y) triple used; in the weighted case A_hat maps the W_y input space
-    into the W_A input space.  ``tol`` holds the tolerances of the fit;
-    the model document does not store them.
+    into the W_A input space.  ``kernel`` is the orthonormal basis of
+    ker(C_y) that the fit cut, at its tolerances, from its one
+    eigendecomposition of C_y (None for a model not built by ``fit``);
+    the model document does not store it.
     """
 
     a_hat: np.ndarray
     r: int
     weights: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     fit_report: FitReport
-    tol: Tolerances = DEFAULT_TOL
+    kernel: np.ndarray | None = None
 
 
 def _weight_triplet(
@@ -179,9 +182,9 @@ def fit(
     """
     _check_rank_bound(r)
     w_x, w_a, w_y = _weight_triplet(cov.c_x.shape[0], cov.c_y.shape[0], weights)
-    # the transposed problem: C_y^(1/2) and its pseudo-inverse both come from
-    # the one eigendecomposition of C_y
-    half = _psd_factors(cov.c_y, tol)[0]
+    # the transposed problem: C_y^(1/2), its pseudo-inverse and ker(C_y) all
+    # come from the one eigendecomposition of C_y
+    half, kernel = _psd_factors(cov.c_y, tol)
     prob = GlraProblem(
         m=_pinv(half) @ cov.c_yx @ w_x.T, b=half.reconstruct() @ w_y.T, c=w_a.T, r=r, tol=tol
     )
@@ -194,7 +197,7 @@ def fit(
         objective_mse=_mse_from_traces(a_hat, cov, w_x, w_a, w_y),
         uniqueness=sol.uniqueness,
     )
-    return RrrModel(a_hat=a_hat, r=r, weights=weights, fit_report=report, tol=tol)
+    return RrrModel(a_hat=a_hat, r=r, weights=weights, fit_report=report, kernel=kernel)
 
 
 def predict(model: RrrModel, y) -> np.ndarray:
@@ -272,27 +275,28 @@ def maximal_kernel_check(
 ) -> MaximalKernelReport:
     """Verify the maximal-kernel property of an identity-weights model.
 
-    ker(C_y) is cut with the model's own tolerances, those of its fit.
+    ker(C_y) is the model's ``kernel``, the one its fit cut, so the check
+    sees the rank the fit used and factorises nothing; ``cov`` is the
+    covariances the model was fitted on.
     """
-    if model.weights is not None:
-        raise InputError("the maximal-kernel check applies to identity-weight models")
+    if model.weights is not None or model.kernel is None:
+        raise InputError("the maximal-kernel check applies to identity-weight models from fit")
     if trials < 0:
         raise InputError(f"trials must be >= 0, got {trials}")
     # first, as it checks the model's dimensions against cov
     base = mse_trace(model, cov)
-    kernel = _psd_factors(cov.c_y, model.tol)[1]
     dim_x = cov.c_x.shape[0]
-    dim_y, k_dim = kernel.shape
-    annihilation = hs_norm(model.a_hat @ kernel) if k_dim else 0.0
+    dim_y, k_dim = model.kernel.shape
+    annihilation = hs_norm(model.a_hat @ model.kernel) if k_dim else 0.0
     c_x_norm = hs_norm(cov.c_x)
     c_y_root = np.sqrt(hs_norm(cov.c_y))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     max_dev = 0.0
     min_shrink = np.inf
     ok = annihilation <= check_bound(dim_y, hs_norm(model.a_hat))
     for _ in range(trials):
         t_mat = rng.standard_normal((dim_y, dim_x))
-        pert = (t_mat.T @ kernel) @ kernel.T
+        pert = (t_mat.T @ model.kernel) @ model.kernel.T
         perturbed = replace(model, a_hat=model.a_hat + pert)
         a_norm = hs_norm(perturbed.a_hat)
         dev = abs(mse_trace(perturbed, cov) - base)
@@ -302,7 +306,7 @@ def maximal_kernel_check(
         ok = ok and dev <= check_bound(dim_x + dim_y, c_x_norm + (a_norm * c_y_root) ** 2)
         # a Gaussian T gives a nonzero perturbation whenever the kernel is not trivial
         if k_dim:
-            shrink = hs_norm(perturbed.a_hat @ kernel)
+            shrink = hs_norm(perturbed.a_hat @ model.kernel)
             min_shrink = min(min_shrink, shrink)
             ok = ok and shrink > check_bound(dim_y, a_norm)
     return MaximalKernelReport(

@@ -8,6 +8,11 @@ growth law, produces approximate minimisers from perturbed truncations,
 and approximates the unbounded minimiser by bounded ones through chains
 of finite-rank outer inverses of C.  "Unbounded" is always operationalised
 as divergence of probe norms under a stated law, never as a boolean.
+
+The sweep's cross-check, the approximate minimisers and the bounded
+sequence take x_hat's factors L_0, Sigma_K and R_0 from the solver
+(``_minimiser``, or a solution's ``factors``) and the side that carries
+Sigma_K from its ``_sides``; none forms x_hat again to get them.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .linalg import (
     _cutoff,
     _diagonal_factors,
     _require_finite,
+    _seed,
     _svd,
     _tied,
     _truncate,
@@ -43,6 +49,8 @@ from .solver import (
     _minimiser,
     _reduce,
     _residual_norm,
+    _sides,
+    _x_hat,
     solve,
 )
 
@@ -311,7 +319,7 @@ def unboundedness_sweep(
             # truncated as G with the bits of solver._reduce on the problem,
             # which is not built
             t = _truncate(_svd(inst.m[:, : fc.sigma.size]), 1, (n, n), tol)
-            x_hat = _minimiser(fb, fc, t.factors)[0]
+            x_hat = _x_hat(_minimiser(fb, fc, t.factors))[0]
             residual = hs_norm(x_hat - x_a)
             if residual > check_bound(n, hs_norm(x_hat)):
                 raise NumericalError(
@@ -368,11 +376,11 @@ def approximate_minimizers(
     ||Y - Y_eps||_HS^2 = sum_i lambda_i^2 eps^2 <= r lambda_1^2 eps^2 and
     every step retains the minimality property exactly.  As f_i = U_B u_i
     and d_i both lie in ran(B), X_eps = B^+ Y_eps C^+ is X_0 + eps X_D:
-    the solver's minimiser of the core triplets, and the same formula with
-    the left vectors u_i replaced by U_B^T d_i.  Both share the right
-    factor R, so X_eps = (L_0 + eps L_D) R^T, and a step's objective is
-    taken from those factors, as solve's is: at eps = 0 it is solve's bit
-    for bit.
+    the solver's minimiser x_hat = L_0 Sigma_K R_0^T, and the same product
+    with L_0 replaced by L_D = V_B S_B^-1 U_B^T D.  Both share the right
+    factor R of x_hat's sides, so X_eps = (L_0 + eps L_D) R^T, and a
+    step's objective is taken from those factors, as solve's is: at
+    eps = 0 it is solve's bit for bit.
     """
     if not np.isfinite(epsilons).all():
         raise InputError("epsilons must be finite")
@@ -380,15 +388,19 @@ def approximate_minimizers(
     tsvd = _lift(fb, fc, t)
     lambdas = tsvd.factors.sigma.copy()
     f_vecs, e_vecs = tsvd.factors.u, tsvd.factors.v
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     # a Gaussian projected onto ran(B) != {0} is nonzero with probability 1
-    cols = []
-    for _ in range(lambdas.size):
+    directions = np.zeros((p.m.shape[0], lambdas.size))
+    for i in range(lambdas.size):
         d = fb.u @ (fb.u.T @ rng.standard_normal(p.m.shape[0]))
-        cols.append(d / np.linalg.norm(d))
-    directions = np.column_stack(cols) if cols else np.zeros((p.m.shape[0], 0))
-    x_0, left_0, right = _minimiser(fb, fc, t.factors)
-    x_d, left_d, _ = _minimiser(fb, fc, replace(t.factors, u=fb.u.T @ directions))
+        directions[:, i] = d / np.linalg.norm(d)
+    x = _minimiser(fb, fc, t.factors)
+    x_0, left_0, right = _x_hat(x)
+    # L_D = V_B S_B^-1 U_B^T D carries Sigma_K where L_0 does, so that X_D =
+    # L_D R^T shares x_hat's right factor; an overflow is reported as x_eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        left_d = (fb.v / fb.sigma) @ (fb.u.T @ directions) * (x.sigma if right is x.v else 1.0)
+        x_d = left_d @ right.T
     target_y = tsvd.matrix()
     steps: list[ApproxStep] = []
     for eps in epsilons:
@@ -467,7 +479,7 @@ def nested_chain(source, steps: int, seed: int = 0, tol: Tolerances | None = Non
         raise InputError("steps must be >= 1")
     u = _range_basis(source, tol)
     d = u.shape[1]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     mixed = u @ q
     # for steps >= d the cuts are 1 ... d, so no larger count is looped over
@@ -570,7 +582,8 @@ def bounded_approximation_sequence(p: GlraProblem, chain: SubspaceChain) -> Boun
     ker(C)-perp not yet covered; it reaches zero for exhaustive chains.
 
     B^+ (G)_r = x_hat C, because the rows of (G)_r lie in ker(C)-perp, and
-    x_hat = L R^T, so X_n = L W_n with the r-row W_n = (R^T C) C_n#; the
+    x_hat = L R^T with the sides (L, R) of the solution's ``factors``, so
+    X_n = L W_n with the r-row W_n = (R^T C) C_n#; the
     tail is ||(G)_r - (B L)(W_n C)||^2.  Neither x_hat C nor B X_n C is
     formed, so a representable X_n whose x_hat C would overflow is still
     found.
@@ -582,7 +595,7 @@ def bounded_approximation_sequence(p: GlraProblem, chain: SubspaceChain) -> Boun
     fc = _reduce(p)[1]
     sol = solve(p)
     g_r = sol.truncation.matrix()
-    left, right = sol._factors
+    left, right = _sides(sol.factors)
     # an overflow leaves a non-finite X_n, reported below as NumericalError,
     # so numpy prints no warning for it
     with np.errstate(over="ignore", invalid="ignore"):

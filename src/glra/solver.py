@@ -24,14 +24,18 @@ fit) passes them to it, and a chain drawn from a problem takes U_C from
 it.  ``rank_factors`` is called there and nowhere else in this module:
 ``canonicalize`` and ``minimality_defect`` take V_B and U_C from the
 problem too.  ``solve`` is the only builder of a
-``GlraSolution``, and ``_minimiser`` the one builder of x_hat and its
-factors.  ``solve_adjoint`` builds the transposed problem, which
-factorises C^T and B^T itself.  A problem holds read-only views of its
+``GlraSolution``, and ``_minimiser`` the one builder of x_hat's factors
+L_0 = V_B S_B^-1 U_K, Sigma_K and R_0 = U_C S_C^-1 V_K, which the
+solution keeps as ``factors``.  ``_sides`` alone decides which of L_0
+and R_0 carries Sigma_K, from that record, and ``_x_hat`` forms x_hat
+from those sides; every other consumer of the factors takes its sides
+from ``_sides`` too, so none forms x_hat again.  ``solve_adjoint``
+builds the transposed problem, which factorises C^T and B^T itself.  A problem holds read-only views of its
 inputs, which must not change after construction.
 
 ``_residual_norm`` is the one evaluation of ||M - B X C||_HS.  A dense
 candidate goes through it as (X, C), which ``objective`` does; a rank-r
-answer goes through it as its factors, (L, R^T, C) for x_hat = L R^T,
+answer goes through it as its sides, (L, R^T, C) for x_hat = L R^T,
 so ``solve``, the approximate minimisers, the bounded sequence and
 ``glra outer-approx`` meet B and C with r-column factors only, at
 O(r(mp + qn + mn)) instead of O(mpq + mqn), and form neither B x_hat nor
@@ -130,10 +134,13 @@ class GlraSolution:
     it; ``minimality_defect(x, p)`` measures that of any other candidate.
     ``truncation`` is the chosen rank-r truncation (G)_r of the projected
     matrix G in full coordinates; its matrix is the image ``B x_hat C``
-    and ``objective**2 + delta`` recovers ``||M||_HS**2``.  ``_factors``
-    holds the rank-r factors (L, R) of x_hat = L R^T that _minimiser
-    built, so a caller that multiplies x_hat through B or C does so at
-    rank r.
+    and ``objective**2 + delta`` recovers ``||M||_HS**2``.  ``factors``
+    is x_hat's factorisation x_hat = L_0 Sigma_K R_0^T, as
+    ``SvdFactors(u=L_0, sigma=Sigma_K, v=R_0)`` with L_0 = V_B S_B^-1 U_K
+    and R_0 = U_C S_C^-1 V_K: the columns of u lie in span V_B and those
+    of v in span U_C, but they are not orthonormal.  A caller that
+    multiplies x_hat through B or C does so at rank r through these
+    factors, with Sigma_K on the side _sides puts it.
     """
 
     x_hat: np.ndarray
@@ -141,7 +148,7 @@ class GlraSolution:
     delta: float
     uniqueness: Uniqueness
     truncation: TruncatedSvd
-    _factors: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    factors: SvdFactors
 
 
 def _reduce(
@@ -173,29 +180,42 @@ def _lift(fb: SvdFactors, fc: SvdFactors, t: TruncatedSvd) -> TruncatedSvd:
     return replace(t, factors=SvdFactors(u=fb.u @ f.u, sigma=f.sigma, v=fc.v @ f.v))
 
 
-def _minimiser(
-    fb: SvdFactors, fc: SvdFactors, f: SvdFactors
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x_hat = L R^T and its rank-r factors L, R from the factors of B and C.
+def _minimiser(fb: SvdFactors, fc: SvdFactors, f: SvdFactors) -> SvdFactors:
+    """x_hat's factors L_0 = V_B S_B^-1 U_K, Sigma_K and R_0 = U_C S_C^-1 V_K.
 
-    L = V_B S_B^-1 U_K and R = U_C S_C^-1 V_K, one of them scaled by
-    Sigma_K, where f holds the core factors U_K, Sigma_K and V_K in the
-    coordinates of ran(B) and ker(C)-perp.  Sigma_K scales L unless
-    sigma_1 / sigma_min(B), which bounds L's entries times sigma_1, leaves
-    the float range (a tiny B with a huge C); then it scales R, so a
-    representable x_hat does not overflow in S_B^-1 Sigma_K.  The rule
-    reads only B's and the core's singular values, so every f with the
-    same Sigma_K puts it on the same side.  An x_hat that does overflow is
-    reported by _require_finite as NumericalError, so numpy prints no
-    warning for it.
+    f holds the core factors U_K, Sigma_K and V_K in the coordinates of
+    ran(B) and ker(C)-perp, and fb and fc the rank-cut factors of B and C,
+    so x_hat = L_0 Sigma_K R_0^T.  A factor that overflows (a B or C whose
+    kept singular values lie below the float range's reciprocal) is left
+    for the finiteness check of what is formed from it, x_hat's in _x_hat,
+    so numpy prints no warning for it here.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        left = (fb.v / fb.sigma) @ f.u
-        right = (fc.u / fc.sigma) @ f.v
-        if f.sigma.size and f.sigma[0] / fb.sigma[-1] > np.finfo(float).max:
-            right = right * f.sigma
-        else:
-            left = left * f.sigma
+        return SvdFactors(u=(fb.v / fb.sigma) @ f.u, sigma=f.sigma, v=(fc.u / fc.sigma) @ f.v)
+
+
+def _sides(x: SvdFactors) -> tuple[np.ndarray, np.ndarray]:
+    """(L, R) with x = L R^T: Sigma on u, or on v where u Sigma overflows.
+
+    Sigma_K goes on L_0 unless that product leaves the float range (a tiny
+    B with a huge C, whose S_B^-1 Sigma_K overflows while x_hat does not);
+    then it goes on R_0.  The rule reads the record alone.  Every product
+    of x at rank r, x_hat itself and B x_hat C's factors, takes its sides
+    from here.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = x.u * x.sigma
+        return (left, x.v) if np.isfinite(left).all() else (x.u, x.v * x.sigma)
+
+
+def _x_hat(x: SvdFactors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x_hat = L R^T formed from its factors x, with the sides (L, R) of _sides.
+
+    An x_hat that overflows is reported by _require_finite as
+    NumericalError, so numpy prints no warning for it.
+    """
+    left, right = _sides(x)
+    with np.errstate(over="ignore", invalid="ignore"):
         x_hat = left @ right.T
     _require_finite(x_hat=x_hat)
     return x_hat, left, right
@@ -217,10 +237,11 @@ def solve(p: GlraProblem) -> GlraSolution:
     When the truncation is not unique the deterministic canonical one is
     used and the solution is flagged ``NON_UNIQUE``.  With x_hat = L R^T,
     the objective is taken at x_hat's rank, as ||M - (B L)(R^T C)||, and
-    L and R stay on the solution.
+    x_hat's factors stay on the solution as ``factors``.
     """
     fb, fc, _, t = _reduce(p)
-    x_hat, left, right = _minimiser(fb, fc, t.factors)
+    factors = _minimiser(fb, fc, t.factors)
+    x_hat, left, right = _x_hat(factors)
     delta = _delta(t)
     _require_finite(delta=delta)
     return GlraSolution(
@@ -229,7 +250,7 @@ def solve(p: GlraProblem) -> GlraSolution:
         delta=delta,
         uniqueness=t.uniqueness,
         truncation=_lift(fb, fc, t),
-        _factors=(left, right),
+        factors=factors,
     )
 
 

@@ -859,6 +859,23 @@ class TestRegressCommand:
         assert doc["diagnostics"]["maximal_kernel"]["passed"] is True
         assert read_a_hat(model_path).shape == (3, 3)
 
+    def test_eigendecomposes_c_y_once(self, capsys, tmp_path, svd_calls, eigh_calls):
+        # fit's one eigendecomposition of C_y gives C_y^(1/2), its pseudo-inverse
+        # and ker(C_y), which the maximal-kernel check reads; the one SVD is
+        # the core's
+        g = np.random.default_rng(9)
+        ys = g.standard_normal((40, 5))
+        ys[:, -1] = ys[:, 0]
+        xs = ys @ g.standard_normal((5, 4)) + 0.1 * g.standard_normal((40, 4))
+        write_matrix(str(tmp_path / "xs.csv"), xs)
+        write_matrix(str(tmp_path / "ys.csv"), ys)
+        argv = ["regress", "--x", str(tmp_path / "xs.csv"), "--y", str(tmp_path / "ys.csv")]
+        code, doc = run(capsys, argv + ["--rank", "2", "--no-timestamp"])
+        assert code == 0
+        assert doc["diagnostics"]["maximal_kernel"]["kernel_dim"] == 1
+        assert eigh_calls == [(5, 5)]
+        assert [shape for shape, _, _ in svd_calls] == [(4, 4)]
+
     def test_center_matches_pre_centred_files(self, capsys, tmp_path):
         g = np.random.default_rng(7)
         ys = g.standard_normal((60, 3)) + np.array([5.0, -2.0, 1.5])
@@ -1173,6 +1190,28 @@ class TestLastResort:
         assert cli.main(["check", "--suite", "mp", "--trials", "1"]) == cli.EXIT_INTERNAL == 4
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "internal error: boom\n"
+
+    def test_broken_pipe_points_stdout_at_devnull(self, capsys, monkeypatch, tmp_path):
+        # a reader that has gone: the report is dropped, and stdout's descriptor,
+        # here a temporary file's, is pointed at devnull for the final flush
+        path = tmp_path / "stdout"
+        with open(path, "wb") as target:
+
+            class GoneReader:
+                def write(self, text):
+                    raise BrokenPipeError
+
+                def flush(self):
+                    raise BrokenPipeError
+
+                def fileno(self):
+                    return target.fileno()
+
+            monkeypatch.setattr(sys, "stdout", GoneReader())
+            assert cli.main(["check", "--suite", "mp", "--trials", "1", "--no-timestamp"]) == 0
+            os.write(target.fileno(), b"after the pipe broke")
+        assert path.read_bytes() == b""
+        assert capsys.readouterr().err == ""
 
     def test_entrypoint_exits_with_mains_code(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["glra", "check", "--suite", "mp", "--trials", "0"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import identity_truncation
-from glra import linalg
+from glra import checks, linalg, regression, sequences
 from glra.checks import _ref_projectors
 from glra.linalg import (
     DomainError,
@@ -23,6 +23,7 @@ from glra.linalg import (
     rank_factors,
     svd,
 )
+from glra.solver import GlraProblem
 
 ATOL = 1e-10
 
@@ -480,6 +481,33 @@ def test_truncation_never_exceeds_rank_bound(a, r):
 def test_rejected_input(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()
+
+
+def _fitted_check(seed):
+    g = rng(1)
+    samples = regression.SampleSet(xs=g.standard_normal((20, 2)), ys=g.standard_normal((20, 3)))
+    cov = regression.empirical_covariances(samples)
+    return regression.maximal_kernel_check(regression.fit(cov, 1), cov, trials=1, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5], ids=["negative", "fractional"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda seed: sequences.nested_chain(np.eye(3), 3, seed=seed),
+        lambda seed: checks.run_suites(["mp"], 1, seed),
+        lambda seed: sequences.approximate_minimizers(
+            GlraProblem(m=np.eye(3), b=np.eye(3), c=np.eye(3), r=1), [0.1], seed=seed
+        ),
+        _fitted_check,
+    ],
+    ids=["nested-chain", "run-suites", "approximate-minimizers", "maximal-kernel-check"],
+)
+def test_seeded_functions_reject_a_seed_numpy_cannot_take(call, seed):
+    # numpy's default_rng takes only integers >= 0; its ValueError or TypeError
+    # would surface as an internal error
+    with pytest.raises(InputError, match=f"seed must be an integer >= 0, got {seed}"):
+        call(seed)
 
 
 def test_as_matrix_takes_a_float_array_as_it_is():

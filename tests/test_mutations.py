@@ -64,8 +64,8 @@ def minimiser_without_sigma(real):
 
 
 def x_hat_apart_from_its_factors(real):
-    def mutant(fb, fc, f):
-        x_hat, left, right = real(fb, fc, f)
+    def mutant(x):
+        x_hat, left, right = real(x)
         return x_hat * NUDGE, left, right
 
     return mutant
@@ -198,7 +198,7 @@ MUTANTS = [
        "glra.solution_reconstructs_truncation", "glra.solve_beats_als_oracle",
        "glra.optimal_error_consistency", "glra.scale_equivariance_exact",
        "rrr.fit_beats_als_oracle"),
-    _m("x-hat-apart-from-its-factors", "_minimiser", x_hat_apart_from_its_factors,
+    _m("x-hat-apart-from-its-factors", "_x_hat", x_hat_apart_from_its_factors,
        "glra.solution_reconstructs_truncation", "glra.solution_set_member_is_optimal",
        "seq raises NumericalError", "rrr.fit_beats_als_oracle"),
     _m("pinv-nudged", "_pinv", pinv_nudged,

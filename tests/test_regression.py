@@ -13,6 +13,7 @@ from glra.linalg import (
     NumericalError,
     Tolerances,
     Uniqueness,
+    _psd_factors,
     hs_norm,
     pinv,
     psd_sqrt,
@@ -323,13 +324,14 @@ class TestMaximalKernel:
         assert report.max_mse_deviation < ATOL
         assert report.min_shrink_norm > ATOL
 
-    def test_check_makes_one_eigh_and_no_svd(self, svd_calls, eigh_calls):
+    def test_check_factorises_nothing(self, svd_calls, eigh_calls):
+        # ker(C_y) is the fit's, read from the model
         cov = empirical_covariances(gaussian_samples(23, deficient_y=True))
         model = fit(cov, r=2)
         svd_calls.clear()
         eigh_calls.clear()
         maximal_kernel_check(model, cov, trials=3, seed=1)
-        assert len(eigh_calls) == 1
+        assert not eigh_calls
         assert not svd_calls
 
     def test_kernel_and_fit_make_one_rank_decision(self):
@@ -356,6 +358,31 @@ class TestMaximalKernel:
         report = maximal_kernel_check(model, cov, trials=5)
         assert report.kernel_dim == 0
         assert report.passed
+
+    @pytest.mark.parametrize("case", ["deficient-default", "fit-tolerances"])
+    def test_model_keeps_the_kernel_its_fit_cut(self, case):
+        # the fit is the one place ker(C_y) is cut; the second case is that of
+        # test_judges_with_the_fit_tolerances, whose C_y has a kernel only
+        # under the default cutoff
+        if case == "deficient-default":
+            samples, tol, dim = gaussian_samples(23, deficient_y=True), DEFAULT_TOL, 2
+        else:
+            g = np.random.default_rng(3)
+            ys = g.standard_normal((200, 3)) * np.array([1.0, 0.5, 10**-6.5])
+            xs = ys @ g.standard_normal((3, 3)) + 0.01 * g.standard_normal((200, 3))
+            samples, tol, dim = SampleSet(xs=xs, ys=ys), Tolerances(rank_rel=1e-16), 0
+        cov = empirical_covariances(samples)
+        if case == "fit-tolerances":
+            assert _psd_factors(cov.c_y, DEFAULT_TOL)[1].shape[1] == 1
+        kernel = fit(cov, 3, tol=tol).kernel
+        assert kernel.shape[1] == dim
+        assert np.array_equal(kernel, _psd_factors(cov.c_y, tol)[1])
+
+    def test_rejects_models_not_built_by_fit(self):
+        cov = empirical_covariances(gaussian_samples(24, dim_f=3, dim_g=3))
+        model = replace(fit(cov, r=1), kernel=None)
+        with pytest.raises(InputError, match="identity-weight models from fit"):
+            maximal_kernel_check(model, cov)
 
     def test_rejects_weighted_models(self):
         cov = empirical_covariances(gaussian_samples(24, dim_f=3, dim_g=3))

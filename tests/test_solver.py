@@ -202,6 +202,75 @@ class TestFactoredObjective:
             self.assert_agrees(conditioned_problem(seed))
 
 
+def x_hat_by_the_ratio_rule(p: GlraProblem) -> np.ndarray:
+    """x_hat with Sigma_K on L_0 unless sigma_1 / sigma_min(B) leaves the float range.
+
+    The side rule x_hat was formed with before its factors were stored on
+    the solution, which read B's and the core's singular values.
+    """
+    fb, fc, _, t = _reduce(p)
+    f = t.factors
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = (fb.v / fb.sigma) @ f.u
+        right = (fc.u / fc.sigma) @ f.v
+        if f.sigma.size and f.sigma[0] / fb.sigma[-1] > np.finfo(float).max:
+            right = right * f.sigma
+        else:
+            left = left * f.sigma
+        return left @ right.T
+
+
+EXTREME_PROBLEMS = {
+    # L_0 Sigma_K = 1e350 overflows and Sigma_K goes on R_0
+    "b-1e-200-c-1e200": (1e150 * np.eye(2), 1e-200 * np.eye(2), 1e200 * np.eye(2)),
+    # R_0 = 1e200 I, and L_0 Sigma_K = 1e-50 I carries Sigma_K
+    "b-1e200-c-1e-200": (1e150 * np.eye(2), 1e200 * np.eye(2), 1e-200 * np.eye(2)),
+}
+
+
+def factored_problems(kind):
+    """Ten conditioned_problem draws of a kind, or one of the EXTREME_PROBLEMS at r = 1 and 2."""
+    if kind in EXTREME_PROBLEMS:
+        m, b, c = EXTREME_PROBLEMS[kind]
+        return [GlraProblem(m=m, b=b, c=c, r=r) for r in (1, 2)]
+    return [conditioned_problem(seed) for seed in range(CONDITIONED_KINDS.index(kind), 40, 4)]
+
+
+class TestSolutionFactors:
+    """solve(p).factors = (L_0, Sigma_K, R_0), with x_hat = L_0 Sigma_K R_0^T."""
+
+    KINDS = [*CONDITIONED_KINDS, *EXTREME_PROBLEMS]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_x_hat_keeps_the_bits_of_the_ratio_rule(self, kind):
+        # the side rule now reads only the factors; both put Sigma_K on the
+        # same side wherever sigma_1 / sigma_min(B) is representable
+        for p in factored_problems(kind):
+            want = x_hat_by_the_ratio_rule(p)
+            assert np.array_equal(solve(p).x_hat, want)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_factors_lie_in_span_vb_and_span_uc(self, kind):
+        for p in factored_problems(kind):
+            f = solve(p).factors
+            fb, fc, _, _ = _reduce(p)
+            dim = max(p.x_shape)
+            assert hs_norm(f.u - fb.v @ (fb.v.T @ f.u)) <= check_bound(dim, hs_norm(f.u))
+            assert hs_norm(f.v - fc.u @ (fc.u.T @ f.v)) <= check_bound(dim, hs_norm(f.v))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_factors_multiply_back_to_x_hat(self, kind):
+        # formed at unit scale, so that no product of the three overflows where
+        # x_hat does not; entrywise rounding is bounded by ||L_0|| ||Sigma_K|| ||R_0||
+        for p in factored_problems(kind):
+            sol = solve(p)
+            f = sol.factors
+            nu, nv = hs_norm(f.u), hs_norm(f.v)
+            product = (((f.u / nu) * f.sigma) @ (f.v / nv).T) * (nu * nv)
+            scale = nu * nv * np.linalg.norm(f.sigma)
+            assert hs_norm(product - sol.x_hat) <= check_bound(max(p.x_shape), scale)
+
+
 class TestRecordsCompareByIdentity:
     """Records that hold arrays neither raise on == nor refuse to hash."""
 

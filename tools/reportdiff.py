@@ -114,6 +114,10 @@ CORPUS = (
           "--y", "{inp}/one_y.csv", "--rank", "1"),
     _case("rank-cut-n-300", 3, "demo-unbounded", "--N", "300", "--gamma-exp", "4",
           "--probes", "10,50", "--out", "sweep.csv"),
+    # C = diag(k^-8) is kept whole, and the untied cross-check's bound does not
+    # yet scale with cond(C) ~ 2.6e10
+    _case("whole-c-ill-conditioned", 3, "demo-unbounded", "--N", "20", "--gamma-exp", "8",
+          "--alpha-exp", "0.5", "--probes", "2", "--out", "sweep.csv"),
 )
 
 
