@@ -487,7 +487,7 @@ def check_seq(trials: int, seed: int) -> list[InvariantResult]:
         # the probe columns of x_hat carry C^+ applied to M
         growth.record(worst, check_bound(n, hs_norm(prob.m) * hs_norm(c_pinv)))
         # the sweep's truncation mu_1 f1 f1^T has the kernel of mu_1 f1^T
-        want = _ref_lower_bound(prob.c, inst.mu[0] * inst.f_basis[:, :1].T)[0]
+        want = _ref_lower_bound(prob.c, inst.mu[0] * inst.f1[None, :])[0]
         lower_bound.record(abs(sweep.lower_bounds[n] - want), check_bound(n, c_norm))
         # the chain is drawn from the problem, whose one reduction the bounded
         # sequence then reads, so C is factorised once

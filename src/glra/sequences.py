@@ -32,6 +32,7 @@ from .linalg import (
     _check_rank_bound,
     _cutoff,
     _diagonal_factors,
+    _rank,
     _require_finite,
     _seed,
     _svd,
@@ -135,19 +136,26 @@ class SequenceSpec:
 class SequenceInstance:
     """One truncated instance: its raw pieces, and the problem they define.
 
-    The target M = F diag(mu) F^T and the problem (M, B = I,
-    C = diag(gamma)) are each built and validated on first read.  A caller
-    that needs only the pieces forms no n x n product: a tied sweep step
-    forms its two branches only up to its largest probe column.  One that
-    needs only M, such as an untied sweep step, builds no problem.
+    F, the orthonormal completion of f1 = w/||w|| and f2 = e1, is not
+    stored: the target M = F diag(mu) F^T forms it for its own product and
+    drops it, and ``f_basis`` forms it afresh each time it is read.  M and
+    the problem (M, B = I, C = diag(gamma)) are each built and validated
+    on first read.  A caller that needs only the pieces forms no n x n
+    array, as a tied sweep step does; one that needs only M, such as an
+    untied sweep step, builds no problem.
     """
 
     spec: SequenceSpec
     w: np.ndarray
-    f_basis: np.ndarray
+    f1: np.ndarray
     gamma: np.ndarray
     alpha: np.ndarray
     mu: np.ndarray
+
+    @property
+    def f_basis(self) -> np.ndarray:
+        """F, from one complete QR of f1 and f2 = e1, whose columns keep their bits."""
+        return _complete_basis([self.f1, np.eye(1, self.spec.n)[0]], self.spec.n)
 
     @cached_property
     def m(self) -> np.ndarray:
@@ -186,8 +194,8 @@ def build_instance(spec: SequenceSpec) -> SequenceInstance:
 
     w carries alpha_k * gamma_k for k >= 2 (zero in the first slot); the
     target is M = F diag(mu) F^T with F the orthonormal completion of
-    f1 = w/||w||, f2 = e1; B is the identity and C = diag(gamma).  The
-    problem itself is built when ``problem`` is first read.
+    f1 = w/||w||, f2 = e1; B is the identity and C = diag(gamma).  Only
+    f1 is kept, not F; M and the problem are built when first read.
     """
     n = spec.n
     idx = np.arange(1, n + 1, dtype=float)
@@ -204,11 +212,7 @@ def build_instance(spec: SequenceSpec) -> SequenceInstance:
     w_norm = np.linalg.norm(w)
     if w_norm == 0.0:
         raise NumericalError("w is zero: alpha_k * gamma_k underflows float64 for every k >= 2")
-    f1 = w / w_norm
-    f2 = np.zeros(n)
-    f2[0] = 1.0
-    f = _complete_basis([f1, f2], n)
-    return SequenceInstance(spec=spec, w=w, f_basis=f, gamma=gamma, alpha=alpha, mu=mu)
+    return SequenceInstance(spec=spec, w=w, f1=w / w_norm, gamma=gamma, alpha=alpha, mu=mu)
 
 
 @dataclass(frozen=True)
@@ -237,16 +241,19 @@ class UnboundednessSweep:
 
 
 def _probe_rows(
-    n: int, probes: list[int], x: np.ndarray, predicted: Callable[[int], float]
+    n: int, probes: list[int], cols: np.ndarray, predicted: Callable[[int], float]
 ) -> list[SweepRow]:
-    """The rows ||X e_m|| of the probe columns m of X at dimension n, against the law.
+    """The rows ||X e_m|| at dimension n against the law, from cols[:, i] = X e_(probes[i]).
 
     A column's norm is hs_norm's, which neither underflows nor overflows
     while the norm itself is representable; a norm or a law that overflows
     is reported as NumericalError, so numpy prints no warning for it.
     """
     with np.errstate(over="ignore"):
-        rows = [SweepRow(n, m, hs_norm(x[:, m - 1 : m]), float(predicted(m))) for m in probes]
+        rows = [
+            SweepRow(n, m, hs_norm(cols[:, i : i + 1]), float(predicted(m)))
+            for i, m in enumerate(probes)
+        ]
     _require_finite(**{"probe norm": [(row.norm, row.predicted_norm) for row in rows]})
     return rows
 
@@ -259,15 +266,18 @@ def unboundedness_sweep(
 ) -> UnboundednessSweep:
     """Tabulate ||X e_m|| against the closed-form growth law over N.
 
-    Requires r = 1.  Each assembled branch is mu_j f_j (f_j^T C^+), its row
-    the product (f_j^T V_C S_C^-1) U_C^T.  For mu_1 > mu_2 the solver's
-    canonical minimiser is cross-checked against the whole assembled one.
-    At a tie both canonical branches are assembled, but only up to the
-    largest probe column the step tabulates, so an overflow beyond it is
-    never formed and the step's finite probe rows are returned; an overflow
-    within the columns formed is a NumericalError.  A probe index larger
-    than some sweep dimension is tabulated only at the dimensions that
-    contain it.
+    Requires r = 1.  Each assembled branch is mu_j f_j (f_j^T C^+).  C =
+    diag(gamma) is read as gamma: its rank cut keeps the leading k axes,
+    so the row f_j^T C^+ is f_j fl(1/gamma_j) on them and 0 beyond, the
+    bits of (f_j^T V_C S_C^-1) U_C^T with C's factors.  For mu_1 > mu_2
+    the solver's canonical minimiser is cross-checked against the whole
+    assembled one; the step factorises M's leading k columns before it
+    forms any other n x n array.  At a tie both canonical branches are
+    assembled at the probe columns only, so a step holds no n x n array
+    and an overflow elsewhere is never formed; an overflow in a column a
+    step forms is a NumericalError, reported before M is formed.  A
+    probe index larger than some sweep dimension is tabulated only at the
+    dimensions that contain it.
     """
     if spec.r != 1:
         raise InputError("the growth sweep is defined for rank bound r = 1")
@@ -289,43 +299,43 @@ def unboundedness_sweep(
         inst = build_instance(replace(spec, n=n))
         # probes beyond this truncation appear once the sweep reaches them
         live_probes = [m for m in probes if m <= n]
+        at_probes = np.array(live_probes, dtype=int) - 1
         w_norm = float(np.linalg.norm(inst.w))
         w_norms[n] = w_norm
-        # B = I and C = diag(gamma) come with their factors: the core of the
-        # cross-check, the minimiser, the rows f^T C^+ and the lower bound
-        # take them from the construction
-        fc = _diagonal_factors(inst.gamma, tol)
-        f1, f2 = inst.f_basis[:, 0], inst.f_basis[:, 1]
-        # a tied step reads its branches mu f (f^T C^+) only at the probe
-        # columns, so it forms them up to the largest of those; an untied
-        # step cross-checks the whole of x_a
-        width = max(live_probes, default=0) if tie else n
-        # the rows f1^T C^+ and f2^T C^+, both as (f^T V_C S_C^-1) U_C^T
-        pinv_rows = ((inst.f_basis[:, :2].T @ (fc.v / fc.sigma)) @ fc.u.T)[:, :width]
-        # a mu near the float range overflows the assembled minimiser, which
-        # is reported as NumericalError, so numpy prints no warning for it
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_a = inst.mu[0] * np.outer(f1, pinv_rows[0])
-        _require_finite(x_a=x_a)
-        if not tie:
+        k = _rank(inst.gamma, (n, n), tol)
+        # the row f1^T C^+, at the probe columns for a tied step and whole
+        # for an untied step's cross-check
+        cols = at_probes if tie else np.arange(n)
+        inv = np.divide(1.0, inst.gamma[cols], out=np.zeros(cols.size), where=cols < k)
+        row = inst.f1[cols] * inv
+        # x_a = mu_1 f1 row has nonnegative factors and rounding is monotone,
+        # so its largest entry is mu_1 (max f1 max row); an overflow is
+        # reported as NumericalError, so numpy prints no warning for it
+        with np.errstate(over="ignore"):
+            _require_finite(x_a=inst.mu[0] * (inst.f1.max() * row.max(initial=0.0)))
+        if tie:
+            x_a = inst.mu[0] * np.outer(inst.f1, row)
+            # f2 = e1, so its row is 1/gamma_1 at the first column and 0 elsewhere
+            f2 = np.eye(1, n)[0]
+            x_b = inst.mu[1] * np.outer(f2, f2[cols] * inv)
+        else:
+            # the core U_B^T M V_C of B = I and C's leading k axes is M's
+            # leading k columns: a view, truncated as G with the bits of
+            # solver._reduce on the problem, which is not built
+            t = _truncate(_svd(inst.m[:, :k]), 1, (n, n), tol)
             fb = _diagonal_factors(np.ones(n), tol)
             if fb.sigma.size != n:
                 raise NumericalError(
                     f"B's factors keep {fb.sigma.size} of the identity's {n} axes; "
                     "the sweep's core needs all of them"
                 )
-            # B's factors are the identity and C's keep its leading axes, so
-            # the core U_B^T M V_C is M's leading rank(C) columns: a view,
-            # truncated as G with the bits of solver._reduce on the problem,
-            # which is not built
-            t = _truncate(_svd(inst.m[:, : fc.sigma.size]), 1, (n, n), tol)
-            x_hat = _x_hat(_minimiser(fb, fc, t.factors))[0]
-            residual = hs_norm(x_hat - x_a)
+            x_hat = _x_hat(_minimiser(fb, _diagonal_factors(inst.gamma, tol), t.factors))[0]
+            residual = hs_norm(x_hat - inst.mu[0] * np.outer(inst.f1, row))
             if residual > check_bound(n, hs_norm(x_hat)):
                 raise NumericalError(
                     f"solver minimiser deviates from assembled form by {residual:.3e}"
                 )
-            x_a = x_hat
+            x_a = x_hat[:, at_probes]
         rows += _probe_rows(
             n,
             live_probes,
@@ -333,13 +343,14 @@ def unboundedness_sweep(
             lambda m: 0.0 if m == 1 else inst.mu[0] * inst.alpha[m - 1] / w_norm,
         )
         if tie:
-            x_b = inst.mu[1] * np.outer(f2, pinv_rows[1])
             bounded_rows += _probe_rows(
                 n, live_probes, x_b, lambda m: inst.mu[1] / inst.gamma[0] if m == 1 else 0.0
             )
-        # the truncation mu_1 f1 f1^T has the kernel of its row factor mu_1 f1^T
-        z = inst.mu[0] * f1[None, :]
-        lower_bounds[n] = _lower_bound(fc, z, tol).constant
+        # the truncation mu_1 f1 f1^T has the kernel of its row factor
+        # mu_1 f1^T, and V_C is C's leading k axes, so the sines R^T V_C are
+        # the leading k entries of that factor's right singular vector
+        r_z = rank_factors(inst.mu[0] * inst.f1[None, :], tol).v
+        lower_bounds[n] = _lower_bound(inst.gamma[:k], r_z[:k].T, n, tol).constant
     return UnboundednessSweep(
         rows=rows,
         bounded_rows=bounded_rows,
@@ -639,16 +650,22 @@ def lower_bound_constant(c, z, tol: Tolerances = DEFAULT_TOL) -> LowerBoundResul
         raise InputError(
             f"Z must act on C's domain: expected {ca.shape[1]} columns, got {za.shape[1]}"
         )
-    return _lower_bound(rank_factors(ca, tol), za, tol)
+    fc = rank_factors(ca, tol)
+    return _lower_bound(fc.sigma, rank_factors(za, tol).v.T @ fc.v, ca.shape[1], tol)
 
 
-def _lower_bound(fc: SvdFactors, z: np.ndarray, tol: Tolerances) -> LowerBoundResult:
-    """lower_bound_constant from the rank-cut factors of C, whose domain is R^n.
+def _lower_bound(
+    sigma: np.ndarray, sines: np.ndarray, dim: int, tol: Tolerances
+) -> LowerBoundResult:
+    """lower_bound_constant from C's kept singular values and the sines R^T V_C.
 
-    With V_C the basis of ker(C)-perp and R one of ker(Z)-perp, the
+    With C = U_C S_C V_C^T cut at its rank rho, sigma = diag(S_C), V_C the
+    basis of ker(C)-perp and R one of ker(Z)-perp, both in R^dim, the
     singular values of the k x rho matrix R^T V_C are the sines of the
     principal angles between ker(C)-perp and ker(Z) (Bjorck & Golub, Math.
-    Comp. 1973).  A sine is cut by the rank rule at scale 1, because V_C
+    Comp. 1973).  The caller forms that matrix: for a diagonal C, whose
+    V_C is the leading rho axes, it is R's leading rho rows, transposed,
+    with no product.  A sine is cut by the rank rule at scale 1, because V_C
     and R are orthonormal; the k' right vectors W of the sines kept span
     the part of ker(C)-perp's coordinates y that Z sees, so the
     intersection is V_C y over y orthogonal to W, of dimension rho - k'.
@@ -661,22 +678,20 @@ def _lower_bound(fc: SvdFactors, z: np.ndarray, tol: Tolerances) -> LowerBoundRe
     one complete QR of W, and the constant is the smallest singular value
     of S_C Y.
     """
-    rho = fc.sigma.size
-    sines = rank_factors(z, tol).v.T @ fc.v
+    rho = sigma.size
     _, s, vh = np.linalg.svd(sines, full_matrices=False)
-    kept = int(np.count_nonzero(s > _cutoff(1.0, fc.v.shape[0], tol)))
+    kept = int(np.count_nonzero(s > _cutoff(1.0, dim, tol)))
     if kept == rho:
         return LowerBoundResult(constant=0.0, subspace_dim=0)
-    if not fc.sigma[-1] < fc.sigma[-1 - kept]:
+    if not sigma[-1] < sigma[-1 - kept]:
         # Z sees nothing (k' = 0), or sigma_rho = sigma_(rho-k') pins the constant
-        return LowerBoundResult(constant=float(fc.sigma[-1]), subspace_dim=rho - kept)
+        return LowerBoundResult(constant=float(sigma[-1]), subspace_dim=rho - kept)
     if kept == 1:
-        tau = _secular_newton(fc.sigma / fc.sigma[-1], vh[0])
-        return LowerBoundResult(
-            constant=float(fc.sigma[-1] * np.sqrt(1.0 + tau)), subspace_dim=rho - 1
-        )
+        tau = _secular_newton(sigma / sigma[-1], vh[0])
+        constant = float(sigma[-1] * np.sqrt(1.0 + tau))
+        return LowerBoundResult(constant=constant, subspace_dim=rho - 1)
     q, _ = np.linalg.qr(vh[:kept].T, mode="complete")
-    s = np.linalg.svd(fc.sigma[:, None] * q[:, kept:], compute_uv=False)
+    s = np.linalg.svd(sigma[:, None] * q[:, kept:], compute_uv=False)
     return LowerBoundResult(constant=float(s[-1]), subspace_dim=rho - kept)
 
 

@@ -145,8 +145,8 @@ def test_seq_sees_a_wrong_lower_bound(monkeypatch):
     # runs, and only the reference lower bound tells
     real = sequences._lower_bound
 
-    def bracket_bottom(fc, z, tol):
-        return replace(real(fc, z, tol), constant=float(fc.sigma[-1]))
+    def bracket_bottom(sigma, sines, dim, tol):
+        return replace(real(sigma, sines, dim, tol), constant=float(sigma[-1]))
 
     monkeypatch.setattr(sequences, "_lower_bound", bracket_bottom)
     report = checks.run_suites(list(checks.SUITE_NAMES), trials=25, seed=0)

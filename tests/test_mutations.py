@@ -115,7 +115,8 @@ def residual_norm_nudged(real):
 
 
 def probe_reads_next_column(real):
-    return lambda n, probes, x, predicted: real(n, probes, x[:, 1:], predicted)
+    # each probe reads the column held for the next one, the last the first's
+    return lambda n, probes, cols, predicted: real(n, probes, np.roll(cols, -1, axis=1), predicted)
 
 
 def canonicalize_nudged(real):
@@ -166,7 +167,9 @@ def adjoint_at_rank_one(real):
 
 
 def lower_bound_at_sigma_rho(real):
-    return lambda fc, z, tol: replace(real(fc, z, tol), constant=float(fc.sigma[-1]))
+    return lambda sigma, sines, dim, tol: replace(
+        real(sigma, sines, dim, tol), constant=float(sigma[-1])
+    )
 
 
 class Mutant(NamedTuple):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -203,13 +204,20 @@ class TestUnboundednessSweep:
             with pytest.raises(NumericalError, match=f"{name} is not finite"):
                 unboundedness_sweep(diag_spec(mu_head=mu_head, n=50), [20, 50], probes)
 
-    def test_tied_far_overflow_returns_the_probe_rows(self):
-        # mu_1 alpha_400 / ||w|| overflows column 400 of x_a, which no probe
-        # reads; the tied step forms only the columns up to probe 2
-        spec = diag_spec(mu_head=(5e307, 5e307), n=400)
+    # x_a overflows only in columns no probe reads, and the tied step forms
+    # only the probe columns: mu_1 alpha_400 / ||w|| overflows column 400,
+    # beyond probe 2, and with the decreasing alpha_m = m^-0.3 column 2
+    # overflows, below probe 40
+    @pytest.mark.parametrize(
+        "alpha_exp, mu, n_values, probes",
+        [(1.0, 5e307, [50, 400], [2]), (-0.3, 1e308, [50, 200], [40])],
+        ids=["beyond-the-probe", "below-the-probe"],
+    )
+    def test_tied_far_overflow_returns_the_probe_rows(self, alpha_exp, mu, n_values, probes):
+        spec = diag_spec(alpha_exponent=alpha_exp, mu_head=(mu, mu), n=max(n_values))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sweep = unboundedness_sweep(spec, [50, 400], [2])
+            sweep = unboundedness_sweep(spec, n_values, probes)
         assert sweep.tie and len(sweep.rows) == len(sweep.bounded_rows) == 2
         for row in sweep.rows + sweep.bounded_rows:
             assert np.isfinite(row.norm)
@@ -855,15 +863,15 @@ class TestThinBases:
         unboundedness_sweep(diag_spec(mu_head=mu_head, n=20), [20], [5])
         assert built == []
 
-    # the tied branches are read only at the probe columns, so none is
-    # formed beyond a step's largest live probe, whatever N is; a step
-    # smaller than every probe forms empty branches
+    # the tied branches are read only at the probe columns, so a step forms
+    # those columns and no other, whatever N is; a step smaller than every
+    # probe forms empty branches
     @pytest.mark.parametrize(
         "n_values, probes, shapes",
         [
-            ([400], [2, 10, 50], [(400, 50), (400, 50)]),
-            ([400], [2], [(400, 2), (400, 2)]),
-            ([20, 400], [50], [(20, 0), (20, 0), (400, 50), (400, 50)]),
+            ([400], [2, 10, 50], [(400, 3), (400, 3)]),
+            ([400], [2], [(400, 1), (400, 1)]),
+            ([20, 400], [50], [(20, 0), (20, 0), (400, 1), (400, 1)]),
         ],
         ids=["probes_2_10_50", "probe_2", "step_below_every_probe"],
     )
@@ -883,16 +891,19 @@ class TestThinBases:
         assert recorded == shapes
 
     def test_rank_one_view_takes_no_other_factorisation(self, svd_calls, monkeypatch):
-        # k' = 1: the SVDs of Z and of the sines, then no LAPACK call at all
+        # k' = 1: the SVDs of Z and of the sines, then no LAPACK call at all;
+        # Z is built from f1, as F would take a QR
         inst = build_instance(diag_spec(n=200))
         fc = _diagonal_factors(inst.gamma, DEFAULT_TOL)
+        z = inst.mu[0] * inst.f1[None, :]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("factorisation beyond the SVDs of Z and the sines")
 
         for name in ("eig", "eigh", "eigvals", "eigvalsh", "qr", "solve", "lstsq"):
             monkeypatch.setattr(np.linalg, name, forbidden)
-        res = sequences._lower_bound(fc, inst.mu[0] * inst.f_basis[:, :1].T, DEFAULT_TOL)
+        sines = rank_factors(z, DEFAULT_TOL).v[: fc.sigma.size].T
+        res = sequences._lower_bound(fc.sigma, sines, 200, DEFAULT_TOL)
         assert res.subspace_dim == 199
         assert len(svd_calls) == 2
 
@@ -1027,6 +1038,95 @@ class TestKnownFactors:
         x_hat = solve(build_instance(spec).problem).x_hat
         want = [float(np.linalg.norm(x_hat[:, m - 1])) for m in probes]
         assert [row.norm for row in sweep.rows] == want
+
+
+def _generic_route(inst, tol=DEFAULT_TOL):
+    """mu_j f_j (f_j^T C^+) whole, as outer products, and the lower bound, through C's factors.
+
+    The rows are (f^T V_C S_C^-1) U_C^T with C's factors from
+    _diagonal_factors, the sines R^T V_C a product with V_C, and F is the
+    instance's completed basis.
+    """
+    fc = _diagonal_factors(inst.gamma, tol)
+    f = inst.f_basis
+    pinv_rows = (f[:, :2].T @ (fc.v / fc.sigma)) @ fc.u.T
+    outers = [np.outer(f[:, j], pinv_rows[j]) for j in (0, 1)]
+    sines = rank_factors(inst.mu[0] * f[:, :1].T, tol).v.T @ fc.v
+    return outers, sequences._lower_bound(fc.sigma, sines, inst.spec.n, tol).constant
+
+
+class TestDiagonalRead:
+    """A sweep step reads C = diag(gamma) as gamma and holds no n x n array it does not read."""
+
+    # gamma = 4 cuts C at N = 300 and 400, where the untied cross-check fails
+    @pytest.mark.parametrize("n", [50, 300, 400])
+    @pytest.mark.parametrize("gamma_exp", [2.0, 4.0])
+    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+    def test_rows_and_lower_bounds_match_the_generic_route(self, monkeypatch, n, gamma_exp, tied):
+        spec = diag_spec(gamma_exponent=gamma_exp, mu_head=(1.0, 1.0 if tied else 0.5), n=n)
+        probes = [2, 10, 50]
+        inst = build_instance(spec)
+        (out_a, out_b), want_lower = _generic_route(inst)
+        cut = _diagonal_factors(inst.gamma, DEFAULT_TOL).sigma.size < n
+        assert cut is (gamma_exp == 4.0 and n > 50)
+        outer, formed = np.outer, []
+
+        def recording(a, b, *args, **kwargs):
+            formed.append(outer(a, b, *args, **kwargs))
+            return formed[-1]
+
+        monkeypatch.setattr(np, "outer", recording)
+        if cut and not tied:
+            with pytest.raises(NumericalError, match="deviates from assembled form"):
+                unboundedness_sweep(spec, [n], probes)
+        else:
+            sweep = unboundedness_sweep(spec, [n], probes)
+            assert sweep.lower_bounds[n] == want_lower
+        at = np.array(probes) - 1
+        if tied:
+            assert [a.tobytes() for a in formed] == [
+                np.ascontiguousarray(o[:, at]).tobytes() for o in (out_a, out_b)
+            ]
+            branches = ((sweep.rows, inst.mu[0] * out_a), (sweep.bounded_rows, inst.mu[1] * out_b))
+            for rows, x in branches:
+                assert [row.norm for row in rows] == [hs_norm(x[:, m - 1 : m]) for m in probes]
+        else:
+            # the cross-check forms x_a whole; the rows are x_hat's
+            [x_a] = formed
+            assert x_a.tobytes() == out_a.tobytes()
+
+    def test_tied_step_at_n_1e5_stays_small(self):
+        # at 10^5 an n x n array takes 80 GB
+        n = 10**5
+        tracemalloc.start()
+        try:
+            sweep = unboundedness_sweep(diag_spec(mu_head=(1.0, 1.0), n=n), [n], [2, 10, 50])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        assert sweep.tie and len(sweep.rows) == len(sweep.bounded_rows) == 3
+        for row in sweep.rows + sweep.bounded_rows:
+            assert abs(row.norm - row.predicted_norm) <= check_bound(n, row.predicted_norm)
+
+    def test_untied_core_factorisation_sees_only_m(self, monkeypatch):
+        # the core's SVD comes before the identity factors, F, the rows
+        # f^T C^+ and x_a are formed, so M is the only n x n array live then
+        real, live = sequences._svd, []
+
+        def spying(a):
+            live.append((tracemalloc.get_traced_memory()[0], a.base))
+            return real(a)
+
+        monkeypatch.setattr(sequences, "_svd", spying)
+        tracemalloc.start()
+        try:
+            unboundedness_sweep(diag_spec(n=400), [400], [2, 10, 50])
+        finally:
+            tracemalloc.stop()
+        [(traced, m)] = live
+        assert m.shape == (400, 400)
+        assert traced <= m.nbytes + 64 * 1024
 
 
 def _reference_nested_bases(basis, steps, seed):

@@ -1009,9 +1009,10 @@ def test_rank_factors_only_in_the_reduction():
 
 def test_sequences_cuts_only_its_operands():
     # sequences factorises only the matrices a caller hands it, a bare C
-    # and the lower bound's Z, and takes a problem's C from its reduction;
-    # a chain step is built from C's factors and makes no
-    # rank decision of its own
+    # and the lower bound's Z (which lower_bound_constant and the sweep
+    # factorise to form the sines for _lower_bound), and takes a problem's
+    # C from its reduction; a chain step is built from C's factors and
+    # makes no rank decision of its own
     callers = set()
     path = Path(glra.sequences.__file__)
     for top in ast.parse(path.read_text()).body:
@@ -1024,7 +1025,7 @@ def test_sequences_cuts_only_its_operands():
         "_range_basis",
         "outer_inverse_chain",
         "lower_bound_constant",
-        "_lower_bound",
+        "unboundedness_sweep",
     }
 
 

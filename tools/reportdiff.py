@@ -74,6 +74,9 @@ CORPUS = (
     # x_a overflows at N = 400 only beyond probe 2, which a tied step never forms
     _case("demo-unbounded-tied-far-overflow", 0, "demo-unbounded", "--N", "50,400",
           "--mu", "5e307,5e307", "--probes", "2", "--out", "sweep.csv"),
+    # a tied step above N = 400 forms only its probe columns
+    _case("demo-unbounded-tied-n3000", 0, "demo-unbounded", "--N", "400,3000", "--mu", "1,1",
+          "--probes", "2,50", "--out", "sweep.csv"),
     _case("outer-approx-full", 0, "outer-approx", *_problem(""), "--chain", "full",
           "--out", "outer.csv"),
     _case("outer-approx-auto-alternative", 0, "outer-approx", *_problem(""), "--chain", "auto:3",
@@ -112,6 +115,9 @@ CORPUS = (
     _case("error-overflowing-core", 3, "error", *_problem("hugem_", 1)),
     _case("regress-overflowing-cy", 3, "regress", "--x", "{inp}/one_x.csv",
           "--y", "{inp}/one_y.csv", "--rank", "1"),
+    # x_a overflows, and is named before M, which overflows too
+    _case("demo-unbounded-overflow-order", 3, "demo-unbounded", "--N", "20,50",
+          "--mu", "1.7e308,1e308", "--probes", "2,5", "--out", "sweep.csv"),
     _case("rank-cut-n-300", 3, "demo-unbounded", "--N", "300", "--gamma-exp", "4",
           "--probes", "10,50", "--out", "sweep.csv"),
     # C = diag(k^-8) is kept whole, and the untied cross-check's bound does not
