@@ -113,10 +113,8 @@ def random_problem(
     b = rng.standard_normal((m_rows, p_cols))
     c = rng.standard_normal((q_rows, n_cols))
     if deficient:
-        if p_cols > 1:
-            b[:, -1] = b[:, 0]
-        if q_rows > 1:
-            c[-1, :] = c[0, :]
+        b[:, -1] = b[:, 0]
+        c[-1, :] = c[0, :]
     return solver.GlraProblem(
         m=rng.standard_normal((m_rows, n_cols)),
         b=b,
@@ -206,8 +204,9 @@ def als_oracles(
     padding's zero singular values, and it stops at its own floor.  A
     problem with M = 0 gives 0 and does not enter the stack.
     """
-    if restarts < 1 or iters < 1:
-        raise linalg.InputError("restarts and iters must be >= 1")
+    linalg._count(restarts, "restarts", 1)
+    linalg._count(iters, "iters", 1)
+    seeds = [linalg._count(seed, "seed", 0) for seed in seeds]
     scales = [hs_norm(p.m) for p in problems]
     held = [(p, scale, seed) for p, scale, seed in zip(problems, scales, seeds) if scale != 0.0]
     if not held:
@@ -625,13 +624,13 @@ _SUITE_FUNCS = {
 
 
 def run_suites(names: list[str], trials: int, seed: int) -> CheckReport:
-    if trials < 1:
-        raise linalg.InputError(f"trials must be >= 1, got {trials}")
+    linalg._count(trials, "trials", 1)
+    linalg._count(seed, "seed", 0)
     results: dict[str, list[InvariantResult]] = {}
     for name in names:
         if name not in _SUITE_FUNCS:
             raise linalg.InputError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-        results[name] = _SUITE_FUNCS[name](trials, linalg._seed(seed))
+        results[name] = _SUITE_FUNCS[name](trials, seed)
     return CheckReport(suites=results)
 
 

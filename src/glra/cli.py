@@ -33,7 +33,7 @@ from .linalg import (
     InputError,
     NumericalError,
     Tolerances,
-    _check_rank_bound,
+    _count,
     _require_finite,
     check_bound,
     hs_norm,
@@ -77,7 +77,7 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
 def _load_problem(args: argparse.Namespace) -> solver.GlraProblem:
     tol = _tolerances(args)
     # a bad rank bound is no fault of the files, so it is judged before them
-    _check_rank_bound(args.rank)
+    _count(args.rank, "rank bound", 1)
     m = read_matrix(args.M)
     b = read_matrix(args.B)
     c = read_matrix(args.C)
@@ -238,7 +238,7 @@ def cmd_outer_approx(args: argparse.Namespace) -> Result:
 def cmd_regress(args: argparse.Namespace) -> Result:
     tol = _tolerances(args)
     # as in _load_problem, a bad rank bound is judged before the files
-    _check_rank_bound(args.rank)
+    _count(args.rank, "rank bound", 1)
     xs = read_matrix(args.x)
     ys = read_matrix(args.y)
     if args.center:
@@ -413,8 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # the seeded library functions reject a negative seed too, but
         # outer-approx --chain full calls none of them, and would accept it
-        if getattr(args, "seed", 0) < 0:
-            raise InputError(f"--seed must be >= 0, got {args.seed}")
+        _count(getattr(args, "seed", 0), "--seed", 0)
         outputs, diagnostics, code = args.func(args)
         report = {
             "schema": "glra/1",

@@ -4,9 +4,11 @@ Everything downstream (the solver, the truncation experiments, the
 regression front end) is built on the primitives here: a deterministic
 SVD and its cut at the numerical rank, the Moore-Penrose inverse, rank-r
 truncation with tie detection (``_truncate``, reached through the
-solver), the PSD square root and the Hilbert-Schmidt norm.  The one rank
-rule (``_cutoff``) and the one tie rule (``_tied``) that every numerical
-decision downstream applies with its ``Tolerances`` live here too.  No dense
+solver), the PSD square root and the Hilbert-Schmidt norm.  The library's
+one-place policies live here too: the one rank rule (``_cutoff``) and the
+one tie rule (``_tied``) that every numerical decision downstream applies
+with its ``Tolerances``, and the one check of every count (``_count``)
+and every real (``_finite``) that a caller passes.  No dense
 projector is formed here: orthonormal bases of ran(A) and ker(A)-perp are
 the columns of ``rank_factors``.  All matrices are plain 2-D float64
 ``numpy`` arrays and all functions are pure.
@@ -67,9 +69,10 @@ class Tolerances:
     tie_rel: float = 1e-9
 
     def __post_init__(self) -> None:
-        # an infinite cutoff keeps nothing and an infinite gap ties everything
-        for name in ("rank_rel", "tie_rel"):
-            if not 0.0 < getattr(self, name) < math.inf:
+        # a string is refused before it is compared; an infinite cutoff keeps
+        # nothing and an infinite gap ties everything
+        for name, value in vars(self).items():
+            if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
                 raise InputError(f"tolerance {name} must be strictly positive and finite")
 
 
@@ -149,7 +152,8 @@ def _real_array(a, name: str) -> np.ndarray:
 
     A float64 ndarray is returned as it is, with no copy.  Complex entries
     are refused, not cast to their real parts, and so is anything numpy
-    cannot read as real numbers (strings, ragged nestings).
+    cannot read as real numbers (ragged nestings, strings).  A numeric
+    string such as "2", which numpy would read as 2.0, is refused too.
     """
     if type(a) is np.ndarray and a.dtype is _FLOAT:
         return a
@@ -157,7 +161,11 @@ def _real_array(a, name: str) -> np.ndarray:
         arr = np.asarray(a)
         if arr.dtype.kind == "c":
             raise TypeError("complex entries are not supported")
-        return arr.astype(float, copy=False)
+        # numpy's own error names a string that is not a number
+        real = arr.astype(float, copy=False)
+        if arr.dtype.kind in "SU":
+            raise TypeError("numeric strings are not supported")
+        return real
     except (TypeError, ValueError) as exc:
         raise InputError(f"{name} is not a real numeric array: {exc}") from exc
 
@@ -182,19 +190,31 @@ def _require_finite(**values: float | np.ndarray) -> None:
             raise NumericalError(f"{name} is not finite; the inputs overflow float64")
 
 
-def _check_rank_bound(r) -> None:
-    """Reject a rank bound that is not an integer >= 1 (numpy integers pass)."""
-    if not isinstance(r, numbers.Integral):
-        raise InputError(f"rank bound must be an integer, got {r!r}")
-    if r < 1:
-        raise InputError(f"rank bound must be >= 1, got {r}")
+def _count(value, name: str, least: int) -> numbers.Integral:
+    """value, an integer >= least (numpy integers pass), or InputError naming it.
+
+    The one check of a count a caller passes: a rank bound, a dimension, a
+    probe index, a step, trial or restart count, or a seed, which numpy's
+    default_rng takes only as an integer >= 0.
+    """
+    if not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InputError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
-def _seed(seed) -> int:
-    """A seed for numpy's default_rng, which takes only integers >= 0; else InputError."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise InputError(f"seed must be an integer >= 0, got {seed!r}")
-    return seed
+def _finite(value, name: str) -> np.ndarray:
+    """value as a float64 array once every entry is finite, or InputError naming it.
+
+    The one check of a real, or of reals, that a caller passes.  NaN
+    passes every comparison and an infinite value overflows what is built
+    from it, so finiteness is judged before any bound.
+    """
+    arr = _real_array(value, name)
+    if not np.isfinite(arr).all():
+        raise InputError(f"{name} must be finite, got {value}")
+    return arr
 
 
 def svd(a) -> SvdFactors:

@@ -38,13 +38,12 @@ from .linalg import (
     InputError,
     Tolerances,
     Uniqueness,
-    _check_rank_bound,
+    _count,
     _diagonal_factors,
     _pinv,
     _psd_factors,
     _real_array,
     _require_finite,
-    _seed,
     as_matrix,
     check_bound,
     hs_norm,
@@ -180,7 +179,7 @@ def fit(
     With identity weights this reduces to
     A_hat = ((C_y^(1/2))^+ (P_ran(C_y^(1/2)) (C_y^(1/2))^+ C_yx)_r)^T.
     """
-    _check_rank_bound(r)
+    _count(r, "rank bound", 1)
     w_x, w_a, w_y = _weight_triplet(cov.c_x.shape[0], cov.c_y.shape[0], weights)
     # the transposed problem: C_y^(1/2), its pseudo-inverse and ker(C_y) all
     # come from the one eigendecomposition of C_y
@@ -281,8 +280,7 @@ def maximal_kernel_check(
     """
     if model.weights is not None or model.kernel is None:
         raise InputError("the maximal-kernel check applies to identity-weight models from fit")
-    if trials < 0:
-        raise InputError(f"trials must be >= 0, got {trials}")
+    _count(trials, "trials", 0)
     # first, as it checks the model's dimensions against cov
     base = mse_trace(model, cov)
     dim_x = cov.c_x.shape[0]
@@ -290,7 +288,7 @@ def maximal_kernel_check(
     annihilation = hs_norm(model.a_hat @ model.kernel) if k_dim else 0.0
     c_x_norm = hs_norm(cov.c_x)
     c_y_root = np.sqrt(hs_norm(cov.c_y))
-    rng = np.random.default_rng(_seed(seed))
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     max_dev = 0.0
     min_shrink = np.inf
     ok = annihilation <= check_bound(dim_y, hs_norm(model.a_hat))

@@ -29,12 +29,12 @@ from .linalg import (
     NumericalError,
     SvdFactors,
     Tolerances,
-    _check_rank_bound,
+    _count,
     _cutoff,
     _diagonal_factors,
+    _finite,
     _rank,
     _require_finite,
-    _seed,
     _svd,
     _tied,
     _truncate,
@@ -100,23 +100,16 @@ class SequenceSpec:
     r: int = 1
 
     def __post_init__(self) -> None:
-        # NaN passes every comparison below, and an infinite exponent
-        # overflows the construction, so finiteness is judged first
-        for name in ("gamma_exponent", "alpha_exponent", "mu_tail_exponent"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise InputError(f"{name} must be finite, got {value}")
-        if not np.isfinite(self.mu_head).all():
-            raise InputError(f"mu_head must be finite, got {self.mu_head}")
+        for name in ("gamma_exponent", "alpha_exponent", "mu_tail_exponent", "mu_head"):
+            _finite(getattr(self, name), name)
         if self.gamma_exponent <= 0:
             raise InputError("gamma_exponent must be positive")
         if not self.gamma_exponent - self.alpha_exponent > 0.5:
             raise InputError(
                 "need gamma_exponent - alpha_exponent > 1/2 for square-summable weights"
             )
-        _check_rank_bound(self.r)
-        if self.n < max(3, self.r + 2):
-            raise InputError(f"dimension n must be >= max(3, r+2), got {self.n}")
+        _count(self.r, "rank bound", 1)
+        _count(self.n, "dimension n", max(3, self.r + 2))
         mu = self.mu_values(self.n)
         if np.any(mu <= 0) or np.any(np.diff(mu) > 0):
             raise InputError("mu must be positive and nonincreasing")
@@ -283,8 +276,9 @@ def unboundedness_sweep(
         raise InputError("the growth sweep is defined for rank bound r = 1")
     if not n_values or not probes:
         raise InputError("a sweep needs at least one dimension and one probe index")
-    if min(probes) < 1:
-        raise InputError("probe indices must be >= 1")
+    # checked before max() compares them; 3 is SequenceSpec's least n at r = 1
+    n_values = [_count(n, "dimension n", 3) for n in n_values]
+    probes = [_count(m, "probe indices", 1) for m in probes]
     if max(probes) > max(n_values):
         raise InputError(
             f"probe index {max(probes)} exceeds the largest sweep dimension {max(n_values)}"
@@ -393,13 +387,12 @@ def approximate_minimizers(
     step's objective is taken from those factors, as solve's is: at
     eps = 0 it is solve's bit for bit.
     """
-    if not np.isfinite(epsilons).all():
-        raise InputError("epsilons must be finite")
+    epsilons = _finite(epsilons, "epsilons")
     fb, fc, _, t = _reduce(p)
     tsvd = _lift(fb, fc, t)
     lambdas = tsvd.factors.sigma.copy()
     f_vecs, e_vecs = tsvd.factors.u, tsvd.factors.v
-    rng = np.random.default_rng(_seed(seed))
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     # a Gaussian projected onto ran(B) != {0} is nonzero with probability 1
     directions = np.zeros((p.m.shape[0], lambdas.size))
     for i in range(lambdas.size):
@@ -486,11 +479,10 @@ def nested_chain(source, steps: int, seed: int = 0, tol: Tolerances | None = Non
     steps are its leading columns.  A chain has at most rank C steps, so
     a larger ``steps`` gives the chain of rank C steps.
     """
-    if steps < 1:
-        raise InputError("steps must be >= 1")
+    _count(steps, "steps", 1)
     u = _range_basis(source, tol)
     d = u.shape[1]
-    rng = np.random.default_rng(_seed(seed))
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     mixed = u @ q
     # for steps >= d the cuts are 1 ... d, so no larger count is looped over

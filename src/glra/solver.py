@@ -57,7 +57,7 @@ from .linalg import (
     Tolerances,
     TruncatedSvd,
     Uniqueness,
-    _check_rank_bound,
+    _count,
     _require_finite,
     _svd,
     _truncate,
@@ -118,7 +118,7 @@ class GlraProblem:
             raise InputError(
                 f"C has {self.c.shape[1]} columns but M has {self.m.shape[1]}"
             )
-        _check_rank_bound(self.r)
+        _count(self.r, "rank bound", 1)
 
     @property
     def x_shape(self) -> tuple[int, int]:

@@ -490,7 +490,11 @@ def _fitted_check(seed):
     return regression.maximal_kernel_check(regression.fit(cov, 1), cov, trials=1, seed=seed)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5], ids=["negative", "fractional"])
+@pytest.mark.parametrize(
+    "seed, message",
+    [(-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5")],
+    ids=["negative", "fractional"],
+)
 @pytest.mark.parametrize(
     "call",
     [
@@ -503,11 +507,86 @@ def _fitted_check(seed):
     ],
     ids=["nested-chain", "run-suites", "approximate-minimizers", "maximal-kernel-check"],
 )
-def test_seeded_functions_reject_a_seed_numpy_cannot_take(call, seed):
+def test_seeded_functions_reject_a_seed_numpy_cannot_take(call, seed, message):
     # numpy's default_rng takes only integers >= 0; its ValueError or TypeError
     # would surface as an internal error
-    with pytest.raises(InputError, match=f"seed must be an integer >= 0, got {seed}"):
+    with pytest.raises(InputError, match=message):
         call(seed)
+
+
+def _fitted():
+    g = rng(1)
+    samples = regression.SampleSet(xs=g.standard_normal((20, 2)), ys=g.standard_normal((20, 3)))
+    cov = regression.empirical_covariances(samples)
+    return regression.fit(cov, 1), cov
+
+
+_EYE_PROBLEM = GlraProblem(m=np.eye(3), b=np.eye(3), c=np.eye(3), r=1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: sequences.SequenceSpec(2.0, 1.0, n=10.5),
+            "dimension n must be an integer, got 10.5",
+        ),
+        (
+            lambda: sequences.unboundedness_sweep(sequences.SequenceSpec(2.0, 1.0), [10.5], [2]),
+            "dimension n must be an integer, got 10.5",
+        ),
+        (
+            lambda: sequences.unboundedness_sweep(sequences.SequenceSpec(2.0, 1.0), ["20"], [2]),
+            "dimension n must be an integer, got '20'",
+        ),
+        (
+            lambda: sequences.unboundedness_sweep(sequences.SequenceSpec(2.0, 1.0), [20], [2.5]),
+            "probe indices must be an integer, got 2.5",
+        ),
+        (lambda: sequences.nested_chain(np.eye(4), 2.5), "steps must be an integer, got 2.5"),
+        (lambda: checks.run_suites(["mp"], 1.5, 0), "trials must be an integer, got 1.5"),
+        (
+            lambda: regression.maximal_kernel_check(*_fitted(), trials=2.5),
+            "trials must be an integer, got 2.5",
+        ),
+        (
+            lambda: checks.als_oracles([_EYE_PROBLEM], 1.5, 3, [0]),
+            "restarts must be an integer, got 1.5",
+        ),
+        (lambda: checks.als_oracles([_EYE_PROBLEM], 1, 3, [-1]), "seed must be >= 0, got -1"),
+        (
+            lambda: sequences.approximate_minimizers(_EYE_PROBLEM, ["a"]),
+            "epsilons is not a real numeric array: could not convert string to float",
+        ),
+        (
+            lambda: sequences.SequenceSpec("2", 1.0),
+            "gamma_exponent is not a real numeric array: numeric strings are not supported",
+        ),
+        (
+            lambda: sequences.SequenceSpec(2.0, 1.0, mu_head=("a",)),
+            "mu_head is not a real numeric array: could not convert string to float",
+        ),
+        (
+            lambda: Tolerances(rank_rel="1e-12"),
+            "tolerance rank_rel must be strictly positive and finite",
+        ),
+        (
+            lambda: linalg.as_matrix([["1"]], "Z"),
+            "Z is not a real numeric array: numeric strings are not supported",
+        ),
+    ],
+    ids=[
+        "spec-fractional-n", "sweep-fractional-n", "sweep-string-n", "sweep-fractional-probe",
+        "chain-fractional-steps", "suites-fractional-trials", "kernel-check-fractional-trials",
+        "als-fractional-restarts", "als-negative-seed", "epsilon-string", "spec-numeric-string",
+        "spec-mu-head-string", "tolerance-string", "as-matrix-numeric-string",
+    ],
+)
+def test_every_count_and_real_a_caller_passes_is_checked(call, message):
+    # each of these was accepted, or died inside numpy with a TypeError,
+    # IndexError or ValueError, before _count and _finite checked it
+    with pytest.raises(InputError, match=message):
+        call()
 
 
 def test_as_matrix_takes_a_float_array_as_it_is():
