@@ -204,16 +204,18 @@ def _count(value, name: str, least: int) -> numbers.Integral:
     return value
 
 
-def _finite(value, name: str) -> np.ndarray:
-    """value as a float64 array once every entry is finite, or InputError naming it.
+def _finite(value, name: str, ndim: int) -> np.ndarray:
+    """value as a float64 array of ndim dimensions, every entry finite, or InputError naming it.
 
-    The one check of a real, or of reals, that a caller passes.  NaN
-    passes every comparison and an infinite value overflows what is built
-    from it, so finiteness is judged before any bound.
+    The one check of a real (ndim 0), or of a sequence of reals (ndim 1),
+    that a caller passes.  NaN passes every comparison and an infinite
+    value overflows what is built from it, so finiteness is judged before
+    any bound; a scalar where a sequence belongs, or the reverse, would
+    die inside numpy.
     """
     arr = _real_array(value, name)
-    if not np.isfinite(arr).all():
-        raise InputError(f"{name} must be finite, got {value}")
+    if arr.ndim != ndim or not np.isfinite(arr).all():
+        raise InputError(f"{name} must be finite and {('scalar', '1-D')[ndim]}, got {value}")
     return arr
 
 
@@ -339,21 +341,6 @@ def _truncate(
         numerical_rank=rank,
         uniqueness=flag,
     )
-
-
-def _diagonal_factors(d: np.ndarray, tol: Tolerances) -> SvdFactors:
-    """rank_factors(np.diag(d), tol) for a positive, nonincreasing d, without an SVD.
-
-    The singular vectors of such a diagonal are the coordinate axes and its
-    singular values are d, cut at the same numerical rank.  For d = 1 (the
-    identity) and for a d whose head is 1, such as the unboundedness
-    construction's gamma, LAPACK returns exactly these factors, so nothing
-    downstream changes a bit.  U and V are one array.
-    """
-    n = d.size
-    k = _rank(d, (n, n), tol)
-    axes = np.eye(n)[:, :k]
-    return SvdFactors(u=axes, sigma=d[:k], v=axes)
 
 
 def psd_sqrt(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -8,9 +8,9 @@ M = (C_y^(1/2))^+ C_yx W_x^T, and solves that transposed problem in
 closed form; this route is the one that yields bounded finite-rank
 solutions.  C_y is factorised once per call: one eigendecomposition gives
 C_y^(1/2), its pseudo-inverse and, with identity weights, the factors of
-B.  The fit then passes those and the factors of C = I to the solver's
-reduction as known factors, so the solve itself only takes the SVD of
-its core, and ``solve`` builds the solution.  ``fit`` is the one
+B.  The fit then passes those to the solver's reduction as known
+factors, so the solve itself takes the SVDs of C = I and of its core,
+and ``solve`` builds the solution.  ``fit`` is the one
 builder of the transposed problem.  Its report holds the mean squared
 error and the uniqueness flag: the truncation's left vectors U_B U_K lie
 in span U_B by construction, so a residual of that containment could
@@ -39,7 +39,6 @@ from .linalg import (
     Tolerances,
     Uniqueness,
     _count,
-    _diagonal_factors,
     _pinv,
     _psd_factors,
     _real_array,
@@ -188,8 +187,9 @@ def fit(
         m=_pinv(half) @ cov.c_yx @ w_x.T, b=half.reconstruct() @ w_y.T, c=w_a.T, r=r, tol=tol
     )
     if weights is None:
-        # with identity weights B = C_y^(1/2) and C = I come with their factors
-        _reduce(prob, half, _diagonal_factors(np.ones(w_a.shape[0]), tol))
+        # with identity weights B = C_y^(1/2) comes with its factors; C = I
+        # is factorised like any operand
+        _reduce(prob, half)
     sol = solve(prob)
     a_hat = sol.x_hat.T
     report = FitReport(

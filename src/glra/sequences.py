@@ -9,10 +9,12 @@ and approximates the unbounded minimiser by bounded ones through chains
 of finite-rank outer inverses of C.  "Unbounded" is always operationalised
 as divergence of probe norms under a stated law, never as a boolean.
 
-The sweep's cross-check, the approximate minimisers and the bounded
-sequence take x_hat's factors L_0, Sigma_K and R_0 from the solver
-(``_minimiser``, or a solution's ``factors``) and the side that carries
-Sigma_K from its ``_sides``; none forms x_hat again to get them.
+The approximate minimisers and the bounded sequence take x_hat's
+factors L_0, Sigma_K and R_0 from the solver (``_minimiser``, or a
+solution's ``factors``); the sweep's cross-check writes them out for
+B = I and C = diag(gamma) as U_K, Sigma_K and fl(1/gamma) V_K.  All take
+the side that carries Sigma_K from the solver's ``_sides``; none forms
+x_hat again to get them.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .linalg import (
     Tolerances,
     _count,
     _cutoff,
-    _diagonal_factors,
     _finite,
     _rank,
     _require_finite,
@@ -101,7 +102,7 @@ class SequenceSpec:
 
     def __post_init__(self) -> None:
         for name in ("gamma_exponent", "alpha_exponent", "mu_tail_exponent", "mu_head"):
-            _finite(getattr(self, name), name)
+            _finite(getattr(self, name), name, int(name == "mu_head"))
         if self.gamma_exponent <= 0:
             raise InputError("gamma_exponent must be positive")
         if not self.gamma_exponent - self.alpha_exponent > 0.5:
@@ -259,13 +260,17 @@ def unboundedness_sweep(
 ) -> UnboundednessSweep:
     """Tabulate ||X e_m|| against the closed-form growth law over N.
 
-    Requires r = 1.  Each assembled branch is mu_j f_j (f_j^T C^+).  C =
-    diag(gamma) is read as gamma: its rank cut keeps the leading k axes,
-    so the row f_j^T C^+ is f_j fl(1/gamma_j) on them and 0 beyond, the
-    bits of (f_j^T V_C S_C^-1) U_C^T with C's factors.  For mu_1 > mu_2
-    the solver's canonical minimiser is cross-checked against the whole
-    assembled one; the step factorises M's leading k columns before it
-    forms any other n x n array.  At a tie both canonical branches are
+    Requires r = 1.  Each assembled branch is mu_j f_j (f_j^T C^+).  B = I
+    and C = diag(gamma) are read as vectors: C's rank cut keeps the
+    leading k axes, so the row f_j^T C^+ is f_j fl(1/gamma_j) on them and
+    0 beyond, the bits of (f_j^T V_C S_C^-1) U_C^T with C's factors.  A
+    cut that keeps no axis (rank_rel * N >= 1, as gamma_1 = 1) is a
+    NumericalError, tied or not.  For mu_1 > mu_2 the solver's canonical
+    minimiser is cross-checked against the whole assembled one: the step
+    factorises M's leading k columns, the core U_B^T M V_C, before it
+    forms any other n x n array, and writes x_hat's factors out as
+    L_0 = U_K and R_0 = fl(1/gamma) V_K on the k axes, 0 beyond, with the
+    bits of the solver's.  At a tie both canonical branches are
     assembled at the probe columns only, so a step holds no n x n array
     and an overflow elsewhere is never formed; an overflow in a column a
     step forms is a NumericalError, reported before M is formed.  A
@@ -274,8 +279,10 @@ def unboundedness_sweep(
     """
     if spec.r != 1:
         raise InputError("the growth sweep is defined for rank bound r = 1")
-    if not n_values or not probes:
-        raise InputError("a sweep needs at least one dimension and one probe index")
+    for name, values in (("n_values", n_values), ("probes", probes)):
+        if not hasattr(values, "__len__") or len(values) == 0:
+            raise InputError(f"a sweep needs at least one dimension and one probe index, "
+                             f"in lists; got {name}={values!r}")
     # checked before max() compares them; 3 is SequenceSpec's least n at r = 1
     n_values = [_count(n, "dimension n", 3) for n in n_values]
     probes = [_count(m, "probe indices", 1) for m in probes]
@@ -297,6 +304,8 @@ def unboundedness_sweep(
         w_norm = float(np.linalg.norm(inst.w))
         w_norms[n] = w_norm
         k = _rank(inst.gamma, (n, n), tol)
+        if k == 0:
+            raise NumericalError(f"C = diag(gamma) keeps none of its {n} axes at the rank cutoff")
         # the row f1^T C^+, at the probe columns for a tied step and whole
         # for an untied step's cross-check
         cols = at_probes if tie else np.arange(n)
@@ -316,14 +325,11 @@ def unboundedness_sweep(
             # the core U_B^T M V_C of B = I and C's leading k axes is M's
             # leading k columns: a view, truncated as G with the bits of
             # solver._reduce on the problem, which is not built
-            t = _truncate(_svd(inst.m[:, :k]), 1, (n, n), tol)
-            fb = _diagonal_factors(np.ones(n), tol)
-            if fb.sigma.size != n:
-                raise NumericalError(
-                    f"B's factors keep {fb.sigma.size} of the identity's {n} axes; "
-                    "the sweep's core needs all of them"
-                )
-            x_hat = _x_hat(_minimiser(fb, _diagonal_factors(inst.gamma, tol), t.factors))[0]
+            f = _truncate(_svd(inst.m[:, :k]), 1, (n, n), tol).factors
+            # x_hat's factors: L_0 = U_K, as B = I, and R_0 = S_C^-1 V_K,
+            # fl(1/gamma) V_K on C's k axes and 0 beyond them
+            r_0 = np.pad(inv[:k, None] * f.v, ((0, n - k), (0, 0)))
+            x_hat = _x_hat(replace(f, v=r_0))[0]
             residual = hs_norm(x_hat - inst.mu[0] * np.outer(inst.f1, row))
             if residual > check_bound(n, hs_norm(x_hat)):
                 raise NumericalError(
@@ -387,7 +393,7 @@ def approximate_minimizers(
     step's objective is taken from those factors, as solve's is: at
     eps = 0 it is solve's bit for bit.
     """
-    epsilons = _finite(epsilons, "epsilons")
+    epsilons = _finite(epsilons, "epsilons", 1)
     fb, fc, _, t = _reduce(p)
     tsvd = _lift(fb, fc, t)
     lambdas = tsvd.factors.sigma.copy()

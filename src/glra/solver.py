@@ -18,20 +18,23 @@ reduction (the factors of B and C, K and its truncation), so ``solve``,
 ``optimal_error`` and ``solution_set_sample`` on one problem factorise
 each operand once between them and cut it at one rank.  Every
 truncation of a problem is cut in that reduction (``_reduce``), at the
-problem's tolerances; a caller that already knows the rank-cut factors
-of B or C (the identity and C_y^(1/2) of an identity-weight regression
-fit) passes them to it, and a chain drawn from a problem takes U_C from
-it.  ``rank_factors`` is called there and nowhere else in this module:
-``canonicalize`` and ``minimality_defect`` take V_B and U_C from the
-problem too.  ``solve`` is the only builder of a
-``GlraSolution``, and ``_minimiser`` the one builder of x_hat's factors
-L_0 = V_B S_B^-1 U_K, Sigma_K and R_0 = U_C S_C^-1 V_K, which the
-solution keeps as ``factors``.  ``_sides`` alone decides which of L_0
-and R_0 carries Sigma_K, from that record, and ``_x_hat`` forms x_hat
-from those sides; every other consumer of the factors takes its sides
-from ``_sides`` too, so none forms x_hat again.  ``solve_adjoint``
-builds the transposed problem, which factorises C^T and B^T itself.  A problem holds read-only views of its
-inputs, which must not change after construction.
+problem's tolerances.  A caller that already knows the rank-cut factors
+of B (C_y^(1/2) of an identity-weight regression fit) passes them to it;
+C, even an identity, is always factorised there.  A chain drawn from a
+problem takes U_C from it.  ``rank_factors`` is called there and nowhere
+else in this module: ``canonicalize`` and ``minimality_defect`` take V_B
+and U_C from the problem too.  ``solve`` is the only builder of a
+``GlraSolution``, and ``_minimiser`` builds x_hat's factors
+L_0 = V_B S_B^-1 U_K, Sigma_K and R_0 = U_C S_C^-1 V_K from a
+reduction, which the solution keeps as ``factors``; the growth sweep,
+whose B = I and C = diag(gamma) it reads as vectors, writes them out as
+L_0 = U_K and R_0 = fl(1/gamma) V_K.  ``_sides`` alone decides which of
+L_0 and R_0 carries Sigma_K, from that record, and ``_x_hat`` forms
+x_hat from those sides; every other consumer of the factors takes its
+sides from ``_sides`` too, so none forms x_hat again.  ``solve_adjoint``
+builds the transposed problem, which factorises C^T and B^T itself.  A
+problem holds read-only views of its inputs, which must not change after
+construction.
 
 ``_residual_norm`` is the one evaluation of ||M - B X C||_HS.  A dense
 candidate goes through it as (X, C), which ``objective`` does; a rank-r
@@ -152,22 +155,22 @@ class GlraSolution:
 
 
 def _reduce(
-    p: GlraProblem, fb: SvdFactors | None = None, fc: SvdFactors | None = None
+    p: GlraProblem, fb: SvdFactors | None = None
 ) -> tuple[SvdFactors, SvdFactors, np.ndarray, TruncatedSvd]:
     """Factor B and C once and truncate the core K = U_B^T M V_C.
 
     Returns the factors of B and C cut at p.tol's rank, K, and the rank-r
     truncation of K in core coordinates.  K has the nonzero singular
     values of G, whose shape is M's, so its rank is decided with G's
-    cutoff.  A caller that already holds the rank-cut factors of B or C
-    (a diagonal operand, say) passes them as fb or fc, and only the other
-    operand is factorised.  The first call stores the result on p and
-    every later one returns the stored one, so factors passed to a
-    problem that is already reduced are not used.
+    cutoff.  A caller that already holds the rank-cut factors of B
+    (C_y^(1/2) of an identity-weight fit) passes them as fb, and only C
+    is factorised.  The first call stores the result on p and every later
+    one returns the stored one, so factors passed to a problem that is
+    already reduced are not used.
     """
     if p._reduction is None:
         fb = rank_factors(p.b, p.tol) if fb is None else fb
-        fc = rank_factors(p.c, p.tol) if fc is None else fc
+        fc = rank_factors(p.c, p.tol)
         core = fb.u.T @ p.m @ fc.v
         t = _truncate(_svd(core), p.r, p.m.shape, p.tol)
         object.__setattr__(p, "_reduction", (fb, fc, core, t))

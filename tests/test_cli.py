@@ -861,8 +861,8 @@ class TestRegressCommand:
 
     def test_eigendecomposes_c_y_once(self, capsys, tmp_path, svd_calls, eigh_calls):
         # fit's one eigendecomposition of C_y gives C_y^(1/2), its pseudo-inverse
-        # and ker(C_y), which the maximal-kernel check reads; the one SVD is
-        # the core's
+        # and ker(C_y), which the maximal-kernel check reads; the two SVDs are
+        # C = I's and the core's
         g = np.random.default_rng(9)
         ys = g.standard_normal((40, 5))
         ys[:, -1] = ys[:, 0]
@@ -874,7 +874,7 @@ class TestRegressCommand:
         assert code == 0
         assert doc["diagnostics"]["maximal_kernel"]["kernel_dim"] == 1
         assert eigh_calls == [(5, 5)]
-        assert [shape for shape, _, _ in svd_calls] == [(4, 4)]
+        assert [shape for shape, _, _ in svd_calls] == [(4, 4), (4, 4)]
 
     def test_center_matches_pre_centred_files(self, capsys, tmp_path):
         g = np.random.default_rng(7)

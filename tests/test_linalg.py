@@ -589,6 +589,46 @@ def test_every_count_and_real_a_caller_passes_is_checked(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: sequences.SequenceSpec(2.0, 1.0, mu_head=1.0),
+            "mu_head must be finite and 1-D, got 1.0",
+        ),
+        (
+            lambda: sequences.SequenceSpec(2.0, 1.0, mu_head=[[1.0, 0.5]]),
+            r"mu_head must be finite and 1-D, got \[\[1.0, 0.5\]\]",
+        ),
+        (
+            lambda: sequences.SequenceSpec((2.0,), 1.0),
+            r"gamma_exponent must be finite and scalar, got \(2.0,\)",
+        ),
+        (
+            lambda: sequences.approximate_minimizers(_EYE_PROBLEM, 0.1),
+            "epsilons must be finite and 1-D, got 0.1",
+        ),
+        (
+            lambda: sequences.unboundedness_sweep(sequences.SequenceSpec(2.0, 1.0), 20, [2]),
+            "in lists; got n_values=20",
+        ),
+        (
+            lambda: sequences.unboundedness_sweep(sequences.SequenceSpec(2.0, 1.0), [20], 2),
+            "in lists; got probes=2",
+        ),
+    ],
+    ids=[
+        "spec-scalar-mu-head", "spec-nested-mu-head", "spec-sequence-exponent",
+        "scalar-epsilons", "sweep-scalar-n", "sweep-scalar-probe",
+    ],
+)
+def test_a_scalar_for_a_sequence_or_the_reverse_is_checked(call, message):
+    # each of these died inside numpy with an IndexError, ValueError or
+    # TypeError before the shape of a real or of a list of counts was checked
+    with pytest.raises(InputError, match=message):
+        call()
+
+
 def test_as_matrix_takes_a_float_array_as_it_is():
     # a float64 ndarray is not copied; other real input is converted to float64
     a = np.eye(3)

@@ -140,10 +140,11 @@ class TestFit:
         const = hs_norm(psd_sqrt(cov.c_x)) ** 2 - hs_norm(prob.m) ** 2
         assert model.fit_report.objective_mse <= const + oracle**2 + 1e-6
 
-    @pytest.mark.parametrize("weighted, svds", [(False, 1), (True, 3)], ids=["identity", "weighted"])
+    @pytest.mark.parametrize("weighted, svds", [(False, 2), (True, 3)], ids=["identity", "weighted"])
     def test_fit_factor_counts(self, svd_calls, eigh_calls, weighted, svds):
         # one eigh of C_y gives C_y^(1/2), its pseudo-inverse and, with identity
-        # weights, B's factors, so only the core is an SVD; weighted B and C are new
+        # weights, B's factors, so C = I and the core are the SVDs; weighted B
+        # and C are new
         cov = empirical_covariances(gaussian_samples(19, count=60, dim_f=3, dim_g=4))
         g = np.random.default_rng(20)
         weights = tuple(g.standard_normal((d, d)) for d in (3, 3, 4)) if weighted else None

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import CONDITIONED_KINDS, conditioned_problem, low_rank_target
-from glra import checks, linalg, sequences
+from glra import cli, sequences
 from glra.checks import _ref_lower_bound, _ref_projectors
 from glra.linalg import (
     DEFAULT_TOL,
     InputError,
     NumericalError,
+    SvdFactors,
     Tolerances,
     check_bound,
     hs_norm,
@@ -21,7 +22,6 @@ from glra.linalg import (
 from glra.sequences import (
     SequenceSpec,
     SubspaceChain,
-    _diagonal_factors,
     approximate_minimizers,
     bounded_approximation_sequence,
     build_instance,
@@ -894,7 +894,7 @@ class TestThinBases:
         # k' = 1: the SVDs of Z and of the sines, then no LAPACK call at all;
         # Z is built from f1, as F would take a QR
         inst = build_instance(diag_spec(n=200))
-        fc = _diagonal_factors(inst.gamma, DEFAULT_TOL)
+        gamma = inst.gamma[: _c_factors(inst).sigma.size]
         z = inst.mu[0] * inst.f1[None, :]
 
         def forbidden(*args, **kwargs):
@@ -902,8 +902,8 @@ class TestThinBases:
 
         for name in ("eig", "eigh", "eigvals", "eigvalsh", "qr", "solve", "lstsq"):
             monkeypatch.setattr(np.linalg, name, forbidden)
-        sines = rank_factors(z, DEFAULT_TOL).v[: fc.sigma.size].T
-        res = sequences._lower_bound(fc.sigma, sines, 200, DEFAULT_TOL)
+        sines = rank_factors(z, DEFAULT_TOL).v[: gamma.size].T
+        res = sequences._lower_bound(gamma, sines, 200, DEFAULT_TOL)
         assert res.subspace_dim == 199
         assert len(svd_calls) == 2
 
@@ -948,30 +948,12 @@ class TestThinBases:
 
 
 class TestKnownFactors:
-    """The sweep's factors of B = I and C = diag(gamma) are LAPACK's, bit for bit."""
-
-    @pytest.mark.parametrize("n", [3, 20, 260, 300])
-    @pytest.mark.parametrize("gamma_exp", [None, 1.0, 2.0, 4.0])
-    @pytest.mark.parametrize(
-        "tol", [DEFAULT_TOL, Tolerances(rank_rel=1e-14)], ids=["default", "rank_rel_1e-14"]
-    )
-    def test_diagonal_factors_equal_rank_factors(self, n, gamma_exp, tol):
-        idx = np.arange(1, n + 1, dtype=float)
-        d = np.ones(n) if gamma_exp is None else idx**-gamma_exp
-        got = _diagonal_factors(d, tol)
-        want = rank_factors(np.diag(d), tol)
-        for a, b in ((got.u, want.u), (got.sigma, want.sigma), (got.v, want.v)):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-
-    def test_rank_cut_case_is_covered(self):
-        d = np.arange(1, 301, dtype=float) ** -4.0
-        assert _diagonal_factors(d, DEFAULT_TOL).sigma.size == 240
-        assert _diagonal_factors(d, Tolerances(rank_rel=1e-14)).sigma.size == 300
+    """The sweep reads B = I and C = diag(gamma) as vectors, to the bits of the solver."""
 
     # the untied step's core is M's leading rank(C) columns, a view that
     # truncates to the bits of solver._reduce on the instance's problem,
-    # which forms the identity products U_B^T M V_C; gamma = 4 at N = 300
-    # is the rank-cut case, whose cross-check then fails
+    # which factorises B and C and forms the products U_B^T M V_C; gamma = 4
+    # at N = 300 is the rank-cut case, whose cross-check then fails
     @pytest.mark.parametrize("gamma_exp, cut", [(2.0, False), (4.0, True)])
     def test_sweep_core_is_a_view_of_m(self, monkeypatch, gamma_exp, cut):
         real_build, real_svd, real_truncate = (
@@ -1002,13 +984,12 @@ class TestKnownFactors:
             unboundedness_sweep(spec, [300], [10, 50])
         [inst], [core], [t] = seen["instance"], seen["core"], seen["truncation"]
         p = inst.problem
-        fb = _diagonal_factors(np.ones(300), DEFAULT_TOL)
-        fc = _diagonal_factors(inst.gamma, DEFAULT_TOL)
-        assert fc.sigma.size == (240 if cut else 300)
-        assert core.shape == (300, fc.sigma.size) and np.shares_memory(core, p.m)
-        # the instance's problem, reduced from the same factors by the solver
+        k = _c_factors(inst).sigma.size
+        assert k == (240 if cut else 300)
+        assert core.shape == (300, k) and np.shares_memory(core, p.m)
+        # the instance's problem, reduced by the solver
         assert p._reduction is None
-        _, _, want_core, want = _reduce(p, fb, fc)
+        _, _, want_core, want = _reduce(p)
         assert np.ascontiguousarray(core).tobytes() == want_core.tobytes()
         for a, b in zip(
             (t.factors.u, t.factors.sigma, t.factors.v),
@@ -1019,16 +1000,17 @@ class TestKnownFactors:
             want.r, want.discarded_head, want.numerical_rank, want.uniqueness
         )
 
-    def test_sweep_core_needs_every_axis_of_b(self, monkeypatch):
-        # a rank rule one short cuts the identity B to n - 1 axes; the core
-        # M[:, :rank C] then has one row too many, which must be a
-        # NumericalError naming B's factors, not numpy's shape mismatch
-        real = linalg._rank
-        monkeypatch.setattr(linalg, "_rank", lambda *args: real(*args) - 1)
-        with pytest.raises(NumericalError, match="B's factors keep 19 of the identity's 20 axes"):
-            unboundedness_sweep(diag_spec(n=20), [20], [2, 10])
-        with pytest.raises(NumericalError, match="B's factors keep"):
-            checks.check_seq(trials=1, seed=0)
+    # rank_rel * N >= 1 cuts every axis of C = diag(gamma), whose head is
+    # 1: a step with no kept axis is a NumericalError, tied or not
+    @pytest.mark.parametrize("mu", ["1,0.5", "1,1"], ids=["untied", "tied"])
+    def test_sweep_with_no_axis_of_c_is_numerical(self, capsys, mu):
+        spec = diag_spec(mu_head=tuple(float(v) for v in mu.split(",")), n=20)
+        with pytest.raises(NumericalError, match="keeps none of its 10 axes"):
+            unboundedness_sweep(spec, [10, 20], [2], Tolerances(rank_rel=0.5))
+        argv = ["demo-unbounded", "--N", "10,20", "--probes", "2", "--rank-rel", "0.5",
+                "--mu", mu, "--no-timestamp"]
+        assert cli.main(argv) == 3
+        assert "keeps none of its 10 axes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", [10, 50, 200])
     def test_sweep_norms_equal_the_solvers(self, n):
@@ -1040,14 +1022,24 @@ class TestKnownFactors:
         assert [row.norm for row in sweep.rows] == want
 
 
+def _c_factors(inst, tol=DEFAULT_TOL):
+    """C = diag(gamma)'s rank-cut factors, written out: its leading k axes and gamma_1..k.
+
+    gamma_1 = 1, so the rank rule keeps the gamma_j above rank_rel * N.
+    """
+    n = inst.spec.n
+    axes = np.eye(n)[:, : np.count_nonzero(inst.gamma > tol.rank_rel * n)]
+    return SvdFactors(u=axes, sigma=inst.gamma[: axes.shape[1]], v=axes)
+
+
 def _generic_route(inst, tol=DEFAULT_TOL):
     """mu_j f_j (f_j^T C^+) whole, as outer products, and the lower bound, through C's factors.
 
-    The rows are (f^T V_C S_C^-1) U_C^T with C's factors from
-    _diagonal_factors, the sines R^T V_C a product with V_C, and F is the
-    instance's completed basis.
+    The rows are (f^T V_C S_C^-1) U_C^T with C's factors from _c_factors,
+    the sines R^T V_C a product with V_C, and F is the instance's
+    completed basis.
     """
-    fc = _diagonal_factors(inst.gamma, tol)
+    fc = _c_factors(inst, tol)
     f = inst.f_basis
     pinv_rows = (f[:, :2].T @ (fc.v / fc.sigma)) @ fc.u.T
     outers = [np.outer(f[:, j], pinv_rows[j]) for j in (0, 1)]
@@ -1067,7 +1059,7 @@ class TestDiagonalRead:
         probes = [2, 10, 50]
         inst = build_instance(spec)
         (out_a, out_b), want_lower = _generic_route(inst)
-        cut = _diagonal_factors(inst.gamma, DEFAULT_TOL).sigma.size < n
+        cut = _c_factors(inst).sigma.size < n
         assert cut is (gamma_exp == 4.0 and n > 50)
         outer, formed = np.outer, []
 
@@ -1127,6 +1119,20 @@ class TestDiagonalRead:
         [(traced, m)] = live
         assert m.shape == (400, 400)
         assert traced <= m.nbytes + 64 * 1024
+
+    def test_untied_step_forms_no_identity(self, monkeypatch):
+        # B = I and C = diag(gamma) are read as vectors: the only np.eye of
+        # a step is the row e_1 that F is completed from
+        eye, shapes = np.eye, []
+
+        def recording(rows, cols=None, *args, **kwargs):
+            shapes.append((rows, rows if cols is None else cols))
+            return eye(rows, cols, *args, **kwargs)
+
+        monkeypatch.setattr(np, "eye", recording)
+        sweep = unboundedness_sweep(diag_spec(n=40), [40], [2, 10])
+        assert not sweep.tie
+        assert shapes == [(1, 40)]
 
 
 def _reference_nested_bases(basis, steps, seed):

@@ -21,9 +21,9 @@ from conftest import (
 from glra.linalg import (
     InputError,
     NumericalError,
+    SvdFactors,
     Tolerances,
     Uniqueness,
-    _diagonal_factors,
     check_bound,
     hs_norm,
     pinv,
@@ -708,11 +708,11 @@ class TestFactorOnce:
         )
         fresh = solve(replace(p))
         calls = self.count_lapack(monkeypatch)
-        _reduce(p, _diagonal_factors(np.ones(4), p.tol))
+        _reduce(p, SvdFactors(u=np.eye(4), sigma=np.ones(4), v=np.eye(4)))
         assert calls == {"svd": 2, "eig": 0}
         np.testing.assert_array_equal(solve(p).x_hat, fresh.x_hat)
         # guard: factors passed to a problem that is already reduced are not used
-        half = _diagonal_factors(np.full(4, 0.5), p.tol)
+        half = SvdFactors(u=np.eye(4), sigma=np.full(4, 0.5), v=np.eye(4))
         assert _reduce(p, half)[0] is not half
 
     def test_replace_starts_afresh(self):
@@ -989,8 +989,8 @@ def test_one_truncation_and_one_solution_builder():
 
 
 def test_reduce_takes_known_factors_only():
-    # a caller may hand over the factors of B or C, never the core
-    assert list(inspect.signature(glra.solver._reduce).parameters) == ["p", "fb", "fc"]
+    # a caller may hand over the factors of B, never those of C or the core
+    assert list(inspect.signature(glra.solver._reduce).parameters) == ["p", "fb"]
 
 
 def test_rank_factors_only_in_the_reduction():

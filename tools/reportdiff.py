@@ -124,6 +124,11 @@ CORPUS = (
     # yet scale with cond(C) ~ 2.6e10
     _case("whole-c-ill-conditioned", 3, "demo-unbounded", "--N", "20", "--gamma-exp", "8",
           "--alpha-exp", "0.5", "--probes", "2", "--out", "sweep.csv"),
+    # rank_rel * N >= 1 cuts every axis of C = diag(gamma), whose head is 1
+    _case("sweep-c-rank-0", 3, "demo-unbounded", "--N", "10,20", "--mu", "1,0.5",
+          "--probes", "2", "--rank-rel", "0.5", "--out", "sweep.csv"),
+    _case("sweep-c-rank-0-tied", 3, "demo-unbounded", "--N", "10,20", "--mu", "1,1",
+          "--probes", "2", "--rank-rel", "0.5", "--out", "sweep.csv"),
 )
 
 
