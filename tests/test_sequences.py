@@ -14,6 +14,7 @@ from glra.linalg import (
     NumericalError,
     SvdFactors,
     Tolerances,
+    _rank,
     check_bound,
     hs_norm,
     pinv,
@@ -950,6 +951,27 @@ class TestThinBases:
 class TestKnownFactors:
     """The sweep reads B = I and C = diag(gamma) as vectors, to the bits of the solver."""
 
+    # the vector read rests on LAPACK's factors of such a diagonal being its
+    # leading coordinate axes and d, cut where the sweep's own _rank cuts d
+    @pytest.mark.parametrize("n", [3, 20, 260, 300])
+    @pytest.mark.parametrize("gamma_exp", [None, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize(
+        "tol", [DEFAULT_TOL, Tolerances(rank_rel=1e-14)], ids=["default", "rank_rel_1e-14"]
+    )
+    def test_diagonal_factors_equal_rank_factors(self, n, gamma_exp, tol):
+        idx = np.arange(1, n + 1, dtype=float)
+        d = np.ones(n) if gamma_exp is None else idx**-gamma_exp
+        got = _axis_factors(d, tol)
+        want = rank_factors(np.diag(d), tol)
+        assert _rank(d, (n, n), tol) == want.sigma.size
+        for a, b in ((got.u, want.u), (got.sigma, want.sigma), (got.v, want.v)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_rank_cut_case_is_covered(self):
+        d = np.arange(1, 301, dtype=float) ** -4.0
+        assert _rank(d, (300, 300), DEFAULT_TOL) == _axis_factors(d, DEFAULT_TOL).sigma.size == 240
+        assert _rank(d, (300, 300), Tolerances(rank_rel=1e-14)) == 300
+
     # the untied step's core is M's leading rank(C) columns, a view that
     # truncates to the bits of solver._reduce on the instance's problem,
     # which factorises B and C and forms the products U_B^T M V_C; gamma = 4
@@ -1022,14 +1044,20 @@ class TestKnownFactors:
         assert [row.norm for row in sweep.rows] == want
 
 
-def _c_factors(inst, tol=DEFAULT_TOL):
-    """C = diag(gamma)'s rank-cut factors, written out: its leading k axes and gamma_1..k.
+def _axis_factors(d, tol=DEFAULT_TOL):
+    """diag(d)'s rank-cut factors, written out: its leading k axes and d_1..k.
 
-    gamma_1 = 1, so the rank rule keeps the gamma_j above rank_rel * N.
+    d is positive and nonincreasing with d_1 = 1, so the rank rule keeps
+    the d_j above rank_rel * n.
     """
-    n = inst.spec.n
-    axes = np.eye(n)[:, : np.count_nonzero(inst.gamma > tol.rank_rel * n)]
-    return SvdFactors(u=axes, sigma=inst.gamma[: axes.shape[1]], v=axes)
+    n = d.size
+    axes = np.eye(n)[:, : np.count_nonzero(d > tol.rank_rel * n)]
+    return SvdFactors(u=axes, sigma=d[: axes.shape[1]], v=axes)
+
+
+def _c_factors(inst, tol=DEFAULT_TOL):
+    """C = diag(gamma)'s rank-cut factors, written out; gamma_1 = 1."""
+    return _axis_factors(inst.gamma, tol)
 
 
 def _generic_route(inst, tol=DEFAULT_TOL):
